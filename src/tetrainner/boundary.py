@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PsiPole
+from .polycx import DEFAULT_MEMBERSHIP_TOL
 
-DEFAULT_MEMBERSHIP_TOL = 1e-9
 MU_BISECTION_CAP = 1e6
 MU_MAX_ITER = 200
 

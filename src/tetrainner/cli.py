@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import boundary, extremal, tetrafun
+from . import boundary, extremal, polycx, tetrafun
 from .construct import ConstructionSpec, construct as run_construct
 from .errors import DenominatorVanishes, SamplingTooCoarse, TetraError
 from .polycx import Polynomial, coeff_distance, unit_circle
@@ -27,12 +27,12 @@ EXIT_NUMERICAL = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    membership_tol: float = 1e-9
-    circle_tol: float = 1e-6
-    cluster_tol: float = 1e-7
-    samples: int = 256
-    seed: int = 0
-    output_format: str = "json"
+    membership_tol: float
+    circle_tol: float
+    cluster_tol: float
+    samples: int
+    seed: int
+    output_format: str
 
     def __post_init__(self):
         if min(self.membership_tol, self.circle_tol, self.cluster_tol) <= 0:
@@ -76,17 +76,17 @@ def _load_payload(args) -> dict:
     return data
 
 
-def _function_in(data: dict, strict: bool) -> tetrafun.TetraRational:
+def _function_fields(data: dict):
+    """(e1, e2, d, n) parsed from a function payload, not yet validated."""
     for key in ("n", "E1", "E2", "D"):
         if key not in data:
             raise _InputError(f"missing field {key!r}")
-    return tetrafun.validate(
-        _poly_in(data["E1"], "E1"), _poly_in(data["E2"], "E2"),
-        _poly_in(data["D"], "D"), int(data["n"]), strict=strict)
+    return (_poly_in(data["E1"], "E1"), _poly_in(data["E2"], "E2"),
+            _poly_in(data["D"], "D"), int(data["n"]))
 
 
-def _function_out(x: tetrafun.TetraRational) -> dict:
-    return tetrafun.to_json_dict(x)
+def _function_in(data: dict, strict: bool) -> tetrafun.TetraRational:
+    return tetrafun.validate(*_function_fields(data), strict=strict)
 
 
 def _emit(args, text: str):
@@ -107,8 +107,8 @@ def _analysis_block(x: tetrafun.TetraRational, cfg: RunConfig) -> dict:
     deg = tetrafun.degree(x, cfg.circle_tol)
     if tetrafun.is_royal_variety(x):
         return {"degree": deg, "type": "royal-variety", "royal_nodes": []}
-    tk = tetrafun.type_nk(x, cfg.cluster_tol, cfg.circle_tol)
     nodes = tetrafun.royal_nodes(x, cfg.cluster_tol, cfg.circle_tol)
+    tk = tetrafun.TypeNK.from_nodes(nodes)
     return {
         "degree": deg,
         "type": [tk.n, tk.k],
@@ -155,20 +155,13 @@ def cmd_construct(args, cfg: RunConfig) -> int:
         omega=_complex_in(data.get("omega", 1.0), "omega"),
     )
     x = run_construct(spec, cfg.circle_tol)
-    payload = {"function": _function_out(x), "analysis": _analysis_block(x, cfg)}
+    payload = {"function": tetrafun.to_json_dict(x), "analysis": _analysis_block(x, cfg)}
     _emit(args, _dump(payload))
     return EXIT_OK
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    data = _load_payload(args)
-    for key in ("n", "E1", "E2", "D"):
-        if key not in data:
-            raise _InputError(f"missing field {key!r}")
-    e1 = _poly_in(data["E1"], "E1")
-    e2 = _poly_in(data["E2"], "E2")
-    d = _poly_in(data["D"], "D")
-    n = int(data["n"])
+    e1, e2, d, n = _function_fields(_load_payload(args))
     checks = tetrafun.validation_report(e1, e2, d, n, strict=args.strict,
                                         circle_tol=cfg.circle_tol)
     by_code = {c.code: c for c in checks}
@@ -219,7 +212,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         except DenominatorVanishes:
             invariants["circle_defect_max"] = None
         try:
-            invariants["winding_number"] = tetrafun.winding_number(x, 4096)
+            invariants["winding_number"] = tetrafun.winding_number(x)
         except (SamplingTooCoarse, DenominatorVanishes):
             invariants["winding_number"] = None
         report["invariants"] = invariants
@@ -272,8 +265,8 @@ def cmd_perturb(args, cfg: RunConfig) -> int:
     payload = {
         "method": result.method.value,
         "t": float(result.t_used),
-        "x_plus": _function_out(result.x_plus),
-        "x_minus": _function_out(result.x_minus),
+        "x_plus": tetrafun.to_json_dict(result.x_plus),
+        "x_minus": tetrafun.to_json_dict(result.x_minus),
         "midpoint_max_coeff_error": float(err),
     }
     if result.note:
@@ -298,10 +291,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, handler in handlers.items():
         p = sub.add_parser(name)
         p.add_argument("input", nargs="?", help="input JSON file; stdin when omitted")
-        p.add_argument("--tol", type=float, default=1e-9, help="membership tolerance")
-        p.add_argument("--circle-tol", type=float, default=1e-6)
-        p.add_argument("--cluster-tol", type=float, default=1e-7)
-        p.add_argument("--samples", type=int, default=256)
+        p.add_argument("--tol", type=float, default=polycx.DEFAULT_MEMBERSHIP_TOL,
+                       help="membership tolerance")
+        p.add_argument("--circle-tol", type=float, default=polycx.DEFAULT_CIRCLE_TOL)
+        p.add_argument("--cluster-tol", type=float, default=polycx.DEFAULT_CLUSTER_TOL)
+        p.add_argument("--samples", type=int, default=polycx.TRACE_SAMPLES)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--strict", dest="strict", action="store_true", default=True)
         p.add_argument("--lenient", dest="strict", action="store_false")

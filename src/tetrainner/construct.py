@@ -30,10 +30,9 @@ from .errors import (
     ValidationError,
 )
 from .fejriesz import factor, laurent_shift, modulus_squared_on_circle
-from .polycx import Polynomial, RootMultiset, coeff_distance, roots as poly_roots
+from .polycx import (DEFAULT_CIRCLE_TOL, DEFAULT_CLUSTER_TOL, Polynomial, RootMultiset,
+                     coeff_distance, roots as poly_roots)
 from .tetrafun import (
-    DEFAULT_CIRCLE_TOL,
-    DEFAULT_CLUSTER_TOL,
     RoyalNode,
     TetraRational,
     degree as tetra_degree,
@@ -139,7 +138,7 @@ def construct(spec: ConstructionSpec,
     target = build_royal_target(spec.sigma, spec.t_plus)
     e1 = build_e1(spec.alpha1, spec.alpha2, spec.t)
     trig = laurent_shift(target, n) + modulus_squared_on_circle(e1)
-    d_outer = factor(trig, circle_tol)
+    d_outer = factor(trig)
     d = d_outer.scale(np.conj(spec.omega))
     e2 = e1.reflect(n)
     try:

@@ -28,9 +28,10 @@ from .errors import (
     RoyalVarietyFunction,
     ThirdComponentMismatch,
 )
-from .polycx import Polynomial, coeff_distance, unit_circle
+from .polycx import CIRCLE_SAMPLES, Polynomial, coeff_distance, unit_circle
 from .tetrafun import (
     TetraRational,
+    TypeNK,
     is_royal_variety,
     royal_nodes,
     royal_polynomial,
@@ -38,8 +39,8 @@ from .tetrafun import (
     validate,
 )
 
-SUP_SAMPLES = 4096
 SAFETY = 0.9
+MARGIN = 0.5
 
 
 class PerturbationMethod(enum.Enum):
@@ -87,7 +88,7 @@ def _circle_sup(p: Polynomial, grid) -> float:
     return float(np.max(np.abs(p.eval(grid))))
 
 
-def scale_nonextreme(x: TetraRational, margin: float = 0.5) -> PerturbationResult:
+def scale_nonextreme(x: TetraRational, margin: float = MARGIN) -> PerturbationResult:
     """Midpoint decomposition by scaling both numerators, for k = 0.
 
     eps = margin * (1/s - 1) where s is the circle sup of max(|x1|, |x2|);
@@ -101,7 +102,12 @@ def scale_nonextreme(x: TetraRational, margin: float = 0.5) -> PerturbationResul
     if tk.k > 0:
         raise CircleNodesPresent(
             f"{tk.k} circle royal nodes force the component sup to 1")
-    grid = unit_circle(SUP_SAMPLES)
+    return _scale_numerators(x, margin)
+
+
+def _scale_numerators(x: TetraRational, margin: float) -> PerturbationResult:
+    """scale_nonextreme once k = 0 is known."""
+    grid = unit_circle(CIRCLE_SAMPLES)
     dv = np.abs(x.d.eval(grid))
     sup = max(float(np.max(np.abs(x.e1.eval(grid)) / dv)),
               float(np.max(np.abs(x.e2.eval(grid)) / dv)))
@@ -146,24 +152,19 @@ def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
     """
     if is_royal_variety(x):
         raise RoyalVarietyFunction("royal-variety functions are not handled")
-    tk = type_nk(x)
+    nodes = royal_nodes(x)
+    tk = TypeNK.from_nodes(nodes)
     if tk.k == 0:
-        return scale_nonextreme(x)
+        return _scale_numerators(x, MARGIN)
     if 2 * tk.k > tk.n:
         raise ExtremalityNotDisproved(
             f"type ({tk.n}, {tk.k}) has 2k > n; no decomposition is produced")
-    nodes = royal_nodes(x)
-    taus = []
-    interior = []
-    for nd in nodes:
-        if nd.on_circle:
-            taus.extend([nd.location] * nd.multiplicity)
-        else:
-            interior.extend([nd.location] * nd.multiplicity)
+    taus = [nd.location for nd in nodes if nd.on_circle for _ in range(nd.multiplicity)]
+    interior = [nd.location for nd in nodes if not nd.on_circle for _ in range(nd.multiplicity)]
     n, k = tk.n, tk.k
     g = _perturbation_polynomial(taus, n, k)
 
-    grid = unit_circle(SUP_SAMPLES)
+    grid = unit_circle(CIRCLE_SAMPLES)
     royal = royal_polynomial(x)
     all_nodes = taus + interior
     node_products = np.ones_like(grid, dtype=float)

@@ -5,10 +5,9 @@ that is nonnegative on the circle equals |D(lam)|^2 there for an outer
 polynomial D.  The factorization used here is the classical one:
 
   * form the ordinary polynomial P(lam) = lam^n p(lam) of degree <= 2n;
-  * its roots pair as (r, 1/conj(r)); keep the representative with
-    |r| >= 1 from every pair;
-  * roots within circle_tol of the unit circle must occur to even order
-    and contribute half of it;
+  * split its roots with polycx.circle_split, which pairs them as
+    (r, 1/conj(r)) and returns the circle roots with their even order;
+  * keep the roots outside the disc and each circle root at half its order;
   * rebuild D from the kept roots and fix the scalar by matching p at the
     circle point where it is largest, then normalize the phase so the
     first nonzero coefficient of D is real and positive.
@@ -20,19 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNonnegativeOnCircle, NotTwoNSymmetric, OddCircleRootOrder
+from .errors import NotNonnegativeOnCircle, NotTwoNSymmetric
 from .polycx import (
+    CIRCLE_SAMPLES,
     Polynomial,
-    _cluster,
+    circle_split,
     from_roots,
     is_n_symmetric,
     roots as poly_roots,
     unit_circle,
 )
 
-DEFAULT_CIRCLE_TOL = 1e-6
 NONNEG_GUARD = 1e-10
-CIRCLE_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -108,14 +106,15 @@ def is_outer(p: Polynomial, tol: float = 1e-9) -> bool:
     return all(abs(loc) >= 1.0 - tol for loc, _ in poly_roots(p).entries)
 
 
-def factor(p: TrigPolynomial, circle_tol: float = DEFAULT_CIRCLE_TOL) -> Polynomial:
+def factor(p: TrigPolynomial) -> Polynomial:
     """Outer polynomial D with |D|^2 = p on the circle.
 
     Raises NotNonnegativeOnCircle when sampling finds p negative beyond
-    the guard, and OddCircleRootOrder when a circle root cluster has odd
-    total order.
+    the guard, and OddCircleRootOrder (from circle_split) when a circle
+    root has odd order.
     """
-    vals = p.values_on_grid(CIRCLE_SAMPLES)
+    grid = unit_circle(CIRCLE_SAMPLES)
+    vals = p.value(grid)
     top = float(np.max(np.abs(vals)))
     if top == 0.0:
         raise ValueError("cannot factor the identically zero trigonometric polynomial")
@@ -133,31 +132,13 @@ def factor(p: TrigPolynomial, circle_tol: float = DEFAULT_CIRCLE_TOL) -> Polynom
     while len(asc) > 1 and abs(asc[0]) <= strip_tol and abs(asc[-1]) <= strip_tol:
         asc = asc[1:-1]
 
-    grid = unit_circle(CIRCLE_SAMPLES)
     peak = int(np.argmax(vals))
     lam_star, p_star = grid[peak], float(vals[peak])
 
-    selected = []
-    if len(asc) > 1:
-        raw = np.roots(np.asarray(asc[::-1], dtype=complex))
-        circle_roots = [complex(r) for r in raw if abs(abs(r) - 1.0) <= circle_tol]
-        outside = [complex(r) for r in raw
-                   if abs(abs(r) - 1.0) > circle_tol and abs(r) > 1.0]
-        inside_count = len(raw) - len(circle_roots) - len(outside)
-        if len(outside) != inside_count:
-            raise OddCircleRootOrder(
-                "root set is not symmetric under reflection in the circle")
-        # A true circle root of order 2v scatters into 2v simple roots;
-        # group on a coarser scale than the on-circle test itself.
-        for group in _cluster(circle_roots, max(np.sqrt(circle_tol), 10 * circle_tol)):
-            if len(group) % 2 != 0:
-                raise OddCircleRootOrder(
-                    f"circle root cluster near {np.mean(group):.6g} has odd order {len(group)}")
-            loc = complex(np.mean(group))
-            loc /= abs(loc)
-            selected.extend([loc] * (len(group) // 2))
-        selected.extend(outside)
-
+    # P is exact up to rounding, so no circle tolerance beyond rounding applies.
+    _, circle, outside = circle_split(Polynomial(asc), circle_tol=0.0)
+    selected = ([loc for loc, order in outside for _ in range(order)]
+                + [loc for loc, order in circle for _ in range(order // 2)])
     shape = from_roots(selected)
     denom = abs(shape.eval(lam_star)) ** 2
     amp = np.sqrt(max(p_star, 0.0) / denom)

@@ -11,11 +11,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeExceedsReflectionIndex, ZeroPolynomialHasAllRoots
+from .errors import (
+    DegreeExceedsReflectionIndex,
+    OddCircleRootOrder,
+    ZeroPolynomialHasAllRoots,
+)
 
 TRIM_TOL = 1e-14
 NEG_INF = float("-inf")
+EPS = float(np.finfo(float).eps)
+# Library-wide defaults; every module and the command line import them from here.
+DEFAULT_MEMBERSHIP_TOL = 1e-9
+DEFAULT_CIRCLE_TOL = 1e-6
 DEFAULT_CLUSTER_TOL = 1e-7
+CIRCLE_SAMPLES = 4096
+TRACE_SAMPLES = 256
 
 
 def _trim(coeffs):
@@ -78,9 +88,6 @@ class Polynomial:
         """Conjugate every coefficient: f -> conj(f(conj(lambda)))."""
         return Polynomial(tuple(np.conj(c) for c in self.coeffs))
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(j * c for j, c in enumerate(self.coeffs) if j >= 1))
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         m = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(tuple(self.coeff(j) + other.coeff(j) for j in range(m)))
@@ -105,23 +112,6 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         return Polynomial(tuple(c * a for a in self.coeffs))
-
-
-ZERO = Polynomial()
-ONE = Polynomial((1,))
-LAMBDA = Polynomial((0, 1))
-
-
-def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def scale(p: Polynomial, c) -> Polynomial:
-    return p.scale(c)
 
 
 def coeff_distance(p: Polynomial, q: Polynomial) -> float:
@@ -161,70 +151,122 @@ class RootMultiset:
         return tuple(out)
 
 
-def _cluster(points, tol):
-    """Union-find grouping of points within pairwise distance < tol."""
-    m = len(points)
-    parent = list(range(m))
+def _components(points, tol):
+    """Membership matrix (component x point) of the graph joining points
+    closer than tol; with one tol per point the smaller of two decides."""
+    tol = np.broadcast_to(tol, points.shape)
+    close = np.abs(points[:, None] - points[None, :]) < np.minimum.outer(tol, tol)
+    labels = np.arange(len(points))
+    while True:
+        spread = np.where(close, labels, len(points)).min(axis=1, initial=len(points))
+        if np.array_equal(spread, labels):
+            return np.flatnonzero(labels == np.arange(len(points)))[:, None] == labels
+        labels = spread
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(points[i] - points[j]) < tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(points[i])
-    return list(groups.values())
+def _entries(locs, orders):
+    """(location, order) pairs in the library's canonical order."""
+    keys = np.lexsort((np.round(locs.imag, 12), np.round(locs.real, 12)))
+    return tuple((complex(locs[i]), int(orders[i])) for i in keys)
 
 
 def roots(p: Polynomial, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
     """All complex roots with multiplicity.
 
     Eigenvalues of the companion matrix of the monic normalization, one
-    Newton polishing step per root, then union-find clustering of
-    numerically coincident roots.
+    Newton step per root where it lowers |p|, then one entry per connected
+    component of the graph joining roots closer than cluster_tol.
     """
     if p.is_zero:
         raise ZeroPolynomialHasAllRoots("the zero polynomial vanishes everywhere")
     if p.degree == 0:
         return RootMultiset((), cluster_tol)
-    raw = np.roots(np.asarray(p.coeffs[::-1], dtype=complex))
-    dp = p.derivative()
-    polished = []
-    for r in raw:
-        fr = p.eval(r)
-        dr = dp.eval(r)
-        if dr != 0:
-            cand = r - fr / dr
-            if np.isfinite(cand) and abs(p.eval(cand)) <= abs(fr):
-                r = cand
-        polished.append(complex(r))
-    groups = _cluster(polished, cluster_tol)
-    entries = [(complex(np.mean(g)), len(g)) for g in groups]
-    # group means can land within cluster_tol even when the raw points did
-    # not; merge until the entry invariant holds
-    changed = True
-    while changed and len(entries) > 1:
-        changed = False
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                (za, oa), (zb, ob) = entries[i], entries[j]
-                if abs(za - zb) < cluster_tol:
-                    entries[i] = ((za * oa + zb * ob) / (oa + ob), oa + ob)
-                    entries.pop(j)
-                    changed = True
-                    break
-            if changed:
-                break
-    entries.sort(key=lambda e: (round(e[0].real, 12), round(e[0].imag, 12)))
-    return RootMultiset(tuple(entries), cluster_tol)
+    a = np.asarray(p.coeffs[::-1], dtype=complex)
+    z = np.roots(a)
+    with np.errstate(all="ignore"):
+        fz = np.polyval(a, z)
+        cand = z - fz / np.polyval(np.polyder(a), z)
+        better = np.isfinite(cand) & (np.abs(np.polyval(a, cand)) <= np.abs(fz))
+    z = np.where(better, cand, z)
+    member = _components(z, cluster_tol)
+    orders = member.sum(axis=1)
+    return RootMultiset(_entries(member @ z / orders, orders), cluster_tol)
+
+
+def _derivative_roots(p: Polynomial, seeds):
+    """Newton's method on p' from seeds near the circle; returns the limits
+    and the rounding bound on their positions (Horner bound of p' over |p''|).
+
+    A seed stops once its step no longer shrinks.  Powers of near-unimodular
+    points stay bounded, so p' and p'' are products with one power matrix.
+    """
+    j = np.arange(1, len(p.coeffs))
+    d1 = j * np.asarray(p.coeffs[1:], dtype=complex)
+    d2 = j[:-1] * d1[1:]
+    c, last = seeds, np.inf
+    for _ in range(64):
+        powers = c[:, None] ** np.arange(len(d1))
+        slope = powers[:, :-1] @ d2
+        step = (powers @ d1) / slope
+        size = np.abs(step)
+        if not np.any((size < last) & (size > 4 * EPS * np.abs(c))):
+            break
+        c, last = np.where(size < last, c - step, c), np.minimum(size, last)
+    return c, p.degree * EPS * (np.abs(powers) @ np.abs(d1)) / np.abs(slope)
+
+
+def circle_split(p: Polynomial, cluster_tol: float = DEFAULT_CLUSTER_TOL,
+                 circle_tol: float = DEFAULT_CIRCLE_TOL) -> tuple:
+    """Roots of p as (inside, circle, outside) tuples of (location, order).
+
+    p is self-reciprocal and of one sign on the circle up to a power of
+    lam, so its roots pair as (r, 1/conj r) and its circle roots have even
+    order.  A circle root of order 2v is a root of p' of order 2v - 1;
+    noise splits it into 2v roots of p around the derivative root, which
+    stays near the circle.  So each root of p near the circle seeds Newton's
+    method on p'.  A double root whose derivative root c lies t off the
+    circle splits by sqrt(2 t), so a root joins its limit c when it lies
+    within twice that, t being circle_tol plus the rounding bound on the
+    position of c.  Limits within twice their rounding bounds of each other
+    are one derivative root c; when c lies within t of the circle, their
+    roots form one circle entry at c/|c| with their total raw order.
+    circle_tol = 0 forgives rounding only.
+
+    Raises OddCircleRootOrder for a circle entry of odd order, and for a
+    root that joins none yet lies within circle_tol plus its own rounding
+    bound of the circle.
+    """
+    ms = roots(p, cluster_tol)
+    z = np.array([loc for loc, _ in ms.entries], dtype=complex)
+    orders = np.array([order for _, order in ms.entries], dtype=int)
+    a = np.asarray(p.coeffs[::-1], dtype=complex)
+    dist = np.abs(np.abs(z) - 1.0)
+    with np.errstate(all="ignore"):
+        # How far rounding alone can move each root: the Horner bound over
+        # |p'| for a simple root; a merged entry is known to cluster_tol.
+        simple = p.degree * EPS * np.polyval(np.abs(a), np.abs(z)) / np.abs(
+            np.polyval(np.polyder(a), z))
+        slack = circle_tol + np.where(orders > 1, cluster_tol, simple)
+        joined = dist <= 2.0 * np.sqrt(2.0 * slack)
+        locs, total = z[:0], orders[:0]
+        if joined.any():
+            c, rounding = _derivative_roots(p, z[joined])
+            close = np.abs(c - z[joined]) <= 2.0 * np.sqrt(2.0 * (circle_tol + rounding))
+            joined[joined] = close
+            member = _components(c[close], 2.0 * rounding[close])
+            total = member @ orders[joined]
+            locs = member @ (orders[joined] * c[close]) / total
+            on_circle = np.abs(np.abs(locs) - 1.0) <= circle_tol + np.max(
+                np.where(member, rounding[close], 0.0), axis=1, initial=0.0)
+            joined[joined] = member[on_circle].any(axis=0)
+            locs, total = locs[on_circle], total[on_circle]
+        lone = ~joined & (dist <= slack)
+    odd = np.concatenate([locs[total % 2 == 1], z[lone]])
+    if len(odd):
+        raise OddCircleRootOrder(f"circle root near {complex(odd[0]):.6g} has odd order")
+    inside, outside = ~joined & (np.abs(z) < 1.0), ~joined & (np.abs(z) >= 1.0)
+    return (_entries(z[inside], orders[inside]), _entries(locs / np.abs(locs), total),
+            _entries(z[outside], orders[outside]))
 
 
 def from_roots(locations, leading=1.0) -> Polynomial:

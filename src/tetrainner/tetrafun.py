@@ -18,6 +18,7 @@ the royal nodes, counted with halved multiplicity on the circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,33 +27,26 @@ from .boundary import TetraPoint, psi
 from .errors import (
     DenominatorVanishes,
     InvalidSuperficialSpec,
-    OddCircleRootOrder,
     RoyalVarietyFunction,
     SamplingTooCoarse,
     UndefinedOmegaOrK,
     ValidationError,
 )
 from .polycx import (
+    CIRCLE_SAMPLES,
+    DEFAULT_CIRCLE_TOL,
+    DEFAULT_CLUSTER_TOL,
+    TRACE_SAMPLES,
     Polynomial,
+    circle_split,
     coeff_distance,
-    from_roots,
     is_n_symmetric,
     roots as poly_roots,
     unit_circle,
 )
 
-DEFAULT_CIRCLE_TOL = 1e-6
-DEFAULT_CLUSTER_TOL = 1e-7
 REFLECTION_TOL = 1e-10
 MODULUS_SLACK = 1e-9
-VALIDATION_SAMPLES = 4096
-# A circle root of even order 2v splits under coefficient noise into simple
-# roots spread ~ noise^(1/2v) around it, further amplified by nearby nodes;
-# the royal-node circle test needs a band above that scale or a split pair
-# straddles it and half the mass is misread as an interior node with its
-# reflection discarded.  1e-4 clears observed splits (~1e-5 at the minimum
-# supported node separation 0.05) while staying far below that separation.
-NEAR_CIRCLE_NOISE_BAND = 1e-4
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,7 @@ class TetraRational:
     n: int
     strict: bool = True
 
-    @property
+    @cached_property
     def d_reflected(self) -> Polynomial:
         return self.d.reflect(self.n)
 
@@ -81,6 +75,12 @@ class TypeNK:
     n: int
     k: int
     royal_variety_flag: bool = False
+
+    @classmethod
+    def from_nodes(cls, nodes) -> "TypeNK":
+        """Total and circle multiplicities of a royal_nodes result."""
+        return cls(sum(nd.multiplicity for nd in nodes),
+                   sum(nd.multiplicity for nd in nodes if nd.on_circle))
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class ConditionCheck:
 def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
                       strict: bool = True,
                       circle_tol: float = DEFAULT_CIRCLE_TOL,
-                      samples: int = VALIDATION_SAMPLES) -> list[ConditionCheck]:
+                      samples: int = CIRCLE_SAMPLES) -> list[ConditionCheck]:
     """Per-condition report for the representation conditions."""
     checks = []
 
@@ -209,7 +209,7 @@ def degree(x: TetraRational, circle_tol: float = DEFAULT_CIRCLE_TOL) -> int:
                if abs(loc) < 1.0 - circle_tol)
 
 
-def winding_number(x: TetraRational, samples: int = 4096) -> int:
+def winding_number(x: TetraRational, samples: int = CIRCLE_SAMPLES) -> int:
     """Total winding of the third component along the circle.
 
     Counterclockwise orientation; consecutive-sample argument jumps of pi
@@ -245,42 +245,16 @@ def royal_nodes(x: TetraRational,
                 circle_tol: float = DEFAULT_CIRCLE_TOL) -> tuple[RoyalNode, ...]:
     """Disc-closure zeros of the royal polynomial with multiplicities.
 
-    Zeros outside the closed disc are the reflections of interior zeros and
-    are discarded; circle zeros must have even raw order and carry half of
-    it as multiplicity.
+    lam^-n times the royal polynomial is |d|^2 - |e1|^2 on the circle, so
+    polycx.circle_split applies.  Zeros outside the closed disc are the
+    reflections of interior zeros and are discarded; circle zeros carry
+    half of their even raw order as multiplicity.
     """
     if is_royal_variety(x):
         raise RoyalVarietyFunction("royal polynomial is identically zero")
-    rx = royal_polynomial(x)
-    if rx.degree <= 0:
-        return ()
-    ms = poly_roots(rx, cluster_tol)
-    band = max(circle_tol, NEAR_CIRCLE_NOISE_BAND)
-    interior = []
-    near_circle = []
-    for loc, order in ms.entries:
-        if abs(abs(loc) - 1.0) <= band:
-            near_circle.append((loc, order))
-        elif abs(loc) < 1.0:
-            interior.append((loc, order))
-    # Reflection pairs straddling the circle threshold merge into one
-    # even-order circle cluster.
-    merge_tol = max(np.sqrt(circle_tol), cluster_tol)
-    merged: list[list] = []
-    for loc, order in near_circle:
-        for grp in merged:
-            if abs(grp[0] - loc) <= merge_tol:
-                grp[0] = (grp[0] * grp[1] + loc * order) / (grp[1] + order)
-                grp[1] += order
-                break
-        else:
-            merged.append([loc, order])
-    nodes = [RoyalNode(loc, order, order, False) for loc, order in interior]
-    for loc, order in merged:
-        if order % 2 != 0:
-            raise OddCircleRootOrder(
-                f"circle royal node near {loc:.6g} has odd order {order}")
-        nodes.append(RoyalNode(complex(loc / abs(loc)), order, order // 2, True))
+    inside, circle, _ = circle_split(royal_polynomial(x), cluster_tol, circle_tol)
+    nodes = [RoyalNode(loc, order, order, False) for loc, order in inside]
+    nodes += [RoyalNode(loc, order, order // 2, True) for loc, order in circle]
     nodes.sort(key=lambda nd: (round(nd.location.real, 12), round(nd.location.imag, 12)))
     return tuple(nodes)
 
@@ -291,10 +265,7 @@ def type_nk(x: TetraRational,
     """Total and circle royal multiplicities, or the royal-variety flag."""
     if is_royal_variety(x):
         return TypeNK(0, 0, royal_variety_flag=True)
-    nodes = royal_nodes(x, cluster_tol, circle_tol)
-    total = sum(nd.multiplicity for nd in nodes)
-    on_circle = sum(nd.multiplicity for nd in nodes if nd.on_circle)
-    return TypeNK(total, on_circle)
+    return TypeNK.from_nodes(royal_nodes(x, cluster_tol, circle_tol))
 
 
 def superficial_build(spec: SuperficialSpec, n_bound: int) -> TetraRational:
@@ -363,7 +334,7 @@ def from_gamma_inner(s_num: Polynomial, denom: Polynomial, n: int,
     sym_tol = 1e-10 * (1.0 + s_num.max_coeff())
     if not is_n_symmetric(s_num, n, sym_tol):
         violations.append(("GammaSymmetry", "numerator is not n-symmetric"))
-    grid = unit_circle(VALIDATION_SAMPLES)
+    grid = unit_circle(CIRCLE_SAMPLES)
     gap = float(np.max(np.abs(s_num.eval(grid)) - 2.0 * np.abs(denom.eval(grid))))
     if gap > MODULUS_SLACK * (1.0 + denom.max_coeff()):
         violations.append(("GammaModulus", f"|s_num| exceeds 2|denom| by {gap:.3e}"))
@@ -378,7 +349,8 @@ def from_gamma_inner(s_num: Polynomial, denom: Polynomial, n: int,
     return validate(half, half, denom, n)
 
 
-def circle_trace(x: TetraRational, samples: int = 256) -> list[tuple[complex, TetraPoint, float]]:
+def circle_trace(x: TetraRational,
+                 samples: int = TRACE_SAMPLES) -> list[tuple[complex, TetraPoint, float]]:
     """Uniform circle samples with the distinguished-boundary defect |x1 - conj(x2) x3|."""
     if samples < 16:
         raise ValueError("samples must be at least 16")

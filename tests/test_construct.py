@@ -130,6 +130,18 @@ def test_round_trip_random_specs():
         assert sum(nd.multiplicity for nd in rec.nodes) == n
 
 
+@pytest.mark.parametrize("n, seed", [(16, 10), (16, 42), (20, 28), (20, 52)])
+def test_royal_nodes_half_on_circle_high_degree(n, seed):
+    # noise splits these double circle roots of the royal polynomial far
+    # beyond cluster_tol; the derivative roots still place them
+    spec = random_construction_spec(np.random.default_rng(seed), n, k_circle=n // 2)
+    nodes = royal_nodes(construct(spec))
+    assert sum(nd.multiplicity for nd in nodes) == n
+    assert sum(nd.multiplicity for nd in nodes if nd.on_circle) == n // 2
+    match_multiset(spec.sigma, [nd.location for nd in nodes for _ in range(nd.multiplicity)],
+                   1e-6)
+
+
 def test_royal_identity_on_circle():
     rng = np.random.default_rng(37)
     grid = unit_circle(4096)

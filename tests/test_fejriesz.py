@@ -10,7 +10,7 @@ from tetrainner.fejriesz import (
     laurent_shift,
     modulus_squared_on_circle,
 )
-from tetrainner.polycx import Polynomial, coeff_distance, roots, unit_circle
+from tetrainner.polycx import Polynomial, coeff_distance, from_roots, roots, unit_circle
 
 SQ2 = np.sqrt(2.0)
 
@@ -129,6 +129,16 @@ def test_factor_with_forced_circle_root():
         d = factor(modulus_squared_on_circle(full))
         assert d.degree == d0.degree + 1
         assert min(abs(loc - 1.0) for loc, _ in roots(d).entries) < 1e-6
+
+
+def test_factor_keeps_near_circle_root_off_the_circle():
+    # a root 2e-5 outside the circle is resolved by the coefficients and
+    # must not be mistaken for a noise-split double circle root
+    near = 1.00002 * np.exp(2.1j)
+    d_ref = _align_phase(Polynomial((-near, 1)) * from_roots([1.7, -1.4j, 2.0 + 0.5j]))
+    d = factor(modulus_squared_on_circle(d_ref))
+    assert coeff_distance(d, d_ref) < 1e-8
+    assert min(abs(loc - near) for loc, _ in roots(d).entries) < 1e-9
 
 
 def test_is_outer_circle_zero_allowed():

@@ -1,9 +1,14 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+import tetrainner
 from tetrainner.errors import DegreeExceedsReflectionIndex, ZeroPolynomialHasAllRoots
 from tetrainner.polycx import (
     Polynomial,
+    circle_split,
     coeff_distance,
     expand,
     from_roots,
@@ -114,6 +119,29 @@ def test_roots_double_root_clusters():
     loc, order = ms.entries[0]
     assert order == 2
     assert abs(loc - sigma) < 1e-6
+
+
+def test_circle_split_noisy_double_root():
+    tau = np.exp(0.7j)
+    d = from_roots([tau, 1.8, -1.5j, 1.2 + 1.1j])
+    p = d * d.reflect(4)  # |d|^2 on the circle, up to lam^4
+    rng = np.random.default_rng(3)
+    noise = Polynomial(tuple(1e-12 * (rng.normal(size=9) + 1j * rng.normal(size=9))))
+    noisy = p + noise + noise.reflect(8)
+    near = [loc for loc, _ in roots(noisy).entries if abs(loc - tau) < 1e-3]
+    assert len(near) == 2  # split far beyond cluster_tol
+    inside, circle, outside = circle_split(noisy)
+    assert len(circle) == 1
+    loc, order = circle[0]
+    assert order == 2 and abs(loc - tau) < 1e-9
+    assert sum(o for _, o in inside) == sum(o for _, o in outside) == 3
+
+
+def test_np_roots_called_only_in_polycx():
+    src = pathlib.Path(tetrainner.__file__).parent
+    callers = sorted(f.name for f in src.glob("*.py")
+                     if re.search(r"\b(np|numpy)\.roots\(", f.read_text()))
+    assert callers == ["polycx.py"]
 
 
 def test_roots_zero_polynomial_rejected():
