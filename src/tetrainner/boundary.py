@@ -76,8 +76,11 @@ def psi(z: complex, x: TetraPoint) -> complex:
 
 
 def tetra_defect(x: TetraPoint) -> float:
-    """Signed membership defect; nonpositive inside the closed tetrablock."""
-    return (abs(x.x1 - np.conj(x.x2) * x.x3) + abs(x.x2 - np.conj(x.x1) * x.x3)
+    """Signed membership defect; nonpositive inside the closed tetrablock.
+
+    The coordinates may also be ndarrays of points; the defect is then an array.
+    """
+    return (abs(x.x1 - x.x2.conjugate() * x.x3) + abs(x.x2 - x.x1.conjugate() * x.x3)
             - (1.0 - abs(x.x3) ** 2))
 
 
@@ -100,14 +103,14 @@ def classify_tetra(x: TetraPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> TetraR
 
 
 def gamma_defect(g: GammaPoint) -> float:
-    return abs(g.s - np.conj(g.s) * g.p) - (1.0 - abs(g.p) ** 2)
+    return abs(g.s - g.s.conjugate() * g.p) - (1.0 - abs(g.p) ** 2)
 
 
 def classify_gamma(g: GammaPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> GammaRegion:
     """Most specific region label for a point of C^2."""
     defect = gamma_defect(g)
     s_ok = abs(g.s) <= 2.0 + tol
-    if s_ok and abs(abs(g.p) - 1.0) <= tol and abs(g.s - np.conj(g.s) * g.p) <= tol:
+    if s_ok and abs(abs(g.p) - 1.0) <= tol and abs(g.s - g.s.conjugate() * g.p) <= tol:
         return GammaRegion.GAMMA_DISTINGUISHED
     if s_ok and abs(defect) <= tol:
         return GammaRegion.GAMMA_BOUNDARY_TOP

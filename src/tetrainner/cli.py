@@ -170,9 +170,6 @@ def cmd_verify(args, cfg: RunConfig) -> int:
          "detail": by_code["DegreeBound"].detail},
         {"condition": "denominator nonvanishing", "passed": by_code["DVanishesInDisc"].passed,
          "detail": by_code["DVanishesInDisc"].detail},
-        {"condition": "x3 = reflect(D)/D", "passed": True, "detail": "by representation"},
-        {"condition": "x1 = E1/D", "passed": True, "detail": "by representation"},
-        {"condition": "x2 = E2/D", "passed": True, "detail": "by representation"},
         {"condition": "modulus domination", "passed": by_code["ModulusDomination"].passed,
          "detail": by_code["ModulusDomination"].detail},
         {"condition": "reflection identity", "passed": by_code["ReflectionMismatch"].passed,
@@ -188,13 +185,13 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         royal = tetrafun.royal_polynomial(x)
         shifted = grid ** (-n) * royal.eval(grid)
         sym_dev = coeff_distance(royal, royal.reflect(2 * n)) if not royal.is_zero else 0.0
-        rng = np.random.default_rng(cfg.seed)
-        inner_pts = [0.97 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-                     for _ in range(32)]
+        radius, angle = np.random.default_rng(cfg.seed).random((32, 2)).T
+        x1, x2, x3 = (v.tolist() for v in tetrafun._eval_grid(
+            x, 0.97 * np.sqrt(radius) * np.exp(2j * np.pi * angle)))
         inside_ok = all(
-            boundary.classify_tetra(tetrafun.eval_function(x, lam), 1e-7)
+            boundary.classify_tetra(boundary.TetraPoint(*pt), 1e-7)
             is not boundary.TetraRegion.OUTSIDE
-            for lam in inner_pts)
+            for pt in zip(x1, x2, x3))
         invariants = {
             "modulus_equality_max_dev": float(np.max(np.abs(np.abs(e1v) - np.abs(e2v)))),
             "royal_balance_max_dev": float(np.max(np.abs(

@@ -8,6 +8,7 @@ cannot inflate the formal degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,9 +128,15 @@ def is_n_symmetric(p: Polynomial, n: int, tol: float = 1e-10) -> bool:
     return coeff_distance(p, p.reflect(n)) < tol
 
 
+@lru_cache(maxsize=8)
 def unit_circle(m: int) -> np.ndarray:
-    """m uniform samples of the unit circle, counterclockwise from 1."""
-    return np.exp(2j * np.pi * np.arange(m) / m)
+    """m uniform samples of the unit circle, counterclockwise from 1.
+
+    Built once per m and shared, so the array is read-only.
+    """
+    grid = np.exp(2j * np.pi * np.arange(m) / m)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)

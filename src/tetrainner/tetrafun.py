@@ -23,10 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from . import boundary
-from .boundary import TetraPoint, psi
+from .boundary import TetraPoint
 from .errors import (
     DenominatorVanishes,
     InvalidSuperficialSpec,
+    PsiPole,
     RoyalVarietyFunction,
     SamplingTooCoarse,
     UndefinedOmegaOrK,
@@ -60,6 +61,20 @@ class TetraRational:
     @cached_property
     def d_reflected(self) -> Polynomial:
         return self.d.reflect(self.n)
+
+    @cached_property
+    def _royal(self) -> Polynomial:
+        return self.d_reflected * self.d - self.e1 * self.e2
+
+    @cached_property
+    def _on_royal_variety(self) -> bool:
+        scale = 1.0 + (self.d_reflected * self.d).max_coeff() + (self.e1 * self.e2).max_coeff()
+        return self._royal.max_coeff() <= 1e-12 * scale
+
+    @cached_property
+    def _royal_nodes(self) -> dict:
+        """royal_nodes results by (cluster_tol, circle_tol)."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -192,6 +207,24 @@ def eval_function(x: TetraRational, lam: complex) -> TetraPoint:
                       x.d_reflected.eval(lam) / dv)
 
 
+def _eval_grid(x: TetraRational, lam: np.ndarray):
+    """(x1, x2, x3) as arrays over the points lam, which lie in the closed disc.
+
+    Raises DenominatorVanishes at the first point where eval_function would.
+    """
+    dv = x.d.eval(lam)
+    pole = np.abs(dv) < 1e-13
+    if pole.any():
+        i = int(np.argmax(pole))
+        raise DenominatorVanishes(f"d({lam[i]}) = {dv[i]}")
+    return x.e1.eval(lam) / dv, x.e2.eval(lam) / dv, x.d_reflected.eval(lam) / dv
+
+
+def _rings(samples: int) -> np.ndarray:
+    """samples points on each of the circles of radius 0.1, 0.5 and 0.9."""
+    return (np.array([0.1, 0.5, 0.9])[:, None] * unit_circle(samples)).ravel()
+
+
 def eval_x3(x: TetraRational, lam):
     return x.d_reflected.eval(lam) / x.d.eval(lam)
 
@@ -229,15 +262,11 @@ def winding_number(x: TetraRational, samples: int = CIRCLE_SAMPLES) -> int:
 
 def royal_polynomial(x: TetraRational) -> Polynomial:
     """reflect(d, n) * d - e1 * e2; identically zero on the royal variety."""
-    return x.d_reflected * x.d - x.e1 * x.e2
-
-
-def _royal_scale(x: TetraRational) -> float:
-    return 1.0 + (x.d_reflected * x.d).max_coeff() + (x.e1 * x.e2).max_coeff()
+    return x._royal
 
 
 def is_royal_variety(x: TetraRational) -> bool:
-    return royal_polynomial(x).max_coeff() <= 1e-12 * _royal_scale(x)
+    return x._on_royal_variety
 
 
 def royal_nodes(x: TetraRational,
@@ -248,15 +277,20 @@ def royal_nodes(x: TetraRational,
     lam^-n times the royal polynomial is |d|^2 - |e1|^2 on the circle, so
     polycx.circle_split applies.  Zeros outside the closed disc are the
     reflections of interior zeros and are discarded; circle zeros carry
-    half of their even raw order as multiplicity.
+    half of their even raw order as multiplicity.  The result is kept on x,
+    one per tolerance pair; a raised error is not kept.
     """
+    memo, key = x._royal_nodes, (cluster_tol, circle_tol)
+    if key in memo:
+        return memo[key]
     if is_royal_variety(x):
         raise RoyalVarietyFunction("royal polynomial is identically zero")
     inside, circle, _ = circle_split(royal_polynomial(x), cluster_tol, circle_tol)
     nodes = [RoyalNode(loc, order, order, False) for loc, order in inside]
     nodes += [RoyalNode(loc, order, order // 2, True) for loc, order in circle]
     nodes.sort(key=lambda nd: (round(nd.location.real, 12), round(nd.location.imag, 12)))
-    return tuple(nodes)
+    memo[key] = tuple(nodes)
+    return memo[key]
 
 
 def type_nk(x: TetraRational,
@@ -292,34 +326,35 @@ def superficial_build(spec: SuperficialSpec, n_bound: int) -> TetraRational:
 
 
 def is_superficial(x: TetraRational, samples: int = 64, tol: float = 1e-10) -> bool:
-    """Sampled test that the open-disc image stays on the topological boundary."""
+    """Sampled test that the open-disc image stays on the topological boundary.
+
+    Evaluates on samples uniform points of each circle of radius 0.1, 0.5
+    and 0.9, as one array; every |tetra_defect| must stay below tol.
+    """
     if samples < 64:
         raise ValueError("samples must be at least 64")
-    angles = unit_circle(samples)
-    for radius in (0.1, 0.5, 0.9):
-        for lam in radius * angles:
-            pt = eval_function(x, lam)
-            if abs(boundary.tetra_defect(pt)) >= tol:
-                return False
-    return True
+    defect = boundary.tetra_defect(TetraPoint(*_eval_grid(x, _rings(samples))))
+    return not np.any(np.abs(defect) >= tol)
 
 
 def psi_omega_check(x: TetraRational, spec: SuperficialSpec, samples: int = 64) -> float:
     """Max deviation of Psi(omega, x(lam)) from its constant value.
 
     omega = conj(beta2)/|beta2| and the constant is beta1/|beta1|; both
-    beta weights must be nonzero.
+    beta weights must be nonzero.  lam runs over samples uniform points of
+    each circle of radius 0.1, 0.5 and 0.9, evaluated as one array; a pole
+    of Psi at any of them raises PsiPole as boundary.psi does.
     """
     if spec.beta1 == 0 or spec.beta2 == 0:
         raise UndefinedOmegaOrK("both beta weights must be nonzero")
     omega = np.conj(spec.beta2) / abs(spec.beta2)
     k_val = spec.beta1 / abs(spec.beta1)
-    worst = 0.0
-    angles = unit_circle(samples)
-    for radius in (0.1, 0.5, 0.9):
-        for lam in radius * angles:
-            worst = max(worst, abs(psi(omega, eval_function(x, lam)) - k_val))
-    return worst
+    x1, x2, x3 = _eval_grid(x, _rings(samples))
+    denom = x2 * omega - 1
+    pole = np.abs(denom) < 1e-12
+    if pole.any():
+        raise PsiPole(f"x2*z = {x2[np.argmax(pole)] * omega} is within 1e-12 of 1")
+    return float(np.max(np.abs((x3 * omega - x1) / denom - k_val)))
 
 
 def from_gamma_inner(s_num: Polynomial, denom: Polynomial, n: int,
@@ -351,15 +386,18 @@ def from_gamma_inner(s_num: Polynomial, denom: Polynomial, n: int,
 
 def circle_trace(x: TetraRational,
                  samples: int = TRACE_SAMPLES) -> list[tuple[complex, TetraPoint, float]]:
-    """Uniform circle samples with the distinguished-boundary defect |x1 - conj(x2) x3|."""
+    """Uniform circle samples with the distinguished-boundary defect |x1 - conj(x2) x3|.
+
+    Evaluates on the grid unit_circle(samples) as one array and returns
+    (lam, x(lam), defect) rows of plain Python complex and float.
+    """
     if samples < 16:
         raise ValueError("samples must be at least 16")
-    out = []
-    for lam in unit_circle(samples):
-        pt = eval_function(x, lam)
-        defect = abs(pt.x1 - np.conj(pt.x2) * pt.x3)
-        out.append((complex(lam), pt, float(defect)))
-    return out
+    grid = unit_circle(samples)
+    x1, x2, x3 = _eval_grid(x, grid)
+    defect = np.abs(x1 - x2.conjugate() * x3)
+    return [(lam, TetraPoint(a, b, c), e) for lam, a, b, c, e in zip(
+        grid.tolist(), x1.tolist(), x2.tolist(), x3.tolist(), defect.tolist())]
 
 
 def to_json_dict(x: TetraRational) -> dict:

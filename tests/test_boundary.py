@@ -9,6 +9,7 @@ from tetrainner.boundary import (
     TetraRegion,
     classify_gamma,
     classify_tetra,
+    gamma_defect,
     gamma_to_tetra,
     mu_diag_le_one,
     mu_diag_value,
@@ -250,3 +251,19 @@ def test_mu_value_against_grid_search_oracle():
         oracle = 0.0 if not np.isfinite(best) else 1.0 / best
         value = mu_diag_value(a)
         assert abs(value - oracle) < 0.05 * max(1.0, oracle)
+
+
+def _np_conj_defects(x1, x2, x3):
+    """tetra_defect and gamma_defect as written with np.conj."""
+    return ((abs(x1 - np.conj(x2) * x3) + abs(x2 - np.conj(x1) * x3) - (1.0 - abs(x3) ** 2)),
+            abs(x1 - np.conj(x1) * x3) - (1.0 - abs(x3) ** 2))
+
+
+def test_defects_match_np_conj_formulas_bit_for_bit():
+    # the defects conjugate with .conjugate(), which must give the same bits
+    # as np.conj on Python complex and on numpy complex128 scalars
+    rng = np.random.default_rng(59)
+    pts = rng.uniform(-1.2, 1.2, (200_000, 3)) + 1j * rng.uniform(-1.2, 1.2, (200_000, 3))
+    for row in (*pts.tolist(), *pts[:2000]):
+        got = tetra_defect(TetraPoint(*row)), gamma_defect(GammaPoint(row[0], row[2]))
+        assert got == _np_conj_defects(*row)

@@ -101,7 +101,7 @@ def test_verify_worked_function(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["valid"]
-    assert len(report["conditions"]) == 7
+    assert len(report["conditions"]) == 4
     assert all(c["passed"] for c in report["conditions"])
     assert report["invariants"]["winding_number"] == 1
 
@@ -204,3 +204,27 @@ def test_trace_pole_exits_4(tmp_path, capsys):
     path = _write(tmp_path, "func.json", func)
     code, _ = _run(capsys, ["trace", path, "--lenient", "--samples", "256"])
     assert code == 4
+
+
+def test_verify_lenient_circle_zero_reports_null_defect(tmp_path, capsys):
+    # the function of test_trace_pole_exits_4: verify reports the undefined
+    # boundary trace instead of failing
+    func = {"n": 1, "E1": [], "E2": [], "D": [[-1.0, 0.0], [1.0, 0.0]]}
+    path = _write(tmp_path, "func.json", func)
+    code, out = _run(capsys, ["verify", path, "--lenient"])
+    assert code == 0
+    assert '"circle_defect_max": null' in out
+    assert json.loads(out)["valid"]
+
+
+def test_verify_does_not_evaluate_pointwise(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pointwise evaluation in verify")
+
+    monkeypatch.setattr("tetrainner.tetrafun.eval_function", refuse)
+    spec_path = _write(tmp_path, "spec.json", WORKED_SPEC)
+    code, out = _run(capsys, ["construct", spec_path])
+    func_path = _write(tmp_path, "func.json", json.loads(out)["function"])
+    code, out = _run(capsys, ["verify", func_path])
+    assert code == 0
+    assert json.loads(out)["invariants"]["disc_image_in_closure"]

@@ -210,3 +210,12 @@ def test_trailing_trim_after_convolution():
     assert p.degree == 0
     ms = expand(roots(Polynomial((1, 2, 1))))
     assert ms.degree == 2
+
+
+def test_unit_circle_is_shared_and_read_only():
+    grid = unit_circle(48)
+    assert unit_circle(48) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
+    assert np.array_equal(grid, np.exp(2j * np.pi * np.arange(48) / 48))

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from helpers import random_construction_spec
-from tetrainner.boundary import TetraRegion, classify_tetra
+from tetrainner import polycx
+from tetrainner.boundary import TetraRegion, classify_tetra, psi, tetra_defect
 from tetrainner.construct import construct
 from tetrainner.errors import (
     DenominatorVanishes,
     InvalidSuperficialSpec,
+    OddCircleRootOrder,
     RoyalVarietyFunction,
     UndefinedOmegaOrK,
     ValidationError,
@@ -15,6 +17,8 @@ from tetrainner.polycx import Polynomial, coeff_distance, is_n_symmetric, unit_c
 from tetrainner.tetrafun import (
     BlaschkeSpec,
     SuperficialSpec,
+    TetraRational,
+    TypeNK,
     circle_trace,
     degree,
     eval_function,
@@ -315,6 +319,124 @@ def test_circle_trace_worked_example():
 def test_circle_trace_rejects_tiny_sampling():
     with pytest.raises(ValueError):
         circle_trace(worked_example(), 8)
+
+
+# -- grid evaluation against the pointwise oracle ------------------------------
+
+SUPERFICIAL_SPECS = (
+    SuperficialSpec(0.5j, -0.5j, BlaschkeSpec((0.0,))),
+    SuperficialSpec(0.3, -0.7, BlaschkeSpec((0.4, -0.2j), np.exp(0.7j))),
+    SuperficialSpec(0.2 + 0.1j, (1.0 - np.hypot(0.2, 0.1)) * 1j,
+                    BlaschkeSpec((0.5, -0.3 + 0.4j, 0.1j, -0.6))),
+)
+# psi_omega_check accepts any function; this spec only supplies omega and k
+PSI_SPEC = SuperficialSpec(0.5, 0.5j, BlaschkeSpec(()))
+
+
+def _oracle_fixture(case):
+    """(function, spec, superficial): the worked example, an n = 8
+    construction with four circle nodes, and the superficial builds."""
+    if case == 0:
+        return worked_example(), PSI_SPEC, False
+    if case == 1:
+        rng = np.random.default_rng(53)
+        return construct(random_construction_spec(rng, 8, k_circle=4)), PSI_SPEC, False
+    spec = SUPERFICIAL_SPECS[case - 2]
+    return superficial_build(spec, len(spec.x3.zeros)), spec, True
+
+
+def _ring_points(samples=64):
+    return [complex(lam) for radius in (0.1, 0.5, 0.9) for lam in radius * unit_circle(samples)]
+
+
+@pytest.mark.parametrize("case", range(2 + len(SUPERFICIAL_SPECS)))
+def test_grid_paths_match_pointwise_oracle(case):
+    x, spec, superficial = _oracle_fixture(case)
+    for lam, pt, defect in circle_trace(x, 256):
+        ref = eval_function(x, lam)
+        assert type(lam) is complex and type(pt.x1) is complex and type(defect) is float
+        for got, want in zip(pt.as_tuple(), ref.as_tuple()):
+            assert abs(got - want) <= 1e-12
+        assert abs(defect - abs(ref.x1 - np.conj(ref.x2) * ref.x3)) <= 1e-12
+    defects = [tetra_defect(eval_function(x, lam)) for lam in _ring_points()]
+    assert is_superficial(x) == all(abs(v) < 1e-10 for v in defects) == superficial
+    omega = np.conj(spec.beta2) / abs(spec.beta2)
+    k_val = spec.beta1 / abs(spec.beta1)
+    worst = max(abs(psi(omega, eval_function(x, lam)) - k_val) for lam in _ring_points())
+    assert abs(psi_omega_check(x, spec) - worst) <= 1e-12 * (1.0 + worst)
+
+
+def test_grid_path_raises_where_denominator_vanishes():
+    on_circle = validate(ZERO, ZERO, Polynomial((-1.0, 1.0)), 1, strict=False)
+    with pytest.raises(DenominatorVanishes):
+        eval_function(on_circle, 1.0)
+    with pytest.raises(DenominatorVanishes):
+        circle_trace(on_circle, 64)
+    # d(0.5) = 0 exactly; 0.5 is a sample of the radius 0.5 ring
+    inside = TetraRational(ZERO, ZERO, Polynomial((-0.5, 1.0)), 1, strict=False)
+    with pytest.raises(DenominatorVanishes):
+        is_superficial(inside)
+    with pytest.raises(DenominatorVanishes):
+        psi_omega_check(inside, PSI_SPEC)
+
+
+def test_grid_paths_do_not_call_eval_function(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pointwise evaluation on a grid path")
+
+    x, spec, _ = _oracle_fixture(3)
+    monkeypatch.setattr("tetrainner.tetrafun.eval_function", refuse)
+    assert len(circle_trace(x, 64)) == 64
+    assert is_superficial(x)
+    assert psi_omega_check(x, spec) < 1e-10
+
+
+# -- one royal solve per function and tolerance pair ---------------------------
+
+def _count_roots(monkeypatch):
+    calls = []
+    solve = polycx.roots
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].degree)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(polycx, "roots", counting)
+    return calls
+
+
+def test_royal_nodes_solved_once_per_function(monkeypatch):
+    x = construct(random_construction_spec(np.random.default_rng(55), 4, k_circle=2))
+    calls = _count_roots(monkeypatch)
+    tk = type_nk(x)
+    assert len(calls) == 1
+    nodes = royal_nodes(x)
+    assert royal_nodes(x) is nodes and type_nk(x) == tk == TypeNK.from_nodes(nodes)
+    assert len(calls) == 1
+
+
+def test_royal_nodes_memo_is_per_tolerance_pair(monkeypatch):
+    x = construct(random_construction_spec(np.random.default_rng(57), 3, k_circle=1))
+    calls = _count_roots(monkeypatch)
+    pairs = [(1e-7, 1e-6), (1e-8, 1e-6), (1e-7, 1e-5)]
+    first = [royal_nodes(x, *pair) for pair in pairs]
+    assert len(calls) == 3
+    assert [royal_nodes(x, *pair) for pair in pairs] == first
+    assert len(calls) == 3
+
+
+def test_royal_nodes_errors_are_not_kept(monkeypatch):
+    # |e1| crosses |d| on the circle: the royal polynomial has simple circle roots
+    odd = TetraRational(Polynomial((1.0, 0.5)), Polynomial((0.5, 1.0)), ONE, 1)
+    calls = _count_roots(monkeypatch)
+    for expected in (1, 2):
+        with pytest.raises(OddCircleRootOrder):
+            royal_nodes(odd)
+        assert len(calls) == expected
+    royal = royal_variety_spec()
+    for _ in range(2):
+        with pytest.raises(RoyalVarietyFunction):
+            royal_nodes(royal)
 
 
 # -- structural invariants on randomly constructed functions -----------------
