@@ -179,11 +179,10 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     report = {"valid": valid, "conditions": conditions}
     if valid:
         x = tetrafun.TetraRational(e1, e2, d, n, strict=args.strict)
-        grid = unit_circle(max(cfg.samples, 512))
-        dv = d.eval(grid)
-        e1v, e2v = e1.eval(grid), e2.eval(grid)
+        m = max(cfg.samples, 512)
+        dv, e1v, e2v = d.on_circle(m), e1.on_circle(m), e2.on_circle(m)
         royal = tetrafun.royal_polynomial(x)
-        shifted = grid ** (-n) * royal.eval(grid)
+        shifted = unit_circle(m) ** (-n) * royal.on_circle(m)
         sym_dev = coeff_distance(royal, royal.reflect(2 * n)) if not royal.is_zero else 0.0
         radius, angle = np.random.default_rng(cfg.seed).random((32, 2)).T
         x1, x2, x3 = (v.tolist() for v in tetrafun._eval_grid(

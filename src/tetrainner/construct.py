@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fejriesz import factor, laurent_shift, modulus_squared_on_circle
 from .polycx import (DEFAULT_CIRCLE_TOL, DEFAULT_CLUSTER_TOL, Polynomial, RootMultiset,
-                     coeff_distance, roots as poly_roots)
+                     coeff_distance, product, roots as poly_roots)
 from .tetrafun import (
     RoyalNode,
     TetraRational,
@@ -106,25 +106,22 @@ def build_royal_target(sigma, t_plus: float) -> Polynomial:
     """
     if not t_plus > 0:
         raise InvalidConstructionSpec(f"t_plus = {t_plus} must be positive")
-    out = Polynomial((t_plus,))
+    factors = [Polynomial((t_plus,))]
     for s in sigma:
         s = complex(s)
         if abs(s) > 1.0 + MEMBER_TOL:
             raise NodeOutsideClosedDisc(f"royal node {s} lies outside the closed disc")
-        out = out * Polynomial((-s, 1)) * Polynomial((1, -np.conj(s)))
-    return out
+        factors += [Polynomial((-s, 1)), Polynomial((1, -np.conj(s)))]
+    return product(factors)
 
 
 def build_e1(alpha1, alpha2, t: complex) -> Polynomial:
     """t * prod (lam - alpha1_j) * prod (1 - conj(alpha2_j) lam), expanded."""
     if complex(t) == 0:
         raise InvalidConstructionSpec("t must be nonzero")
-    out = Polynomial((complex(t),))
-    for a in alpha1:
-        out = out * Polynomial((-complex(a), 1))
-    for a in alpha2:
-        out = out * Polynomial((1, -np.conj(complex(a))))
-    return out
+    return product([Polynomial((complex(t),))]
+                   + [Polynomial((-complex(a), 1)) for a in alpha1]
+                   + [Polynomial((1, -np.conj(complex(a)))) for a in alpha2])
 
 
 def construct(spec: ConstructionSpec,

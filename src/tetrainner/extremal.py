@@ -28,7 +28,7 @@ from .errors import (
     RoyalVarietyFunction,
     ThirdComponentMismatch,
 )
-from .polycx import CIRCLE_SAMPLES, Polynomial, coeff_distance, unit_circle
+from .polycx import CIRCLE_SAMPLES, Polynomial, coeff_distance, product, unit_circle
 from .tetrafun import (
     TetraRational,
     TypeNK,
@@ -84,8 +84,8 @@ def convex_combine(x: TetraRational, y: TetraRational, t: float) -> TetraRationa
     return validate(e1, e2, x.d, x.n, strict=x.strict and y.strict)
 
 
-def _circle_sup(p: Polynomial, grid) -> float:
-    return float(np.max(np.abs(p.eval(grid))))
+def _circle_sup(p: Polynomial) -> float:
+    return float(np.max(np.abs(p.on_circle(CIRCLE_SAMPLES))))
 
 
 def scale_nonextreme(x: TetraRational, margin: float = MARGIN) -> PerturbationResult:
@@ -107,10 +107,9 @@ def scale_nonextreme(x: TetraRational, margin: float = MARGIN) -> PerturbationRe
 
 def _scale_numerators(x: TetraRational, margin: float) -> PerturbationResult:
     """scale_nonextreme once k = 0 is known."""
-    grid = unit_circle(CIRCLE_SAMPLES)
-    dv = np.abs(x.d.eval(grid))
-    sup = max(float(np.max(np.abs(x.e1.eval(grid)) / dv)),
-              float(np.max(np.abs(x.e2.eval(grid)) / dv)))
+    dv = np.abs(x.d.on_circle(CIRCLE_SAMPLES))
+    sup = max(float(np.max(np.abs(x.e1.on_circle(CIRCLE_SAMPLES)) / dv)),
+              float(np.max(np.abs(x.e2.on_circle(CIRCLE_SAMPLES)) / dv)))
     if sup == 0.0:
         return PerturbationResult(x, x, 1.0, Polynomial(),
                                   PerturbationMethod.EPSILON_SCALING,
@@ -126,21 +125,16 @@ def _scale_numerators(x: TetraRational, margin: float) -> PerturbationResult:
 
 def _perturbation_polynomial(taus, n: int, k: int) -> Polynomial:
     """n-symmetric g vanishing to second order at every circle node."""
+    squares = [Polynomial((-tau, 1)) for tau in taus for _ in range(2)]
     if n % 2 == 0:
         m = n // 2
         lead = complex(np.prod([np.conj(t) for t in taus])) if taus else 1.0
-        g = Polynomial((lead,)) * Polynomial((0,) * (m - k) + (1,))
-        for tau in taus:
-            g = g * Polynomial((-tau, 1)) * Polynomial((-tau, 1))
-        return g
+        return product([Polynomial((lead,)), Polynomial((0,) * (m - k) + (1,))] + squares)
     m = (n - 1) // 2
     omega_sq = -np.conj(taus[0]) * complex(np.prod([np.conj(t) ** 2 for t in taus]))
     omega = np.exp(0.5j * np.angle(omega_sq)) * np.sqrt(abs(omega_sq))
-    g = Polynomial((omega,)) * Polynomial((0,) * (m - k) + (1,))
-    g = g * Polynomial((-taus[0], 1))
-    for tau in taus:
-        g = g * Polynomial((-tau, 1)) * Polynomial((-tau, 1))
-    return g
+    return product([Polynomial((omega,)), Polynomial((0,) * (m - k) + (1,)),
+                    Polynomial((-taus[0], 1))] + squares)
 
 
 def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
@@ -178,8 +172,8 @@ def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
     for s in interior:
         interior_product = interior_product * np.abs(grid - s) ** 2
     m_const = float(np.min(interior_product))
-    e1_sup = _circle_sup(x.e1, grid)
-    g_sup = _circle_sup(g, grid)
+    e1_sup = _circle_sup(x.e1)
+    g_sup = _circle_sup(g)
     divisor = 8.0 if n % 2 == 0 else 16.0
     if e1_sup == 0.0:
         t = SAFETY * np.sqrt(r * m_const / max(g_sup, 1e-300) / (1.0 if n % 2 == 0 else 2.0))

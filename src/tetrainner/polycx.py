@@ -8,7 +8,7 @@ cannot inflate the formal degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,6 +43,16 @@ class Polynomial:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _trim(self.coeffs))
 
+    @cached_property
+    def _roots(self) -> dict:
+        """roots results by cluster_tol."""
+        return {}
+
+    @cached_property
+    def _circle_values(self) -> dict:
+        """on_circle results by sample count."""
+        return {}
+
     @property
     def degree(self):
         """Index of the last nonzero coefficient; -inf for the zero polynomial."""
@@ -71,6 +81,15 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
+
+    def on_circle(self, m: int) -> np.ndarray:
+        """Values on unit_circle(m), computed once per m and shared read-only."""
+        memo = self._circle_values
+        if m not in memo:
+            vals = self.eval(unit_circle(m))
+            vals.flags.writeable = False
+            memo[m] = vals
+        return memo[m]
 
     def reflect(self, n: int) -> "Polynomial":
         """Coefficient reversal with conjugation at index n.
@@ -101,11 +120,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            conv = np.convolve(np.asarray(self.coeffs, dtype=complex),
-                               np.asarray(other.coeffs, dtype=complex))
-            return Polynomial(tuple(conv))
+            return product((self, other))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -113,6 +128,27 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         return Polynomial(tuple(c * a for a in self.coeffs))
+
+
+def product(factors) -> Polynomial:
+    """Product of the polynomials in factors, multiplied left to right; 1 if none.
+
+    Convolves coefficient arrays and builds one Polynomial at the end.  A
+    trailing coefficient a step rounds to TRIM_TOL or below is dropped at
+    that step, as the repeated product would, so the result equals it bit
+    for bit.
+    """
+    acc = None
+    for f in factors:
+        if f.is_zero:
+            return Polynomial()
+        coeffs = np.asarray(f.coeffs, dtype=complex)
+        acc = coeffs if acc is None else np.convolve(acc, coeffs)
+        while abs(complex(acc[-1])) <= TRIM_TOL:
+            if len(acc) == 1:
+                return Polynomial()
+            acc = acc[:-1]
+    return Polynomial((1.0,)) if acc is None else Polynomial(acc.tolist())
 
 
 def coeff_distance(p: Polynomial, q: Polynomial) -> float:
@@ -182,10 +218,18 @@ def roots(p: Polynomial, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> RootMultis
 
     Eigenvalues of the companion matrix of the monic normalization, one
     Newton step per root where it lowers |p|, then one entry per connected
-    component of the graph joining roots closer than cluster_tol.
+    component of the graph joining roots closer than cluster_tol.  The
+    result is kept on p, one per cluster_tol; a raised error is not kept.
     """
     if p.is_zero:
         raise ZeroPolynomialHasAllRoots("the zero polynomial vanishes everywhere")
+    memo = p._roots
+    if cluster_tol not in memo:
+        memo[cluster_tol] = _solve(p, cluster_tol)
+    return memo[cluster_tol]
+
+
+def _solve(p: Polynomial, cluster_tol: float) -> RootMultiset:
     if p.degree == 0:
         return RootMultiset((), cluster_tol)
     a = np.asarray(p.coeffs[::-1], dtype=complex)
@@ -278,10 +322,7 @@ def circle_split(p: Polynomial, cluster_tol: float = DEFAULT_CLUSTER_TOL,
 
 def from_roots(locations, leading=1.0) -> Polynomial:
     """Expand leading * prod (lambda - r) over the given root list."""
-    p = Polynomial((leading,))
-    for r in locations:
-        p = p * Polynomial((-r, 1))
-    return p
+    return product([Polynomial((leading,))] + [Polynomial((-r, 1)) for r in locations])
 
 
 def expand(ms: RootMultiset, leading=1.0) -> Polynomial:

@@ -42,6 +42,7 @@ from .polycx import (
     circle_split,
     coeff_distance,
     is_n_symmetric,
+    product,
     roots as poly_roots,
     unit_circle,
 )
@@ -172,12 +173,11 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
             "ReflectionMismatch", dev <= tol,
             f"max coefficient deviation of e1 from the n-reflection of e2: {dev:.3e}"))
 
-    grid = unit_circle(samples)
-    dv = np.abs(d.eval(grid))
+    dv = np.abs(d.on_circle(samples))
     slack = MODULUS_SLACK * (1.0 + float(np.max(dv)))
     worst = 0.0
     for e in (e1, e2):
-        ev = np.abs(e.eval(grid))
+        ev = np.abs(e.on_circle(samples))
         worst = max(worst, float(np.max(ev - dv)))
     checks.append(ConditionCheck(
         "ModulusDomination", worst <= slack,
@@ -233,13 +233,14 @@ def degree(x: TetraRational, circle_tol: float = DEFAULT_CIRCLE_TOL) -> int:
     """Blaschke degree of the third component.
 
     Counts the open-disc zeros of the n-reflection of d; circle zeros of d
-    cancel against the reflection and do not contribute.
+    cancel against the reflection and do not contribute.  The reflection
+    has n - deg d zeros at 0 and one zero 1/conj(r) for each nonzero root r
+    of d, so the count reads the roots of d, which validation has solved.
     """
-    dr = x.d_reflected
-    if dr.degree <= 0:
+    if x.d_reflected.degree <= 0:
         return 0
-    return sum(order for loc, order in poly_roots(dr).entries
-               if abs(loc) < 1.0 - circle_tol)
+    return x.n - x.d.degree + sum(order for loc, order in poly_roots(x.d).entries
+                                  if loc and 1.0 / abs(loc) < 1.0 - circle_tol)
 
 
 def winding_number(x: TetraRational, samples: int = CIRCLE_SAMPLES) -> int:
@@ -250,9 +251,8 @@ def winding_number(x: TetraRational, samples: int = CIRCLE_SAMPLES) -> int:
     """
     if samples < 256:
         raise ValueError("samples must be at least 256")
-    grid = unit_circle(samples)
     with np.errstate(invalid="ignore", divide="ignore"):
-        vals = eval_x3(x, grid)
+        vals = x.d_reflected.on_circle(samples) / x.d.on_circle(samples)
         closed = np.append(vals, vals[0])
         jumps = np.angle(closed[1:] / closed[:-1])
     if not np.all(np.isfinite(jumps)) or np.any(np.abs(jumps) >= np.pi - 1e-9):
@@ -316,9 +316,8 @@ def superficial_build(spec: SuperficialSpec, n_bound: int) -> TetraRational:
     if k > n_bound:
         raise InvalidSuperficialSpec(f"Blaschke degree {k} exceeds bound {n_bound}")
     gamma = np.exp(-0.5j * np.angle(spec.x3.unimodular_constant))
-    d = Polynomial((gamma,))
-    for z in spec.x3.zeros:
-        d = d * Polynomial((1.0, -np.conj(z)))
+    d = product([Polynomial((gamma,))]
+                + [Polynomial((1.0, -np.conj(z))) for z in spec.x3.zeros])
     num = d.reflect(k)
     e1 = spec.beta1 * d + np.conj(spec.beta2) * num
     e2 = spec.beta2 * d + np.conj(spec.beta1) * num
@@ -369,8 +368,8 @@ def from_gamma_inner(s_num: Polynomial, denom: Polynomial, n: int,
     sym_tol = 1e-10 * (1.0 + s_num.max_coeff())
     if not is_n_symmetric(s_num, n, sym_tol):
         violations.append(("GammaSymmetry", "numerator is not n-symmetric"))
-    grid = unit_circle(CIRCLE_SAMPLES)
-    gap = float(np.max(np.abs(s_num.eval(grid)) - 2.0 * np.abs(denom.eval(grid))))
+    gap = float(np.max(np.abs(s_num.on_circle(CIRCLE_SAMPLES))
+                       - 2.0 * np.abs(denom.on_circle(CIRCLE_SAMPLES))))
     if gap > MODULUS_SLACK * (1.0 + denom.max_coeff()):
         violations.append(("GammaModulus", f"|s_num| exceeds 2|denom| by {gap:.3e}"))
     if denom.is_zero:

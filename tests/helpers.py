@@ -85,6 +85,23 @@ def match_multiset(expected, recovered, tol):
     return worst
 
 
+def pairwise_product(first, factors):
+    """Left-to-right product formed one pair at a time, each pair convolved and
+    trimmed into a Polynomial: the reference for polycx.product."""
+    out = first
+    for f in factors:
+        if out.is_zero or f.is_zero:
+            return Polynomial()
+        out = Polynomial(tuple(np.convolve(np.asarray(out.coeffs, dtype=complex),
+                                           np.asarray(f.coeffs, dtype=complex))))
+    return out
+
+
+def coeff_bits(p: Polynomial) -> bytes:
+    """Coefficients as raw bytes, for bit-for-bit comparison."""
+    return np.asarray(p.coeffs, dtype=complex).tobytes()
+
+
 def polynomial_close(p: Polynomial, q: Polynomial, tol: float) -> bool:
     m = max(len(p.coeffs), len(q.coeffs))
     return all(abs(p.coeff(j) - q.coeff(j)) <= tol for j in range(m))

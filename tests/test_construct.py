@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import match_multiset, random_construction_spec
+from helpers import coeff_bits, match_multiset, pairwise_product, random_construction_spec
+from tetrainner import extremal
 from tetrainner.boundary import TetraRegion, classify_tetra
 from tetrainner.construct import (
     ConstructionSpec,
@@ -17,7 +18,7 @@ from tetrainner.errors import (
     NodeZeroCollision,
     RoyalVarietyFunction,
 )
-from tetrainner.polycx import Polynomial, coeff_distance, unit_circle
+from tetrainner.polycx import Polynomial, coeff_distance, from_roots, unit_circle
 from tetrainner.tetrafun import (
     degree,
     eval_function,
@@ -200,3 +201,56 @@ def test_construct_handles_large_t():
     assert degree(x) == 1
     rec = recover_data(x)
     assert abs(rec.zeros1.entries[0][0] - 0.3) < 1e-6
+
+
+# -- each polynomial solved once ------------------------------------------------
+
+@pytest.mark.parametrize("k_circle", [0, 4])
+def test_pipeline_solves_each_polynomial_once(monkeypatch, k_circle):
+    spec = random_construction_spec(np.random.default_rng(79), 8, k_circle=k_circle)
+    solve, degrees = np.roots, []
+
+    def counting(a):
+        degrees.append(len(a) - 1)
+        return solve(a)
+
+    monkeypatch.setattr(np, "roots", counting)
+    x = construct(spec)
+    recover_data(x)
+    result = extremal.perturb_nonextreme(x)
+    # factor (2n), d, e1, e2 and the royal polynomial (2n); the halves' d
+    # and degree's reflection reuse the roots of x.d
+    assert degrees == [16, 8, 8, 8, 16]
+    assert degree(result.x_plus) == degree(result.x_minus) == 8
+    assert len(degrees) == 5
+
+
+# -- expansions against the pairwise product -------------------------------------
+
+def _random_points(rng, count):
+    pts = [0.9 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+           for _ in range(count)]
+    # a node at 0, one below the trim threshold and a tiny pair whose
+    # product drops below it part-way through the expansion
+    return pts + [0.0, 3e-15 * np.exp(1j), 2e-10, -1e-10j]
+
+
+def test_expansions_match_pairwise_product():
+    rng = np.random.default_rng(83)
+    for _ in range(20):
+        sigma = _random_points(rng, int(rng.integers(0, 10)))
+        rng.shuffle(sigma)
+        t_plus = float(0.5 + rng.random())
+        expected = pairwise_product(Polynomial((t_plus,)), [
+            f for s in sigma for f in (Polynomial((-s, 1)), Polynomial((1, -np.conj(s))))])
+        assert coeff_bits(build_royal_target(sigma, t_plus)) == coeff_bits(expected)
+
+        alpha1, alpha2 = (_random_points(rng, int(rng.integers(0, 6))) for _ in range(2))
+        t = complex(rng.normal(), rng.normal())
+        expected = pairwise_product(
+            Polynomial((t,)), [Polynomial((-a, 1)) for a in alpha1]
+            + [Polynomial((1, -np.conj(a))) for a in alpha2])
+        assert coeff_bits(build_e1(alpha1, alpha2, t)) == coeff_bits(expected)
+
+        expected = pairwise_product(Polynomial((t,)), [Polynomial((-r, 1)) for r in sigma])
+        assert coeff_bits(from_roots(sigma, t)) == coeff_bits(expected)

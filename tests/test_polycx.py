@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers import coeff_bits, pairwise_product
 import tetrainner
 from tetrainner.errors import DegreeExceedsReflectionIndex, ZeroPolynomialHasAllRoots
 from tetrainner.polycx import (
@@ -13,6 +14,7 @@ from tetrainner.polycx import (
     expand,
     from_roots,
     is_n_symmetric,
+    product,
     roots,
     unit_circle,
 )
@@ -219,3 +221,65 @@ def test_unit_circle_is_shared_and_read_only():
     with pytest.raises(ValueError):
         grid[0] = 0.0
     assert np.array_equal(grid, np.exp(2j * np.pi * np.arange(48) / 48))
+
+
+# -- per-instance memos --------------------------------------------------------
+
+def test_roots_memo_is_per_instance_and_tolerance():
+    p = from_roots([0.5, -0.25j, 2.0 + 1.0j], leading=1.5)
+    ms = roots(p)
+    assert roots(p) is ms
+    assert roots(p, 1e-9) is not ms and roots(p, 1e-9) is roots(p, 1e-9)
+    twin = Polynomial(p.coeffs)
+    assert twin == p and roots(twin) is not ms and roots(twin) == ms
+
+
+def test_on_circle_memo_is_per_instance_and_read_only():
+    p = Polynomial((1.0, -2.0j, 0.25))
+    vals = p.on_circle(64)
+    assert p.on_circle(64) is vals and p.on_circle(128) is not vals
+    assert np.array_equal(vals, p.eval(unit_circle(64)))
+    assert not vals.flags.writeable
+    with pytest.raises(ValueError):
+        vals[0] = 0.0
+    twin = Polynomial(p.coeffs)
+    assert twin.on_circle(64) is not vals and np.array_equal(twin.on_circle(64), vals)
+    zero = Polynomial().on_circle(16)
+    assert not zero.flags.writeable and not zero.any()
+
+
+def test_roots_error_is_not_kept():
+    zero = Polynomial()
+    for _ in range(2):
+        with pytest.raises(ZeroPolynomialHasAllRoots):
+            roots(zero)
+    assert not vars(zero).get("_roots")
+
+
+# -- product against the pairwise product ---------------------------------------
+
+@pytest.mark.parametrize("factors", [
+    [],
+    [Polynomial((2.0, 1j))],
+    [Polynomial((1, 1)), Polynomial()],
+    # the leading coefficient drops below the trim threshold mid-way
+    [Polynomial((1.0, -1e-10)), Polynomial((1.0, -2e-10j)), Polynomial((0.5, 1.0))],
+    # every coefficient drops below it: the product is zero
+    [Polynomial((1e-8,)), Polynomial((1e-8,)), Polynomial((1.0, 1.0))],
+])
+def test_product_edge_cases_match_pairwise(factors):
+    expected = pairwise_product(factors[0], factors[1:]) if factors else Polynomial((1.0,))
+    got = product(factors)
+    assert coeff_bits(got) == coeff_bits(expected) and got.degree == expected.degree
+
+
+def test_product_matches_pairwise_on_random_factors():
+    rng = np.random.default_rng(71)
+    for _ in range(50):
+        factors = [Polynomial(tuple(rng.normal(size=int(rng.integers(1, 4)))
+                                    + 1j * rng.normal(size=1)))
+                   for _ in range(int(rng.integers(1, 12)))]
+        expected = pairwise_product(factors[0], factors[1:])
+        assert coeff_bits(product(factors)) == coeff_bits(expected)
+        assert (coeff_bits(factors[0] * factors[-1])
+                == coeff_bits(pairwise_product(factors[0], factors[-1:])))

@@ -6,6 +6,7 @@ from tetrainner import polycx
 from tetrainner.boundary import TetraRegion, classify_tetra, psi, tetra_defect
 from tetrainner.construct import construct
 from tetrainner.errors import (
+    ConstructionInconsistent,
     DenominatorVanishes,
     InvalidSuperficialSpec,
     OddCircleRootOrder,
@@ -514,3 +515,48 @@ def test_winding_equals_degree_for_constructions():
         n = int(rng.integers(1, 6))
         x = construct(random_construction_spec(rng, n))
         assert winding_number(x, 4096) == degree(x)
+
+
+# -- degree from the roots of d ------------------------------------------------
+
+def _reflected_count(x, circle_tol=1e-6):
+    """degree's definition: open-disc zeros of the n-reflection of d."""
+    dr = x.d.reflect(x.n)
+    if dr.degree <= 0:
+        return 0
+    return sum(order for loc, order in polycx.roots(dr).entries if abs(loc) < 1.0 - circle_tol)
+
+
+def test_degree_matches_roots_of_reflection_for_constructions():
+    rng = np.random.default_rng(73)
+    for n in range(1, 33):
+        for _ in range(5):
+            try:
+                x = construct(random_construction_spec(rng, n, k_circle=n // 3))
+                break
+            except ConstructionInconsistent:
+                continue
+        else:
+            pytest.fail(f"no construction at n = {n} in five draws")
+        assert degree(x) == _reflected_count(x) == n
+
+
+@pytest.mark.parametrize("spec", SUPERFICIAL_SPECS)
+def test_degree_matches_roots_of_reflection_for_superficial(spec):
+    x = superficial_build(spec, len(spec.x3.zeros))
+    assert degree(x) == _reflected_count(x) == len(spec.x3.zeros)
+
+
+@pytest.mark.parametrize("x, expected", [
+    # circle zero of d (lenient): it cancels and does not count
+    (validate(ZERO, ZERO, Polynomial((-1.0, 1.0)), 1, strict=False), 0),
+    (validate(ZERO, ZERO, Polynomial((2.0, -3.0, 1.0)), 3, strict=False), 2),
+    # deg d < n: the reflection has n - deg d zeros at 0
+    (third_component_spec(3), 3),
+    (validate(ZERO, ZERO, Polynomial((-2.0, 1.0)), 4), 4),
+    # d vanishing at 0 (unvalidated): that root has no reflection
+    (TetraRational(ZERO, ZERO, Polynomial((0.0, -2.0, 1.0)), 3, strict=False), 2),
+    (TetraRational(ZERO, ZERO, Polynomial((0.0, 0.0, 1.5j)), 2, strict=False), 0),
+])
+def test_degree_matches_roots_of_reflection_for_special_d(x, expected):
+    assert degree(x) == _reflected_count(x) == expected
