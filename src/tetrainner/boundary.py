@@ -23,6 +23,7 @@ from .polycx import DEFAULT_MEMBERSHIP_TOL
 
 MU_BISECTION_CAP = 1e6
 MU_MAX_ITER = 200
+PSI_POLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,16 @@ class GammaRegion(enum.Enum):
 
 
 def psi(z: complex, x: TetraPoint) -> complex:
-    """The fractional map (x3 z - x1) / (x2 z - 1); pole when x2 z = 1."""
-    denom = x.x2 * z - 1
-    if abs(denom) < 1e-12:
-        raise PsiPole(f"x2*z = {x.x2 * z} is within 1e-12 of 1")
-    return (x.x3 * z - x.x1) / denom
+    """The fractional map (x3 z - x1) / (x2 z - 1); pole when x2 z = 1.
+
+    The coordinates may also be ndarrays of points; PsiPole names the first pole.
+    """
+    x2z = x.x2 * z
+    pole = np.abs(x2z - 1) < PSI_POLE_TOL
+    if np.any(pole):
+        first = np.ravel(x2z)[np.argmax(pole)]
+        raise PsiPole(f"x2*z = {first} is within {PSI_POLE_TOL:g} of 1")
+    return (x.x3 * z - x.x1) / (x2z - 1)
 
 
 def tetra_defect(x: TetraPoint) -> float:
@@ -206,27 +212,4 @@ def sample_distinguished(rng: np.random.Generator) -> TetraPoint:
     """Random distinguished-boundary point: x1 = conj(x2) x3 with |x3| = 1."""
     x2 = np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
     x3 = np.exp(2j * np.pi * rng.random())
-    return TetraPoint(np.conj(x2) * x3, x2, x3)
-
-
-def sample_closed(rng: np.random.Generator) -> TetraPoint:
-    if rng.random() < 0.5:
-        return sample_interior(rng)
-    return sample_distinguished(rng)
-
-
-def sample_fixed_x3_closed(rng: np.random.Generator, x3: complex) -> TetraPoint:
-    """Random point of the closed tetrablock slice with prescribed x3."""
-    m1 = rng.random()
-    m2 = rng.random()
-    if m1 + m2 > 1.0:
-        m1, m2 = 1.0 - m1, 1.0 - m2
-    b1 = m1 * np.exp(2j * np.pi * rng.random())
-    b2 = m2 * np.exp(2j * np.pi * rng.random())
-    return TetraPoint(b1 + np.conj(b2) * x3, b2 + np.conj(b1) * x3, x3)
-
-
-def sample_fixed_x3_distinguished(rng: np.random.Generator, x3: complex) -> TetraPoint:
-    """Random distinguished-boundary point with prescribed unimodular x3."""
-    x2 = np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
     return TetraPoint(np.conj(x2) * x3, x2, x3)

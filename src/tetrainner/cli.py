@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import boundary, extremal, polycx, tetrafun
 from .construct import ConstructionSpec, construct as run_construct
-from .errors import DenominatorVanishes, SamplingTooCoarse, TetraError
-from .polycx import Polynomial, coeff_distance, unit_circle
+from .errors import DenominatorVanishes, MalformedInput, SamplingTooCoarse, TetraError
+from .polycx import coeff_distance, unit_circle
+from .tetrafun import decode_complex, encode_complex
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -25,43 +25,13 @@ EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    membership_tol: float
-    circle_tol: float
-    cluster_tol: float
-    samples: int
-    seed: int
-    output_format: str
-
-    def __post_init__(self):
-        if min(self.membership_tol, self.circle_tol, self.cluster_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.samples < 16:
-            raise ValueError("samples must be at least 16")
-
-
-class _InputError(Exception):
-    pass
-
-
-def _complex_in(obj, field: str) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(v, (int, float)) for v in obj)):
-        return complex(obj[0], obj[1])
-    raise _InputError(f"field {field!r} must be a number or an [re, im] pair")
-
-
-def _complex_out(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _poly_in(obj, field: str) -> Polynomial:
-    if not isinstance(obj, list):
-        raise _InputError(f"field {field!r} must be a list of [re, im] pairs")
-    return Polynomial(tuple(_complex_in(c, field) for c in obj))
+# verify's condition rows: validation_report code and printed label, in print order
+_CONDITIONS = (
+    ("DegreeBound", "degree bounds"),
+    ("DVanishesInDisc", "denominator nonvanishing"),
+    ("ModulusDomination", "modulus domination"),
+    ("ReflectionMismatch", "reflection identity"),
+)
 
 
 def _load_payload(args) -> dict:
@@ -72,21 +42,8 @@ def _load_payload(args) -> dict:
         text = sys.stdin.read()
     data = json.loads(text)
     if not isinstance(data, dict):
-        raise _InputError("top level JSON value must be an object")
+        raise MalformedInput("top level JSON value must be an object")
     return data
-
-
-def _function_fields(data: dict):
-    """(e1, e2, d, n) parsed from a function payload, not yet validated."""
-    for key in ("n", "E1", "E2", "D"):
-        if key not in data:
-            raise _InputError(f"missing field {key!r}")
-    return (_poly_in(data["E1"], "E1"), _poly_in(data["E2"], "E2"),
-            _poly_in(data["D"], "D"), int(data["n"]))
-
-
-def _function_in(data: dict, strict: bool) -> tetrafun.TetraRational:
-    return tetrafun.validate(*_function_fields(data), strict=strict)
 
 
 def _emit(args, text: str):
@@ -99,92 +56,89 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+def _fail(message: str, code: int) -> int:
+    sys.stderr.write(f"error: {message}\n")
+    return code
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _analysis_block(x: tetrafun.TetraRational, cfg: RunConfig) -> dict:
-    deg = tetrafun.degree(x, cfg.circle_tol)
+def _analysis_block(x: tetrafun.TetraRational, args) -> dict:
+    deg = tetrafun.degree(x, args.circle_tol)
     if tetrafun.is_royal_variety(x):
         return {"degree": deg, "type": "royal-variety", "royal_nodes": []}
-    nodes = tetrafun.royal_nodes(x, cfg.cluster_tol, cfg.circle_tol)
+    nodes = tetrafun.royal_nodes(x, args.cluster_tol, args.circle_tol)
     tk = tetrafun.TypeNK.from_nodes(nodes)
     return {
         "degree": deg,
         "type": [tk.n, tk.k],
         "royal_nodes": [
-            {"location": _complex_out(nd.location), "multiplicity": nd.multiplicity,
+            {"location": encode_complex(nd.location), "multiplicity": nd.multiplicity,
              "on_circle": nd.on_circle}
             for nd in nodes
         ],
     }
 
 
-def cmd_classify(args, cfg: RunConfig) -> int:
+def cmd_classify(args) -> int:
     data = _load_payload(args)
     if {"x1", "x2", "x3"} <= set(data):
-        pt = boundary.TetraPoint(_complex_in(data["x1"], "x1"),
-                                 _complex_in(data["x2"], "x2"),
-                                 _complex_in(data["x3"], "x3"))
-        region = boundary.classify_tetra(pt, cfg.membership_tol)
+        pt = boundary.TetraPoint(decode_complex(data["x1"], "x1"),
+                                 decode_complex(data["x2"], "x2"),
+                                 decode_complex(data["x3"], "x3"))
+        region = boundary.classify_tetra(pt, args.tol)
         defect = boundary.tetra_defect(pt)
     elif {"s", "p"} <= set(data):
-        gp = boundary.GammaPoint(_complex_in(data["s"], "s"), _complex_in(data["p"], "p"))
-        region = boundary.classify_gamma(gp, cfg.membership_tol)
+        gp = boundary.GammaPoint(decode_complex(data["s"], "s"), decode_complex(data["p"], "p"))
+        region = boundary.classify_gamma(gp, args.tol)
         defect = boundary.gamma_defect(gp)
     else:
-        raise _InputError("expected fields x1/x2/x3 or s/p")
-    if cfg.output_format == "csv":
+        raise MalformedInput("expected fields x1/x2/x3 or s/p")
+    if args.format == "csv":
         _emit(args, f"region,defect\n{region.value},{float(defect):.12g}")
     else:
         _emit(args, _dump({"region": region.value, "defect": float(defect)}))
     return EXIT_OK
 
 
-def cmd_construct(args, cfg: RunConfig) -> int:
+def cmd_construct(args) -> int:
     data = _load_payload(args)
     for key in ("alpha1", "alpha2", "sigma", "t_plus", "t"):
         if key not in data:
-            raise _InputError(f"missing field {key!r}")
+            raise MalformedInput(f"missing field {key!r}")
     spec = ConstructionSpec(
-        alpha1=tuple(_complex_in(a, "alpha1") for a in data["alpha1"]),
-        alpha2=tuple(_complex_in(a, "alpha2") for a in data["alpha2"]),
-        sigma=tuple(_complex_in(s, "sigma") for s in data["sigma"]),
+        alpha1=tuple(decode_complex(a, "alpha1") for a in data["alpha1"]),
+        alpha2=tuple(decode_complex(a, "alpha2") for a in data["alpha2"]),
+        sigma=tuple(decode_complex(s, "sigma") for s in data["sigma"]),
         t_plus=float(data["t_plus"]),
-        t=_complex_in(data["t"], "t"),
-        omega=_complex_in(data.get("omega", 1.0), "omega"),
+        t=decode_complex(data["t"], "t"),
+        omega=decode_complex(data.get("omega", 1.0), "omega"),
     )
-    x = run_construct(spec, cfg.circle_tol)
-    payload = {"function": tetrafun.to_json_dict(x), "analysis": _analysis_block(x, cfg)}
+    x = run_construct(spec, args.circle_tol)
+    payload = {"function": tetrafun.to_json_dict(x), "analysis": _analysis_block(x, args)}
     _emit(args, _dump(payload))
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    e1, e2, d, n = _function_fields(_load_payload(args))
+def cmd_verify(args) -> int:
+    e1, e2, d, n = tetrafun.decode_function_fields(_load_payload(args))
     checks = tetrafun.validation_report(e1, e2, d, n, strict=args.strict,
-                                        circle_tol=cfg.circle_tol)
+                                        circle_tol=args.circle_tol)
     by_code = {c.code: c for c in checks}
-    conditions = [
-        {"condition": "degree bounds", "passed": by_code["DegreeBound"].passed,
-         "detail": by_code["DegreeBound"].detail},
-        {"condition": "denominator nonvanishing", "passed": by_code["DVanishesInDisc"].passed,
-         "detail": by_code["DVanishesInDisc"].detail},
-        {"condition": "modulus domination", "passed": by_code["ModulusDomination"].passed,
-         "detail": by_code["ModulusDomination"].detail},
-        {"condition": "reflection identity", "passed": by_code["ReflectionMismatch"].passed,
-         "detail": by_code["ReflectionMismatch"].detail},
-    ]
+    conditions = [{"condition": label, "passed": by_code[code].passed,
+                   "detail": by_code[code].detail} for code, label in _CONDITIONS]
     valid = all(c.passed for c in checks)
     report = {"valid": valid, "conditions": conditions}
     if valid:
         x = tetrafun.TetraRational(e1, e2, d, n, strict=args.strict)
-        m = max(cfg.samples, 512)
+        m = max(args.samples, 512)
         dv, e1v, e2v = d.on_circle(m), e1.on_circle(m), e2.on_circle(m)
         royal = tetrafun.royal_polynomial(x)
         shifted = unit_circle(m) ** (-n) * royal.on_circle(m)
         sym_dev = coeff_distance(royal, royal.reflect(2 * n)) if not royal.is_zero else 0.0
-        radius, angle = np.random.default_rng(cfg.seed).random((32, 2)).T
+        radius, angle = np.random.default_rng(args.seed).random((32, 2)).T
         x1, x2, x3 = (v.tolist() for v in tetrafun._eval_grid(
             x, 0.97 * np.sqrt(radius) * np.exp(2j * np.pi * angle)))
         inside_ok = all(
@@ -198,13 +152,13 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             "royal_symmetry_dev": float(sym_dev),
             "royal_min_on_circle": float(np.min(np.real(shifted))),
             "disc_image_in_closure": bool(inside_ok),
-            "degree": tetrafun.degree(x, cfg.circle_tol),
+            "degree": tetrafun.degree(x, args.circle_tol),
         }
         # circle zeros of d (lenient mode) leave the boundary trace undefined
         # at finitely many samples; report None instead of failing
         try:
             invariants["circle_defect_max"] = float(max(
-                rec[2] for rec in tetrafun.circle_trace(x, max(cfg.samples, 64))))
+                rec[2] for rec in tetrafun.circle_trace(x, max(args.samples, 64))))
         except DenominatorVanishes:
             invariants["circle_defect_max"] = None
         try:
@@ -216,29 +170,27 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args, cfg: RunConfig) -> int:
-    data = _load_payload(args)
-    x = _function_in(data, args.strict)
-    _emit(args, _dump(_analysis_block(x, cfg)))
+def cmd_analyze(args) -> int:
+    x = tetrafun.from_json_dict(_load_payload(args), args.strict)
+    _emit(args, _dump(_analysis_block(x, args)))
     return EXIT_OK
 
 
-def cmd_trace(args, cfg: RunConfig) -> int:
-    data = _load_payload(args)
-    x = _function_in(data, args.strict)
-    trace = tetrafun.circle_trace(x, cfg.samples)
-    if cfg.output_format == "json":
+def cmd_trace(args) -> int:
+    x = tetrafun.from_json_dict(_load_payload(args), args.strict)
+    trace = tetrafun.circle_trace(x, args.samples)
+    if args.format == "json":
         payload = [
-            {"theta": 2.0 * np.pi * idx / cfg.samples,
-             "x1": _complex_out(pt.x1), "x2": _complex_out(pt.x2),
-             "x3": _complex_out(pt.x3), "defect": defect}
+            {"theta": 2.0 * np.pi * idx / args.samples,
+             "x1": encode_complex(pt.x1), "x2": encode_complex(pt.x2),
+             "x3": encode_complex(pt.x3), "defect": defect}
             for idx, (_, pt, defect) in enumerate(trace)
         ]
         _emit(args, _dump(payload))
         return EXIT_OK
     rows = ["theta,x1_re,x1_im,x2_re,x2_im,x3_re,x3_im,defect"]
     for idx, (lam, pt, defect) in enumerate(trace):
-        theta = 2.0 * np.pi * idx / cfg.samples
+        theta = 2.0 * np.pi * idx / args.samples
         rows.append(",".join([
             f"{theta:.12g}",
             f"{pt.x1.real:.12g}", f"{pt.x1.imag:.12g}",
@@ -250,9 +202,8 @@ def cmd_trace(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_perturb(args, cfg: RunConfig) -> int:
-    data = _load_payload(args)
-    x = _function_in(data, True)
+def cmd_perturb(args) -> int:
+    x = tetrafun.from_json_dict(_load_payload(args))
     result = extremal.perturb_nonextreme(x)
     err = max(
         coeff_distance((result.x_plus.e1 + result.x_minus.e1).scale(0.5), x.e1),
@@ -307,28 +258,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-    fmt = args.format or ("csv" if args.command == "trace" else "json")
-    if fmt == "csv" and args.command not in ("classify", "trace"):
-        sys.stderr.write(f"error: csv output is not defined for {args.command}\n")
-        return EXIT_PARSE
+    args.format = args.format or ("csv" if args.command == "trace" else "json")
+    if args.format == "csv" and args.command not in ("classify", "trace"):
+        return _fail(f"csv output is not defined for {args.command}", EXIT_PARSE)
+    if min(args.tol, args.circle_tol, args.cluster_tol) <= 0:
+        return _fail("tolerances must be positive", EXIT_PRECONDITION)
+    if args.samples < 16:
+        return _fail("samples must be at least 16", EXIT_PRECONDITION)
     try:
-        cfg = RunConfig(membership_tol=args.tol, circle_tol=args.circle_tol,
-                        cluster_tol=args.cluster_tol, samples=args.samples,
-                        seed=args.seed, output_format=fmt)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
-    try:
-        return args.handler(args, cfg)
-    except (_InputError, json.JSONDecodeError, OSError, KeyError, TypeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+        return args.handler(args)
+    except (MalformedInput, json.JSONDecodeError, OSError, KeyError, TypeError) as exc:
+        return _fail(str(exc), EXIT_PARSE)
     except TetraError as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return exc.cli_exit_code
+        return _fail(f"{type(exc).__name__}: {exc}", exc.cli_exit_code)
     except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
+        return _fail(str(exc), EXIT_PRECONDITION)
 
 
 def main_entry():

@@ -1,13 +1,17 @@
 """Exception hierarchy.
 
 Every domain error derives from TetraError.  ``cli_exit_code`` feeds the
-command line front end: 3 for violated preconditions, 4 for numerical
-failures discovered mid-computation.
+command line front end: 2 for malformed input, 3 for violated
+preconditions, 4 for numerical failures discovered mid-computation.
 """
 
 
 class TetraError(Exception):
     cli_exit_code = 3
+
+
+class MalformedInput(TetraError):
+    cli_exit_code = 2
 
 
 # -- polynomial layer --------------------------------------------------------

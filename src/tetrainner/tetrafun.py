@@ -27,7 +27,7 @@ from .boundary import TetraPoint
 from .errors import (
     DenominatorVanishes,
     InvalidSuperficialSpec,
-    PsiPole,
+    MalformedInput,
     RoyalVarietyFunction,
     SamplingTooCoarse,
     UndefinedOmegaOrK,
@@ -41,7 +41,6 @@ from .polycx import (
     Polynomial,
     circle_split,
     coeff_distance,
-    is_n_symmetric,
     product,
     roots as poly_roots,
     unit_circle,
@@ -49,6 +48,7 @@ from .polycx import (
 
 REFLECTION_TOL = 1e-10
 MODULUS_SLACK = 1e-9
+DENOMINATOR_POLE_TOL = 1e-13   # |d| below this is a pole of the function
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,15 @@ class TetraRational:
         return self.d.reflect(self.n)
 
     @cached_property
-    def _royal(self) -> Polynomial:
-        return self.d_reflected * self.d - self.e1 * self.e2
+    def _royal(self) -> tuple[Polynomial, Polynomial, Polynomial]:
+        """reflect(d, n) * d - e1 * e2, then the two products it is formed from."""
+        dd, ee = self.d_reflected * self.d, self.e1 * self.e2
+        return dd - ee, dd, ee
 
     @cached_property
     def _on_royal_variety(self) -> bool:
-        scale = 1.0 + (self.d_reflected * self.d).max_coeff() + (self.e1 * self.e2).max_coeff()
-        return self._royal.max_coeff() <= 1e-12 * scale
+        royal, dd, ee = self._royal
+        return royal.max_coeff() <= 1e-12 * (1.0 + dd.max_coeff() + ee.max_coeff())
 
     @cached_property
     def _royal_nodes(self) -> dict:
@@ -201,7 +203,7 @@ def eval_function(x: TetraRational, lam: complex) -> TetraPoint:
     if abs(lam) > 1.0 + 1e-9:
         raise ValueError(f"|lam| = {abs(lam)} is outside the closed disc")
     dv = x.d.eval(lam)
-    if abs(dv) < 1e-13:
+    if abs(dv) < DENOMINATOR_POLE_TOL:
         raise DenominatorVanishes(f"d({lam}) = {dv}")
     return TetraPoint(x.e1.eval(lam) / dv, x.e2.eval(lam) / dv,
                       x.d_reflected.eval(lam) / dv)
@@ -213,7 +215,7 @@ def _eval_grid(x: TetraRational, lam: np.ndarray):
     Raises DenominatorVanishes at the first point where eval_function would.
     """
     dv = x.d.eval(lam)
-    pole = np.abs(dv) < 1e-13
+    pole = np.abs(dv) < DENOMINATOR_POLE_TOL
     if pole.any():
         i = int(np.argmax(pole))
         raise DenominatorVanishes(f"d({lam[i]}) = {dv[i]}")
@@ -223,10 +225,6 @@ def _eval_grid(x: TetraRational, lam: np.ndarray):
 def _rings(samples: int) -> np.ndarray:
     """samples points on each of the circles of radius 0.1, 0.5 and 0.9."""
     return (np.array([0.1, 0.5, 0.9])[:, None] * unit_circle(samples)).ravel()
-
-
-def eval_x3(x: TetraRational, lam):
-    return x.d_reflected.eval(lam) / x.d.eval(lam)
 
 
 def degree(x: TetraRational, circle_tol: float = DEFAULT_CIRCLE_TOL) -> int:
@@ -262,7 +260,7 @@ def winding_number(x: TetraRational, samples: int = CIRCLE_SAMPLES) -> int:
 
 def royal_polynomial(x: TetraRational) -> Polynomial:
     """reflect(d, n) * d - e1 * e2; identically zero on the royal variety."""
-    return x._royal
+    return x._royal[0]
 
 
 def is_royal_variety(x: TetraRational) -> bool:
@@ -341,19 +339,15 @@ def psi_omega_check(x: TetraRational, spec: SuperficialSpec, samples: int = 64) 
 
     omega = conj(beta2)/|beta2| and the constant is beta1/|beta1|; both
     beta weights must be nonzero.  lam runs over samples uniform points of
-    each circle of radius 0.1, 0.5 and 0.9, evaluated as one array; a pole
-    of Psi at any of them raises PsiPole as boundary.psi does.
+    each circle of radius 0.1, 0.5 and 0.9, evaluated as one array by
+    boundary.psi, which raises PsiPole at the first pole.
     """
     if spec.beta1 == 0 or spec.beta2 == 0:
         raise UndefinedOmegaOrK("both beta weights must be nonzero")
     omega = np.conj(spec.beta2) / abs(spec.beta2)
     k_val = spec.beta1 / abs(spec.beta1)
-    x1, x2, x3 = _eval_grid(x, _rings(samples))
-    denom = x2 * omega - 1
-    pole = np.abs(denom) < 1e-12
-    if pole.any():
-        raise PsiPole(f"x2*z = {x2[np.argmax(pole)] * omega} is within 1e-12 of 1")
-    return float(np.max(np.abs((x3 * omega - x1) / denom - k_val)))
+    psi = boundary.psi(omega, TetraPoint(*_eval_grid(x, _rings(samples))))
+    return float(np.max(np.abs(psi - k_val)))
 
 
 def from_gamma_inner(s_num: Polynomial, denom: Polynomial, n: int,
@@ -361,26 +355,11 @@ def from_gamma_inner(s_num: Polynomial, denom: Polynomial, n: int,
     """Symmetric embedding (s/2, s/2, p) of a rational Gamma-inner pair.
 
     s = s_num/denom must be n-symmetric with |s| <= 2|denom| on the circle
-    and denom nonvanishing on the closed disc; failures are reported per
-    condition.
+    and denom nonvanishing on the closed disc: validate's conditions on
+    (s/2, s/2, denom), reported under validate's codes.
     """
-    violations = []
-    sym_tol = 1e-10 * (1.0 + s_num.max_coeff())
-    if not is_n_symmetric(s_num, n, sym_tol):
-        violations.append(("GammaSymmetry", "numerator is not n-symmetric"))
-    gap = float(np.max(np.abs(s_num.on_circle(CIRCLE_SAMPLES))
-                       - 2.0 * np.abs(denom.on_circle(CIRCLE_SAMPLES))))
-    if gap > MODULUS_SLACK * (1.0 + denom.max_coeff()):
-        violations.append(("GammaModulus", f"|s_num| exceeds 2|denom| by {gap:.3e}"))
-    if denom.is_zero:
-        violations.append(("GammaDenominator", "denominator is identically zero"))
-    elif denom.degree >= 1 and any(abs(loc) <= 1.0 + circle_tol
-                                   for loc, _ in poly_roots(denom).entries):
-        violations.append(("GammaDenominator", "denominator vanishes on the closed disc"))
-    if violations:
-        raise ValidationError(violations)
     half = s_num.scale(0.5)
-    return validate(half, half, denom, n)
+    return validate(half, half, denom, n, circle_tol=circle_tol)
 
 
 def circle_trace(x: TetraRational,
@@ -399,16 +378,41 @@ def circle_trace(x: TetraRational,
         grid.tolist(), x1.tolist(), x2.tolist(), x3.tolist(), defect.tolist())]
 
 
+# JSON codec: [re, im] pairs, ascending coefficient lists, {"n", "E1", "E2", "D"}
+
+def encode_complex(z: complex) -> list[float]:
+    return [float(z.real), float(z.imag)]
+
+
+def decode_complex(obj, field: str) -> complex:
+    """A number or an [re, im] pair of numbers; MalformedInput names the field otherwise."""
+    if isinstance(obj, (int, float)):
+        return complex(obj)
+    if (isinstance(obj, (list, tuple)) and len(obj) == 2
+            and all(isinstance(v, (int, float)) for v in obj)):
+        return complex(obj[0], obj[1])
+    raise MalformedInput(f"field {field!r} must be a number or an [re, im] pair")
+
+
+def decode_function_fields(data: dict) -> tuple[Polynomial, Polynomial, Polynomial, int]:
+    """(e1, e2, d, n) of a function payload, parsed but not validated."""
+    for key in ("n", "E1", "E2", "D"):
+        if key not in data:
+            raise MalformedInput(f"missing field {key!r}")
+    polys = []
+    for key in ("E1", "E2", "D"):
+        if not isinstance(data[key], list):
+            raise MalformedInput(f"field {key!r} must be a list of [re, im] pairs")
+        polys.append(Polynomial(tuple(decode_complex(c, key) for c in data[key])))
+    return (*polys, int(data["n"]))
+
+
 def to_json_dict(x: TetraRational) -> dict:
     def encode(p: Polynomial):
-        return [[float(c.real), float(c.imag)] for c in p.coeffs]
+        return [encode_complex(c) for c in p.coeffs]
 
     return {"n": x.n, "E1": encode(x.e1), "E2": encode(x.e2), "D": encode(x.d)}
 
 
 def from_json_dict(data: dict, strict: bool = True) -> TetraRational:
-    def decode(obj):
-        return Polynomial(tuple(complex(re, im) for re, im in obj))
-
-    return validate(decode(data["E1"]), decode(data["E2"]), decode(data["D"]),
-                    int(data["n"]), strict=strict)
+    return validate(*decode_function_fields(data), strict=strict)

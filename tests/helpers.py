@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from tetrainner.boundary import TetraPoint, sample_distinguished, sample_interior
 from tetrainner.construct import ConstructionSpec
 from tetrainner.polycx import Polynomial, from_roots
 
@@ -105,3 +106,27 @@ def coeff_bits(p: Polynomial) -> bytes:
 def polynomial_close(p: Polynomial, q: Polynomial, tol: float) -> bool:
     m = max(len(p.coeffs), len(q.coeffs))
     return all(abs(p.coeff(j) - q.coeff(j)) <= tol for j in range(m))
+
+
+def sample_closed(rng: np.random.Generator) -> TetraPoint:
+    """Interior or distinguished-boundary point, with equal probability."""
+    if rng.random() < 0.5:
+        return sample_interior(rng)
+    return sample_distinguished(rng)
+
+
+def sample_fixed_x3_closed(rng: np.random.Generator, x3: complex) -> TetraPoint:
+    """Random point of the closed tetrablock slice with prescribed x3."""
+    m1 = rng.random()
+    m2 = rng.random()
+    if m1 + m2 > 1.0:
+        m1, m2 = 1.0 - m1, 1.0 - m2
+    b1 = m1 * np.exp(2j * np.pi * rng.random())
+    b2 = m2 * np.exp(2j * np.pi * rng.random())
+    return TetraPoint(b1 + np.conj(b2) * x3, b2 + np.conj(b1) * x3, x3)
+
+
+def sample_fixed_x3_distinguished(rng: np.random.Generator, x3: complex) -> TetraPoint:
+    """Random distinguished-boundary point with prescribed unimodular x3."""
+    x2 = np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+    return TetraPoint(np.conj(x2) * x3, x2, x3)

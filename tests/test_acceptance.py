@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import match_multiset, random_construction_spec, random_outer_polynomial
+from helpers import (
+    match_multiset,
+    random_construction_spec,
+    random_outer_polynomial,
+    sample_fixed_x3_closed,
+    sample_fixed_x3_distinguished,
+)
 from tetrainner.boundary import (
     Matrix2,
     TetraPoint,
@@ -20,8 +26,6 @@ from tetrainner.boundary import (
     mu_diag_le_one,
     mu_diag_value,
     pi_map,
-    sample_fixed_x3_closed,
-    sample_fixed_x3_distinguished,
     tetra_defect,
 )
 from tetrainner.construct import ConstructionSpec, construct, recover_data

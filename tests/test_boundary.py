@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import sample_closed
 from tetrainner.boundary import (
     GammaPoint,
     GammaRegion,
@@ -15,7 +16,6 @@ from tetrainner.boundary import (
     mu_diag_value,
     pi_map,
     psi,
-    sample_closed,
     sample_distinguished,
     sample_interior,
     tetra_defect,
@@ -44,6 +44,21 @@ def test_psi_worked_value():
 def test_psi_pole_detection():
     with pytest.raises(PsiPole):
         psi(1.0, TetraPoint(0.5, 1.0, 0.25))
+
+
+def test_psi_on_arrays_matches_pointwise():
+    rng = np.random.default_rng(13)
+    pts = [sample_interior(rng) for _ in range(200)]
+    z = 0.8 * np.exp(0.4j)
+    got = psi(z, TetraPoint(*(np.array(c) for c in zip(*(p.as_tuple() for p in pts)))))
+    assert np.max(np.abs(got - np.array([psi(z, p) for p in pts]))) < 1e-14
+
+
+def test_psi_on_arrays_names_first_pole():
+    x2 = np.array([0.5, 1.0, 1.0 + 1e-13, 1.0])
+    zeros = np.zeros(4, dtype=complex)
+    with pytest.raises(PsiPole, match=r"^x2\*z = \(1\+0j\) is within 1e-12 of 1$"):
+        psi(1.0, TetraPoint(zeros, x2 + 0j, zeros))
 
 
 def test_classify_origin_interior():

@@ -2,7 +2,8 @@ import json
 
 import numpy as np
 
-from tetrainner.cli import main
+from tetrainner import errors
+from tetrainner.cli import EXIT_NUMERICAL, EXIT_PARSE, EXIT_PRECONDITION, main
 
 SQ2 = np.sqrt(2.0)
 
@@ -228,3 +229,23 @@ def test_verify_does_not_evaluate_pointwise(tmp_path, capsys, monkeypatch):
     code, out = _run(capsys, ["verify", func_path])
     assert code == 0
     assert json.loads(out)["invariants"]["disc_image_in_closure"]
+
+
+def test_malformed_function_exits_2_naming_the_field(tmp_path, capsys):
+    for payload, message in (
+            ({}, "error: missing field 'n'\n"),
+            (dict(ROYAL_VARIETY_FUNCTION, D=[[1.0, 0.0, 2.0]]),
+             "error: field 'D' must be a number or an [re, im] pair\n")):
+        path = _write(tmp_path, "func.json", payload)
+        for command in ("verify", "analyze", "trace", "perturb"):
+            assert main([command, path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == message
+
+
+def test_every_error_has_a_cli_exit_code():
+    classes = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, errors.TetraError)]
+    assert errors.MalformedInput in classes
+    for cls in classes:
+        assert cls.cli_exit_code in (EXIT_PARSE, EXIT_PRECONDITION, EXIT_NUMERICAL), cls

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import random_construction_spec
-from tetrainner.boundary import (
-    TetraPoint,
-    TetraRegion,
-    classify_tetra,
+from helpers import (
+    random_construction_spec,
     sample_fixed_x3_closed,
     sample_fixed_x3_distinguished,
 )
+from tetrainner.boundary import TetraPoint, TetraRegion, classify_tetra
 from tetrainner.construct import construct
 from tetrainner.errors import (
     CircleNodesPresent,

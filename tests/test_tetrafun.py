@@ -9,6 +9,7 @@ from tetrainner.errors import (
     ConstructionInconsistent,
     DenominatorVanishes,
     InvalidSuperficialSpec,
+    MalformedInput,
     OddCircleRootOrder,
     RoyalVarietyFunction,
     UndefinedOmegaOrK,
@@ -23,14 +24,15 @@ from tetrainner.tetrafun import (
     circle_trace,
     degree,
     eval_function,
-    eval_x3,
     from_gamma_inner,
+    from_json_dict,
     is_royal_variety,
     is_superficial,
     psi_omega_check,
     royal_nodes,
     royal_polynomial,
     superficial_build,
+    to_json_dict,
     type_nk,
     validate,
     validation_report,
@@ -258,7 +260,7 @@ def test_superficial_build_with_nontrivial_constant():
     # x3 realizes the requested Blaschke product
     for lam in (0.1, 0.5j, -0.3 + 0.2j):
         expected = c * (lam - 0.4) * (lam + 0.2j) / ((1 - 0.4 * lam) * (1 - 0.2j * lam))
-        assert abs(eval_x3(x, lam) - expected) < 1e-12
+        assert abs(eval_function(x, lam).x3 - expected) < 1e-12
     assert is_superficial(x)
 
 
@@ -298,12 +300,15 @@ def test_from_gamma_inner_superficial_pair():
 
 
 def test_from_gamma_inner_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        from_gamma_inner(Polynomial((1, 2)), ONE, 1)           # not symmetric
-    with pytest.raises(ValidationError):
-        from_gamma_inner(Polynomial((3, 3)), ONE, 1)           # modulus violation
-    with pytest.raises(ValidationError):
-        from_gamma_inner(Polynomial((1, 1)), Polynomial((-0.5, 1)), 1)
+    # each failure is reported under validate's code for (s/2, s/2, denom)
+    for s_num, denom, codes in (
+            (Polynomial((1, 2)), ONE, ["ReflectionMismatch", "ModulusDomination"]),
+            (Polynomial((3, 3)), ONE, ["ModulusDomination"]),
+            (Polynomial((1, 1)), Polynomial((-0.5, 1)), ["DVanishesInDisc",
+                                                         "ModulusDomination"])):
+        with pytest.raises(ValidationError) as exc:
+            from_gamma_inner(s_num, denom, 1)
+        assert [code for code, _ in exc.value.violations] == codes
 
 
 def test_circle_trace_royal_variety():
@@ -414,6 +419,21 @@ def test_royal_nodes_solved_once_per_function(monkeypatch):
     nodes = royal_nodes(x)
     assert royal_nodes(x) is nodes and type_nk(x) == tk == TypeNK.from_nodes(nodes)
     assert len(calls) == 1
+
+
+def test_royal_nodes_forms_each_royal_product_once(monkeypatch):
+    x = worked_example()
+    fresh = TetraRational(x.e1, x.e2, x.d, x.n)
+    calls = []
+    multiply = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    royal_nodes(fresh)
+    assert len(calls) == 2
 
 
 def test_royal_nodes_memo_is_per_tolerance_pair(monkeypatch):
@@ -560,3 +580,33 @@ def test_degree_matches_roots_of_reflection_for_superficial(spec):
 ])
 def test_degree_matches_roots_of_reflection_for_special_d(x, expected):
     assert degree(x) == _reflected_count(x) == expected
+
+
+def test_json_round_trip_is_exact():
+    rng = np.random.default_rng(61)
+    for n in range(1, 17):
+        x = construct(random_construction_spec(rng, n))
+        assert repr(from_json_dict(to_json_dict(x))) == repr(x)
+
+
+def test_json_accepts_number_coefficients():
+    numbers = {"n": 1, "E1": [1], "E2": [0, 1.0], "D": [[1, 0]]}
+    pairs = {"n": 1, "E1": [[1, 0]], "E2": [[0, 0], [1.0, 0]], "D": [[1, 0]]}
+    assert repr(from_json_dict(numbers)) == repr(from_json_dict(pairs))
+
+
+ROYAL_JSON = {"n": 1, "E1": [[1.0, 0.0]], "E2": [[0.0, 0.0], [1.0, 0.0]], "D": [[1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({}, "missing field 'n'"),
+    ({key: ROYAL_JSON[key] for key in ("n", "E1", "E2")}, "missing field 'D'"),
+    (dict(ROYAL_JSON, E1="abc"), "field 'E1' must be a list of [re, im] pairs"),
+    (dict(ROYAL_JSON, E2={"re": 1}), "field 'E2' must be a list of [re, im] pairs"),
+    (dict(ROYAL_JSON, D=[[1.0, 0.0, 0.0]]), "field 'D' must be a number or an [re, im] pair"),
+    (dict(ROYAL_JSON, E2=[["a", 0]]), "field 'E2' must be a number or an [re, im] pair"),
+])
+def test_json_malformed_input_names_the_field(payload, message):
+    with pytest.raises(MalformedInput) as exc:
+        from_json_dict(payload)
+    assert str(exc.value) == message
