@@ -17,7 +17,7 @@ from . import boundary, extremal, polycx, tetrafun
 from .construct import ConstructionSpec, construct as run_construct
 from .errors import DenominatorVanishes, MalformedInput, SamplingTooCoarse, TetraError
 from .polycx import coeff_distance, unit_circle
-from .tetrafun import decode_complex, encode_complex
+from .tetrafun import decode_complex, decode_complex_list, decode_real, encode_complex
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -35,7 +35,7 @@ _CONDITIONS = (
 
 
 def _load_payload(args) -> dict:
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
@@ -49,7 +49,7 @@ def _load_payload(args) -> dict:
 def _emit(args, text: str):
     if not text.endswith("\n"):
         text += "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -109,10 +109,10 @@ def cmd_construct(args) -> int:
         if key not in data:
             raise MalformedInput(f"missing field {key!r}")
     spec = ConstructionSpec(
-        alpha1=tuple(decode_complex(a, "alpha1") for a in data["alpha1"]),
-        alpha2=tuple(decode_complex(a, "alpha2") for a in data["alpha2"]),
-        sigma=tuple(decode_complex(s, "sigma") for s in data["sigma"]),
-        t_plus=float(data["t_plus"]),
+        alpha1=decode_complex_list(data["alpha1"], "alpha1"),
+        alpha2=decode_complex_list(data["alpha2"], "alpha2"),
+        sigma=decode_complex_list(data["sigma"], "sigma"),
+        t_plus=decode_real(data["t_plus"], "t_plus"),
         t=decode_complex(data["t"], "t"),
         omega=decode_complex(data.get("omega", 1.0), "omega"),
     )
@@ -179,25 +179,19 @@ def cmd_analyze(args) -> int:
 def cmd_trace(args) -> int:
     x = tetrafun.from_json_dict(_load_payload(args), args.strict)
     trace = tetrafun.circle_trace(x, args.samples)
+    thetas = [2.0 * np.pi * idx / args.samples for idx in range(args.samples)]
     if args.format == "json":
         payload = [
-            {"theta": 2.0 * np.pi * idx / args.samples,
-             "x1": encode_complex(pt.x1), "x2": encode_complex(pt.x2),
+            {"theta": theta, "x1": encode_complex(pt.x1), "x2": encode_complex(pt.x2),
              "x3": encode_complex(pt.x3), "defect": defect}
-            for idx, (_, pt, defect) in enumerate(trace)
+            for theta, (_, pt, defect) in zip(thetas, trace)
         ]
         _emit(args, _dump(payload))
         return EXIT_OK
     rows = ["theta,x1_re,x1_im,x2_re,x2_im,x3_re,x3_im,defect"]
-    for idx, (lam, pt, defect) in enumerate(trace):
-        theta = 2.0 * np.pi * idx / args.samples
-        rows.append(",".join([
-            f"{theta:.12g}",
-            f"{pt.x1.real:.12g}", f"{pt.x1.imag:.12g}",
-            f"{pt.x2.real:.12g}", f"{pt.x2.imag:.12g}",
-            f"{pt.x3.real:.12g}", f"{pt.x3.imag:.12g}",
-            f"{defect:.6g}",
-        ]))
+    for theta, (_, pt, defect) in zip(thetas, trace):
+        parts = [theta] + [v for z in (pt.x1, pt.x2, pt.x3) for v in (z.real, z.imag)]
+        rows.append(",".join(f"{v:.12g}" for v in parts) + f",{defect:.6g}")
     _emit(args, "\n".join(rows))
     return EXIT_OK
 
@@ -222,33 +216,41 @@ def cmd_perturb(args) -> int:
     return EXIT_OK
 
 
+# add_argument spec of each tuning flag; every command also takes input and --out
+_FLAGS = {
+    "--tol": dict(type=float, default=polycx.DEFAULT_MEMBERSHIP_TOL,
+                  help="membership tolerance"),
+    "--circle-tol": dict(type=float, default=polycx.DEFAULT_CIRCLE_TOL),
+    "--cluster-tol": dict(type=float, default=polycx.DEFAULT_CLUSTER_TOL),
+    "--samples": dict(type=int, default=polycx.TRACE_SAMPLES),
+    "--seed": dict(type=int, default=0),
+    "--lenient": dict(dest="strict", action="store_false"),
+    "--format": dict(choices=("json", "csv")),
+}
+
+# command: handler, the tuning flags it reads, its --format default
+_COMMANDS = {
+    "classify": (cmd_classify, ("--tol", "--format"), "json"),
+    "construct": (cmd_construct, ("--circle-tol", "--cluster-tol"), None),
+    "verify": (cmd_verify, ("--lenient", "--circle-tol", "--samples", "--seed"), None),
+    "analyze": (cmd_analyze, ("--lenient", "--circle-tol", "--cluster-tol"), None),
+    "trace": (cmd_trace, ("--lenient", "--samples", "--format"), "csv"),
+    "perturb": (cmd_perturb, (), None),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tetrainner",
         description="Construct, validate and analyze rational tetra-inner functions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "classify": cmd_classify,
-        "construct": cmd_construct,
-        "verify": cmd_verify,
-        "analyze": cmd_analyze,
-        "trace": cmd_trace,
-        "perturb": cmd_perturb,
-    }
-    for name, handler in handlers.items():
+    for name, (handler, flags, fmt) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("input", nargs="?", help="input JSON file; stdin when omitted")
-        p.add_argument("--tol", type=float, default=polycx.DEFAULT_MEMBERSHIP_TOL,
-                       help="membership tolerance")
-        p.add_argument("--circle-tol", type=float, default=polycx.DEFAULT_CIRCLE_TOL)
-        p.add_argument("--cluster-tol", type=float, default=polycx.DEFAULT_CLUSTER_TOL)
-        p.add_argument("--samples", type=int, default=polycx.TRACE_SAMPLES)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--strict", dest="strict", action="store_true", default=True)
-        p.add_argument("--lenient", dest="strict", action="store_false")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out", default=None)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, format=fmt)
     return parser
 
 
@@ -258,12 +260,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-    args.format = args.format or ("csv" if args.command == "trace" else "json")
-    if args.format == "csv" and args.command not in ("classify", "trace"):
-        return _fail(f"csv output is not defined for {args.command}", EXIT_PARSE)
-    if min(args.tol, args.circle_tol, args.cluster_tol) <= 0:
+    if any(getattr(args, tol, 1.0) <= 0 for tol in ("tol", "circle_tol", "cluster_tol")):
         return _fail("tolerances must be positive", EXIT_PRECONDITION)
-    if args.samples < 16:
+    if getattr(args, "samples", 16) < 16:
         return _fail("samples must be at least 16", EXIT_PRECONDITION)
     try:
         return args.handler(args)

@@ -153,12 +153,6 @@ def construct(spec: ConstructionSpec,
     return x
 
 
-def _disc_restricted(ms: RootMultiset, circle_tol: float) -> RootMultiset:
-    kept = tuple((loc, order) for loc, order in ms.entries
-                 if abs(loc) <= 1.0 + circle_tol)
-    return RootMultiset(kept, ms.cluster_tol)
-
-
 def recover_data(x: TetraRational,
                  cluster_tol: float = DEFAULT_CLUSTER_TOL,
                  circle_tol: float = DEFAULT_CIRCLE_TOL) -> RecoveredData:
@@ -172,8 +166,8 @@ def recover_data(x: TetraRational,
     if x.e1.is_zero or x.e2.is_zero:
         raise DegenerateZeroComponent(
             "a component of the function is identically zero; no zero list exists")
-    zeros1 = (_disc_restricted(poly_roots(x.e1, cluster_tol), circle_tol)
-              if x.e1.degree >= 1 else RootMultiset((), cluster_tol))
-    zeros2 = (_disc_restricted(poly_roots(x.e2, cluster_tol), circle_tol)
-              if x.e2.degree >= 1 else RootMultiset((), cluster_tol))
+    zeros1, zeros2 = (
+        RootMultiset(tuple((loc, order) for loc, order in poly_roots(e, cluster_tol).entries
+                           if abs(loc) <= 1.0 + circle_tol), cluster_tol)
+        for e in (x.e1, x.e2))
     return RecoveredData(zeros1, zeros2, royal_nodes(x, cluster_tol, circle_tol))

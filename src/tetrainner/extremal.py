@@ -102,11 +102,6 @@ def scale_nonextreme(x: TetraRational, margin: float = MARGIN) -> PerturbationRe
     if tk.k > 0:
         raise CircleNodesPresent(
             f"{tk.k} circle royal nodes force the component sup to 1")
-    return _scale_numerators(x, margin)
-
-
-def _scale_numerators(x: TetraRational, margin: float) -> PerturbationResult:
-    """scale_nonextreme once k = 0 is known."""
     dv = np.abs(x.d.on_circle(CIRCLE_SAMPLES))
     sup = max(float(np.max(np.abs(x.e1.on_circle(CIRCLE_SAMPLES)) / dv)),
               float(np.max(np.abs(x.e2.on_circle(CIRCLE_SAMPLES)) / dv)))
@@ -149,7 +144,7 @@ def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
     nodes = royal_nodes(x)
     tk = TypeNK.from_nodes(nodes)
     if tk.k == 0:
-        return _scale_numerators(x, MARGIN)
+        return scale_nonextreme(x)
     if 2 * tk.k > tk.n:
         raise ExtremalityNotDisproved(
             f"type ({tk.n}, {tk.k}) has 2k > n; no decomposition is produced")
@@ -187,15 +182,17 @@ def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
     return PerturbationResult(x_plus, x_minus, t, g, method)
 
 
+def _symmetric(x: TetraRational) -> bool:
+    tol = 1e-10 * (1.0 + max(x.e1.max_coeff(), x.e2.max_coeff()))
+    return coeff_distance(x.e1, x.e2) <= tol
+
+
 def certify_extreme_symmetric(x: TetraRational) -> bool:
     """True certifies extremality: e1 = e2 and 2k > n.
 
     False only means not certified by this criterion.
     """
-    sym_tol = 1e-10 * (1.0 + max(x.e1.max_coeff(), x.e2.max_coeff()))
-    if coeff_distance(x.e1, x.e2) > sym_tol:
-        return False
-    if is_royal_variety(x):
+    if not _symmetric(x) or is_royal_variety(x):
         return False
     tk = type_nk(x)
     return 2 * tk.k > tk.n
@@ -206,7 +203,6 @@ def gamma_royal(x: TetraRational) -> Polynomial:
 
     Equals 4 (reflect(d, n) d - e1 e2); symmetric input required.
     """
-    sym_tol = 1e-10 * (1.0 + max(x.e1.max_coeff(), x.e2.max_coeff()))
-    if coeff_distance(x.e1, x.e2) > sym_tol:
+    if not _symmetric(x):
         raise NotSymmetric("components e1 and e2 differ beyond tolerance")
     return royal_polynomial(x).scale(4.0)

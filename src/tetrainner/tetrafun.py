@@ -156,10 +156,7 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
         checks.append(ConditionCheck("DVanishesInDisc", False, "d is identically zero"))
     else:
         limit = 1.0 + circle_tol if strict else 1.0 - circle_tol
-        bad = []
-        if d.degree >= 1:
-            bad = [(loc, order) for loc, order in poly_roots(d).entries
-                   if abs(loc) < limit]
+        bad = [(loc, order) for loc, order in poly_roots(d).entries if abs(loc) < limit]
         mode = "closed disc" if strict else "open disc"
         checks.append(ConditionCheck(
             "DVanishesInDisc", not bad,
@@ -384,6 +381,13 @@ def encode_complex(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def decode_real(obj, field: str) -> float:
+    """A JSON number; MalformedInput names the field otherwise."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise MalformedInput(f"field {field!r} must be a real number")
+    return float(obj)
+
+
 def decode_complex(obj, field: str) -> complex:
     """A number or an [re, im] pair of numbers; MalformedInput names the field otherwise."""
     if isinstance(obj, (int, float)):
@@ -394,17 +398,23 @@ def decode_complex(obj, field: str) -> complex:
     raise MalformedInput(f"field {field!r} must be a number or an [re, im] pair")
 
 
+def decode_complex_list(obj, field: str) -> tuple[complex, ...]:
+    """A list of numbers or [re, im] pairs; MalformedInput names the field otherwise."""
+    if not isinstance(obj, list):
+        raise MalformedInput(f"field {field!r} must be a list of [re, im] pairs")
+    return tuple(decode_complex(c, field) for c in obj)
+
+
 def decode_function_fields(data: dict) -> tuple[Polynomial, Polynomial, Polynomial, int]:
-    """(e1, e2, d, n) of a function payload, parsed but not validated."""
+    """(e1, e2, d, n) of a function payload, parsed but not validated; n = 2.0 reads as 2."""
     for key in ("n", "E1", "E2", "D"):
         if key not in data:
             raise MalformedInput(f"missing field {key!r}")
-    polys = []
-    for key in ("E1", "E2", "D"):
-        if not isinstance(data[key], list):
-            raise MalformedInput(f"field {key!r} must be a list of [re, im] pairs")
-        polys.append(Polynomial(tuple(decode_complex(c, key) for c in data[key])))
-    return (*polys, int(data["n"]))
+    polys = [Polynomial(decode_complex_list(data[key], key)) for key in ("E1", "E2", "D")]
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, (int, float)) or n % 1:
+        raise MalformedInput("field 'n' must be an integer")
+    return (*polys, int(n))
 
 
 def to_json_dict(x: TetraRational) -> dict:

@@ -1,9 +1,13 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tetrainner import errors
-from tetrainner.cli import EXIT_NUMERICAL, EXIT_PARSE, EXIT_PRECONDITION, main
+from tetrainner.cli import EXIT_NUMERICAL, EXIT_PARSE, EXIT_PRECONDITION, _build_parser, main
 
 SQ2 = np.sqrt(2.0)
 
@@ -166,8 +170,8 @@ def test_output_file_flag(tmp_path, capsys):
 
 def test_deterministic_output(tmp_path, capsys):
     path = _write(tmp_path, "spec.json", WORKED_SPEC)
-    _, first = _run(capsys, ["construct", path, "--seed", "7"])
-    _, second = _run(capsys, ["construct", path, "--seed", "7"])
+    _, first = _run(capsys, ["construct", path])
+    _, second = _run(capsys, ["construct", path])
     assert first == second
 
 
@@ -235,12 +239,105 @@ def test_malformed_function_exits_2_naming_the_field(tmp_path, capsys):
     for payload, message in (
             ({}, "error: missing field 'n'\n"),
             (dict(ROYAL_VARIETY_FUNCTION, D=[[1.0, 0.0, 2.0]]),
-             "error: field 'D' must be a number or an [re, im] pair\n")):
+             "error: field 'D' must be a number or an [re, im] pair\n"),
+            (dict(ROYAL_VARIETY_FUNCTION, n=1.7), "error: field 'n' must be an integer\n"),
+            (dict(ROYAL_VARIETY_FUNCTION, n=True), "error: field 'n' must be an integer\n"),
+            (dict(ROYAL_VARIETY_FUNCTION, n="abc"), "error: field 'n' must be an integer\n")):
         path = _write(tmp_path, "func.json", payload)
         for command in ("verify", "analyze", "trace", "perturb"):
             assert main([command, path]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == message
+
+
+def test_n_given_as_integral_float_reads_as_integer(tmp_path, capsys):
+    outputs = []
+    for n in (1, 1.0):
+        path = _write(tmp_path, "func.json", dict(ROYAL_VARIETY_FUNCTION, n=n))
+        outputs.append(_run(capsys, ["analyze", path]))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("t_plus", "x", "field 't_plus' must be a real number"),
+    ("t_plus", True, "field 't_plus' must be a real number"),
+    ("sigma", 5, "field 'sigma' must be a list of [re, im] pairs"),
+    ("alpha1", "ab", "field 'alpha1' must be a list of [re, im] pairs"),
+    ("alpha2", [[0.5, 0.0, 1.0]], "field 'alpha2' must be a number or an [re, im] pair"),
+])
+def test_malformed_spec_exits_2_naming_the_field(tmp_path, capsys, key, value, message):
+    path = _write(tmp_path, "spec.json", dict(WORKED_SPEC, **{key: value}))
+    assert main(["construct", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+# -- option surface: each command offers only the tuning flags it reads ---------
+
+COMMAND_FLAGS = {
+    "classify": {"--tol", "--format"},
+    "construct": {"--circle-tol", "--cluster-tol"},
+    "verify": {"--lenient", "--circle-tol", "--samples", "--seed"},
+    "analyze": {"--lenient", "--circle-tol", "--cluster-tol"},
+    "trace": {"--lenient", "--samples", "--format"},
+    "perturb": set(),
+}
+# a valid value for each tuning flag, or None for a switch
+FLAG_VALUES = {"--tol": "1e-9", "--circle-tol": "1e-6", "--cluster-tol": "1e-7",
+               "--samples": "256", "--seed": "7", "--format": "json",
+               "--strict": None, "--lenient": None}
+
+
+def _flags_in(text):
+    return set(re.findall(r"--[a-z][a-z-]*", text)) - {"--help", "--out"}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_help_lists_exactly_the_commands_flags(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert _flags_in(capsys.readouterr().out) == COMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, kept in COMMAND_FLAGS.items()
+    for flag in FLAG_VALUES if flag not in kept])
+def test_unoffered_flag_exits_2(tmp_path, capsys, command, flag):
+    path = _write(tmp_path, "func.json", ROYAL_VARIETY_FUNCTION)
+    value = FLAG_VALUES[flag]
+    assert main([command, path, flag] + ([value] if value else [])) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {flag}" in captured.err
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["classify", "--circle-tol", "-1"], EXIT_PARSE, None),
+    (["classify", "--tol", "0"], EXIT_PRECONDITION, "error: tolerances must be positive\n"),
+    (["construct", "--circle-tol", "-1"], EXIT_PRECONDITION,
+     "error: tolerances must be positive\n"),
+    (["analyze", "--cluster-tol", "0"], EXIT_PRECONDITION,
+     "error: tolerances must be positive\n"),
+    (["verify", "--samples", "8"], EXIT_PRECONDITION, "error: samples must be at least 16\n"),
+    (["trace", "--samples", "15"], EXIT_PRECONDITION, "error: samples must be at least 16\n"),
+])
+def test_range_checks_apply_to_offered_flags(tmp_path, capsys, argv, code, err):
+    path = _write(tmp_path, "func.json", ROYAL_VARIETY_FUNCTION)
+    assert main(argv[:1] + [path] + argv[1:]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err if err else "unrecognized arguments" in captured.err
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command | flags |\n| --- | --- |\n")[1].split("\n\n")[0]
+    rows = [line.strip("| ").split(" | ") for line in table.splitlines()]
+    documented = {command: (_flags_in(flags), (re.findall(r"default (\w+)", flags) or [None])[0])
+                  for command, flags in rows}
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {command: (_flags_in(" ".join(s for a in p._actions for s in a.option_strings)),
+                        p.get_default("format"))
+              for command, p in sub.choices.items()}
+    assert documented == parsed
 
 
 def test_every_error_has_a_cli_exit_code():

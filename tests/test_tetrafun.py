@@ -593,6 +593,7 @@ def test_json_accepts_number_coefficients():
     numbers = {"n": 1, "E1": [1], "E2": [0, 1.0], "D": [[1, 0]]}
     pairs = {"n": 1, "E1": [[1, 0]], "E2": [[0, 0], [1.0, 0]], "D": [[1, 0]]}
     assert repr(from_json_dict(numbers)) == repr(from_json_dict(pairs))
+    assert repr(from_json_dict(dict(pairs, n=1.0))) == repr(from_json_dict(pairs))
 
 
 ROYAL_JSON = {"n": 1, "E1": [[1.0, 0.0]], "E2": [[0.0, 0.0], [1.0, 0.0]], "D": [[1.0, 0.0]]}
@@ -605,6 +606,10 @@ ROYAL_JSON = {"n": 1, "E1": [[1.0, 0.0]], "E2": [[0.0, 0.0], [1.0, 0.0]], "D": [
     (dict(ROYAL_JSON, E2={"re": 1}), "field 'E2' must be a list of [re, im] pairs"),
     (dict(ROYAL_JSON, D=[[1.0, 0.0, 0.0]]), "field 'D' must be a number or an [re, im] pair"),
     (dict(ROYAL_JSON, E2=[["a", 0]]), "field 'E2' must be a number or an [re, im] pair"),
+    (dict(ROYAL_JSON, n=1.7), "field 'n' must be an integer"),
+    (dict(ROYAL_JSON, n=True), "field 'n' must be an integer"),
+    (dict(ROYAL_JSON, n="abc"), "field 'n' must be an integer"),
+    (dict(ROYAL_JSON, n=float("nan")), "field 'n' must be an integer"),
 ])
 def test_json_malformed_input_names_the_field(payload, message):
     with pytest.raises(MalformedInput) as exc:
