@@ -132,42 +132,42 @@ def pi_map(a: Matrix2) -> TetraPoint:
     return TetraPoint(a.a11, a.a22, a.det())
 
 
-def mu_diag_le_one(a: Matrix2, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
+def mu_diag_le_one(a: Matrix2) -> bool:
     """Structured singular value test against diagonal perturbations.
 
     det(I - A diag(z, w)) = 1 - a11 z - a22 w + det(A) z w, so the value is
     at most one exactly when pi(A) lies in the closed tetrablock.
     """
-    return classify_tetra(pi_map(a), tol) is not TetraRegion.OUTSIDE
+    return classify_tetra(pi_map(a)) is not TetraRegion.OUTSIDE
 
 
-def _mu_predicate(a: Matrix2, r: float, tol: float) -> bool:
+def _mu_predicate(a: Matrix2, r: float) -> bool:
     scaled = TetraPoint(r * a.a11, r * a.a22, r * r * a.det())
-    return classify_tetra(scaled, tol) is not TetraRegion.OUTSIDE
+    return classify_tetra(scaled) is not TetraRegion.OUTSIDE
 
 
-def mu_diag_value(a: Matrix2, tol: float = 1e-9) -> float:
+def mu_diag_value(a: Matrix2) -> float:
     """mu for diagonal perturbations, by bisection on the scaling radius.
 
     Scaling X by r scales (z, w) by r, so membership of
     (r a11, r a22, r^2 det A) in the closed tetrablock is monotone in r.
-    Returns 0 when membership persists up to the search cap.
+    Stops at a bracket of relative width 1e-9; returns 0 when membership
+    persists up to the search cap.
     """
-    class_tol = DEFAULT_MEMBERSHIP_TOL
-    if not _mu_predicate(a, 1.0, class_tol):
+    if not _mu_predicate(a, 1.0):
         lo, hi = 0.0, 1.0
     else:
         lo, hi = 1.0, 2.0
-        while _mu_predicate(a, hi, class_tol):
+        while _mu_predicate(a, hi):
             lo = hi
             hi *= 2.0
             if hi > MU_BISECTION_CAP:
                 return 0.0
     for _ in range(MU_MAX_ITER):
-        if hi - lo <= tol * max(lo, 1e-300):
+        if hi - lo <= 1e-9 * max(lo, 1e-300):
             break
         mid = 0.5 * (lo + hi)
-        if _mu_predicate(a, mid, class_tol):
+        if _mu_predicate(a, mid):
             lo = mid
         else:
             hi = mid

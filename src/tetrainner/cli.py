@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -65,11 +66,11 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _analysis_block(x: tetrafun.TetraRational, args) -> dict:
-    deg = tetrafun.degree(x, args.circle_tol)
+def _analysis_block(x: tetrafun.TetraRational) -> dict:
+    deg = tetrafun.degree(x)
     if tetrafun.is_royal_variety(x):
         return {"degree": deg, "type": "royal-variety", "royal_nodes": []}
-    nodes = tetrafun.royal_nodes(x, args.cluster_tol, args.circle_tol)
+    nodes = tetrafun.royal_nodes(x)
     tk = tetrafun.TypeNK.from_nodes(nodes)
     return {
         "degree": deg,
@@ -116,16 +117,15 @@ def cmd_construct(args) -> int:
         t=decode_complex(data["t"], "t"),
         omega=decode_complex(data.get("omega", 1.0), "omega"),
     )
-    x = run_construct(spec, args.circle_tol)
-    payload = {"function": tetrafun.to_json_dict(x), "analysis": _analysis_block(x, args)}
+    x = run_construct(spec)
+    payload = {"function": tetrafun.to_json_dict(x), "analysis": _analysis_block(x)}
     _emit(args, _dump(payload))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     e1, e2, d, n = tetrafun.decode_function_fields(_load_payload(args))
-    checks = tetrafun.validation_report(e1, e2, d, n, strict=args.strict,
-                                        circle_tol=args.circle_tol)
+    checks = tetrafun.validation_report(e1, e2, d, n, strict=args.strict)
     by_code = {c.code: c for c in checks}
     conditions = [{"condition": label, "passed": by_code[code].passed,
                    "detail": by_code[code].detail} for code, label in _CONDITIONS]
@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
             "royal_symmetry_dev": float(sym_dev),
             "royal_min_on_circle": float(np.min(np.real(shifted))),
             "disc_image_in_closure": bool(inside_ok),
-            "degree": tetrafun.degree(x, args.circle_tol),
+            "degree": tetrafun.degree(x),
         }
         # circle zeros of d (lenient mode) leave the boundary trace undefined
         # at finitely many samples; report None instead of failing
@@ -172,7 +172,7 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     x = tetrafun.from_json_dict(_load_payload(args), args.strict)
-    _emit(args, _dump(_analysis_block(x, args)))
+    _emit(args, _dump(_analysis_block(x)))
     return EXIT_OK
 
 
@@ -220,8 +220,6 @@ def cmd_perturb(args) -> int:
 _FLAGS = {
     "--tol": dict(type=float, default=polycx.DEFAULT_MEMBERSHIP_TOL,
                   help="membership tolerance"),
-    "--circle-tol": dict(type=float, default=polycx.DEFAULT_CIRCLE_TOL),
-    "--cluster-tol": dict(type=float, default=polycx.DEFAULT_CLUSTER_TOL),
     "--samples": dict(type=int, default=polycx.TRACE_SAMPLES),
     "--seed": dict(type=int, default=0),
     "--lenient": dict(dest="strict", action="store_false"),
@@ -231,9 +229,9 @@ _FLAGS = {
 # command: handler, the tuning flags it reads, its --format default
 _COMMANDS = {
     "classify": (cmd_classify, ("--tol", "--format"), "json"),
-    "construct": (cmd_construct, ("--circle-tol", "--cluster-tol"), None),
-    "verify": (cmd_verify, ("--lenient", "--circle-tol", "--samples", "--seed"), None),
-    "analyze": (cmd_analyze, ("--lenient", "--circle-tol", "--cluster-tol"), None),
+    "construct": (cmd_construct, (), None),
+    "verify": (cmd_verify, ("--lenient", "--samples", "--seed"), None),
+    "analyze": (cmd_analyze, ("--lenient",), None),
     "trace": (cmd_trace, ("--lenient", "--samples", "--format"), "csv"),
     "perturb": (cmd_perturb, (), None),
 }
@@ -260,8 +258,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-    if any(getattr(args, tol, 1.0) <= 0 for tol in ("tol", "circle_tol", "cluster_tol")):
+    tol = getattr(args, "tol", 1.0)
+    if tol <= 0:
         return _fail("tolerances must be positive", EXIT_PRECONDITION)
+    if not math.isfinite(tol):
+        return _fail("tolerances must be finite", EXIT_PRECONDITION)
     if getattr(args, "samples", 16) < 16:
         return _fail("samples must be at least 16", EXIT_PRECONDITION)
     try:

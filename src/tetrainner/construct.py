@@ -30,8 +30,8 @@ from .errors import (
     ValidationError,
 )
 from .fejriesz import factor, laurent_shift, modulus_squared_on_circle
-from .polycx import (DEFAULT_CIRCLE_TOL, DEFAULT_CLUSTER_TOL, Polynomial, RootMultiset,
-                     coeff_distance, product, roots as poly_roots)
+from .polycx import (CIRCLE_TOL, Polynomial, RootMultiset, coeff_distance, product,
+                     roots as poly_roots)
 from .tetrafun import (
     RoyalNode,
     TetraRational,
@@ -124,8 +124,7 @@ def build_e1(alpha1, alpha2, t: complex) -> Polynomial:
                    + [Polynomial((1, -np.conj(complex(a)))) for a in alpha2])
 
 
-def construct(spec: ConstructionSpec,
-              circle_tol: float = DEFAULT_CIRCLE_TOL) -> TetraRational:
+def construct(spec: ConstructionSpec) -> TetraRational:
     """Run the full pipeline and self-check the output.
 
     The returned function has degree exactly n and royal polynomial equal
@@ -139,7 +138,7 @@ def construct(spec: ConstructionSpec,
     d = d_outer.scale(np.conj(spec.omega))
     e2 = e1.reflect(n)
     try:
-        x = validate(e1, e2, d, n, strict=True, circle_tol=circle_tol)
+        x = validate(e1, e2, d, n, strict=True)
     except ValidationError as exc:
         raise ConstructionInconsistent(f"constructed triple failed validation: {exc}") from exc
     royal = royal_polynomial(x)
@@ -153,9 +152,7 @@ def construct(spec: ConstructionSpec,
     return x
 
 
-def recover_data(x: TetraRational,
-                 cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                 circle_tol: float = DEFAULT_CIRCLE_TOL) -> RecoveredData:
+def recover_data(x: TetraRational) -> RecoveredData:
     """Zeros of x1 and x2 in the closed disc plus the royal nodes.
 
     Identically zero components carry no finite zero list and are rejected;
@@ -167,7 +164,7 @@ def recover_data(x: TetraRational,
         raise DegenerateZeroComponent(
             "a component of the function is identically zero; no zero list exists")
     zeros1, zeros2 = (
-        RootMultiset(tuple((loc, order) for loc, order in poly_roots(e, cluster_tol).entries
-                           if abs(loc) <= 1.0 + circle_tol), cluster_tol)
+        RootMultiset(tuple((loc, order) for loc, order in poly_roots(e).entries
+                           if abs(loc) <= 1.0 + CIRCLE_TOL))
         for e in (x.e1, x.e2))
-    return RecoveredData(zeros1, zeros2, royal_nodes(x, cluster_tol, circle_tol))
+    return RecoveredData(zeros1, zeros2, royal_nodes(x))

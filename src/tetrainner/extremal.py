@@ -88,14 +88,12 @@ def _circle_sup(p: Polynomial) -> float:
     return float(np.max(np.abs(p.on_circle(CIRCLE_SAMPLES))))
 
 
-def scale_nonextreme(x: TetraRational, margin: float = MARGIN) -> PerturbationResult:
+def scale_nonextreme(x: TetraRational) -> PerturbationResult:
     """Midpoint decomposition by scaling both numerators, for k = 0.
 
-    eps = margin * (1/s - 1) where s is the circle sup of max(|x1|, |x2|);
+    eps = MARGIN * (1/s - 1) where s is the circle sup of max(|x1|, |x2|);
     with no circle royal nodes s < 1 and both scalings stay in the class.
     """
-    if not 0.0 < margin < 1.0:
-        raise ValueError(f"margin = {margin} is outside (0, 1)")
     if is_royal_variety(x):
         raise RoyalVarietyFunction("royal-variety functions are not handled")
     tk = type_nk(x)
@@ -111,7 +109,7 @@ def scale_nonextreme(x: TetraRational, margin: float = MARGIN) -> PerturbationRe
                                   note="DegenerateZeroComponents")
     if sup >= 1.0 - 1e-12:
         raise NumericalSupAtOne(f"sampled component sup {sup} is at 1")
-    eps = margin * (1.0 / sup - 1.0)
+    eps = MARGIN * (1.0 / sup - 1.0)
     x_plus = validate(x.e1.scale(1.0 + eps), x.e2.scale(1.0 + eps), x.d, x.n)
     x_minus = validate(x.e1.scale(1.0 - eps), x.e2.scale(1.0 - eps), x.d, x.n)
     return PerturbationResult(x_plus, x_minus, eps, Polynomial(),

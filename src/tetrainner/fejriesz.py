@@ -62,9 +62,6 @@ class TrigPolynomial:
             return float(acc)
         return acc
 
-    def values_on_grid(self, m: int = CIRCLE_SAMPLES) -> np.ndarray:
-        return self.value(unit_circle(m))
-
     def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         m = max(len(self.coeffs), len(other.coeffs))
         return TrigPolynomial(tuple(self.coeff(j) + other.coeff(j) for j in range(m)))
@@ -99,11 +96,11 @@ def laurent_shift(r_poly: Polynomial, n: int) -> TrigPolynomial:
     return TrigPolynomial(tuple(r_poly.coeff(n + j) for j in range(n + 1)))
 
 
-def is_outer(p: Polynomial, tol: float = 1e-9) -> bool:
-    """True iff no root of p has modulus below 1 - tol."""
+def is_outer(p: Polynomial) -> bool:
+    """True iff no root of p has modulus below 1 - 1e-9."""
     if p.degree <= 0:
         return not p.is_zero
-    return all(abs(loc) >= 1.0 - tol for loc, _ in poly_roots(p).entries)
+    return all(abs(loc) >= 1.0 - 1e-9 for loc, _ in poly_roots(p).entries)
 
 
 def factor(p: TrigPolynomial) -> Polynomial:
@@ -143,9 +140,6 @@ def factor(p: TrigPolynomial) -> Polynomial:
     denom = abs(shape.eval(lam_star)) ** 2
     amp = np.sqrt(max(p_star, 0.0) / denom)
     d = shape.scale(amp)
+    # every kept root has |r| >= 1, so the constant coefficient of a nonzero d is nonzero
     lead = d.coeffs[0] if d.coeffs else 1.0
-    for c in d.coeffs:
-        if abs(c) > 0:
-            lead = c
-            break
     return d.scale(np.conj(lead) / abs(lead))

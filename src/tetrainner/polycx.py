@@ -21,10 +21,11 @@ from .errors import (
 TRIM_TOL = 1e-14
 NEG_INF = float("-inf")
 EPS = float(np.finfo(float).eps)
-# Library-wide defaults; every module and the command line import them from here.
+# Library-wide values; every module imports them from here.  Callers and the
+# command line override only the membership tolerance and the trace samples.
 DEFAULT_MEMBERSHIP_TOL = 1e-9
-DEFAULT_CIRCLE_TOL = 1e-6
-DEFAULT_CLUSTER_TOL = 1e-7
+CIRCLE_TOL = 1e-6
+CLUSTER_TOL = 1e-7
 CIRCLE_SAMPLES = 4096
 TRACE_SAMPLES = 256
 
@@ -44,9 +45,20 @@ class Polynomial:
         object.__setattr__(self, "coeffs", _trim(self.coeffs))
 
     @cached_property
-    def _roots(self) -> dict:
-        """roots results by cluster_tol."""
-        return {}
+    def _roots(self) -> "RootMultiset":
+        """The roots result; polycx.roots rejects the zero polynomial before it."""
+        if self.degree == 0:
+            return RootMultiset(())
+        a = np.asarray(self.coeffs[::-1], dtype=complex)
+        z = np.roots(a)
+        with np.errstate(all="ignore"):
+            fz = np.polyval(a, z)
+            cand = z - fz / np.polyval(np.polyder(a), z)
+            better = np.isfinite(cand) & (np.abs(np.polyval(a, cand)) <= np.abs(fz))
+        z = np.where(better, cand, z)
+        member = _components(z, CLUSTER_TOL)
+        orders = member.sum(axis=1)
+        return RootMultiset(_entries(member @ z / orders, orders))
 
     @cached_property
     def _circle_values(self) -> dict:
@@ -180,7 +192,6 @@ class RootMultiset:
     """Clustered roots with integer orders; orders sum to the degree."""
 
     entries: tuple = ()
-    cluster_tol: float = DEFAULT_CLUSTER_TOL
 
     @property
     def total_order(self) -> int:
@@ -213,35 +224,17 @@ def _entries(locs, orders):
     return tuple((complex(locs[i]), int(orders[i])) for i in keys)
 
 
-def roots(p: Polynomial, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> RootMultiset:
+def roots(p: Polynomial) -> RootMultiset:
     """All complex roots with multiplicity.
 
     Eigenvalues of the companion matrix of the monic normalization, one
     Newton step per root where it lowers |p|, then one entry per connected
-    component of the graph joining roots closer than cluster_tol.  The
-    result is kept on p, one per cluster_tol; a raised error is not kept.
+    component of the graph joining roots closer than CLUSTER_TOL.  The
+    result is kept on p; a raised error is not kept.
     """
     if p.is_zero:
         raise ZeroPolynomialHasAllRoots("the zero polynomial vanishes everywhere")
-    memo = p._roots
-    if cluster_tol not in memo:
-        memo[cluster_tol] = _solve(p, cluster_tol)
-    return memo[cluster_tol]
-
-
-def _solve(p: Polynomial, cluster_tol: float) -> RootMultiset:
-    if p.degree == 0:
-        return RootMultiset((), cluster_tol)
-    a = np.asarray(p.coeffs[::-1], dtype=complex)
-    z = np.roots(a)
-    with np.errstate(all="ignore"):
-        fz = np.polyval(a, z)
-        cand = z - fz / np.polyval(np.polyder(a), z)
-        better = np.isfinite(cand) & (np.abs(np.polyval(a, cand)) <= np.abs(fz))
-    z = np.where(better, cand, z)
-    member = _components(z, cluster_tol)
-    orders = member.sum(axis=1)
-    return RootMultiset(_entries(member @ z / orders, orders), cluster_tol)
+    return p._roots
 
 
 def _derivative_roots(p: Polynomial, seeds):
@@ -266,8 +259,7 @@ def _derivative_roots(p: Polynomial, seeds):
     return c, p.degree * EPS * (np.abs(powers) @ np.abs(d1)) / np.abs(slope)
 
 
-def circle_split(p: Polynomial, cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                 circle_tol: float = DEFAULT_CIRCLE_TOL) -> tuple:
+def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
     """Roots of p as (inside, circle, outside) tuples of (location, order).
 
     p is self-reciprocal and of one sign on the circle up to a power of
@@ -287,17 +279,17 @@ def circle_split(p: Polynomial, cluster_tol: float = DEFAULT_CLUSTER_TOL,
     root that joins none yet lies within circle_tol plus its own rounding
     bound of the circle.
     """
-    ms = roots(p, cluster_tol)
+    ms = roots(p)
     z = np.array([loc for loc, _ in ms.entries], dtype=complex)
     orders = np.array([order for _, order in ms.entries], dtype=int)
     a = np.asarray(p.coeffs[::-1], dtype=complex)
     dist = np.abs(np.abs(z) - 1.0)
     with np.errstate(all="ignore"):
         # How far rounding alone can move each root: the Horner bound over
-        # |p'| for a simple root; a merged entry is known to cluster_tol.
+        # |p'| for a simple root; a merged entry is known to CLUSTER_TOL.
         simple = p.degree * EPS * np.polyval(np.abs(a), np.abs(z)) / np.abs(
             np.polyval(np.polyder(a), z))
-        slack = circle_tol + np.where(orders > 1, cluster_tol, simple)
+        slack = circle_tol + np.where(orders > 1, CLUSTER_TOL, simple)
         joined = dist <= 2.0 * np.sqrt(2.0 * slack)
         locs, total = z[:0], orders[:0]
         if joined.any():

@@ -17,6 +17,7 @@ the royal nodes, counted with halved multiplicity on the circle.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,8 +36,7 @@ from .errors import (
 )
 from .polycx import (
     CIRCLE_SAMPLES,
-    DEFAULT_CIRCLE_TOL,
-    DEFAULT_CLUSTER_TOL,
+    CIRCLE_TOL,
     TRACE_SAMPLES,
     Polynomial,
     circle_split,
@@ -49,6 +49,7 @@ from .polycx import (
 REFLECTION_TOL = 1e-10
 MODULUS_SLACK = 1e-9
 DENOMINATOR_POLE_TOL = 1e-13   # |d| below this is a pole of the function
+RING_SAMPLES = 64              # points per ring of the superficial and Psi checks
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,15 @@ class TetraRational:
         return royal.max_coeff() <= 1e-12 * (1.0 + dd.max_coeff() + ee.max_coeff())
 
     @cached_property
-    def _royal_nodes(self) -> dict:
-        """royal_nodes results by (cluster_tol, circle_tol)."""
-        return {}
+    def _royal_nodes(self) -> tuple:
+        """The royal_nodes result; a raised error is not kept."""
+        if self._on_royal_variety:
+            raise RoyalVarietyFunction("royal polynomial is identically zero")
+        inside, circle, _ = circle_split(self._royal[0])
+        nodes = [RoyalNode(loc, order, order, False) for loc, order in inside]
+        nodes += [RoyalNode(loc, order, order // 2, True) for loc, order in circle]
+        nodes.sort(key=lambda nd: (round(nd.location.real, 12), round(nd.location.imag, 12)))
+        return tuple(nodes)
 
 
 @dataclass(frozen=True)
@@ -141,9 +148,7 @@ class ConditionCheck:
 
 
 def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
-                      strict: bool = True,
-                      circle_tol: float = DEFAULT_CIRCLE_TOL,
-                      samples: int = CIRCLE_SAMPLES) -> list[ConditionCheck]:
+                      strict: bool = True) -> list[ConditionCheck]:
     """Per-condition report for the representation conditions."""
     checks = []
 
@@ -155,7 +160,7 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
     if d.is_zero:
         checks.append(ConditionCheck("DVanishesInDisc", False, "d is identically zero"))
     else:
-        limit = 1.0 + circle_tol if strict else 1.0 - circle_tol
+        limit = 1.0 + CIRCLE_TOL if strict else 1.0 - CIRCLE_TOL
         bad = [(loc, order) for loc, order in poly_roots(d).entries if abs(loc) < limit]
         mode = "closed disc" if strict else "open disc"
         checks.append(ConditionCheck(
@@ -172,11 +177,11 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
             "ReflectionMismatch", dev <= tol,
             f"max coefficient deviation of e1 from the n-reflection of e2: {dev:.3e}"))
 
-    dv = np.abs(d.on_circle(samples))
+    dv = np.abs(d.on_circle(CIRCLE_SAMPLES))
     slack = MODULUS_SLACK * (1.0 + float(np.max(dv)))
     worst = 0.0
     for e in (e1, e2):
-        ev = np.abs(e.on_circle(samples))
+        ev = np.abs(e.on_circle(CIRCLE_SAMPLES))
         worst = max(worst, float(np.max(ev - dv)))
     checks.append(ConditionCheck(
         "ModulusDomination", worst <= slack,
@@ -185,10 +190,9 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
 
 
 def validate(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
-             strict: bool = True,
-             circle_tol: float = DEFAULT_CIRCLE_TOL) -> TetraRational:
+             strict: bool = True) -> TetraRational:
     """Return the validated function or raise with every violated condition."""
-    checks = validation_report(e1, e2, d, n, strict=strict, circle_tol=circle_tol)
+    checks = validation_report(e1, e2, d, n, strict=strict)
     violations = [(c.code, c.detail) for c in checks if not c.passed]
     if violations:
         raise ValidationError(violations)
@@ -219,12 +223,12 @@ def _eval_grid(x: TetraRational, lam: np.ndarray):
     return x.e1.eval(lam) / dv, x.e2.eval(lam) / dv, x.d_reflected.eval(lam) / dv
 
 
-def _rings(samples: int) -> np.ndarray:
-    """samples points on each of the circles of radius 0.1, 0.5 and 0.9."""
-    return (np.array([0.1, 0.5, 0.9])[:, None] * unit_circle(samples)).ravel()
+def _rings() -> np.ndarray:
+    """RING_SAMPLES points on each of the circles of radius 0.1, 0.5 and 0.9."""
+    return (np.array([0.1, 0.5, 0.9])[:, None] * unit_circle(RING_SAMPLES)).ravel()
 
 
-def degree(x: TetraRational, circle_tol: float = DEFAULT_CIRCLE_TOL) -> int:
+def degree(x: TetraRational) -> int:
     """Blaschke degree of the third component.
 
     Counts the open-disc zeros of the n-reflection of d; circle zeros of d
@@ -235,19 +239,17 @@ def degree(x: TetraRational, circle_tol: float = DEFAULT_CIRCLE_TOL) -> int:
     if x.d_reflected.degree <= 0:
         return 0
     return x.n - x.d.degree + sum(order for loc, order in poly_roots(x.d).entries
-                                  if loc and 1.0 / abs(loc) < 1.0 - circle_tol)
+                                  if loc and 1.0 / abs(loc) < 1.0 - CIRCLE_TOL)
 
 
-def winding_number(x: TetraRational, samples: int = CIRCLE_SAMPLES) -> int:
+def winding_number(x: TetraRational) -> int:
     """Total winding of the third component along the circle.
 
-    Counterclockwise orientation; consecutive-sample argument jumps of pi
-    or more abort with SamplingTooCoarse.
+    Counterclockwise orientation over CIRCLE_SAMPLES points; consecutive-sample
+    argument jumps of pi or more abort with SamplingTooCoarse.
     """
-    if samples < 256:
-        raise ValueError("samples must be at least 256")
     with np.errstate(invalid="ignore", divide="ignore"):
-        vals = x.d_reflected.on_circle(samples) / x.d.on_circle(samples)
+        vals = x.d_reflected.on_circle(CIRCLE_SAMPLES) / x.d.on_circle(CIRCLE_SAMPLES)
         closed = np.append(vals, vals[0])
         jumps = np.angle(closed[1:] / closed[:-1])
     if not np.all(np.isfinite(jumps)) or np.any(np.abs(jumps) >= np.pi - 1e-9):
@@ -264,37 +266,23 @@ def is_royal_variety(x: TetraRational) -> bool:
     return x._on_royal_variety
 
 
-def royal_nodes(x: TetraRational,
-                cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                circle_tol: float = DEFAULT_CIRCLE_TOL) -> tuple[RoyalNode, ...]:
+def royal_nodes(x: TetraRational) -> tuple[RoyalNode, ...]:
     """Disc-closure zeros of the royal polynomial with multiplicities.
 
     lam^-n times the royal polynomial is |d|^2 - |e1|^2 on the circle, so
     polycx.circle_split applies.  Zeros outside the closed disc are the
     reflections of interior zeros and are discarded; circle zeros carry
-    half of their even raw order as multiplicity.  The result is kept on x,
-    one per tolerance pair; a raised error is not kept.
+    half of their even raw order as multiplicity.  The result is kept on x;
+    a raised error is not kept.
     """
-    memo, key = x._royal_nodes, (cluster_tol, circle_tol)
-    if key in memo:
-        return memo[key]
-    if is_royal_variety(x):
-        raise RoyalVarietyFunction("royal polynomial is identically zero")
-    inside, circle, _ = circle_split(royal_polynomial(x), cluster_tol, circle_tol)
-    nodes = [RoyalNode(loc, order, order, False) for loc, order in inside]
-    nodes += [RoyalNode(loc, order, order // 2, True) for loc, order in circle]
-    nodes.sort(key=lambda nd: (round(nd.location.real, 12), round(nd.location.imag, 12)))
-    memo[key] = tuple(nodes)
-    return memo[key]
+    return x._royal_nodes
 
 
-def type_nk(x: TetraRational,
-            cluster_tol: float = DEFAULT_CLUSTER_TOL,
-            circle_tol: float = DEFAULT_CIRCLE_TOL) -> TypeNK:
+def type_nk(x: TetraRational) -> TypeNK:
     """Total and circle royal multiplicities, or the royal-variety flag."""
     if is_royal_variety(x):
         return TypeNK(0, 0, royal_variety_flag=True)
-    return TypeNK.from_nodes(royal_nodes(x, cluster_tol, circle_tol))
+    return TypeNK.from_nodes(royal_nodes(x))
 
 
 def superficial_build(spec: SuperficialSpec, n_bound: int) -> TetraRational:
@@ -319,36 +307,33 @@ def superficial_build(spec: SuperficialSpec, n_bound: int) -> TetraRational:
     return validate(e1, e2, d, k)
 
 
-def is_superficial(x: TetraRational, samples: int = 64, tol: float = 1e-10) -> bool:
+def is_superficial(x: TetraRational) -> bool:
     """Sampled test that the open-disc image stays on the topological boundary.
 
-    Evaluates on samples uniform points of each circle of radius 0.1, 0.5
-    and 0.9, as one array; every |tetra_defect| must stay below tol.
+    Evaluates on RING_SAMPLES uniform points of each circle of radius 0.1,
+    0.5 and 0.9, as one array; every |tetra_defect| must stay below 1e-10.
     """
-    if samples < 64:
-        raise ValueError("samples must be at least 64")
-    defect = boundary.tetra_defect(TetraPoint(*_eval_grid(x, _rings(samples))))
-    return not np.any(np.abs(defect) >= tol)
+    defect = boundary.tetra_defect(TetraPoint(*_eval_grid(x, _rings())))
+    return not np.any(np.abs(defect) >= 1e-10)
 
 
-def psi_omega_check(x: TetraRational, spec: SuperficialSpec, samples: int = 64) -> float:
+def psi_omega_check(x: TetraRational, spec: SuperficialSpec) -> float:
     """Max deviation of Psi(omega, x(lam)) from its constant value.
 
     omega = conj(beta2)/|beta2| and the constant is beta1/|beta1|; both
-    beta weights must be nonzero.  lam runs over samples uniform points of
-    each circle of radius 0.1, 0.5 and 0.9, evaluated as one array by
+    beta weights must be nonzero.  lam runs over RING_SAMPLES uniform points
+    of each circle of radius 0.1, 0.5 and 0.9, evaluated as one array by
     boundary.psi, which raises PsiPole at the first pole.
     """
     if spec.beta1 == 0 or spec.beta2 == 0:
         raise UndefinedOmegaOrK("both beta weights must be nonzero")
     omega = np.conj(spec.beta2) / abs(spec.beta2)
     k_val = spec.beta1 / abs(spec.beta1)
-    psi = boundary.psi(omega, TetraPoint(*_eval_grid(x, _rings(samples))))
+    psi = boundary.psi(omega, TetraPoint(*_eval_grid(x, _rings())))
     return float(np.max(np.abs(psi - k_val)))
 
 
-def from_gamma_inner(s_num: Polynomial, denom: Polynomial, n: int,
-                     circle_tol: float = DEFAULT_CIRCLE_TOL) -> TetraRational:
+def from_gamma_inner(s_num: Polynomial, denom: Polynomial, n: int) -> TetraRational:
     """Symmetric embedding (s/2, s/2, p) of a rational Gamma-inner pair.
 
     s = s_num/denom must be n-symmetric with |s| <= 2|denom| on the circle
@@ -356,7 +341,7 @@ def from_gamma_inner(s_num: Polynomial, denom: Polynomial, n: int,
     (s/2, s/2, denom), reported under validate's codes.
     """
     half = s_num.scale(0.5)
-    return validate(half, half, denom, n, circle_tol=circle_tol)
+    return validate(half, half, denom, n)
 
 
 def circle_trace(x: TetraRational,
@@ -381,19 +366,24 @@ def encode_complex(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _is_number(obj) -> bool:
+    """A JSON number other than a bool, no larger in magnitude than the largest float."""
+    return (isinstance(obj, (int, float)) and not isinstance(obj, bool)
+            and abs(obj) <= sys.float_info.max)
+
+
 def decode_real(obj, field: str) -> float:
     """A JSON number; MalformedInput names the field otherwise."""
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+    if not _is_number(obj):
         raise MalformedInput(f"field {field!r} must be a real number")
     return float(obj)
 
 
 def decode_complex(obj, field: str) -> complex:
     """A number or an [re, im] pair of numbers; MalformedInput names the field otherwise."""
-    if isinstance(obj, (int, float)):
+    if _is_number(obj):
         return complex(obj)
-    if (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(v, (int, float)) for v in obj)):
+    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_number, obj)):
         return complex(obj[0], obj[1])
     raise MalformedInput(f"field {field!r} must be a number or an [re, im] pair")
 
@@ -412,7 +402,7 @@ def decode_function_fields(data: dict) -> tuple[Polynomial, Polynomial, Polynomi
             raise MalformedInput(f"missing field {key!r}")
     polys = [Polynomial(decode_complex_list(data[key], key)) for key in ("E1", "E2", "D")]
     n = data["n"]
-    if isinstance(n, bool) or not isinstance(n, (int, float)) or n % 1:
+    if not _is_number(n) or n % 1:
         raise MalformedInput("field 'n' must be an integer")
     return (*polys, int(n))
 

@@ -272,13 +272,31 @@ def test_malformed_spec_exits_2_naming_the_field(tmp_path, capsys, key, value, m
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+# JSON numbers that are bools, NaN, infinite or beyond the float range
+@pytest.mark.parametrize("command, payload, field", [
+    ("classify", {"x1": True, "x2": [False, True], "x3": 0}, "x1"),
+    ("classify", {"x1": float("nan"), "x2": 0, "x3": 0}, "x1"),
+    ("classify", {"x1": 10 ** 400, "x2": 0, "x3": 0}, "x1"),
+    ("classify", {"s": [0, float("-inf")], "p": 0}, "s"),
+    ("construct", dict(WORKED_SPEC, t_plus=float("inf")), "t_plus"),
+    ("construct", dict(WORKED_SPEC, sigma=[float("nan")]), "sigma"),
+    ("verify", dict(ROYAL_VARIETY_FUNCTION, E1=[float("nan"), 1]), "E1"),
+    ("analyze", dict(ROYAL_VARIETY_FUNCTION, D=[[1.0, 10 ** 400]]), "D"),
+])
+def test_non_finite_numbers_exit_2_naming_the_field(tmp_path, capsys, command, payload, field):
+    path = _write(tmp_path, "payload.json", payload)
+    assert main([command, path]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: field {field!r} must be")
+
+
 # -- option surface: each command offers only the tuning flags it reads ---------
 
 COMMAND_FLAGS = {
     "classify": {"--tol", "--format"},
-    "construct": {"--circle-tol", "--cluster-tol"},
-    "verify": {"--lenient", "--circle-tol", "--samples", "--seed"},
-    "analyze": {"--lenient", "--circle-tol", "--cluster-tol"},
+    "construct": set(),
+    "verify": {"--lenient", "--samples", "--seed"},
+    "analyze": {"--lenient"},
     "trace": {"--lenient", "--samples", "--format"},
     "perturb": set(),
 }
@@ -312,10 +330,8 @@ def test_unoffered_flag_exits_2(tmp_path, capsys, command, flag):
 @pytest.mark.parametrize("argv, code, err", [
     (["classify", "--circle-tol", "-1"], EXIT_PARSE, None),
     (["classify", "--tol", "0"], EXIT_PRECONDITION, "error: tolerances must be positive\n"),
-    (["construct", "--circle-tol", "-1"], EXIT_PRECONDITION,
-     "error: tolerances must be positive\n"),
-    (["analyze", "--cluster-tol", "0"], EXIT_PRECONDITION,
-     "error: tolerances must be positive\n"),
+    (["classify", "--tol", "nan"], EXIT_PRECONDITION, "error: tolerances must be finite\n"),
+    (["classify", "--tol", "inf"], EXIT_PRECONDITION, "error: tolerances must be finite\n"),
     (["verify", "--samples", "8"], EXIT_PRECONDITION, "error: samples must be at least 16\n"),
     (["trace", "--samples", "15"], EXIT_PRECONDITION, "error: samples must be at least 16\n"),
 ])

@@ -117,7 +117,7 @@ def test_scale_nonextreme_worked_example():
     spec = random_construction_spec(np.random.default_rng(0), 1)
     x = construct(spec)
     assert type_nk(x).k == 0
-    result = scale_nonextreme(x, 0.5)
+    result = scale_nonextreme(x)
     assert result.method is PerturbationMethod.EPSILON_SCALING
     assert result.t_used > 0
     assert _midpoint_error(result, x) < 1e-12
@@ -131,14 +131,14 @@ def test_scale_nonextreme_epsilon_value():
     grid = unit_circle(4096)
     sup = max(float(np.max(np.abs(x.e1.eval(grid)) / np.abs(x.d.eval(grid)))),
               float(np.max(np.abs(x.e2.eval(grid)) / np.abs(x.d.eval(grid)))))
-    result = scale_nonextreme(x, 0.5)
+    result = scale_nonextreme(x)
     assert abs(result.t_used - 0.5 * (1.0 / sup - 1.0)) < 1e-12
     assert abs(sup - 3 * np.sqrt(2) / 5) < 1e-6
 
 
 def test_scale_nonextreme_degenerate_zero_components():
     x = validate(ZERO, ZERO, ONE, 1)
-    result = scale_nonextreme(x, 0.5)
+    result = scale_nonextreme(x)
     assert result.note == "DegenerateZeroComponents"
     assert result.t_used == 1.0
     assert result.x_plus is x and result.x_minus is x
@@ -148,7 +148,7 @@ def test_scale_nonextreme_rejects_circle_nodes():
     rng = np.random.default_rng(67)
     x = construct(random_construction_spec(rng, 2, k_circle=1))
     with pytest.raises(CircleNodesPresent):
-        scale_nonextreme(x, 0.5)
+        scale_nonextreme(x)
 
 
 def test_perturb_even_degree_circle_node():
@@ -255,7 +255,7 @@ def test_superficial_functions_resist_decomposition():
     sym = superficial_build(SuperficialSpec(0.5, 0.5, BlaschkeSpec((0.0,))), 1)
     assert type_nk(sym).k >= 1
     with pytest.raises(CircleNodesPresent):
-        scale_nonextreme(sym, 0.5)
+        scale_nonextreme(sym)
     with pytest.raises(ExtremalityNotDisproved):
         perturb_nonextreme(sym)
     assert certify_extreme_symmetric(sym)

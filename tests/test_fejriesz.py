@@ -58,7 +58,7 @@ def test_laurent_shift_circle_node_target():
     trig = laurent_shift(Polynomial((-1, 2, -1)), 1)
     assert abs(trig.coeff(0) - 2) < 1e-15
     assert abs(trig.coeff(1) + 1) < 1e-15
-    assert float(np.min(trig.values_on_grid(512))) >= -1e-12
+    assert float(np.min(trig.value(unit_circle(512)))) >= -1e-12
 
 
 def test_laurent_shift_zero_polynomial():
@@ -107,7 +107,7 @@ def test_factor_round_trip_random_outer():
         d_ref = _align_phase(random_outer_polynomial(rng))
         recovered = factor(modulus_squared_on_circle(d_ref))
         assert coeff_distance(recovered, d_ref) < 1e-8
-        assert is_outer(recovered, 1e-9)
+        assert is_outer(recovered)
 
 
 def test_factor_reconstruction_bound():

