@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
         m = max(args.samples, 512)
         dv, e1v, e2v = d.on_circle(m), e1.on_circle(m), e2.on_circle(m)
         royal = tetrafun.royal_polynomial(x)
-        shifted = unit_circle(m) ** (-n) * royal.on_circle(m)
+        shifted = unit_circle(m)[(-n % m) * np.arange(m) % m] * royal.on_circle(m)
         sym_dev = coeff_distance(royal, royal.reflect(2 * n)) if not royal.is_zero else 0.0
         radius, angle = np.random.default_rng(args.seed).random((32, 2)).T
         x1, x2, x3 = (v.tolist() for v in tetrafun._eval_grid(

@@ -95,10 +95,18 @@ class Polynomial:
         return acc
 
     def on_circle(self, m: int) -> np.ndarray:
-        """Values on unit_circle(m), computed once per m and shared read-only."""
+        """Values on unit_circle(m), computed once per m and shared read-only.
+
+        The values at the m-th roots of unity are the inverse DFT of the
+        ascending coefficients, folded modulo m when there are more than m
+        (omega^(jk) depends on k mod m only).
+        """
         memo = self._circle_values
         if m not in memo:
-            vals = self.eval(unit_circle(m))
+            c = np.asarray(self.coeffs, dtype=complex)
+            if len(c) > m:
+                c = np.pad(c, (0, -len(c) % m)).reshape(-1, m).sum(axis=0)
+            vals = np.fft.ifft(c, m, norm="forward")
             vals.flags.writeable = False
             memo[m] = vals
         return memo[m]
@@ -221,7 +229,7 @@ def _components(points, tol):
 def _entries(locs, orders):
     """(location, order) pairs in the library's canonical order."""
     keys = np.lexsort((np.round(locs.imag, 12), np.round(locs.real, 12)))
-    return tuple((complex(locs[i]), int(orders[i])) for i in keys)
+    return tuple(zip(locs[keys].tolist(), orders[keys].tolist()))
 
 
 def roots(p: Polynomial) -> RootMultiset:
@@ -282,13 +290,15 @@ def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
     ms = roots(p)
     z = np.array([loc for loc, _ in ms.entries], dtype=complex)
     orders = np.array([order for _, order in ms.entries], dtype=int)
-    a = np.asarray(p.coeffs[::-1], dtype=complex)
+    coeffs = np.asarray(p.coeffs, dtype=complex)
     dist = np.abs(np.abs(z) - 1.0)
     with np.errstate(all="ignore"):
         # How far rounding alone can move each root: the Horner bound over
-        # |p'| for a simple root; a merged entry is known to CLUSTER_TOL.
-        simple = p.degree * EPS * np.polyval(np.abs(a), np.abs(z)) / np.abs(
-            np.polyval(np.polyder(a), z))
+        # |p'| for a simple root, both from one power matrix; a merged entry
+        # is known to CLUSTER_TOL.
+        powers = z[:, None] ** np.arange(len(coeffs))
+        simple = p.degree * EPS * (np.abs(powers) @ np.abs(coeffs)) / np.abs(
+            powers[:, :-1] @ (np.arange(1, len(coeffs)) * coeffs[1:]))
         slack = circle_tol + np.where(orders > 1, CLUSTER_TOL, simple)
         joined = dist <= 2.0 * np.sqrt(2.0 * slack)
         locs, total = z[:0], orders[:0]

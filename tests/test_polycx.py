@@ -233,11 +233,24 @@ def test_roots_memo_is_per_instance_and_tolerance():
     assert twin == p and roots(twin) is not ms and roots(twin) == ms
 
 
+def mp_circle_values(p, m, stride=1):
+    """p at every stride-th m-th root of unity, Horner in mpmath at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        out = []
+        for j in range(0, m, stride):
+            w, acc = mpmath.expjpi(mpmath.mpf(2 * j) / m), mpmath.mpc(0)
+            for c in reversed(p.coeffs):
+                acc = acc * w + mpmath.mpc(c.real, c.imag)
+            out.append(complex(acc))
+    return np.array(out)
+
+
 def test_on_circle_memo_is_per_instance_and_read_only():
     p = Polynomial((1.0, -2.0j, 0.25))
     vals = p.on_circle(64)
     assert p.on_circle(64) is vals and p.on_circle(128) is not vals
-    assert np.array_equal(vals, p.eval(unit_circle(64)))
+    assert np.max(np.abs(vals - mp_circle_values(p, 64))) <= 1e-14 * sum(map(abs, p.coeffs))
     assert not vals.flags.writeable
     with pytest.raises(ValueError):
         vals[0] = 0.0
@@ -245,6 +258,28 @@ def test_on_circle_memo_is_per_instance_and_read_only():
     assert twin.on_circle(64) is not vals and np.array_equal(twin.on_circle(64), vals)
     zero = Polynomial().on_circle(16)
     assert not zero.flags.writeable and not zero.any()
+
+
+# degree -1 is the zero polynomial; degree >= m folds the coefficients
+@pytest.mark.parametrize("degree, m", [
+    (deg, m) for deg in (0, 1, 16, 64) for m in (16, 256, 4096)]
+    + [(100, 16), (40, 32), (-1, 16), (-1, 4096)])
+def test_on_circle_matches_mpmath_oracle(degree, m):
+    rng = np.random.default_rng([degree + 1, m])
+    p = Polynomial(tuple(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)))
+    assert len(p.coeffs) == degree + 1
+    stride = 1 if m <= 256 else 13  # every point costs one mpmath Horner pass
+    err = np.max(np.abs(p.on_circle(m)[::stride] - mp_circle_values(p, m, stride)))
+    assert err <= 1e-15 * sum(map(abs, p.coeffs))
+
+
+def test_root_entries_are_python_scalars():
+    # numpy scalars would change the reprs and the JSON of the results
+    d = from_roots([np.exp(0.7j), 0.5, 1.8, -1.5j])
+    p = d * d.reflect(4)
+    groups = (roots(p).entries,) + circle_split(p)
+    assert all(groups) and all(
+        type(loc) is complex and type(order) is int for g in groups for loc, order in g)
 
 
 def test_roots_error_is_not_kept():
