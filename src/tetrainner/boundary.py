@@ -24,6 +24,7 @@ from .polycx import DEFAULT_MEMBERSHIP_TOL
 MU_BISECTION_CAP = 1e6
 MU_MAX_ITER = 200
 PSI_POLE_TOL = 1e-12
+INTERIOR_MARGIN = 0.02  # sample_interior's distance from the boundary
 
 
 @dataclass(frozen=True)
@@ -190,18 +191,18 @@ def tetra_to_gamma_diff(x: TetraPoint) -> GammaPoint:
 
 # -- random points with guaranteed region, for property sweeps ---------------
 
-def sample_interior(rng: np.random.Generator, margin: float = 0.02) -> TetraPoint:
+def sample_interior(rng: np.random.Generator) -> TetraPoint:
     """Random point of the open tetrablock via the beta parametrization.
 
     x1 = b1 + conj(b2) x3 and x2 = b2 + conj(b1) x3 with |b1| + |b2| < 1 and
-    |x3| < 1 always lies inside; margin keeps a positive distance from the
-    boundary.
+    |x3| < 1 always lies inside; INTERIOR_MARGIN keeps a positive distance
+    from the boundary.
     """
     m1 = rng.random()
     m2 = rng.random()
     if m1 + m2 > 1.0:
         m1, m2 = 1.0 - m1, 1.0 - m2
-    shrink = 1.0 - margin
+    shrink = 1.0 - INTERIOR_MARGIN
     b1 = shrink * m1 * np.exp(2j * np.pi * rng.random())
     b2 = shrink * m2 * np.exp(2j * np.pi * rng.random())
     x3 = shrink * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())

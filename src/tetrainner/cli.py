@@ -17,7 +17,7 @@ import numpy as np
 from . import boundary, extremal, polycx, tetrafun
 from .construct import ConstructionSpec, construct as run_construct
 from .errors import DenominatorVanishes, MalformedInput, SamplingTooCoarse, TetraError
-from .polycx import coeff_distance, unit_circle
+from .polycx import CIRCLE_SAMPLES, coeff_distance, unit_circle
 from .tetrafun import decode_complex, decode_complex_list, decode_real, encode_complex
 
 EXIT_OK = 0
@@ -133,12 +133,13 @@ def cmd_verify(args) -> int:
     report = {"valid": valid, "conditions": conditions}
     if valid:
         x = tetrafun.TetraRational(e1, e2, d, n, strict=args.strict)
-        m = max(args.samples, 512)
-        dv, e1v, e2v = d.on_circle(m), e1.on_circle(m), e2.on_circle(m)
+        # the circle values validation_report sampled on the same d, e1 and e2
+        m = CIRCLE_SAMPLES
+        dv, e1v, e2v = d.on_circle, e1.on_circle, e2.on_circle
         royal = tetrafun.royal_polynomial(x)
-        shifted = unit_circle(m)[(-n % m) * np.arange(m) % m] * royal.on_circle(m)
+        shifted = unit_circle(m)[(-n % m) * np.arange(m) % m] * royal.on_circle
         sym_dev = coeff_distance(royal, royal.reflect(2 * n)) if not royal.is_zero else 0.0
-        radius, angle = np.random.default_rng(args.seed).random((32, 2)).T
+        radius, angle = np.random.default_rng(0).random((32, 2)).T
         x1, x2, x3 = (v.tolist() for v in tetrafun._eval_grid(
             x, 0.97 * np.sqrt(radius) * np.exp(2j * np.pi * angle)))
         inside_ok = all(
@@ -158,7 +159,7 @@ def cmd_verify(args) -> int:
         # at finitely many samples; report None instead of failing
         try:
             invariants["circle_defect_max"] = float(max(
-                rec[2] for rec in tetrafun.circle_trace(x, max(args.samples, 64))))
+                rec[2] for rec in tetrafun.circle_trace(x)))
         except DenominatorVanishes:
             invariants["circle_defect_max"] = None
         try:
@@ -221,7 +222,6 @@ _FLAGS = {
     "--tol": dict(type=float, default=polycx.DEFAULT_MEMBERSHIP_TOL,
                   help="membership tolerance"),
     "--samples": dict(type=int, default=polycx.TRACE_SAMPLES),
-    "--seed": dict(type=int, default=0),
     "--lenient": dict(dest="strict", action="store_false"),
     "--format": dict(choices=("json", "csv")),
 }
@@ -230,7 +230,7 @@ _FLAGS = {
 _COMMANDS = {
     "classify": (cmd_classify, ("--tol", "--format"), "json"),
     "construct": (cmd_construct, (), None),
-    "verify": (cmd_verify, ("--lenient", "--samples", "--seed"), None),
+    "verify": (cmd_verify, ("--lenient",), None),
     "analyze": (cmd_analyze, ("--lenient",), None),
     "trace": (cmd_trace, ("--lenient", "--samples", "--format"), "csv"),
     "perturb": (cmd_perturb, (), None),

@@ -26,7 +26,6 @@ from .errors import (
     InvalidConstructionSpec,
     NodeOutsideClosedDisc,
     NodeZeroCollision,
-    RoyalVarietyFunction,
     ValidationError,
 )
 from .fejriesz import factor, laurent_shift, modulus_squared_on_circle
@@ -36,7 +35,6 @@ from .tetrafun import (
     RoyalNode,
     TetraRational,
     degree as tetra_degree,
-    is_royal_variety,
     royal_nodes,
     royal_polynomial,
     validate,
@@ -156,10 +154,8 @@ def recover_data(x: TetraRational) -> RecoveredData:
     """Zeros of x1 and x2 in the closed disc plus the royal nodes.
 
     Identically zero components carry no finite zero list and are rejected;
-    royal-variety functions have no node data.
+    royal-variety functions have no node data, so royal_nodes raises.
     """
-    if is_royal_variety(x):
-        raise RoyalVarietyFunction("royal-variety functions carry no node data")
     if x.e1.is_zero or x.e2.is_zero:
         raise DegenerateZeroComponent(
             "a component of the function is identically zero; no zero list exists")

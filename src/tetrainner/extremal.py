@@ -25,14 +25,12 @@ from .errors import (
     ExtremalityNotDisproved,
     NotSymmetric,
     NumericalSupAtOne,
-    RoyalVarietyFunction,
     ThirdComponentMismatch,
 )
 from .polycx import CIRCLE_SAMPLES, Polynomial, coeff_distance, product, unit_circle
 from .tetrafun import (
     TetraRational,
     TypeNK,
-    is_royal_variety,
     royal_nodes,
     royal_polynomial,
     type_nk,
@@ -85,7 +83,7 @@ def convex_combine(x: TetraRational, y: TetraRational, t: float) -> TetraRationa
 
 
 def _circle_sup(p: Polynomial) -> float:
-    return float(np.max(np.abs(p.on_circle(CIRCLE_SAMPLES))))
+    return float(np.max(np.abs(p.on_circle)))
 
 
 def scale_nonextreme(x: TetraRational) -> PerturbationResult:
@@ -94,15 +92,13 @@ def scale_nonextreme(x: TetraRational) -> PerturbationResult:
     eps = MARGIN * (1/s - 1) where s is the circle sup of max(|x1|, |x2|);
     with no circle royal nodes s < 1 and both scalings stay in the class.
     """
-    if is_royal_variety(x):
-        raise RoyalVarietyFunction("royal-variety functions are not handled")
-    tk = type_nk(x)
+    tk = TypeNK.from_nodes(royal_nodes(x))
     if tk.k > 0:
         raise CircleNodesPresent(
             f"{tk.k} circle royal nodes force the component sup to 1")
-    dv = np.abs(x.d.on_circle(CIRCLE_SAMPLES))
-    sup = max(float(np.max(np.abs(x.e1.on_circle(CIRCLE_SAMPLES)) / dv)),
-              float(np.max(np.abs(x.e2.on_circle(CIRCLE_SAMPLES)) / dv)))
+    dv = np.abs(x.d.on_circle)
+    sup = max(float(np.max(np.abs(x.e1.on_circle) / dv)),
+              float(np.max(np.abs(x.e2.on_circle) / dv)))
     if sup == 0.0:
         return PerturbationResult(x, x, 1.0, Polynomial(),
                                   PerturbationMethod.EPSILON_SCALING,
@@ -137,8 +133,6 @@ def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
     by the positive slack r M of |d|^2 - |e1|^2 away from the circle nodes,
     and returns the validated pair (e1 +- t g, e2 +- t g, d).
     """
-    if is_royal_variety(x):
-        raise RoyalVarietyFunction("royal-variety functions are not handled")
     nodes = royal_nodes(x)
     tk = TypeNK.from_nodes(nodes)
     if tk.k == 0:
@@ -190,7 +184,7 @@ def certify_extreme_symmetric(x: TetraRational) -> bool:
 
     False only means not certified by this criterion.
     """
-    if not _symmetric(x) or is_royal_variety(x):
+    if not _symmetric(x):
         return False
     tk = type_nk(x)
     return 2 * tk.k > tk.n

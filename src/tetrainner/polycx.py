@@ -60,11 +60,6 @@ class Polynomial:
         orders = member.sum(axis=1)
         return RootMultiset(_entries(member @ z / orders, orders))
 
-    @cached_property
-    def _circle_values(self) -> dict:
-        """on_circle results by sample count."""
-        return {}
-
     @property
     def degree(self):
         """Index of the last nonzero coefficient; -inf for the zero polynomial."""
@@ -94,22 +89,21 @@ class Polynomial:
             acc = acc * z + c
         return acc
 
-    def on_circle(self, m: int) -> np.ndarray:
-        """Values on unit_circle(m), computed once per m and shared read-only.
+    @cached_property
+    def on_circle(self) -> np.ndarray:
+        """Values on unit_circle(CIRCLE_SAMPLES), computed once and shared read-only.
 
         The values at the m-th roots of unity are the inverse DFT of the
         ascending coefficients, folded modulo m when there are more than m
         (omega^(jk) depends on k mod m only).
         """
-        memo = self._circle_values
-        if m not in memo:
-            c = np.asarray(self.coeffs, dtype=complex)
-            if len(c) > m:
-                c = np.pad(c, (0, -len(c) % m)).reshape(-1, m).sum(axis=0)
-            vals = np.fft.ifft(c, m, norm="forward")
-            vals.flags.writeable = False
-            memo[m] = vals
-        return memo[m]
+        m = CIRCLE_SAMPLES
+        c = np.asarray(self.coeffs, dtype=complex)
+        if len(c) > m:
+            c = np.pad(c, (0, -len(c) % m)).reshape(-1, m).sum(axis=0)
+        vals = np.fft.ifft(c, m, norm="forward")
+        vals.flags.writeable = False
+        return vals
 
     def reflect(self, n: int) -> "Polynomial":
         """Coefficient reversal with conjugation at index n.
@@ -325,8 +319,3 @@ def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
 def from_roots(locations, leading=1.0) -> Polynomial:
     """Expand leading * prod (lambda - r) over the given root list."""
     return product([Polynomial((leading,))] + [Polynomial((-r, 1)) for r in locations])
-
-
-def expand(ms: RootMultiset, leading=1.0) -> Polynomial:
-    """Monic-style expansion of a RootMultiset."""
-    return from_roots(ms.expand(), leading)

@@ -35,7 +35,6 @@ from .errors import (
     ValidationError,
 )
 from .polycx import (
-    CIRCLE_SAMPLES,
     CIRCLE_TOL,
     TRACE_SAMPLES,
     Polynomial,
@@ -177,11 +176,11 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
             "ReflectionMismatch", dev <= tol,
             f"max coefficient deviation of e1 from the n-reflection of e2: {dev:.3e}"))
 
-    dv = np.abs(d.on_circle(CIRCLE_SAMPLES))
+    dv = np.abs(d.on_circle)
     slack = MODULUS_SLACK * (1.0 + float(np.max(dv)))
     worst = 0.0
     for e in (e1, e2):
-        ev = np.abs(e.on_circle(CIRCLE_SAMPLES))
+        ev = np.abs(e.on_circle)
         worst = max(worst, float(np.max(ev - dv)))
     checks.append(ConditionCheck(
         "ModulusDomination", worst <= slack,
@@ -249,7 +248,7 @@ def winding_number(x: TetraRational) -> int:
     argument jumps of pi or more abort with SamplingTooCoarse.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
-        vals = x.d_reflected.on_circle(CIRCLE_SAMPLES) / x.d.on_circle(CIRCLE_SAMPLES)
+        vals = x.d_reflected.on_circle / x.d.on_circle
         closed = np.append(vals, vals[0])
         jumps = np.angle(closed[1:] / closed[:-1])
     if not np.all(np.isfinite(jumps)) or np.any(np.abs(jumps) >= np.pi - 1e-9):

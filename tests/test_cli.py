@@ -235,6 +235,26 @@ def test_verify_does_not_evaluate_pointwise(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["invariants"]["disc_image_in_closure"]
 
 
+@pytest.mark.parametrize("spec", [
+    WORKED_SPEC,
+    {"alpha1": [[0.3, 0.0], [0.1, 0.4]], "alpha2": [[0.0, -0.2], [0.5, 0.0]],
+     "sigma": [[np.cos(0.7), np.sin(0.7)], [np.cos(2.5), np.sin(2.5)], [0.2, 0.0],
+               [0.0, -0.4]],
+     "t_plus": 1.0, "t": [0.8, 0.0]},
+], ids=["worked", "n4-k2"])
+def test_verify_samples_each_polynomial_once(tmp_path, capsys, monkeypatch, spec):
+    # d, e1 and e2 on the circle once for validation and the invariants, then
+    # the royal polynomial and the reflection of d
+    code, out = _run(capsys, ["construct", _write(tmp_path, "spec.json", spec)])
+    assert code == 0
+    func_path = _write(tmp_path, "func.json", json.loads(out)["function"])
+    calls, ifft = [], np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda *args, **kw: calls.append(1) or ifft(*args, **kw))
+    code, out = _run(capsys, ["verify", func_path])
+    assert code == 0 and json.loads(out)["valid"]
+    assert len(calls) == 5
+
+
 def test_malformed_function_exits_2_naming_the_field(tmp_path, capsys):
     for payload, message in (
             ({}, "error: missing field 'n'\n"),
@@ -295,7 +315,7 @@ def test_non_finite_numbers_exit_2_naming_the_field(tmp_path, capsys, command, p
 COMMAND_FLAGS = {
     "classify": {"--tol", "--format"},
     "construct": set(),
-    "verify": {"--lenient", "--samples", "--seed"},
+    "verify": {"--lenient"},
     "analyze": {"--lenient"},
     "trace": {"--lenient", "--samples", "--format"},
     "perturb": set(),
@@ -332,7 +352,7 @@ def test_unoffered_flag_exits_2(tmp_path, capsys, command, flag):
     (["classify", "--tol", "0"], EXIT_PRECONDITION, "error: tolerances must be positive\n"),
     (["classify", "--tol", "nan"], EXIT_PRECONDITION, "error: tolerances must be finite\n"),
     (["classify", "--tol", "inf"], EXIT_PRECONDITION, "error: tolerances must be finite\n"),
-    (["verify", "--samples", "8"], EXIT_PRECONDITION, "error: samples must be at least 16\n"),
+    (["trace", "--samples", "8"], EXIT_PRECONDITION, "error: samples must be at least 16\n"),
     (["trace", "--samples", "15"], EXIT_PRECONDITION, "error: samples must be at least 16\n"),
 ])
 def test_range_checks_apply_to_offered_flags(tmp_path, capsys, argv, code, err):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,13 @@ from helpers import (
     sample_fixed_x3_distinguished,
 )
 from tetrainner.boundary import TetraPoint, TetraRegion, classify_tetra
-from tetrainner.construct import construct
+from tetrainner.cli import EXIT_PRECONDITION, main
+from tetrainner.construct import construct, recover_data
 from tetrainner.errors import (
     CircleNodesPresent,
     ExtremalityNotDisproved,
     NotSymmetric,
+    RoyalVarietyFunction,
     ThirdComponentMismatch,
 )
 from tetrainner.extremal import (
@@ -25,8 +29,10 @@ from tetrainner.extremal import (
 from tetrainner.polycx import Polynomial, coeff_distance, is_n_symmetric, unit_circle
 from tetrainner.tetrafun import (
     from_gamma_inner,
+    is_royal_variety,
     royal_nodes,
     royal_polynomial,
+    to_json_dict,
     type_nk,
     validate,
 )
@@ -222,6 +228,39 @@ def test_certify_rejects_asymmetric():
 def test_certify_rejects_interior_nodes():
     x = validate(ZERO, ZERO, ONE, 1)
     assert not certify_extreme_symmetric(x)
+
+
+ROYAL_VARIETY_ERROR = "RoyalVarietyFunction: royal polynomial is identically zero"
+
+
+def _cli_perturb(x, tmp_path, capsys):
+    path = tmp_path / "func.json"
+    path.write_text(json.dumps(to_json_dict(x)), encoding="utf-8")
+    code = main(["perturb", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (recover_data, ROYAL_VARIETY_ERROR),
+    (scale_nonextreme, ROYAL_VARIETY_ERROR),
+    (perturb_nonextreme, ROYAL_VARIETY_ERROR),
+    (certify_extreme_symmetric, False),
+    (_cli_perturb, (EXIT_PRECONDITION, "", f"error: {ROYAL_VARIETY_ERROR}\n")),
+], ids=["recover_data", "scale_nonextreme", "perturb_nonextreme",
+        "certify_extreme_symmetric", "cli_perturb"])
+def test_royal_variety_function(tmp_path, capsys, call, outcome):
+    # x = (lam, lam, lam^2) is symmetric and lies on the royal variety x1 x2 = x3
+    x = validate(LAM, LAM, ONE, 2)
+    assert is_royal_variety(x)
+    if call is _cli_perturb:
+        assert call(x, tmp_path, capsys) == outcome
+    elif outcome is False:
+        assert call(x) is False
+    else:
+        with pytest.raises(RoyalVarietyFunction) as info:
+            call(x)
+        assert f"{info.type.__name__}: {info.value}" == outcome
 
 
 def test_gamma_royal_monomial():

@@ -9,10 +9,8 @@ import tetrainner
 DEFAULTED = {
     "boundary.classify_gamma(tol)",
     "boundary.classify_tetra(tol)",
-    "boundary.sample_interior(margin)",
     "cli.main(argv)",
     "polycx.circle_split(circle_tol)",
-    "polycx.expand(leading)",
     "polycx.from_roots(leading)",
     "polycx.is_n_symmetric(tol)",
     "tetrafun.circle_trace(samples)",

@@ -8,10 +8,10 @@ from helpers import coeff_bits, pairwise_product
 import tetrainner
 from tetrainner.errors import DegreeExceedsReflectionIndex, ZeroPolynomialHasAllRoots
 from tetrainner.polycx import (
+    CIRCLE_SAMPLES,
     Polynomial,
     circle_split,
     coeff_distance,
-    expand,
     from_roots,
     is_n_symmetric,
     product,
@@ -210,7 +210,7 @@ def test_worked_royal_polynomial_expansion():
 def test_trailing_trim_after_convolution():
     p = Polynomial((1.0, 1e-16))
     assert p.degree == 0
-    ms = expand(roots(Polynomial((1, 2, 1))))
+    ms = from_roots(roots(Polynomial((1, 2, 1))).expand())
     assert ms.degree == 2
 
 
@@ -248,28 +248,31 @@ def mp_circle_values(p, m, stride=1):
 
 def test_on_circle_memo_is_per_instance_and_read_only():
     p = Polynomial((1.0, -2.0j, 0.25))
-    vals = p.on_circle(64)
-    assert p.on_circle(64) is vals and p.on_circle(128) is not vals
-    assert np.max(np.abs(vals - mp_circle_values(p, 64))) <= 1e-14 * sum(map(abs, p.coeffs))
+    vals = p.on_circle
+    assert p.on_circle is vals and len(vals) == CIRCLE_SAMPLES
+    assert np.max(np.abs(vals[::29] - mp_circle_values(p, CIRCLE_SAMPLES, 29))) <= 1e-14 * sum(
+        map(abs, p.coeffs))
     assert not vals.flags.writeable
     with pytest.raises(ValueError):
         vals[0] = 0.0
     twin = Polynomial(p.coeffs)
-    assert twin.on_circle(64) is not vals and np.array_equal(twin.on_circle(64), vals)
-    zero = Polynomial().on_circle(16)
+    assert twin.on_circle is not vals and np.array_equal(twin.on_circle, vals)
+    zero = Polynomial().on_circle
     assert not zero.flags.writeable and not zero.any()
 
 
-# degree -1 is the zero polynomial; degree >= m folds the coefficients
+# degree -1 is the zero polynomial; degree > CIRCLE_SAMPLES folds the coefficients.
+# m < CIRCLE_SAMPLES compares the subgrid unit_circle(m), every (CIRCLE_SAMPLES/m)-th point.
 @pytest.mark.parametrize("degree, m", [
-    (deg, m) for deg in (0, 1, 16, 64) for m in (16, 256, 4096)]
-    + [(100, 16), (40, 32), (-1, 16), (-1, 4096)])
+    (deg, m) for deg in (0, 1, 16, 64) for m in (16, 256, CIRCLE_SAMPLES)]
+    + [(100, 16), (40, 32), (-1, 16), (-1, CIRCLE_SAMPLES), (CIRCLE_SAMPLES + 40, CIRCLE_SAMPLES)])
 def test_on_circle_matches_mpmath_oracle(degree, m):
     rng = np.random.default_rng([degree + 1, m])
     p = Polynomial(tuple(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)))
     assert len(p.coeffs) == degree + 1
-    stride = 1 if m <= 256 else 13  # every point costs one mpmath Horner pass
-    err = np.max(np.abs(p.on_circle(m)[::stride] - mp_circle_values(p, m, stride)))
+    # every point costs one mpmath Horner pass over the coefficients
+    stride = CIRCLE_SAMPLES // m if m < CIRCLE_SAMPLES else 61 if degree <= 64 else 1489
+    err = np.max(np.abs(p.on_circle[::stride] - mp_circle_values(p, CIRCLE_SAMPLES, stride)))
     assert err <= 1e-15 * sum(map(abs, p.coeffs))
 
 
