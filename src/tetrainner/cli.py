@@ -138,7 +138,7 @@ def cmd_verify(args) -> int:
         dv, e1v, e2v = d.on_circle, e1.on_circle, e2.on_circle
         royal = tetrafun.royal_polynomial(x)
         shifted = unit_circle(m)[(-n % m) * np.arange(m) % m] * royal.on_circle
-        sym_dev = coeff_distance(royal, royal.reflect(2 * n)) if not royal.is_zero else 0.0
+        sym_dev = coeff_distance(royal, royal.reflect(2 * n))
         radius, angle = np.random.default_rng(0).random((32, 2)).T
         x1, x2, x3 = (v.tolist() for v in tetrafun._eval_grid(
             x, 0.97 * np.sqrt(radius) * np.exp(2j * np.pi * angle)))
@@ -263,8 +263,6 @@ def main(argv=None) -> int:
         return _fail("tolerances must be positive", EXIT_PRECONDITION)
     if not math.isfinite(tol):
         return _fail("tolerances must be finite", EXIT_PRECONDITION)
-    if getattr(args, "samples", 16) < 16:
-        return _fail("samples must be at least 16", EXIT_PRECONDITION)
     try:
         return args.handler(args)
     except (MalformedInput, json.JSONDecodeError, OSError, KeyError, TypeError) as exc:

@@ -29,19 +29,11 @@ from .errors import (
     ValidationError,
 )
 from .fejriesz import factor, laurent_shift, modulus_squared_on_circle
-from .polycx import (CIRCLE_TOL, Polynomial, RootMultiset, coeff_distance, product,
+from .polycx import (CIRCLE_TOL, SPEC_TOL, Polynomial, RootMultiset, coeff_distance, product,
                      roots as poly_roots)
-from .tetrafun import (
-    RoyalNode,
-    TetraRational,
-    degree as tetra_degree,
-    royal_nodes,
-    royal_polynomial,
-    validate,
-)
+from .tetrafun import RoyalNode, TetraRational, royal_nodes, royal_polynomial, validate
 
 DISJOINT_TOL = 1e-6
-MEMBER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,12 +61,12 @@ class ConstructionSpec:
             raise InvalidConstructionSpec(f"t_plus = {self.t_plus} must be positive")
         if self.t == 0:
             raise InvalidConstructionSpec("t must be nonzero")
-        if abs(abs(self.omega) - 1.0) > 1e-12:
+        if abs(abs(self.omega) - 1.0) > SPEC_TOL:
             raise InvalidConstructionSpec(f"|omega| = {abs(self.omega)} is not 1")
         for name, pts in (("alpha1", self.alpha1), ("alpha2", self.alpha2),
                           ("sigma", self.sigma)):
             for z in pts:
-                if abs(z) > 1.0 + MEMBER_TOL:
+                if abs(z) > 1.0 + SPEC_TOL:
                     raise NodeOutsideClosedDisc(f"{name} entry {z} lies outside the closed disc")
         circle_zeros = [a for a in self.alpha1 + self.alpha2
                         if abs(abs(a) - 1.0) <= DISJOINT_TOL]
@@ -107,7 +99,7 @@ def build_royal_target(sigma, t_plus: float) -> Polynomial:
     factors = [Polynomial((t_plus,))]
     for s in sigma:
         s = complex(s)
-        if abs(s) > 1.0 + MEMBER_TOL:
+        if abs(s) > 1.0 + SPEC_TOL:
             raise NodeOutsideClosedDisc(f"royal node {s} lies outside the closed disc")
         factors += [Polynomial((-s, 1)), Polynomial((1, -np.conj(s)))]
     return product(factors)
@@ -125,8 +117,9 @@ def build_e1(alpha1, alpha2, t: complex) -> Polynomial:
 def construct(spec: ConstructionSpec) -> TetraRational:
     """Run the full pipeline and self-check the output.
 
-    The returned function has degree exactly n and royal polynomial equal
-    to the built target; any drift raises ConstructionInconsistent.
+    The returned function passes strict validation, so its degree is n, and
+    its royal polynomial equals the built target; any drift raises
+    ConstructionInconsistent.
     """
     n = spec.n
     target = build_royal_target(spec.sigma, spec.t_plus)
@@ -144,9 +137,6 @@ def construct(spec: ConstructionSpec) -> TetraRational:
     if drift > 1e-8 * (1.0 + target.max_coeff()):
         raise ConstructionInconsistent(
             f"royal polynomial drift {drift:.3e} exceeds tolerance")
-    if n > 0 and tetra_degree(x) != n:
-        raise ConstructionInconsistent(
-            f"constructed degree {tetra_degree(x)} differs from n = {n}")
     return x
 
 

@@ -27,7 +27,7 @@ from .errors import (
     NumericalSupAtOne,
     ThirdComponentMismatch,
 )
-from .polycx import CIRCLE_SAMPLES, Polynomial, coeff_distance, product, unit_circle
+from .polycx import AGREE_TOL, CIRCLE_SAMPLES, Polynomial, agree, product, unit_circle
 from .tetrafun import (
     TetraRational,
     TypeNK,
@@ -71,10 +71,9 @@ def convex_combine(x: TetraRational, y: TetraRational, t: float) -> TetraRationa
     if abs(x.d.coeff(pivot)) == 0:
         raise ThirdComponentMismatch("denominator of x is zero")
     ratio = y.d.coeff(pivot) / x.d.coeff(pivot)
-    scale_ref = 1.0 + y.d.max_coeff()
-    if abs(ratio.imag) > 1e-10 * abs(ratio) or abs(ratio) == 0:
+    if abs(ratio.imag) > AGREE_TOL * abs(ratio) or abs(ratio) == 0:
         raise ThirdComponentMismatch(f"denominators differ by non-real factor {ratio}")
-    if coeff_distance(y.d, x.d.scale(ratio)) > 1e-10 * scale_ref:
+    if not agree(y.d, x.d.scale(ratio)):
         raise ThirdComponentMismatch("denominators are not proportional")
     ratio = ratio.real
     e1 = x.e1.scale(t) + y.e1.scale((1.0 - t) / ratio)
@@ -174,17 +173,12 @@ def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
     return PerturbationResult(x_plus, x_minus, t, g, method)
 
 
-def _symmetric(x: TetraRational) -> bool:
-    tol = 1e-10 * (1.0 + max(x.e1.max_coeff(), x.e2.max_coeff()))
-    return coeff_distance(x.e1, x.e2) <= tol
-
-
 def certify_extreme_symmetric(x: TetraRational) -> bool:
     """True certifies extremality: e1 = e2 and 2k > n.
 
     False only means not certified by this criterion.
     """
-    if not _symmetric(x):
+    if not agree(x.e1, x.e2):
         return False
     tk = type_nk(x)
     return 2 * tk.k > tk.n
@@ -195,6 +189,6 @@ def gamma_royal(x: TetraRational) -> Polynomial:
 
     Equals 4 (reflect(d, n) d - e1 e2); symmetric input required.
     """
-    if not _symmetric(x):
+    if not agree(x.e1, x.e2):
         raise NotSymmetric("components e1 and e2 differ beyond tolerance")
     return royal_polynomial(x).scale(4.0)

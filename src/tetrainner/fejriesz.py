@@ -90,8 +90,7 @@ def laurent_shift(r_poly: Polynomial, n: int) -> TrigPolynomial:
         return TrigPolynomial(tuple(0j for _ in range(n + 1)))
     if r_poly.degree > 2 * n:
         raise NotTwoNSymmetric(f"degree {r_poly.degree} exceeds 2n = {2 * n}")
-    tol = 1e-10 * (1.0 + r_poly.max_coeff())
-    if not is_n_symmetric(r_poly, 2 * n, tol):
+    if not is_n_symmetric(r_poly, 2 * n):
         raise NotTwoNSymmetric("polynomial is not 2n-symmetric within tolerance")
     return TrigPolynomial(tuple(r_poly.coeff(n + j) for j in range(n + 1)))
 

@@ -28,6 +28,8 @@ CIRCLE_TOL = 1e-6
 CLUSTER_TOL = 1e-7
 CIRCLE_SAMPLES = 4096
 TRACE_SAMPLES = 256
+AGREE_TOL = 1e-10     # relative: two coefficient lists are one polynomial
+SPEC_TOL = 1e-12      # exact input: unimodular constants, points in the closed disc
 
 
 def _trim(coeffs):
@@ -171,11 +173,16 @@ def coeff_distance(p: Polynomial, q: Polynomial) -> float:
     return max((abs(p.coeff(j) - q.coeff(j)) for j in range(m)), default=0.0)
 
 
-def is_n_symmetric(p: Polynomial, n: int, tol: float = 1e-10) -> bool:
-    """True iff degree(p) <= n and p coincides with its n-reflection within tol."""
+def agree(p: Polynomial, q: Polynomial) -> bool:
+    """True iff p and q differ by at most AGREE_TOL (1 + their largest coefficient)."""
+    return coeff_distance(p, q) <= AGREE_TOL * (1.0 + max(p.max_coeff(), q.max_coeff()))
+
+
+def is_n_symmetric(p: Polynomial, n: int) -> bool:
+    """True iff degree(p) <= n and p agrees with its n-reflection."""
     if not p.is_zero and p.degree > n:
         return False
-    return coeff_distance(p, p.reflect(n)) < tol
+    return agree(p, p.reflect(n))
 
 
 @lru_cache(maxsize=8)
@@ -316,6 +323,6 @@ def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
             _entries(z[outside], orders[outside]))
 
 
-def from_roots(locations, leading=1.0) -> Polynomial:
-    """Expand leading * prod (lambda - r) over the given root list."""
-    return product([Polynomial((leading,))] + [Polynomial((-r, 1)) for r in locations])
+def from_roots(locations) -> Polynomial:
+    """Expand prod (lambda - r) over the given root list."""
+    return product([Polynomial((1.0,))] + [Polynomial((-r, 1)) for r in locations])

@@ -4,7 +4,7 @@ import numpy as np
 
 from tetrainner.boundary import TetraPoint, sample_distinguished, sample_interior
 from tetrainner.construct import ConstructionSpec
-from tetrainner.polycx import Polynomial, from_roots
+from tetrainner.polycx import Polynomial, product
 
 
 def random_disc_point(rng, radius=0.95):
@@ -66,7 +66,8 @@ def random_outer_polynomial(rng, max_degree=8, min_mod=1.05, max_mod=3.0):
         rng, deg, 0.05,
         lambda r: complex((min_mod + (max_mod - min_mod) * r.random())
                           * np.exp(2j * np.pi * r.random())))
-    p = from_roots(locs, leading=complex(np.exp(2j * np.pi * rng.random())))
+    p = product([Polynomial((complex(np.exp(2j * np.pi * rng.random())),))]
+                + [Polynomial((-r, 1)) for r in locs])
     return p.scale(1.0 / p.max_coeff())
 
 

@@ -128,6 +128,17 @@ def test_analyze_royal_variety(tmp_path, capsys):
     assert json.loads(out)["type"] == "royal-variety"
 
 
+def test_n_above_circle_samples_fails_the_degree_bound(tmp_path, capsys):
+    path = _write(tmp_path, "func.json", dict(ROYAL_VARIETY_FUNCTION, n=10 ** 6))
+    assert main(["analyze", path]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("error: ValidationError: DegreeBound: ")
+    code, out = _run(capsys, ["verify", path])
+    report = json.loads(out)
+    assert code == 0 and not report["valid"]
+    assert report["conditions"][0]["condition"] == "degree bounds"
+    assert not report["conditions"][0]["passed"]
+
+
 def test_trace_row_count_and_defect(tmp_path, capsys):
     path = _write(tmp_path, "func.json", ROYAL_VARIETY_FUNCTION)
     code, out = _run(capsys, ["trace", path, "--samples", "256"])

@@ -22,6 +22,11 @@ def _align_phase(p: Polynomial) -> Polynomial:
     return p
 
 
+def test_factor_of_a_negative_constant_within_the_guard_is_zero():
+    # passes the nonnegativity guard, and its largest sample is below 0
+    assert factor(TrigPolynomial((-1e-12,))).is_zero
+
+
 def test_modulus_squared_constant():
     assert modulus_squared_on_circle(Polynomial((1,))).coeffs == ((1 + 0j),)
 

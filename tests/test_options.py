@@ -1,6 +1,9 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import tetrainner
 
@@ -11,8 +14,6 @@ DEFAULTED = {
     "boundary.classify_tetra(tol)",
     "cli.main(argv)",
     "polycx.circle_split(circle_tol)",
-    "polycx.from_roots(leading)",
-    "polycx.is_n_symmetric(tol)",
     "tetrafun.circle_trace(samples)",
     "tetrafun.from_json_dict(strict)",
     "tetrafun.validate(strict)",
@@ -44,3 +45,27 @@ def test_library_defaulted_parameters_are_pinned():
                       for p in inspect.signature(fn).parameters.values()
                       if p.default is not p.empty}
     assert found == DEFAULTED
+
+
+def test_readme_tolerance_table_matches_the_constants():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| name | value | decides |\n")[1].split("\n* ")[0]
+    rows = [re.split(r"(?<!\\)\|", line.strip())[1:-1] for line in table.splitlines()[1:]]
+    documented = {f"{module}.{name}": value.split()[0].rstrip(",")
+                  for names, value, _ in rows
+                  for module, name in re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)`", names)}
+    defined = {}
+    for info in pkgutil.iter_modules(tetrainner.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"tetrainner.{info.name}")
+        for node in ast.parse(inspect.getsource(module)).body:
+            if isinstance(node, ast.Assign):
+                defined |= {f"{info.name}.{t.id}": getattr(module, t.id) for t in node.targets
+                            if re.fullmatch(r"[A-Z_]+_(TOL|SAMPLES|GUARD|SLACK)", t.id)}
+    for key in documented:
+        module, name = key.split(".")
+        assert hasattr(importlib.import_module(f"tetrainner.{module}"), name), key
+    assert defined.keys() - documented.keys() == set()
+    for key, value in defined.items():
+        assert float(documented[key]) == value, key

@@ -177,17 +177,24 @@ def test_roots_expand_round_trip():
 
 
 def test_is_n_symmetric_monomial_index_two():
-    assert is_n_symmetric(Polynomial((0, 1)), 2, 1e-12)
+    assert is_n_symmetric(Polynomial((0, 1)), 2)
 
 
 def test_is_n_symmetric_palindrome():
-    assert is_n_symmetric(Polynomial((1, 0, 1)), 2, 1e-12)
+    assert is_n_symmetric(Polynomial((1, 0, 1)), 2)
 
 
 def test_is_n_symmetric_royal_example():
     # (7/4) lambda is 2-symmetric
-    assert is_n_symmetric(Polynomial((0, 1.75)), 2, 1e-12)
-    assert not is_n_symmetric(Polynomial((1, 1.75)), 2, 1e-12)
+    assert is_n_symmetric(Polynomial((0, 1.75)), 2)
+    assert not is_n_symmetric(Polynomial((1, 1.75)), 2)
+
+
+def test_is_n_symmetric_is_relative_to_the_largest_coefficient():
+    # within AGREE_TOL (1 + 3e6) = 3e-4 of its reflection, beyond it
+    p = Polynomial((1e6 + 2e6j, 3e6, 1e6 - 2e6j))
+    assert is_n_symmetric(p + Polynomial((0, 0, 1e-6)), 2)
+    assert not is_n_symmetric(p + Polynomial((0, 0, 1e-2)), 2)
 
 
 def test_multiply_difference_of_squares():
@@ -226,7 +233,7 @@ def test_unit_circle_is_shared_and_read_only():
 # -- per-instance memos --------------------------------------------------------
 
 def test_roots_memo_is_per_instance_and_tolerance():
-    p = from_roots([0.5, -0.25j, 2.0 + 1.0j], leading=1.5)
+    p = product([Polynomial((1.5,))] + [Polynomial((-r, 1)) for r in (0.5, -0.25j, 2.0 + 1.0j)])
     ms = roots(p)
     assert roots(p) is ms
     twin = Polynomial(p.coeffs)
