@@ -29,9 +29,10 @@ from .errors import (
     ValidationError,
 )
 from .fejriesz import factor, laurent_shift, modulus_squared_on_circle
-from .polycx import (CIRCLE_TOL, SPEC_TOL, Polynomial, RootMultiset, coeff_distance, product,
-                     roots as poly_roots)
-from .tetrafun import RoyalNode, TetraRational, royal_nodes, royal_polynomial, validate
+from .polycx import (CIRCLE_TOL, SPEC_TOL, TRIM_TOL, Polynomial, RootMultiset, coeff_distance,
+                     product, roots as poly_roots)
+from .tetrafun import (RoyalNode, TetraRational, is_royal_variety, royal_nodes, royal_polynomial,
+                       validate)
 
 DISJOINT_TOL = 1e-6
 
@@ -92,7 +93,7 @@ def build_royal_target(sigma, t_plus: float) -> Polynomial:
     """t_plus * prod (lam - sigma_j)(1 - conj(sigma_j) lam), expanded.
 
     The result is 2n-symmetric and lam^-n times it is nonnegative on the
-    circle.
+    circle; InvalidConstructionSpec if it trims to zero.
     """
     if not t_plus > 0:
         raise InvalidConstructionSpec(f"t_plus = {t_plus} must be positive")
@@ -102,24 +103,28 @@ def build_royal_target(sigma, t_plus: float) -> Polynomial:
         if abs(s) > 1.0 + SPEC_TOL:
             raise NodeOutsideClosedDisc(f"royal node {s} lies outside the closed disc")
         factors += [Polynomial((-s, 1)), Polynomial((1, -np.conj(s)))]
-    return product(factors)
+    return _nonzero(product(factors), "royal target")
 
 
 def build_e1(alpha1, alpha2, t: complex) -> Polynomial:
-    """t * prod (lam - alpha1_j) * prod (1 - conj(alpha2_j) lam), expanded."""
-    if complex(t) == 0:
-        raise InvalidConstructionSpec("t must be nonzero")
-    return product([Polynomial((complex(t),))]
-                   + [Polynomial((-complex(a), 1)) for a in alpha1]
-                   + [Polynomial((1, -np.conj(complex(a)))) for a in alpha2])
+    """t * prod (lam - alpha1_j) * prod (1 - conj(alpha2_j) lam); nonzero after trimming."""
+    return _nonzero(product([Polynomial((complex(t),))]
+                            + [Polynomial((-complex(a), 1)) for a in alpha1]
+                            + [Polynomial((1, -np.conj(complex(a)))) for a in alpha2]), "e1")
+
+
+def _nonzero(p: Polynomial, name: str) -> Polynomial:
+    if p.is_zero:
+        raise InvalidConstructionSpec(f"{name} trims to zero: every |coefficient| <= {TRIM_TOL}")
+    return p
 
 
 def construct(spec: ConstructionSpec) -> TetraRational:
     """Run the full pipeline and self-check the output.
 
     The returned function passes strict validation, so its degree is n, and
-    its royal polynomial equals the built target; any drift raises
-    ConstructionInconsistent.
+    its royal polynomial equals the built target and is off the royal variety;
+    otherwise ConstructionInconsistent is raised.
     """
     n = spec.n
     target = build_royal_target(spec.sigma, spec.t_plus)
@@ -137,6 +142,8 @@ def construct(spec: ConstructionSpec) -> TetraRational:
     if drift > 1e-8 * (1.0 + target.max_coeff()):
         raise ConstructionInconsistent(
             f"royal polynomial drift {drift:.3e} exceeds tolerance")
+    if is_royal_variety(x):
+        raise ConstructionInconsistent("constructed function lies on the royal variety")
     return x
 
 

@@ -27,7 +27,7 @@ from .errors import (
     NumericalSupAtOne,
     ThirdComponentMismatch,
 )
-from .polycx import AGREE_TOL, CIRCLE_SAMPLES, Polynomial, agree, product, unit_circle
+from .polycx import AGREE_TOL, CIRCLE_SAMPLES, Polynomial, agree, modulus, product, unit_circle
 from .tetrafun import (
     TetraRational,
     TypeNK,
@@ -67,9 +67,9 @@ def convex_combine(x: TetraRational, y: TetraRational, t: float) -> TetraRationa
         raise ValueError(f"t = {t} is outside [0, 1]")
     if x.n != y.n:
         raise ThirdComponentMismatch(f"reflection indices differ: {x.n} vs {y.n}")
-    pivot = max(range(len(x.d.coeffs)), key=lambda j: abs(x.d.coeff(j)), default=0)
-    if abs(x.d.coeff(pivot)) == 0:
+    if x.d.is_zero:
         raise ThirdComponentMismatch("denominator of x is zero")
+    pivot = int(np.argmax(modulus(x.d.coeffs)))
     ratio = y.d.coeff(pivot) / x.d.coeff(pivot)
     if abs(ratio.imag) > AGREE_TOL * abs(ratio) or abs(ratio) == 0:
         raise ThirdComponentMismatch(f"denominators differ by non-real factor {ratio}")

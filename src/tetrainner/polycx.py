@@ -1,8 +1,8 @@
 """Complex univariate polynomials, ascending coefficient order.
 
-The zero polynomial is the empty coefficient tuple.  Trailing coefficients
-of magnitude <= TRIM_TOL are dropped on construction so convolution noise
-cannot inflate the formal degree.
+Coefficients are one read-only complex128 array; the zero polynomial is the
+empty array.  Trailing coefficients of magnitude <= TRIM_TOL are dropped on
+construction so convolution noise cannot inflate the formal degree.
 """
 
 from __future__ import annotations
@@ -32,26 +32,48 @@ AGREE_TOL = 1e-10     # relative: two coefficient lists are one polynomial
 SPEC_TOL = 1e-12      # exact input: unimodular constants, points in the closed disc
 
 
-def _trim(coeffs):
-    cs = [complex(c) for c in coeffs]
-    while cs and abs(cs[-1]) <= TRIM_TOL:
-        cs.pop()
-    return tuple(cs)
+def modulus(a: np.ndarray) -> np.ndarray:
+    """|a| elementwise; np.hypot rounds as Python's abs does, np.abs does not."""
+    return np.hypot(a.real, a.imag)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    coeffs: tuple = ()
+def zero_pad(a: np.ndarray, m: int) -> np.ndarray:
+    """a followed by zeros up to length m."""
+    return np.concatenate((a, np.zeros(max(m - len(a), 0))))
+
+
+class CoefficientArray:
+    """Frozen dataclass base: coeffs is a read-only complex128 array; == compares values."""
+
+    def coeff(self, j: int) -> complex:
+        return complex(self.coeffs[j]) if 0 <= j < len(self.coeffs) else 0j
+
+    def __add__(self, other):
+        m = max(len(self.coeffs), len(other.coeffs))
+        return type(self)(zero_pad(self.coeffs, m) + zero_pad(other.coeffs, m))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and np.array_equal(self.coeffs, other.coeffs)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(coeffs={tuple(self.coeffs.tolist())!r})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Polynomial(CoefficientArray):
+    coeffs: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+        c = np.array(self.coeffs, dtype=complex)
+        while len(c) and abs(complex(c[-1])) <= TRIM_TOL:
+            c = c[:-1]
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
 
     @cached_property
     def _roots(self) -> "RootMultiset":
         """The roots result; polycx.roots rejects the zero polynomial before it."""
-        if self.degree == 0:
-            return RootMultiset(())
-        a = np.asarray(self.coeffs[::-1], dtype=complex)
+        a = self.coeffs[::-1]
         z = np.roots(a)
         with np.errstate(all="ignore"):
             fz = np.polyval(a, z)
@@ -65,17 +87,14 @@ class Polynomial:
     @property
     def degree(self):
         """Index of the last nonzero coefficient; -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.coeffs) - 1 if len(self.coeffs) else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, j: int) -> complex:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else 0j
+        return not len(self.coeffs)
 
     def max_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
+        return float(modulus(self.coeffs).max(initial=0.0))
 
     def __call__(self, z):
         return self.eval(z)
@@ -83,11 +102,9 @@ class Polynomial:
     def eval(self, z):
         """Horner evaluation; accepts a scalar or an ndarray of points."""
         if isinstance(z, np.ndarray):
-            if not self.coeffs:
-                return np.zeros(z.shape, dtype=complex)
-            return np.polyval(np.asarray(self.coeffs[::-1], dtype=complex), z)
+            return np.polyval(self.coeffs[::-1], z)
         acc = 0j
-        for c in reversed(self.coeffs):
+        for c in reversed(self.coeffs.tolist()):
             acc = acc * z + c
         return acc
 
@@ -100,7 +117,7 @@ class Polynomial:
         (omega^(jk) depends on k mod m only).
         """
         m = CIRCLE_SAMPLES
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = self.coeffs
         if len(c) > m:
             c = np.pad(c, (0, -len(c) % m)).reshape(-1, m).sum(axis=0)
         vals = np.fft.ifft(c, m, norm="forward")
@@ -110,29 +127,22 @@ class Polynomial:
     def reflect(self, n: int) -> "Polynomial":
         """Coefficient reversal with conjugation at index n.
 
-        Realizes f -> lambda^n * conj(f(1/conj(lambda))).  Requires
-        degree <= n; the zero polynomial reflects to itself.
+        Realizes f -> lambda^n * conj(f(1/conj(lambda))); requires degree <= n.
         """
-        if self.is_zero:
-            return self
         if self.degree > n:
             raise DegreeExceedsReflectionIndex(
                 f"degree {self.degree} exceeds reflection index {n}")
-        return Polynomial(tuple(np.conj(self.coeff(n - j)) for j in range(n + 1)))
+        return Polynomial(np.conj(zero_pad(self.coeffs, n + 1)[::-1]))
 
     def conj_flip(self) -> "Polynomial":
         """Conjugate every coefficient: f -> conj(f(conj(lambda)))."""
-        return Polynomial(tuple(np.conj(c) for c in self.coeffs))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        m = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(tuple(self.coeff(j) + other.coeff(j) for j in range(m)))
+        return Polynomial(np.conj(self.coeffs))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial(-self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -143,7 +153,11 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c) -> "Polynomial":
-        return Polynomial(tuple(c * a for a in self.coeffs))
+        a = self.coeffs
+        # Python's complex product c * a_j part by part; numpy's complex multiply rounds otherwise
+        out = (c.real * a.real - c.imag * a.imag).astype(complex)
+        out.imag = c.real * a.imag + c.imag * a.real
+        return Polynomial(out)
 
 
 def product(factors) -> Polynomial:
@@ -156,21 +170,18 @@ def product(factors) -> Polynomial:
     """
     acc = None
     for f in factors:
-        if f.is_zero:
+        if f.is_zero or (acc is not None and not len(acc)):
             return Polynomial()
-        coeffs = np.asarray(f.coeffs, dtype=complex)
-        acc = coeffs if acc is None else np.convolve(acc, coeffs)
-        while abs(complex(acc[-1])) <= TRIM_TOL:
-            if len(acc) == 1:
-                return Polynomial()
+        acc = f.coeffs if acc is None else np.convolve(acc, f.coeffs)
+        while len(acc) and abs(complex(acc[-1])) <= TRIM_TOL:
             acc = acc[:-1]
-    return Polynomial((1.0,)) if acc is None else Polynomial(acc.tolist())
+    return Polynomial((1.0,)) if acc is None else Polynomial(acc)
 
 
 def coeff_distance(p: Polynomial, q: Polynomial) -> float:
     """Max absolute coefficient difference, shorter side zero padded."""
     m = max(len(p.coeffs), len(q.coeffs))
-    return max((abs(p.coeff(j) - q.coeff(j)) for j in range(m)), default=0.0)
+    return float(modulus(zero_pad(p.coeffs, m) - zero_pad(q.coeffs, m)).max(initial=0.0))
 
 
 def agree(p: Polynomial, q: Polynomial) -> bool:
@@ -180,9 +191,7 @@ def agree(p: Polynomial, q: Polynomial) -> bool:
 
 def is_n_symmetric(p: Polynomial, n: int) -> bool:
     """True iff degree(p) <= n and p agrees with its n-reflection."""
-    if not p.is_zero and p.degree > n:
-        return False
-    return agree(p, p.reflect(n))
+    return p.degree <= n and agree(p, p.reflect(n))
 
 
 @lru_cache(maxsize=8)
@@ -254,7 +263,7 @@ def _derivative_roots(p: Polynomial, seeds):
     points stay bounded, so p' and p'' are products with one power matrix.
     """
     j = np.arange(1, len(p.coeffs))
-    d1 = j * np.asarray(p.coeffs[1:], dtype=complex)
+    d1 = j * p.coeffs[1:]
     d2 = j[:-1] * d1[1:]
     c, last = seeds, np.inf
     for _ in range(64):
@@ -291,15 +300,14 @@ def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
     ms = roots(p)
     z = np.array([loc for loc, _ in ms.entries], dtype=complex)
     orders = np.array([order for _, order in ms.entries], dtype=int)
-    coeffs = np.asarray(p.coeffs, dtype=complex)
     dist = np.abs(np.abs(z) - 1.0)
     with np.errstate(all="ignore"):
         # How far rounding alone can move each root: the Horner bound over
         # |p'| for a simple root, both from one power matrix; a merged entry
         # is known to CLUSTER_TOL.
-        powers = z[:, None] ** np.arange(len(coeffs))
-        simple = p.degree * EPS * (np.abs(powers) @ np.abs(coeffs)) / np.abs(
-            powers[:, :-1] @ (np.arange(1, len(coeffs)) * coeffs[1:]))
+        powers = z[:, None] ** np.arange(len(p.coeffs))
+        simple = p.degree * EPS * (np.abs(powers) @ np.abs(p.coeffs)) / np.abs(
+            powers[:, :-1] @ (np.arange(1, len(p.coeffs)) * p.coeffs[1:]))
         slack = circle_tol + np.where(orders > 1, CLUSTER_TOL, simple)
         joined = dist <= 2.0 * np.sqrt(2.0 * slack)
         locs, total = z[:0], orders[:0]

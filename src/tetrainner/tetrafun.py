@@ -155,7 +155,7 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
 
     # the circle grid cannot vouch for ModulusDomination above degree CIRCLE_SAMPLES
     capped = n <= CIRCLE_SAMPLES
-    deg_ok = capped and all(p.is_zero or p.degree <= n for p in (e1, e2, d))
+    deg_ok = capped and all(p.degree <= n for p in (e1, e2, d))
     checks.append(ConditionCheck(
         "DegreeBound", deg_ok,
         f"deg(e1)={e1.degree}, deg(e2)={e2.degree}, deg(d)={d.degree}, bound n={n}"
@@ -414,7 +414,7 @@ def decode_function_fields(data: dict) -> tuple[Polynomial, Polynomial, Polynomi
 
 def to_json_dict(x: TetraRational) -> dict:
     def encode(p: Polynomial):
-        return [encode_complex(c) for c in p.coeffs]
+        return [encode_complex(c) for c in p.coeffs.tolist()]
 
     return {"n": x.n, "E1": encode(x.e1), "E2": encode(x.e2), "D": encode(x.d)}
 

@@ -97,6 +97,17 @@ def test_construct_collision_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("scale, exit_code", [
+    ({"t_plus": 1e-13}, EXIT_NUMERICAL),        # the function lies on the royal variety
+    ({"t": [1e-15, 0.0]}, EXIT_PRECONDITION),   # e1 trims to zero
+])
+def test_construct_tiny_scales_fail_loudly(tmp_path, capsys, scale, exit_code):
+    spec = {"alpha1": [[0.3, 0.0]], "alpha2": [], "sigma": [[0.5, 0.0]],
+            "t_plus": 1.0, "t": [1.0, 0.0], **scale}
+    code, out = _run(capsys, ["construct", _write(tmp_path, "spec.json", spec)])
+    assert code == exit_code and out == ""
+
+
 def test_verify_worked_function(tmp_path, capsys):
     spec_path = _write(tmp_path, "spec.json", WORKED_SPEC)
     code, out = _run(capsys, ["construct", spec_path])

@@ -12,6 +12,7 @@ from tetrainner.construct import (
     recover_data,
 )
 from tetrainner.errors import (
+    ConstructionInconsistent,
     DegenerateZeroComponent,
     InvalidConstructionSpec,
     NodeOutsideClosedDisc,
@@ -90,6 +91,26 @@ def test_construct_degenerate_constant():
     assert x.n == 0
     pt = eval_function(x, 0.3)
     assert classify_tetra(pt) is TetraRegion.DISTINGUISHED_BOUNDARY
+
+
+@pytest.mark.parametrize("scale, error, message", [
+    # the royal target is tiny but above the trim threshold: x lies on the royal variety
+    ({"t_plus": 1e-13}, ConstructionInconsistent, "royal variety"),
+    ({"t_plus": 1e-15}, InvalidConstructionSpec, "royal target trims to zero"),
+    ({"t": 1e-15}, InvalidConstructionSpec, "e1 trims to zero"),
+])
+def test_construct_rejects_tiny_scales(scale, error, message):
+    spec = ConstructionSpec(alpha1=(0.3,), sigma=(0.5,), **{"t_plus": 1.0, "t": 1.0, **scale})
+    with pytest.raises(error, match=message):
+        construct(spec)
+
+
+def test_builders_reject_a_product_that_trims_to_zero():
+    for t in (0.0, 1e-15):
+        with pytest.raises(InvalidConstructionSpec, match="e1 trims to zero"):
+            build_e1((0.3,), (), t)
+    with pytest.raises(InvalidConstructionSpec, match="royal target trims to zero"):
+        build_royal_target((0.5,), 1e-15)
 
 
 def test_construct_rejects_collision():

@@ -7,8 +7,10 @@ import pytest
 from helpers import coeff_bits, pairwise_product
 import tetrainner
 from tetrainner.errors import DegreeExceedsReflectionIndex, ZeroPolynomialHasAllRoots
+from tetrainner.fejriesz import TrigPolynomial
 from tetrainner.polycx import (
     CIRCLE_SAMPLES,
+    TRIM_TOL,
     Polynomial,
     circle_split,
     coeff_distance,
@@ -327,3 +329,86 @@ def test_product_matches_pairwise_on_random_factors():
         assert coeff_bits(product(factors)) == coeff_bits(expected)
         assert (coeff_bits(factors[0] * factors[-1])
                 == coeff_bits(pairwise_product(factors[0], factors[-1:])))
+
+
+# -- one read-only complex128 array, bit-identical to the tuple arithmetic ---------
+
+def _ref_trim(cs):
+    cs = [complex(c) for c in cs]
+    while cs and abs(cs[-1]) <= TRIM_TOL:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_coeff(cs, j):
+    return cs[j] if 0 <= j < len(cs) else 0j
+
+
+def _ref_add(a, b):
+    return _ref_trim(_ref_coeff(a, j) + _ref_coeff(b, j) for j in range(max(len(a), len(b))))
+
+
+def _random_coeffs(rng):
+    """Mixed magnitudes with exact and signed zeros and values at the trim threshold."""
+    pool = [0.0, -0.0, 1.0, -2.5, TRIM_TOL, -TRIM_TOL, 3e-15, 1e-300]
+    parts = [rng.normal() * 10.0 ** rng.integers(-16, 4) if rng.random() < 0.7
+             else pool[rng.integers(len(pool))] for _ in range(2 * int(rng.integers(0, 9)))]
+    return tuple(complex(re, im) for re, im in zip(parts[::2], parts[1::2]))
+
+
+def _bits(cs):
+    return np.array(cs, dtype=complex).tobytes()
+
+
+def test_array_operations_match_the_tuple_arithmetic_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    scalars = [complex(rng.normal(), rng.normal()), float(rng.normal()), -0.0, 2,
+               np.float64(rng.normal()), np.complex128(complex(rng.normal(), -0.0))]
+    for _ in range(400):
+        a, b = _ref_trim(_random_coeffs(rng)), _ref_trim(_random_coeffs(rng))
+        p, q = Polynomial(a), Polynomial(b)
+        assert _bits(p.coeffs) == _bits(a) and _bits(q.coeffs) == _bits(b)
+        for c in scalars:
+            assert _bits(p.scale(c).coeffs) == _bits(_ref_trim(c * z for z in a))
+        assert _bits((p + q).coeffs) == _bits(_ref_add(a, b))
+        assert _bits((p - q).coeffs) == _bits(_ref_add(a, tuple(-z for z in b)))
+        n = len(a) + int(rng.integers(0, 3))
+        assert _bits(p.reflect(n).coeffs) == _bits(
+            _ref_trim(np.conj(_ref_coeff(a, n - j)) for j in range(n + 1)))
+        assert p.max_coeff() == max((abs(z) for z in a), default=0.0)
+        assert coeff_distance(p, q) == max(
+            (abs(_ref_coeff(a, j) - _ref_coeff(b, j)) for j in range(max(len(a), len(b)))),
+            default=0.0)
+
+
+@pytest.mark.parametrize("coeffs", [(), (1, 2), (0.5, 1j, 0.0)])
+def test_coeffs_is_a_read_only_complex128_array(coeffs):
+    for obj in (Polynomial(coeffs), TrigPolynomial(coeffs)):
+        assert isinstance(obj.coeffs, np.ndarray) and obj.coeffs.dtype == np.complex128
+        assert obj.coeffs.ndim == 1 and not obj.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            obj.coeffs[...] = 0
+        with pytest.raises(TypeError):
+            hash(obj)
+
+
+def test_equality_compares_values_and_repr_keeps_full_precision():
+    p = Polynomial((1 / 3, 0.1 + 2j / 3))
+    assert p == Polynomial([1 / 3 + 0j, 0.1 + 2j / 3, 1e-15])
+    assert p != Polynomial((1 / 3, 0.1 + 2j / 3 + 1e-12)) and p != TrigPolynomial(p.coeffs)
+    assert repr(p) == f"Polynomial(coeffs={(1 / 3 + 0j, 0.1 + 2j / 3)!r})"
+    assert eval(repr(p), {"Polynomial": Polynomial}) == p
+    assert repr(Polynomial()) == "Polynomial(coeffs=())"
+    assert repr(TrigPolynomial()) == "TrigPolynomial(coeffs=(0j,))"
+
+
+def test_the_empty_polynomial_needs_no_special_case():
+    zero, p = Polynomial(), Polynomial((1.0, -2j))
+    assert zero.coeffs.shape == (0,) and zero.is_zero and zero.degree == float("-inf")
+    for n in (-3, 0, 4):
+        assert zero.reflect(n) == zero and is_n_symmetric(zero, n)
+    assert zero + p == p and p + zero == p and zero - p == -p
+    grid = unit_circle(16)
+    assert np.array_equal(zero.eval(grid), np.zeros(16, dtype=complex))
+    assert zero.eval(0.5) == 0 and zero.max_coeff() == 0.0 and coeff_distance(zero, p) == 2.0
+    assert product([p, zero]) == zero and product([zero]) == zero and zero * p == zero
