@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fejriesz import factor, laurent_shift, modulus_squared_on_circle
 from .polycx import (CIRCLE_TOL, SPEC_TOL, TRIM_TOL, Polynomial, RootMultiset, coeff_distance,
-                     product, roots as poly_roots)
+                     linear_product, reflected_roots, roots as poly_roots)
 from .tetrafun import (RoyalNode, TetraRational, is_royal_variety, royal_nodes, royal_polynomial,
                        validate)
 
@@ -97,20 +97,19 @@ def build_royal_target(sigma, t_plus: float) -> Polynomial:
     """
     if not t_plus > 0:
         raise InvalidConstructionSpec(f"t_plus = {t_plus} must be positive")
-    factors = [Polynomial((t_plus,))]
+    pairs = []
     for s in sigma:
         s = complex(s)
         if abs(s) > 1.0 + SPEC_TOL:
             raise NodeOutsideClosedDisc(f"royal node {s} lies outside the closed disc")
-        factors += [Polynomial((-s, 1)), Polynomial((1, -np.conj(s)))]
-    return _nonzero(product(factors), "royal target")
+        pairs += [(-s, 1), (1, -np.conj(s))]
+    return _nonzero(linear_product(t_plus, pairs), "royal target")
 
 
 def build_e1(alpha1, alpha2, t: complex) -> Polynomial:
     """t * prod (lam - alpha1_j) * prod (1 - conj(alpha2_j) lam); nonzero after trimming."""
-    return _nonzero(product([Polynomial((complex(t),))]
-                            + [Polynomial((-complex(a), 1)) for a in alpha1]
-                            + [Polynomial((1, -np.conj(complex(a)))) for a in alpha2]), "e1")
+    return _nonzero(linear_product(complex(t), [(-complex(a), 1) for a in alpha1]
+                                   + [(1, -np.conj(complex(a))) for a in alpha2]), "e1")
 
 
 def _nonzero(p: Polynomial, name: str) -> Polynomial:
@@ -150,14 +149,16 @@ def construct(spec: ConstructionSpec) -> TetraRational:
 def recover_data(x: TetraRational) -> RecoveredData:
     """Zeros of x1 and x2 in the closed disc plus the royal nodes.
 
-    Identically zero components carry no finite zero list and are rejected;
-    royal-variety functions have no node data, so royal_nodes raises.
+    Only e1 is solved: validation makes e2 = e1~n within AGREE_TOL, so the
+    zeros of x2 are the reflections of the zeros of x1.  Identically zero
+    components carry no finite zero list and are rejected; royal-variety
+    functions have no node data, so royal_nodes raises.
     """
     if x.e1.is_zero or x.e2.is_zero:
         raise DegenerateZeroComponent(
             "a component of the function is identically zero; no zero list exists")
     zeros1, zeros2 = (
-        RootMultiset(tuple((loc, order) for loc, order in poly_roots(e).entries
+        RootMultiset(tuple((loc, order) for loc, order in found.entries
                            if abs(loc) <= 1.0 + CIRCLE_TOL))
-        for e in (x.e1, x.e2))
+        for found in (poly_roots(x.e1), reflected_roots(x.e1, x.n)))
     return RecoveredData(zeros1, zeros2, royal_nodes(x))

@@ -28,8 +28,8 @@ from .polycx import (
     from_roots,
     is_n_symmetric,
     modulus,
-    roots as poly_roots,
     unit_circle,
+    zero_free_disc,
     zero_pad,
 )
 
@@ -83,8 +83,8 @@ def laurent_shift(r_poly: Polynomial, n: int) -> TrigPolynomial:
 
 
 def is_outer(p: Polynomial) -> bool:
-    """True iff p is nonzero and no root of p has modulus below 1 - 1e-9."""
-    return not p.is_zero and all(abs(loc) >= 1.0 - 1e-9 for loc, _ in poly_roots(p).entries)
+    """True iff p is nonzero and no root of p has modulus 1 - 1e-9 or below (Schur-Cohn test)."""
+    return not p.is_zero and zero_free_disc(p, 1.0 - 1e-9)
 
 
 def factor(p: TrigPolynomial) -> Polynomial:

@@ -45,6 +45,11 @@ def zero_pad(a: np.ndarray, m: int) -> np.ndarray:
 class CoefficientArray:
     """Frozen dataclass base: coeffs is a read-only complex128 array; == compares values."""
 
+    @cached_property
+    def _coeff_tuple(self) -> tuple:
+        """The coefficients as a tuple of Python complex numbers."""
+        return tuple(self.coeffs.tolist())
+
     def coeff(self, j: int) -> complex:
         return complex(self.coeffs[j]) if 0 <= j < len(self.coeffs) else 0j
 
@@ -56,7 +61,7 @@ class CoefficientArray:
         return type(other) is type(self) and np.array_equal(self.coeffs, other.coeffs)
 
     def __repr__(self):
-        return f"{type(self).__name__}(coeffs={tuple(self.coeffs.tolist())!r})"
+        return f"{type(self).__name__}(coeffs={self._coeff_tuple!r})"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -64,9 +69,7 @@ class Polynomial(CoefficientArray):
     coeffs: np.ndarray = ()
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
-        while len(c) and abs(complex(c[-1])) <= TRIM_TOL:
-            c = c[:-1]
+        c = _trim(np.array(self.coeffs, dtype=complex))
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -83,6 +86,11 @@ class Polynomial(CoefficientArray):
         member = _components(z, CLUSTER_TOL)
         orders = member.sum(axis=1)
         return RootMultiset(_entries(member @ z / orders, orders))
+
+    @cached_property
+    def _zero_free(self) -> dict:
+        """zero_free_disc results by radius."""
+        return {}
 
     @property
     def degree(self):
@@ -104,7 +112,7 @@ class Polynomial(CoefficientArray):
         if isinstance(z, np.ndarray):
             return np.polyval(self.coeffs[::-1], z)
         acc = 0j
-        for c in reversed(self.coeffs.tolist()):
+        for c in reversed(self._coeff_tuple):
             acc = acc * z + c
         return acc
 
@@ -160,22 +168,46 @@ class Polynomial(CoefficientArray):
         return Polynomial(out)
 
 
+def _trim(c: np.ndarray) -> np.ndarray:
+    """c without its trailing coefficients of modulus TRIM_TOL or below."""
+    k = len(c)
+    while k and abs(c.item(k - 1)) <= TRIM_TOL:
+        k -= 1
+    return c if k == len(c) else c[:k]
+
+
+def _convolve(arrays) -> np.ndarray:
+    """Left-to-right product of coefficient arrays, None if there are none.
+
+    Each factor and each partial product is trimmed as Polynomial trims, so
+    the result equals the repeated Polynomial product bit for bit.
+    """
+    acc = None
+    for a in arrays:
+        a = _trim(a)
+        if not len(a) or (acc is not None and not len(acc)):
+            return a[:0]
+        acc = a if acc is None else _trim(np.convolve(acc, a))
+    return acc
+
+
 def product(factors) -> Polynomial:
     """Product of the polynomials in factors, multiplied left to right; 1 if none.
 
-    Convolves coefficient arrays and builds one Polynomial at the end.  A
-    trailing coefficient a step rounds to TRIM_TOL or below is dropped at
-    that step, as the repeated product would, so the result equals it bit
-    for bit.
+    Convolves coefficient arrays and builds one Polynomial at the end.
     """
-    acc = None
-    for f in factors:
-        if f.is_zero or (acc is not None and not len(acc)):
-            return Polynomial()
-        acc = f.coeffs if acc is None else np.convolve(acc, f.coeffs)
-        while len(acc) and abs(complex(acc[-1])) <= TRIM_TOL:
-            acc = acc[:-1]
+    acc = _convolve(f.coeffs for f in factors)
     return Polynomial((1.0,)) if acc is None else Polynomial(acc)
+
+
+def linear_product(lead: complex, pairs) -> Polynomial:
+    """lead * prod (c0 + c1 lam) over the (c0, c1) pairs, multiplied left to right.
+
+    Equals product() of the Polynomials (lead,), (c0, c1), ... bit for bit,
+    without building one Polynomial per factor.
+    """
+    return Polynomial(_convolve([np.array([lead], dtype=complex),
+                                 *np.array(pairs, dtype=complex)]))
 
 
 def coeff_distance(p: Polynomial, q: Polynomial) -> float:
@@ -253,6 +285,60 @@ def roots(p: Polynomial) -> RootMultiset:
     if p.is_zero:
         raise ZeroPolynomialHasAllRoots("the zero polynomial vanishes everywhere")
     return p._roots
+
+
+def zero_free_disc(p: Polynomial, radius: float) -> bool:
+    """True iff every root of p has modulus above radius; no roots are solved.
+
+    The Schur-Cohn test on p(radius lam); see _schur_cohn.  O(degree^2)
+    flops.  The result is kept on p for each radius.
+    """
+    if p.is_zero:
+        raise ZeroPolynomialHasAllRoots("the zero polynomial vanishes everywhere")
+    memo = p._zero_free
+    if radius not in memo:
+        memo[radius] = _schur_cohn(p.coeffs * radius ** np.arange(len(p.coeffs)))
+    return memo[radius]
+
+
+def _schur_cohn(q: np.ndarray) -> bool:
+    """True iff the polynomial with ascending coefficients q has no root in the closed unit disc.
+
+    Schur 1917, Cohn 1922; Marden, Geometry of Polynomials, sections 42-43.
+    With q normalised to q(0) = 1 and top coefficient a, |a| < 1 is
+    necessary (1/|a| is the product of the root moduli), and then
+    q - a conj(q reversed) loses its top coefficient and keeps the number
+    of roots in the closed disc (Rouché on the circle, where
+    |q reversed| = |q|).  So
+    the test recurses on that, normalised again, down to a constant.
+    """
+    if q[0] == 0:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = q / q[0]
+        while len(q) > 1:
+            a = q.item(-1)
+            if not abs(a) < 1.0:
+                return False
+            q = (q[:-1] - a * np.conj(q[:0:-1])) / (1.0 - abs(a) ** 2)
+    return True
+
+
+def reflected_roots(p: Polynomial, n: int) -> RootMultiset:
+    """Roots of p.reflect(n), read from roots(p) with no solve.
+
+    n - deg p roots at 0, and 1/conj(r) with its order for each nonzero root
+    r of p (a root at 0 has no reflection: the reflected degree drops
+    instead); roots closer than CLUSTER_TOL merge at their mean, as in roots().
+    """
+    pairs = [(1 / loc.conjugate(), order) for loc, order in roots(p).entries if loc]
+    if n > p.degree:
+        pairs.append((0j, n - p.degree))
+    locs = np.array([loc for loc, _ in pairs], dtype=complex)
+    orders = np.array([order for _, order in pairs], dtype=int)
+    member = _components(locs, CLUSTER_TOL)
+    total = member @ orders
+    return RootMultiset(_entries(member @ (orders * locs) / total, total))
 
 
 def _derivative_roots(p: Polynomial, seeds):
@@ -333,4 +419,4 @@ def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
 
 def from_roots(locations) -> Polynomial:
     """Expand prod (lambda - r) over the given root list."""
-    return product([Polynomial((1.0,))] + [Polynomial((-r, 1)) for r in locations])
+    return linear_product(1.0, [(-r, 1) for r in locations])

@@ -43,9 +43,10 @@ from .polycx import (
     agree,
     circle_split,
     coeff_distance,
-    product,
+    linear_product,
     roots as poly_roots,
     unit_circle,
+    zero_free_disc,
 )
 
 MODULUS_SLACK = 1e-9
@@ -164,9 +165,15 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
     if d.is_zero:
         checks.append(ConditionCheck("DVanishesInDisc", False, "d is identically zero"))
     else:
+        # the Schur-Cohn test decides; roots are solved only to list the offenders
         limit = 1.0 + CIRCLE_TOL if strict else 1.0 - CIRCLE_TOL
-        bad = [(loc, order) for loc, order in poly_roots(d).entries if abs(loc) < limit]
         mode = "closed disc" if strict else "open disc"
+        bad = []
+        if not zero_free_disc(d, limit):
+            found = poly_roots(d).entries
+            # rounding can leave the root that failed the test just past the limit
+            bad = ([(loc, order) for loc, order in found if abs(loc) < limit]
+                   or [min(found, key=lambda entry: abs(entry[0]))])
         checks.append(ConditionCheck(
             "DVanishesInDisc", not bad,
             f"roots of d inside the {mode}: {bad if bad else 'none'}"))
@@ -236,13 +243,16 @@ def degree(x: TetraRational) -> int:
     """Blaschke degree of the third component.
 
     Counts the open-disc zeros of the n-reflection of d: n - deg d at 0, and
-    1/conj(r) for each root r of d with |r| >= 1 + CIRCLE_TOL, read from the
-    roots validation has solved.  Strict validation accepts exactly those
-    roots, so degree(x) = x.n for every strictly valid x; in lenient mode
-    circle zeros of d cancel against the reflection and do not count.
+    1/conj(r) for each root r of d with |r| >= 1 + CIRCLE_TOL.  When d has
+    no other roots, which is what strict validation accepts, the count is
+    x.n; for a strict x that answer is the memoised disc test of validation,
+    and nothing is solved.  Otherwise the roots of d are read, and circle
+    zeros of d (lenient mode) cancel against the reflection and do not count.
     """
     if x.d_reflected.degree <= 0:
         return 0
+    if x.strict and zero_free_disc(x.d, 1.0 + CIRCLE_TOL):
+        return x.n
     return x.n - x.d.degree + sum(order for loc, order in poly_roots(x.d).entries
                                   if abs(loc) >= 1.0 + CIRCLE_TOL)
 
@@ -304,8 +314,7 @@ def superficial_build(spec: SuperficialSpec, n_bound: int) -> TetraRational:
     if k > n_bound:
         raise InvalidSuperficialSpec(f"Blaschke degree {k} exceeds bound {n_bound}")
     gamma = np.exp(-0.5j * np.angle(spec.x3.unimodular_constant))
-    d = product([Polynomial((gamma,))]
-                + [Polynomial((1.0, -np.conj(z))) for z in spec.x3.zeros])
+    d = linear_product(gamma, [(1.0, -np.conj(z)) for z in spec.x3.zeros])
     num = d.reflect(k)
     e1 = spec.beta1 * d + np.conj(spec.beta2) * num
     e2 = spec.beta2 * d + np.conj(spec.beta1) * num
@@ -409,6 +418,8 @@ def decode_function_fields(data: dict) -> tuple[Polynomial, Polynomial, Polynomi
     n = data["n"]
     if not _is_number(n) or n % 1:
         raise MalformedInput("field 'n' must be an integer")
+    if n < 0:
+        raise MalformedInput("field 'n' must be nonnegative")
     return (*polys, int(n))
 
 

@@ -292,6 +292,34 @@ def test_malformed_function_exits_2_naming_the_field(tmp_path, capsys):
             assert captured.out == "" and captured.err == message
 
 
+def test_negative_n_exits_2_naming_the_field(tmp_path, capsys):
+    for d in ([[1.0, 0.0]], []):
+        path = _write(tmp_path, "func.json", {"n": -2, "E1": [], "E2": [], "D": d})
+        for command in ("verify", "analyze"):
+            assert main([command, path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: field 'n' must be nonnegative\n"
+
+
+def test_analyze_and_verify_solve_only_the_royal_polynomial(tmp_path, capsys, monkeypatch):
+    # the disc check is a Schur-Cohn test and a strict function has degree n,
+    # so analyze solves the royal polynomial (degree 2n) and verify nothing;
+    # in lenient mode degree reads the roots of d
+    spec = {"alpha1": [[0.3, 0.1]], "alpha2": [[-0.2, 0.4]], "sigma": [[0.5, 0.0], [0.0, 1.0]],
+            "t_plus": 1.0, "t": [0.8, 0.0]}
+    code, out = _run(capsys, ["construct", _write(tmp_path, "spec.json", spec)])
+    assert code == 0
+    func_path = _write(tmp_path, "func.json", json.loads(out)["function"])
+    calls, solve = [], np.roots
+    monkeypatch.setattr(np, "roots", lambda a: calls.append(len(a) - 1) or solve(a))
+    for argv, degrees in ((["analyze"], [4]), (["verify"], []),
+                          (["analyze", "--lenient"], [2, 4]), (["verify", "--lenient"], [2])):
+        calls.clear()
+        code, out = _run(capsys, argv + [func_path])
+        assert code == 0 and calls == degrees, argv
+
+
 def test_n_given_as_integral_float_reads_as_integer(tmp_path, capsys):
     outputs = []
     for n in (1, 1.0):

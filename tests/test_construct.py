@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import coeff_bits, match_multiset, pairwise_product, random_construction_spec
-from tetrainner import extremal
+from tetrainner import extremal, polycx
 from tetrainner.boundary import TetraRegion, classify_tetra
 from tetrainner.construct import (
     ConstructionSpec,
@@ -19,7 +19,7 @@ from tetrainner.errors import (
     NodeZeroCollision,
     RoyalVarietyFunction,
 )
-from tetrainner.polycx import Polynomial, coeff_distance, from_roots, unit_circle
+from tetrainner.polycx import CIRCLE_TOL, Polynomial, coeff_distance, from_roots, roots, unit_circle
 from tetrainner.tetrafun import (
     degree,
     eval_function,
@@ -239,11 +239,40 @@ def test_pipeline_solves_each_polynomial_once(monkeypatch, k_circle):
     x = construct(spec)
     recover_data(x)
     result = extremal.perturb_nonextreme(x)
-    # factor (2n), d, e1, e2 and the royal polynomial (2n); the halves' d
-    # and degree's reflection reuse the roots of x.d
-    assert degrees == [16, 8, 8, 8, 16]
+    # factor (2n), e1 and the royal polynomial (2n); the Schur-Cohn test
+    # decides d, the zeros of e2 are reflected from those of e1, and the
+    # degree of a strict function is n
+    assert degrees == [16, 8, 16]
     assert degree(result.x_plus) == degree(result.x_minus) == 8
-    assert len(degrees) == 5
+    assert len(degrees) == 3
+
+
+@pytest.mark.parametrize("k_circle", [0, 4])
+def test_perturbation_halves_reuse_the_disc_test_of_d(monkeypatch, k_circle):
+    x = construct(random_construction_spec(np.random.default_rng(79), 8, k_circle=k_circle))
+    calls, test = [], polycx._schur_cohn
+    monkeypatch.setattr(polycx, "_schur_cohn", lambda q: calls.append(1) or test(q))
+    result = extremal.perturb_nonextreme(x)
+    assert result.x_plus.d is result.x_minus.d is x.d
+    assert calls == []
+
+
+def test_zeros2_are_the_reflected_zeros_of_x1():
+    rng = np.random.default_rng(101)
+    specs = [random_construction_spec(rng, n, k_circle=k)
+             for n, k in ((1, 0), (3, 1), (8, 0), (8, 4), (16, 0), (24, 6))]
+    # alpha2 = 0 leaves deg e1 = n - 1, so x2 vanishes at 0; alpha1 = 0 is a
+    # zero of x1 whose reflection lies at infinity
+    specs.append(ConstructionSpec(alpha1=(0.0, 0.3), alpha2=(0.0, 0.5j),
+                                  sigma=(0.1, -0.4, 0.6j, 0.2 - 0.2j)))
+    for spec in specs:
+        x = construct(spec)
+        found = recover_data(x).zeros2.entries
+        expected = [(loc, order) for loc, order in roots(x.e2).entries
+                    if abs(loc) <= 1.0 + CIRCLE_TOL]
+        assert [order for _, order in found] == [order for _, order in expected]
+        assert max((abs(a - b) for (a, _), (b, _) in zip(found, expected)), default=0.0) <= 1e-9
+    assert x.e1.degree == x.n - 1 and (0j, 1) in found
 
 
 # -- expansions against the pairwise product -------------------------------------

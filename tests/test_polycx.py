@@ -4,12 +4,19 @@ import re
 import numpy as np
 import pytest
 
-from helpers import coeff_bits, pairwise_product
+from helpers import coeff_bits, pairwise_product, random_construction_spec
 import tetrainner
-from tetrainner.errors import DegreeExceedsReflectionIndex, ZeroPolynomialHasAllRoots
+from tetrainner.construct import construct
+from tetrainner.errors import (
+    ConstructionInconsistent,
+    DegreeExceedsReflectionIndex,
+    ZeroPolynomialHasAllRoots,
+)
 from tetrainner.fejriesz import TrigPolynomial
+from tetrainner import polycx
 from tetrainner.polycx import (
     CIRCLE_SAMPLES,
+    CIRCLE_TOL,
     TRIM_TOL,
     Polynomial,
     circle_split,
@@ -19,6 +26,7 @@ from tetrainner.polycx import (
     product,
     roots,
     unit_circle,
+    zero_free_disc,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -412,3 +420,89 @@ def test_the_empty_polynomial_needs_no_special_case():
     assert np.array_equal(zero.eval(grid), np.zeros(16, dtype=complex))
     assert zero.eval(0.5) == 0 and zero.max_coeff() == 0.0 and coeff_distance(zero, p) == 2.0
     assert product([p, zero]) == zero and product([zero]) == zero and zero * p == zero
+
+
+# -- Schur-Cohn disc test against mpmath roots ----------------------------------
+
+RADII = (1.0 + CIRCLE_TOL, 1.0 - CIRCLE_TOL)   # strict and lenient DVanishesInDisc
+
+
+def mp_roots(coeffs, start=None):
+    """Roots of the ascending coefficients at 30 digits, refined from start if given."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        found, err = mpmath.polyroots(
+            [mpmath.mpc(c.real, c.imag) for c in coeffs[::-1]], maxsteps=500, extraprec=100,
+            roots_init=None if start is None else [mpmath.mpc(complex(z)) for z in start],
+            error=True)
+        assert err < 1e-20
+        return found
+
+
+def _constructed_d(rng, n):
+    for _ in range(5):
+        try:
+            return construct(random_construction_spec(rng, n, k_circle=n // 3)).d
+        except ConstructionInconsistent:
+            continue
+    pytest.fail(f"no construction at n = {n} in five draws")
+
+
+def test_zero_free_disc_matches_mpmath_on_constructed_d():
+    rng = np.random.default_rng(89)
+    for n in range(1, 33):
+        d = _constructed_d(rng, n)
+        nearest = min(abs(r) for r in mp_roots(d.coeffs.tolist(), np.roots(d.coeffs[::-1])))
+        for radius in RADII:
+            assert zero_free_disc(d, radius) == (nearest > radius), (n, radius)
+
+
+@pytest.mark.parametrize("n", [4, 12, 24])
+def test_zero_free_disc_matches_mpmath_when_a_root_crosses_the_radius(n):
+    mpmath = pytest.importorskip("mpmath")
+    d = _constructed_d(np.random.default_rng(n), n)
+    found = list(mp_roots(d.coeffs.tolist(), np.roots(d.coeffs[::-1])))
+    near = min(range(n), key=lambda j: abs(found[j]))
+    for radius in RADII:
+        for shift in (1e-7, -1e-7, 1e-3, -1e-3):
+            with mpmath.workdps(30):
+                moved = found[:near] + [found[near] * (radius + shift) / abs(found[near])] \
+                    + found[near + 1:]
+                coeffs = [d.coeff(n)]
+                for r in moved:   # times (lam - r), ascending
+                    coeffs = [-r * coeffs[0]] + [coeffs[j - 1] - r * coeffs[j]
+                                                 for j in range(1, len(coeffs))] + [coeffs[-1]]
+                p = Polynomial(tuple(complex(c) for c in coeffs))
+            nearest = min(abs(r) for r in mp_roots(p.coeffs.tolist(), moved))
+            assert (nearest > radius) == (shift > 0)
+            assert zero_free_disc(p, radius) == (shift > 0), (radius, shift)
+
+
+@pytest.mark.parametrize("coeffs, radius, expected", [
+    ((0.0, 1.0, 2.0), 1e-3, False),                      # d(0) = 0
+    ((0.0, 0.0, 0.5j), 2.0, False),
+    ((3.0 - 1j,), 1.0 + CIRCLE_TOL, True),              # a nonzero constant
+    ((1e-13,), 1e6, True),
+    ((1.0, -0.5, 2e-14), 1.0 + CIRCLE_TOL, True),       # roots near 2 and 2.5e13
+    ((1.0, -0.5, 2e-14), 2.5, False),
+    ((1.0, -1.0, 1e-14 + 1e-15j), 1.0 + CIRCLE_TOL, False),  # root 1 + 1e-14, near the trim
+])
+def test_zero_free_disc_edge_cases(coeffs, radius, expected):
+    p = Polynomial(coeffs)
+    if p.degree > 0:
+        nearest = min(abs(r) for r in mp_roots(p.coeffs.tolist()))
+        assert (nearest > radius) == expected
+    assert zero_free_disc(p, radius) == expected
+
+
+def test_zero_free_disc_is_kept_per_radius(monkeypatch):
+    p = from_roots([1.5, -2.0j, 0.5 + 1.2j])
+    calls = []
+    test = polycx._schur_cohn
+    monkeypatch.setattr(polycx, "_schur_cohn", lambda q: calls.append(1) or test(q))
+    assert [zero_free_disc(p, r) for r in (1.0, 1.2, 1.0, 1.6, 1.2)] == [
+        True, True, True, False, True]
+    assert len(calls) == 3
+    assert zero_free_disc(Polynomial(p.coeffs), 1.0) and len(calls) == 4
+    with pytest.raises(ZeroPolynomialHasAllRoots):
+        zero_free_disc(Polynomial(), 1.0)

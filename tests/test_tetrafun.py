@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from tetrainner.errors import (
     UndefinedOmegaOrK,
     ValidationError,
 )
-from tetrainner.polycx import Polynomial, coeff_distance, is_n_symmetric, unit_circle
+from tetrainner.polycx import CIRCLE_TOL, Polynomial, coeff_distance, is_n_symmetric, unit_circle
 from tetrainner.tetrafun import (
     BlaschkeSpec,
     SuperficialSpec,
@@ -97,6 +99,43 @@ def test_validate_strict_rejects_circle_zero_lenient_allows():
         validate(ZERO, ZERO, d, 1, strict=True)
     x = validate(ZERO, ZERO, d, 1, strict=False)
     assert not x.strict
+
+
+def _disc_check(d, strict):
+    return next(c for c in validation_report(ZERO, ZERO, d, d.degree, strict=strict)
+                if c.code == "DVanishesInDisc")
+
+
+def test_failing_disc_check_lists_the_offending_roots():
+    d = polycx.from_roots([0.5j, 1.0, 2.0])
+    for strict, mode, offending in ((True, "closed", [0.5j, 1.0]), (False, "open", [0.5j])):
+        check = _disc_check(d, strict)
+        head, listed = check.detail.split(": ")
+        assert not check.passed and head == f"roots of d inside the {mode} disc"
+        listed = sorted(ast.literal_eval(listed), key=lambda entry: abs(entry[0]))
+        assert [order for _, order in listed] == [1] * len(offending)
+        assert all(abs(loc - r) < 1e-12 for (loc, _), r in zip(listed, offending))
+    # a root exactly on the strict radius fails the closed-disc test and is listed
+    check = _disc_check(Polynomial((-(1.0 + CIRCLE_TOL), 1.0)), True)
+    assert not check.passed
+    assert check.detail == f"roots of d inside the closed disc: {[(1.0 + CIRCLE_TOL + 0j, 1)]}"
+    check = _disc_check(Polynomial((-(1.0 + 2 * CIRCLE_TOL), 1.0)), True)
+    assert check.passed and check.detail == "roots of d inside the closed disc: none"
+
+
+def _count_np_roots(monkeypatch):
+    calls, solve = [], np.roots
+    monkeypatch.setattr(np, "roots", lambda a: calls.append(len(a) - 1) or solve(a))
+    return calls
+
+
+def test_degree_of_a_strict_function_solves_nothing(monkeypatch):
+    x = construct(random_construction_spec(np.random.default_rng(97), 6, k_circle=2))
+    calls = _count_np_roots(monkeypatch)
+    strict = from_json_dict(to_json_dict(x))
+    assert degree(strict) == 6 and calls == []
+    lenient = from_json_dict(to_json_dict(x), strict=False)
+    assert degree(lenient) == 6 and calls == [6]
 
 
 def test_validation_report_lists_four_codes():
@@ -550,6 +589,12 @@ def _reflected_count(x, circle_tol=1e-6):
     return sum(order for loc, order in polycx.roots(dr).entries if abs(loc) < 1.0 - circle_tol)
 
 
+def test_degree_of_an_unvalidated_strict_triple_counts_the_reflection():
+    # the disc test, not the strict flag, lets degree skip the roots of d
+    x = TetraRational(ZERO, ZERO, Polynomial((0.0, -2.0, 1.0)), 3)
+    assert x.strict and degree(x) == _reflected_count(x) == 2
+
+
 def test_degree_matches_roots_of_reflection_for_constructions():
     rng = np.random.default_rng(73)
     for n in range(1, 33):
@@ -623,3 +668,10 @@ def test_json_malformed_input_names_the_field(payload, message):
     with pytest.raises(MalformedInput) as exc:
         from_json_dict(payload)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n", [-1, -2, -2.0])
+def test_json_rejects_a_negative_reflection_index(n):
+    with pytest.raises(MalformedInput) as exc:
+        from_json_dict(dict(ROYAL_JSON, n=n))
+    assert str(exc.value) == "field 'n' must be nonnegative"
