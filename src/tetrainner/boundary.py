@@ -65,7 +65,6 @@ class GammaRegion(enum.Enum):
     OPEN_G = "OpenG"
     GAMMA_BOUNDARY_TOP = "GammaBoundaryTop"
     GAMMA_DISTINGUISHED = "GammaDistinguished"
-    CLOSED_GAMMA_INTERIOR_ONLY = "ClosedGammaInteriorOnly"
     OUTSIDE = "Outside"
 
 
@@ -123,8 +122,6 @@ def classify_gamma(g: GammaPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> GammaR
         return GammaRegion.GAMMA_BOUNDARY_TOP
     if defect < -tol:
         return GammaRegion.OPEN_G
-    if s_ok and defect <= tol:
-        return GammaRegion.CLOSED_GAMMA_INTERIOR_ONLY
     return GammaRegion.OUTSIDE
 
 

@@ -48,13 +48,11 @@ def _load_payload(args) -> dict:
 
 
 def _emit(args, text: str):
-    if not text.endswith("\n"):
-        text += "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
 
 
 def _fail(message: str, code: int) -> int:

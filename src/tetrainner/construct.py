@@ -29,8 +29,8 @@ from .errors import (
     ValidationError,
 )
 from .fejriesz import factor, laurent_shift, modulus_squared_on_circle
-from .polycx import (CIRCLE_TOL, SPEC_TOL, TRIM_TOL, Polynomial, RootMultiset, coeff_distance,
-                     linear_product, reflected_roots, roots as poly_roots)
+from .polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, SPEC_TOL, TRIM_TOL, Polynomial, RootMultiset,
+                     coeff_distance, linear_product, reflected_roots, roots as poly_roots)
 from .tetrafun import (RoyalNode, TetraRational, is_royal_variety, royal_nodes, royal_polynomial,
                        validate)
 
@@ -54,6 +54,8 @@ class ConstructionSpec:
         object.__setattr__(self, "sigma", tuple(complex(s) for s in self.sigma))
         object.__setattr__(self, "t", complex(self.t))
         object.__setattr__(self, "omega", complex(self.omega))
+        if self.n > CIRCLE_SAMPLES:
+            raise InvalidConstructionSpec(f"n = {self.n} above CIRCLE_SAMPLES = {CIRCLE_SAMPLES}")
         if len(self.alpha1) + len(self.alpha2) != len(self.sigma):
             raise InvalidConstructionSpec(
                 f"zero count {len(self.alpha1)} + {len(self.alpha2)} "

@@ -24,6 +24,10 @@ class ZeroPolynomialHasAllRoots(TetraError):
     pass
 
 
+class NonFiniteCoefficient(TetraError):
+    cli_exit_code = 4
+
+
 # -- pointwise geometry ------------------------------------------------------
 
 class PsiPole(TetraError):

@@ -27,7 +27,8 @@ from .errors import (
     NumericalSupAtOne,
     ThirdComponentMismatch,
 )
-from .polycx import AGREE_TOL, CIRCLE_SAMPLES, Polynomial, agree, modulus, product, unit_circle
+from .polycx import (AGREE_TOL, CIRCLE_SAMPLES, Polynomial, agree, linear_product, modulus,
+                     unit_circle)
 from .tetrafun import (
     TetraRational,
     TypeNK,
@@ -113,16 +114,13 @@ def scale_nonextreme(x: TetraRational) -> PerturbationResult:
 
 def _perturbation_polynomial(taus, n: int, k: int) -> Polynomial:
     """n-symmetric g vanishing to second order at every circle node."""
-    squares = [Polynomial((-tau, 1)) for tau in taus for _ in range(2)]
+    squares = [(-tau, 1) for tau in taus for _ in range(2)]
     if n % 2 == 0:
-        m = n // 2
-        lead = complex(np.prod([np.conj(t) for t in taus])) if taus else 1.0
-        return product([Polynomial((lead,)), Polynomial((0,) * (m - k) + (1,))] + squares)
-    m = (n - 1) // 2
+        lead = complex(np.prod([np.conj(t) for t in taus]))
+        return linear_product(lead, [(0, 1)] * (n // 2 - k) + squares)
     omega_sq = -np.conj(taus[0]) * complex(np.prod([np.conj(t) ** 2 for t in taus]))
     omega = np.exp(0.5j * np.angle(omega_sq)) * np.sqrt(abs(omega_sq))
-    return product([Polynomial((omega,)), Polynomial((0,) * (m - k) + (1,)),
-                    Polynomial((-taus[0], 1))] + squares)
+    return linear_product(omega, [(0, 1)] * ((n - 1) // 2 - k) + [(-taus[0], 1)] + squares)
 
 
 def perturb_nonextreme(x: TetraRational) -> PerturbationResult:

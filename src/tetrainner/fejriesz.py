@@ -43,9 +43,7 @@ class TrigPolynomial(CoefficientArray):
     coeffs: np.ndarray = (0j,)
 
     def __post_init__(self):
-        cs = zero_pad(np.array(self.coeffs, dtype=complex), 1)
-        cs.flags.writeable = False
-        object.__setattr__(self, "coeffs", cs)
+        self._set_coeffs(zero_pad(np.array(self.coeffs, dtype=complex), 1))
 
     def value(self, lam):
         """Real value at a unimodular point (scalar or ndarray)."""

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DegreeExceedsReflectionIndex,
+    NonFiniteCoefficient,
     OddCircleRootOrder,
     ZeroPolynomialHasAllRoots,
 )
@@ -45,6 +46,14 @@ def zero_pad(a: np.ndarray, m: int) -> np.ndarray:
 class CoefficientArray:
     """Frozen dataclass base: coeffs is a read-only complex128 array; == compares values."""
 
+    def _set_coeffs(self, c: np.ndarray):
+        """Keep c as coeffs, read-only; NonFiniteCoefficient if an entry is NaN or infinite."""
+        if not np.isfinite(c).all():
+            raise NonFiniteCoefficient(f"{type(self).__name__} coefficient "
+                                       f"{complex(c[~np.isfinite(c)][0])} is not finite")
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
+
     @cached_property
     def _coeff_tuple(self) -> tuple:
         """The coefficients as a tuple of Python complex numbers."""
@@ -69,9 +78,7 @@ class Polynomial(CoefficientArray):
     coeffs: np.ndarray = ()
 
     def __post_init__(self):
-        c = _trim(np.array(self.coeffs, dtype=complex))
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        self._set_coeffs(_trim(np.array(self.coeffs, dtype=complex)))
 
     @cached_property
     def _roots(self) -> "RootMultiset":
@@ -103,9 +110,6 @@ class Polynomial(CoefficientArray):
 
     def max_coeff(self) -> float:
         return float(modulus(self.coeffs).max(initial=0.0))
-
-    def __call__(self, z):
-        return self.eval(z)
 
     def eval(self, z):
         """Horner evaluation; accepts a scalar or an ndarray of points."""

@@ -242,19 +242,16 @@ def _rings() -> np.ndarray:
 def degree(x: TetraRational) -> int:
     """Blaschke degree of the third component.
 
-    Counts the open-disc zeros of the n-reflection of d: n - deg d at 0, and
-    1/conj(r) for each root r of d with |r| >= 1 + CIRCLE_TOL.  When d has
-    no other roots, which is what strict validation accepts, the count is
-    x.n; for a strict x that answer is the memoised disc test of validation,
-    and nothing is solved.  Otherwise the roots of d are read, and circle
+    Counts the open-disc zeros of the n-reflection of d: x.n less the orders
+    of the roots r of d with |r| < 1 + CIRCLE_TOL, so x.n with nothing solved
+    when d passes the strict disc test, which validation memoised.  Circle
     zeros of d (lenient mode) cancel against the reflection and do not count.
+    Raises ZeroPolynomialHasAllRoots for d = 0.
     """
-    if x.d_reflected.degree <= 0:
-        return 0
-    if x.strict and zero_free_disc(x.d, 1.0 + CIRCLE_TOL):
+    if zero_free_disc(x.d, 1.0 + CIRCLE_TOL):
         return x.n
-    return x.n - x.d.degree + sum(order for loc, order in poly_roots(x.d).entries
-                                  if abs(loc) >= 1.0 + CIRCLE_TOL)
+    return x.n - sum(order for loc, order in poly_roots(x.d).entries
+                     if abs(loc) < 1.0 + CIRCLE_TOL)
 
 
 def winding_number(x: TetraRational) -> int:

@@ -92,6 +92,27 @@ def test_classify_gamma_outside():
     assert classify_gamma(GammaPoint(3, 0)) is GammaRegion.OUTSIDE
 
 
+def test_classify_gamma_boundary_top():
+    # |s - conj(s) p| = 1 - |p|^2 with |p| < 1: on the boundary, off the distinguished part
+    for s, p in ((1, 0), (1.5, 0.5), (1j, 0)):
+        assert classify_gamma(GammaPoint(s, p)) is GammaRegion.GAMMA_BOUNDARY_TOP
+
+
+def test_classify_gamma_labels_every_point_with_one_of_four_regions():
+    # a point with |s| <= 2 + tol and defect within tol is on the boundary,
+    # so no closed-but-not-open label exists between OPEN_G and OUTSIDE
+    assert len(GammaRegion) == 4
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        s = complex(*rng.uniform(-2.5, 2.5, 2))
+        p = complex(*rng.uniform(-1.2, 1.2, 2))
+        tol = 10.0 ** rng.uniform(-15, 0)
+        region = classify_gamma(GammaPoint(s, p), tol)
+        defect = gamma_defect(GammaPoint(s, p))
+        if abs(s) <= 2.0 + tol and defect <= tol:
+            assert region is not GammaRegion.OUTSIDE
+
+
 def test_pi_map_identity():
     assert pi_map(Matrix2(1, 0, 0, 1)) == TetraPoint(1, 1, 1)
 

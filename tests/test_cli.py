@@ -1,6 +1,8 @@
 import argparse
 import json
 import re
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +174,23 @@ def test_perturb_scaling_route(tmp_path, capsys):
     assert payload["midpoint_max_coeff_error"] < 1e-12
 
 
+def test_perturb_notes_degenerate_zero_components(tmp_path, capsys):
+    path = _write(tmp_path, "func.json", {"n": 1, "E1": [], "E2": [], "D": [[1.0, 0.0]]})
+    code, out = _run(capsys, ["perturb", path])
+    payload = json.loads(out)
+    assert code == 0 and payload["method"] == "EpsilonScaling" and payload["t"] == 1.0
+    assert payload["note"] == "DegenerateZeroComponents"
+
+
+def test_module_entry_point_exits_with_the_command_code(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "pt.json", {"s": [1, 0], "p": [0, 0]})
+    monkeypatch.setattr(sys, "argv", ["tetrainner", "classify", path])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("tetrainner", run_name="__main__")
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["region"] == "GammaBoundaryTop"
+
+
 def test_reads_stdin_when_no_file(capsys, monkeypatch):
     import io
 
@@ -303,9 +322,9 @@ def test_negative_n_exits_2_naming_the_field(tmp_path, capsys):
 
 
 def test_analyze_and_verify_solve_only_the_royal_polynomial(tmp_path, capsys, monkeypatch):
-    # the disc check is a Schur-Cohn test and a strict function has degree n,
-    # so analyze solves the royal polynomial (degree 2n) and verify nothing;
-    # in lenient mode degree reads the roots of d
+    # the disc check is a Schur-Cohn test and degree is n when d passes the
+    # strict one, so analyze solves the royal polynomial (degree 2n) and
+    # verify nothing, in either mode
     spec = {"alpha1": [[0.3, 0.1]], "alpha2": [[-0.2, 0.4]], "sigma": [[0.5, 0.0], [0.0, 1.0]],
             "t_plus": 1.0, "t": [0.8, 0.0]}
     code, out = _run(capsys, ["construct", _write(tmp_path, "spec.json", spec)])
@@ -314,7 +333,7 @@ def test_analyze_and_verify_solve_only_the_royal_polynomial(tmp_path, capsys, mo
     calls, solve = [], np.roots
     monkeypatch.setattr(np, "roots", lambda a: calls.append(len(a) - 1) or solve(a))
     for argv, degrees in ((["analyze"], [4]), (["verify"], []),
-                          (["analyze", "--lenient"], [2, 4]), (["verify", "--lenient"], [2])):
+                          (["analyze", "--lenient"], [4]), (["verify", "--lenient"], [])):
         calls.clear()
         code, out = _run(capsys, argv + [func_path])
         assert code == 0 and calls == degrees, argv
@@ -340,6 +359,38 @@ def test_malformed_spec_exits_2_naming_the_field(tmp_path, capsys, key, value, m
     assert main(["construct", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("classify", [0, 0, 0], "top level JSON value must be an object"),
+    ("classify", {"x1": 0, "x2": 0, "p": 0}, "expected fields x1/x2/x3 or s/p"),
+    ("construct", {k: v for k, v in WORKED_SPEC.items() if k != "t"}, "missing field 't'"),
+])
+def test_malformed_payload_shape_exits_2(tmp_path, capsys, command, payload, message):
+    path = _write(tmp_path, "payload.json", payload)
+    assert main([command, path]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_construct_above_the_degree_cap_exits_3(tmp_path, capsys):
+    path = _write(tmp_path, "spec.json", dict(WORKED_SPEC, sigma=[[0.0, 0.0]] * 4097))
+    assert main(["construct", path]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: InvalidConstructionSpec: n = 4097 above "
+                            "CIRCLE_SAMPLES = 4096\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_construct_overflow_exits_4_naming_the_non_finite_coefficient(tmp_path, capsys):
+    # |E1|^2 overflows; the check used to fail reporting a zero deviation
+    path = _write(tmp_path, "spec.json", dict(WORKED_SPEC, t=1e300))
+    assert main(["construct", path]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: NonFiniteCoefficient: TrigPolynomial coefficient "
+                            "(inf+0j) is not finite\n")
 
 
 # JSON numbers that are bools, NaN, infinite or beyond the float range

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,11 @@ from tetrainner.errors import (
     InvalidConstructionSpec,
     NodeOutsideClosedDisc,
     NodeZeroCollision,
+    NonFiniteCoefficient,
     RoyalVarietyFunction,
 )
-from tetrainner.polycx import CIRCLE_TOL, Polynomial, coeff_distance, from_roots, roots, unit_circle
+from tetrainner.polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, Polynomial, coeff_distance, from_roots,
+                               roots, unit_circle)
 from tetrainner.tetrafun import (
     degree,
     eval_function,
@@ -121,6 +125,59 @@ def test_construct_rejects_collision():
 def test_construct_rejects_count_mismatch():
     with pytest.raises(InvalidConstructionSpec):
         ConstructionSpec(alpha1=(0.1,), alpha2=(), sigma=(0.0, 0.5), t_plus=1.0, t=1.0)
+
+
+WORKED_FIELDS = {"alpha1": (), "alpha2": (0.5,), "sigma": (0.0,), "t_plus": 1.75, "t": SQ2}
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ({"t_plus": 0.0}, InvalidConstructionSpec, "t_plus = 0.0 must be positive"),
+    ({"t_plus": -1.0}, InvalidConstructionSpec, "t_plus = -1.0 must be positive"),
+    ({"t": 0}, InvalidConstructionSpec, "t must be nonzero"),
+    ({"omega": 1.5}, InvalidConstructionSpec, r"\|omega\| = 1.5 is not 1"),
+    ({"alpha2": (1.5,)}, NodeOutsideClosedDisc, "alpha2 entry"),
+    ({"sigma": (0.5j + 1,)}, NodeOutsideClosedDisc, "sigma entry"),
+])
+def test_construction_spec_rejects_out_of_range_parameters(fields, error, message):
+    with pytest.raises(error, match=message):
+        ConstructionSpec(**{**WORKED_FIELDS, **fields})
+
+
+def test_construction_spec_caps_n_at_circle_samples():
+    # checked first: a spec this large reaches no other check, and is never constructed
+    with pytest.raises(InvalidConstructionSpec, match="n = 4097 above CIRCLE_SAMPLES"):
+        ConstructionSpec(sigma=(0.0,) * (CIRCLE_SAMPLES + 1))
+    spec = ConstructionSpec(alpha1=(0.5,) * CIRCLE_SAMPLES, sigma=(0.0,) * CIRCLE_SAMPLES)
+    assert spec.n == CIRCLE_SAMPLES
+
+
+def test_build_royal_target_rejects_nonpositive_scale():
+    for t_plus in (0.0, -1.0):
+        with pytest.raises(InvalidConstructionSpec, match="must be positive"):
+            build_royal_target((0.5,), t_plus)
+
+
+@pytest.mark.parametrize("fields", [
+    {"alpha2": (complex("nan"),)}, {"t": complex("nan")}, {"omega": complex("nan")},
+    {"t": complex("inf")}, {"sigma": (complex("nan"),)}])
+def test_construct_rejects_non_finite_input(fields):
+    # these used to escape as numpy's LinAlgError or a misleading NotTwoNSymmetric
+    spec = ConstructionSpec(**{**WORKED_FIELDS, **fields})
+    with pytest.raises(NonFiniteCoefficient, match="is not finite"):
+        construct(spec)
+
+
+def test_construct_self_checks_the_factorization(monkeypatch):
+    construct_module = importlib.import_module("tetrainner.construct")
+    outer = construct_module.factor
+    # a denominator with a zero in the disc fails validation
+    monkeypatch.setattr(construct_module, "factor", lambda trig: from_roots([0.5]))
+    with pytest.raises(ConstructionInconsistent, match="failed validation: DVanishesInDisc"):
+        construct(worked_spec())
+    # a valid denominator whose royal polynomial is not the target
+    monkeypatch.setattr(construct_module, "factor", lambda trig: outer(trig).scale(2.0))
+    with pytest.raises(ConstructionInconsistent, match="royal polynomial drift"):
+        construct(worked_spec())
 
 
 def test_recover_data_rejects_zero_component():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    coeff_bits,
     random_construction_spec,
     sample_fixed_x3_closed,
     sample_fixed_x3_distinguished,
@@ -15,19 +16,24 @@ from tetrainner.errors import (
     CircleNodesPresent,
     ExtremalityNotDisproved,
     NotSymmetric,
+    NumericalSupAtOne,
     RoyalVarietyFunction,
     ThirdComponentMismatch,
 )
 from tetrainner.extremal import (
     PerturbationMethod,
+    _perturbation_polynomial,
     certify_extreme_symmetric,
     convex_combine,
     gamma_royal,
     perturb_nonextreme,
     scale_nonextreme,
 )
-from tetrainner.polycx import Polynomial, agree, coeff_distance, is_n_symmetric, unit_circle
+from tetrainner.polycx import (Polynomial, agree, coeff_distance, from_roots, is_n_symmetric,
+                               product, unit_circle)
 from tetrainner.tetrafun import (
+    TetraRational,
+    TypeNK,
     from_gamma_inner,
     is_royal_variety,
     royal_nodes,
@@ -73,6 +79,19 @@ def test_convex_combine_rejects_mismatched_third():
     w = validate(ZERO, ZERO, Polynomial((1, -0.5)), 1)
     with pytest.raises(ThirdComponentMismatch):
         convex_combine(x, w, 0.5)
+
+
+def test_convex_combine_rejects_bad_weights_and_denominators():
+    x = validate(ONE, LAM, ONE, 1)
+    for t in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="outside"):
+            convex_combine(x, x, t)
+    # a triple built without validation may carry d = 0
+    with pytest.raises(ThirdComponentMismatch, match="denominator of x is zero"):
+        convex_combine(TetraRational(ZERO, ZERO, ZERO, 1), x, 0.5)
+    y = validate(ZERO, ZERO, Polynomial((1j,)), 1)
+    with pytest.raises(ThirdComponentMismatch, match="non-real factor"):
+        convex_combine(x, y, 0.5)
 
 
 def test_convex_combine_accepts_real_rescaled_denominator():
@@ -164,6 +183,15 @@ def test_scale_nonextreme_degenerate_zero_components():
     assert result.x_plus is x and result.x_minus is x
 
 
+def test_scale_nonextreme_rejects_a_component_sup_at_one():
+    # modulus domination forgives |e1| - |d| up to MODULUS_SLACK (1 + max |d|)
+    e1 = Polynomial((1 + 1e-10,))
+    x = validate(e1, e1, ONE, 0)
+    assert type_nk(x) == TypeNK(0, 0)
+    with pytest.raises(NumericalSupAtOne, match="is at 1"):
+        scale_nonextreme(x)
+
+
 def test_scale_nonextreme_rejects_circle_nodes():
     rng = np.random.default_rng(67)
     x = construct(random_construction_spec(rng, 2, k_circle=1))
@@ -196,6 +224,44 @@ def test_perturb_boundary_ratio_two_k_equals_n():
     result = perturb_nonextreme(x)
     assert result.t_used > 0
     assert _midpoint_error(result, x) < 1e-12
+
+
+def test_perturb_with_zero_numerators_bounds_t_by_the_royal_slack():
+    # |d|^2 has a double circle zero near 1 and e1 = e2 = 0: type (2, 1), e1 sup 0
+    x = validate(ZERO, ZERO, from_roots([1.0000015, 3.0]), 2)
+    assert type_nk(x) == TypeNK(2, 1)
+    result = perturb_nonextreme(x)
+    assert result.method is PerturbationMethod.G_PERTURB_EVEN
+    assert abs(result.t_used - 0.90000068) < 1e-7
+    assert result.x_plus.e1 == result.g.scale(result.t_used)
+    assert _midpoint_error(result, x) < 1e-12
+
+
+def _perturbation_polynomial_by_product(taus, n, k):
+    """One Polynomial per linear factor, multiplied by product(): the reference form."""
+    squares = [Polynomial((-tau, 1)) for tau in taus for _ in range(2)]
+    if n % 2 == 0:
+        m = n // 2
+        lead = complex(np.prod([np.conj(t) for t in taus])) if taus else 1.0
+        return product([Polynomial((lead,)), Polynomial((0,) * (m - k) + (1,))] + squares)
+    m = (n - 1) // 2
+    omega_sq = -np.conj(taus[0]) * complex(np.prod([np.conj(t) ** 2 for t in taus]))
+    omega = np.exp(0.5j * np.angle(omega_sq)) * np.sqrt(abs(omega_sq))
+    return product([Polynomial((omega,)), Polynomial((0,) * (m - k) + (1,)),
+                    Polynomial((-taus[0], 1))] + squares)
+
+
+def test_perturbation_polynomial_matches_the_product_form_bit_for_bit():
+    rng = np.random.default_rng(79)
+    signed = [1 - 0j, complex(1.0, -0.0), complex(-1.0, 0.0), complex(-1.0, -0.0),
+              complex(0.0, 1.0), complex(-0.0, -1.0)]
+    for n in range(1, 41):
+        for k in range(n % 2, n // 2 + 1):
+            circle = np.exp(2j * np.pi * rng.random(k)).tolist()
+            for taus in (circle, [signed[j % len(signed)] for j in range(k)]):
+                got = _perturbation_polynomial(taus, n, k)
+                assert coeff_bits(got) == coeff_bits(
+                    _perturbation_polynomial_by_product(taus, n, k)), (n, k, taus)
 
 
 def test_perturb_rejects_majority_circle_nodes():

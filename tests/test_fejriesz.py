@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from helpers import random_outer_polynomial
-from tetrainner.errors import NotNonnegativeOnCircle, NotTwoNSymmetric, OddCircleRootOrder
+from tetrainner.errors import (
+    NonFiniteCoefficient,
+    NotNonnegativeOnCircle,
+    NotTwoNSymmetric,
+    OddCircleRootOrder,
+)
 from tetrainner.fejriesz import (
     TrigPolynomial,
     factor,
@@ -81,6 +86,34 @@ def test_laurent_shift_zero_polynomial():
 def test_laurent_shift_rejects_asymmetric():
     with pytest.raises(NotTwoNSymmetric):
         laurent_shift(Polynomial((1, 1)), 1)
+
+
+def test_laurent_shift_rejects_degree_above_2n():
+    with pytest.raises(NotTwoNSymmetric, match="degree 3 exceeds 2n = 2"):
+        laurent_shift(Polynomial((1, 0, 0, 1)), 1)
+
+
+def test_value_at_a_scalar_is_a_float():
+    p = TrigPolynomial((1, 0.5))
+    assert p.value(1.0) == 2.0 and isinstance(p.value(1.0), float)
+    assert p.value(-1.0) == 0.0 and p.value(1j) == 1.0
+
+
+def test_factor_strips_matching_zero_ends():
+    # a zero top coefficient puts a zero at both ends of lam^n p; they are stripped
+    p = TrigPolynomial((2, 0.5, 0))
+    d = factor(p)
+    assert d == factor(TrigPolynomial((2, 0.5))) and d.degree == 1
+    square = modulus_squared_on_circle(d).coeffs
+    assert np.max(np.abs(square - p.coeffs[:2])) < 1e-12
+
+
+def test_non_finite_coefficients_are_rejected_on_construction():
+    # factor used to return Polynomial((nan+nanj,)) for this input
+    with pytest.raises(NonFiniteCoefficient, match="TrigPolynomial coefficient"):
+        factor(TrigPolynomial((np.nan,)))
+    with pytest.raises(NonFiniteCoefficient):
+        TrigPolynomial((1.0, complex(0, np.inf)))
 
 
 def test_factor_constant_one():

@@ -10,6 +10,8 @@ from tetrainner.construct import construct
 from tetrainner.errors import (
     ConstructionInconsistent,
     DegreeExceedsReflectionIndex,
+    NonFiniteCoefficient,
+    TetraError,
     ZeroPolynomialHasAllRoots,
 )
 from tetrainner.fejriesz import TrigPolynomial
@@ -210,6 +212,22 @@ def test_is_n_symmetric_is_relative_to_the_largest_coefficient():
 def test_multiply_difference_of_squares():
     prod = Polynomial((1, 1)) * Polynomial((1, -1))
     assert coeff_distance(prod, Polynomial((1, 0, -1))) < 1e-15
+
+
+def test_multiply_by_a_scalar_scales():
+    p = Polynomial((1.5, -2j, 3))
+    assert p * 2.0 == p.scale(2.0) == 2.0 * p
+    assert p * 0 == Polynomial()
+    with pytest.raises(NonFiniteCoefficient):
+        p * np.nan
+
+
+@pytest.mark.parametrize("coeffs", [
+    (np.nan, 1), (np.inf,), (1, complex(0, np.nan)), (1, 2, complex(-np.inf, 0))])
+def test_non_finite_coefficients_raise_a_typed_error(coeffs):
+    with pytest.raises(NonFiniteCoefficient, match="Polynomial coefficient .* not finite") as err:
+        Polynomial(coeffs)
+    assert isinstance(err.value, TetraError) and err.value.cli_exit_code == 4
 
 
 def test_add_cancels_to_zero():

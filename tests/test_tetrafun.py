@@ -12,10 +12,12 @@ from tetrainner.errors import (
     DenominatorVanishes,
     InvalidSuperficialSpec,
     MalformedInput,
+    NonFiniteCoefficient,
     OddCircleRootOrder,
     RoyalVarietyFunction,
     UndefinedOmegaOrK,
     ValidationError,
+    ZeroPolynomialHasAllRoots,
 )
 from tetrainner.polycx import CIRCLE_TOL, Polynomial, coeff_distance, is_n_symmetric, unit_circle
 from tetrainner.tetrafun import (
@@ -135,7 +137,34 @@ def test_degree_of_a_strict_function_solves_nothing(monkeypatch):
     strict = from_json_dict(to_json_dict(x))
     assert degree(strict) == 6 and calls == []
     lenient = from_json_dict(to_json_dict(x), strict=False)
-    assert degree(lenient) == 6 and calls == [6]
+    assert degree(lenient) == 6 and calls == []
+
+
+def test_lenient_degree_solves_d_when_d_has_a_circle_zero(monkeypatch):
+    # d = (lam - 1)(lam - 3): the circle zero cancels against the reflection
+    x = validate(ZERO, ZERO, polycx.from_roots([1.0, 3.0]), 2, strict=False)
+    calls = _count_np_roots(monkeypatch)
+    assert degree(x) == 1 and calls == [2]
+
+
+def test_degree_of_a_zero_denominator_raises():
+    # only a triple built without validation can carry d = 0
+    with pytest.raises(ZeroPolynomialHasAllRoots):
+        degree(TetraRational(ZERO, ZERO, ZERO, 1))
+
+
+def test_validation_report_names_a_zero_denominator():
+    check = next(c for c in validation_report(ZERO, ZERO, ZERO, 1) if c.code == "DVanishesInDisc")
+    assert not check.passed and check.detail == "d is identically zero"
+
+
+def test_non_finite_input_raises_a_typed_error():
+    # numpy's LinAlgError used to escape from validate and superficial_build here
+    with pytest.raises(NonFiniteCoefficient):
+        validate(Polynomial((0.1,)), Polynomial((0.1,)), Polynomial((np.nan, 1)), 1)
+    spec = SuperficialSpec(0.5, 0.5, BlaschkeSpec((complex(np.nan, 0),)))
+    with pytest.raises(NonFiniteCoefficient):
+        superficial_build(spec, 1)
 
 
 def test_validation_report_lists_four_codes():
@@ -303,6 +332,14 @@ def test_superficial_build_rejects_bad_weights():
         SuperficialSpec(0.9, 0.9, BlaschkeSpec((0.0,)))
     with pytest.raises(InvalidSuperficialSpec):
         superficial_build(SuperficialSpec(1.0, 0.0, BlaschkeSpec((0.0, 0.5))), 1)
+
+
+def test_blaschke_spec_rejects_bad_data():
+    with pytest.raises(InvalidSuperficialSpec, match="constant"):
+        BlaschkeSpec((0.5,), 2.0)
+    for z in (1.0, 1j, 1.5):
+        with pytest.raises(InvalidSuperficialSpec, match="not strictly inside"):
+            BlaschkeSpec((z,))
 
 
 def test_superficial_build_with_nontrivial_constant():
