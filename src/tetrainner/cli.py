@@ -262,7 +262,9 @@ def main(argv=None) -> int:
     if not math.isfinite(tol):
         return _fail("tolerances must be finite", EXIT_PRECONDITION)
     try:
-        return args.handler(args)
+        # a non-finite result raises a typed error, so numpy's warnings would only add noise
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except (MalformedInput, json.JSONDecodeError, OSError, KeyError, TypeError) as exc:
         return _fail(str(exc), EXIT_PARSE)
     except TetraError as exc:

@@ -56,6 +56,10 @@ class ConstructionSpec:
         object.__setattr__(self, "omega", complex(self.omega))
         if self.n > CIRCLE_SAMPLES:
             raise InvalidConstructionSpec(f"n = {self.n} above CIRCLE_SAMPLES = {CIRCLE_SAMPLES}")
+        # NaN fails every range check below, so it is named first
+        for name in ("alpha1", "alpha2", "sigma", "t_plus", "t", "omega"):
+            if np.isnan(getattr(self, name)).any():
+                raise InvalidConstructionSpec(f"{name} is not a number")
         if len(self.alpha1) + len(self.alpha2) != len(self.sigma):
             raise InvalidConstructionSpec(
                 f"zero count {len(self.alpha1)} + {len(self.alpha2)} "

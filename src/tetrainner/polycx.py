@@ -122,17 +122,8 @@ class Polynomial(CoefficientArray):
 
     @cached_property
     def on_circle(self) -> np.ndarray:
-        """Values on unit_circle(CIRCLE_SAMPLES), computed once and shared read-only.
-
-        The values at the m-th roots of unity are the inverse DFT of the
-        ascending coefficients, folded modulo m when there are more than m
-        (omega^(jk) depends on k mod m only).
-        """
-        m = CIRCLE_SAMPLES
-        c = self.coeffs
-        if len(c) > m:
-            c = np.pad(c, (0, -len(c) % m)).reshape(-1, m).sum(axis=0)
-        vals = np.fft.ifft(c, m, norm="forward")
+        """Values on unit_circle(CIRCLE_SAMPLES), computed once and shared read-only."""
+        vals = circle_values(self.coeffs)
         vals.flags.writeable = False
         return vals
 
@@ -228,6 +219,19 @@ def agree(p: Polynomial, q: Polynomial) -> bool:
 def is_n_symmetric(p: Polynomial, n: int) -> bool:
     """True iff degree(p) <= n and p agrees with its n-reflection."""
     return p.degree <= n and agree(p, p.reflect(n))
+
+
+def circle_values(c: np.ndarray) -> np.ndarray:
+    """Values of the ascending coefficients c on unit_circle(CIRCLE_SAMPLES).
+
+    The values at the m-th roots of unity are the inverse DFT of c, folded
+    modulo m when there are more than m coefficients (omega^(jk) depends on
+    k mod m only).
+    """
+    m = CIRCLE_SAMPLES
+    if len(c) > m:
+        c = np.pad(c, (0, -len(c) % m)).reshape(-1, m).sum(axis=0)
+    return np.fft.ifft(c, m, norm="forward")
 
 
 @lru_cache(maxsize=8)

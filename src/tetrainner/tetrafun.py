@@ -121,10 +121,11 @@ class BlaschkeSpec:
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
         c = complex(self.unimodular_constant)
         object.__setattr__(self, "unimodular_constant", c)
-        if abs(abs(c) - 1.0) > SPEC_TOL:
-            raise InvalidSuperficialSpec(f"|constant| = {abs(c)} is not 1")
+        # each check is written so that NaN fails it
+        if not abs(abs(c) - 1.0) <= SPEC_TOL:
+            raise InvalidSuperficialSpec(f"|unimodular_constant| = {abs(c)} is not 1")
         for z in self.zeros:
-            if abs(z) >= 1.0 - SPEC_TOL:
+            if not abs(z) < 1.0 - SPEC_TOL:
                 raise InvalidSuperficialSpec(f"Blaschke zero {z} not strictly inside the disc")
 
 
@@ -137,7 +138,7 @@ class SuperficialSpec:
     x3: BlaschkeSpec
 
     def __post_init__(self):
-        if abs(abs(self.beta1) + abs(self.beta2) - 1.0) > SPEC_TOL:
+        if not abs(abs(self.beta1) + abs(self.beta2) - 1.0) <= SPEC_TOL:   # NaN fails it
             raise InvalidSuperficialSpec(
                 f"|beta1| + |beta2| = {abs(self.beta1) + abs(self.beta2)} is not 1")
 

@@ -393,6 +393,15 @@ def test_construct_overflow_exits_4_naming_the_non_finite_coefficient(tmp_path, 
                             "(inf+0j) is not finite\n")
 
 
+@pytest.mark.filterwarnings("error")
+def test_construct_overflow_writes_only_its_error_line(tmp_path, capsys):
+    # numpy's RuntimeWarning for the overflow used to precede the error line
+    path = _write(tmp_path, "spec.json", dict(WORKED_SPEC, t=[1e300, 0]))
+    assert main(["construct", path]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonFiniteCoefficient: ") and err.count("\n") == 1
+
+
 # JSON numbers that are bools, NaN, infinite or beyond the float range
 @pytest.mark.parametrize("command, payload, field", [
     ("classify", {"x1": True, "x2": [False, True], "x3": 0}, "x1"),

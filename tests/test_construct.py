@@ -159,12 +159,19 @@ def test_build_royal_target_rejects_nonpositive_scale():
 
 @pytest.mark.parametrize("fields", [
     {"alpha2": (complex("nan"),)}, {"t": complex("nan")}, {"omega": complex("nan")},
-    {"t": complex("inf")}, {"sigma": (complex("nan"),)}])
+    {"t": complex("inf")}, {"sigma": (complex("nan"),)}, {"alpha1": (complex("nan"),)},
+    {"t_plus": float("nan")}, {"sigma": (0.5, complex(0.1, float("nan")))}])
 def test_construct_rejects_non_finite_input(fields):
-    # these used to escape as numpy's LinAlgError or a misleading NotTwoNSymmetric
-    spec = ConstructionSpec(**{**WORKED_FIELDS, **fields})
-    with pytest.raises(NonFiniteCoefficient, match="is not finite"):
-        construct(spec)
+    # these used to escape as numpy's LinAlgError or a misleading NotTwoNSymmetric.
+    # NaN fails every range check, so the spec names it (CLI exit 3); an
+    # infinite t is a valid spec whose |E1|^2 overflows (exit 4)
+    (name, value), = fields.items()
+    if np.isnan(value).any():
+        with pytest.raises(InvalidConstructionSpec, match=f"^{name} is not a number$"):
+            ConstructionSpec(**{**WORKED_FIELDS, **fields})
+    else:
+        with pytest.raises(NonFiniteCoefficient, match="is not finite"):
+            construct(ConstructionSpec(**{**WORKED_FIELDS, **fields}))
 
 
 def test_construct_self_checks_the_factorization(monkeypatch):
@@ -296,12 +303,12 @@ def test_pipeline_solves_each_polynomial_once(monkeypatch, k_circle):
     x = construct(spec)
     recover_data(x)
     result = extremal.perturb_nonextreme(x)
-    # factor (2n), e1 and the royal polynomial (2n); the Schur-Cohn test
-    # decides d, the zeros of e2 are reflected from those of e1, and the
-    # degree of a strict function is n
-    assert degrees == [16, 8, 16]
+    # e1 and the royal polynomial (2n); factor takes its cepstral path, the
+    # Schur-Cohn test decides d, the zeros of e2 are reflected from those of
+    # e1, and the degree of a strict function is n
+    assert degrees == [8, 16]
     assert degree(result.x_plus) == degree(result.x_minus) == 8
-    assert len(degrees) == 3
+    assert len(degrees) == 2
 
 
 @pytest.mark.parametrize("k_circle", [0, 4])

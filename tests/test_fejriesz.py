@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import random_outer_polynomial
+from helpers import random_construction_spec, random_outer_polynomial
+from tetrainner import fejriesz
+from tetrainner.construct import build_e1, build_royal_target
 from tetrainner.errors import (
     NonFiniteCoefficient,
     NotNonnegativeOnCircle,
@@ -9,13 +11,15 @@ from tetrainner.errors import (
     OddCircleRootOrder,
 )
 from tetrainner.fejriesz import (
+    CEPSTRAL_TOL,
     TrigPolynomial,
     factor,
     is_outer,
     laurent_shift,
     modulus_squared_on_circle,
 )
-from tetrainner.polycx import Polynomial, coeff_distance, from_roots, roots, unit_circle
+from tetrainner.polycx import (CIRCLE_SAMPLES, Polynomial, coeff_distance, from_roots, roots,
+                               unit_circle)
 
 SQ2 = np.sqrt(2.0)
 
@@ -196,3 +200,69 @@ def test_is_outer_rejects_origin_zero():
 
 def test_is_outer_worked_denominator():
     assert is_outer(Polynomial((-2, 0.5)))
+
+
+# -- the two paths of factor ------------------------------------------------------
+
+def _construction_trig(n, k):
+    """lam^-n R + |E1|^2 as construct builds it, for a seeded spec with k circle nodes."""
+    spec = random_construction_spec(np.random.default_rng([4, n, k]), n, k_circle=k)
+    return (laurent_shift(build_royal_target(spec.sigma, spec.t_plus), n)
+            + modulus_squared_on_circle(build_e1(spec.alpha1, spec.alpha2, spec.t)))
+
+
+def _factor_counting(p, monkeypatch):
+    """factor(p), the degrees it solved, and the number of Newton runs."""
+    solve, newton, degrees, runs = np.roots, fejriesz._newton, [], []
+    monkeypatch.setattr(np, "roots", lambda a: degrees.append(len(a) - 1) or solve(a))
+    monkeypatch.setattr(fejriesz, "_newton", lambda d, c: runs.append(1) or newton(d, c))
+    d = factor(p)
+    monkeypatch.undo()
+    return d, degrees, len(runs)
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+@pytest.mark.parametrize("half", [False, True])
+def test_cepstral_factor_against_a_30_digit_residual(monkeypatch, n, half):
+    mpmath = pytest.importorskip("mpmath")
+    p = _construction_trig(n, n // 2 if half else 0)
+    d, degrees, runs = _factor_counting(p, monkeypatch)
+    assert degrees == [] and runs == 1       # no root solve, no fallback
+    assert d.degree == n and is_outer(d)
+    assert d.coeffs[0].imag == 0 and d.coeffs[0].real > 0
+    with mpmath.workdps(30):
+        dm = [mpmath.mpc(z) for z in d.coeffs.tolist()]
+        cm = [mpmath.mpc(z) for z in p.coeffs.tolist()]
+        resid = max(abs(cm[j] - mpmath.fsum(dm[q + j] * mpmath.conj(dm[q])
+                                            for q in range(n + 1 - j)))
+                    for j in range(n + 1))
+        assert resid <= 1e-13 * max(abs(c) for c in cm)
+    # the root path reaches the same factor; the largest gap seen on 36
+    # construction specs at n = 16, 24, 32 was 8.9e-12 relative
+    monkeypatch.setattr(fejriesz, "CEPSTRAL_TOL", float("inf"))
+    assert coeff_distance(d, factor(p)) <= 1e-10 * d.max_coeff()
+
+
+def _near_circle_square(eps, extra):
+    """|D|^2 for D with a root eps outside the circle and extra roots past 1.2."""
+    rng = np.random.default_rng(3)
+    locs = list((1.2 + rng.random(extra)) * np.exp(2j * np.pi * rng.random(extra)))
+    d_ref = _align_phase(from_roots([(1 + eps) * np.exp(1j)] + locs))
+    return d_ref, modulus_squared_on_circle(d_ref)
+
+
+@pytest.mark.parametrize("eps, extra, newton_runs", [
+    (0.0, 4, 1),        # a double circle root: min p = 0
+    (1e-3, 4, 1),       # min p / max p = 1.7e-9, below CEPSTRAL_TOL
+    (2e-4, 10, 2),      # 2.7e-8: Newton stops at residual 4e-7
+    (1e-4, 10, 2),      # 1.4e-8: Newton converges to a root reflected into the disc
+])
+def test_factor_falls_back_to_the_root_path(monkeypatch, eps, extra, newton_runs):
+    d_ref, p = _near_circle_square(eps, extra)
+    vals = p.value(unit_circle(CIRCLE_SAMPLES))
+    assert (vals.min() > CEPSTRAL_TOL * vals.max()) == (newton_runs == 2)
+    d, degrees, runs = _factor_counting(p, monkeypatch)
+    assert degrees == [2 * d_ref.degree]
+    assert runs == newton_runs    # the root path is polished too
+    assert coeff_distance(d, d_ref) < 1e-8 and is_outer(d)
+    assert d.coeffs[0].imag == 0 and d.coeffs[0].real > 0

@@ -162,9 +162,22 @@ def test_non_finite_input_raises_a_typed_error():
     # numpy's LinAlgError used to escape from validate and superficial_build here
     with pytest.raises(NonFiniteCoefficient):
         validate(Polynomial((0.1,)), Polynomial((0.1,)), Polynomial((np.nan, 1)), 1)
-    spec = SuperficialSpec(0.5, 0.5, BlaschkeSpec((complex(np.nan, 0),)))
-    with pytest.raises(NonFiniteCoefficient):
-        superficial_build(spec, 1)
+    # a NaN Blaschke zero no longer reaches superficial_build: the spec rejects it
+    with pytest.raises(InvalidSuperficialSpec, match="Blaschke zero"):
+        BlaschkeSpec((complex(np.nan, 0),))
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: BlaschkeSpec((0.5, complex(np.nan, 0.2))), "Blaschke zero"),
+    (lambda: BlaschkeSpec((0.5,), complex(np.nan, 0)), "unimodular_constant"),
+    (lambda: SuperficialSpec(np.nan, 0.5, BlaschkeSpec((0.5,))), "beta1"),
+    (lambda: SuperficialSpec(0.5, complex(0, np.nan), BlaschkeSpec((0.5,))), "beta2"),
+])
+def test_superficial_specs_reject_nan_naming_the_field(build, field):
+    # every range check used to be a comparison that NaN fails, so these were built
+    with pytest.raises(InvalidSuperficialSpec, match=field) as info:
+        build()
+    assert "nan" in str(info.value)
 
 
 def test_validation_report_lists_four_codes():
