@@ -11,7 +11,8 @@ assemble
 with the unimodular twist omega absorbed into the denominator (d is
 conj(omega) D, so x3 picks up omega^2).  The reverse direction reads the
 zeros of e1 and e2 in the closed disc and the royal nodes back off a
-validated function.
+validated function; for a function that construct returned, by Newton's
+method from the spec's nodes and zeros where that finds them all.
 """
 
 from __future__ import annotations
@@ -149,14 +150,19 @@ def construct(spec: ConstructionSpec) -> TetraRational:
             f"royal polynomial drift {drift:.3e} exceeds tolerance")
     if is_royal_variety(x):
         raise ConstructionInconsistent("constructed function lies on the royal variety")
+    # the nodes and zeros are known: royal_nodes and roots(e1) start Newton from them
+    object.__setattr__(x, "_node_seeds", spec.sigma)
+    object.__setattr__(e1, "_root_seeds",
+                       spec.alpha1 + tuple(1 / np.conj(a) for a in spec.alpha2 if a))
     return x
 
 
 def recover_data(x: TetraRational) -> RecoveredData:
     """Zeros of x1 and x2 in the closed disc plus the royal nodes.
 
-    Only e1 is solved: validation makes e2 = e1~n within AGREE_TOL, so the
-    zeros of x2 are the reflections of the zeros of x1.  Identically zero
+    Only the roots of e1 are found (seeded or solved, see polycx.roots):
+    validation makes e2 = e1~n within AGREE_TOL, so the zeros of x2 are the
+    reflections of the zeros of x1.  Identically zero
     components carry no finite zero list and are rejected; royal-variety
     functions have no node data, so royal_nodes raises.
     """

@@ -76,6 +76,8 @@ class CoefficientArray:
 @dataclass(frozen=True, eq=False, repr=False)
 class Polynomial(CoefficientArray):
     coeffs: np.ndarray = ()
+    # roots() tries Newton from these first (not a field: copies and JSON drop it)
+    _root_seeds = None
 
     def __post_init__(self):
         self._set_coeffs(_trim(np.array(self.coeffs, dtype=complex)))
@@ -83,6 +85,9 @@ class Polynomial(CoefficientArray):
     @cached_property
     def _roots(self) -> "RootMultiset":
         """The roots result; polycx.roots rejects the zero polynomial before it."""
+        seeded = _seeded_roots(self.coeffs, self._root_seeds)
+        if seeded is not None:
+            return seeded
         a = self.coeffs[::-1]
         z = np.roots(a)
         with np.errstate(all="ignore"):
@@ -287,8 +292,9 @@ def roots(p: Polynomial) -> RootMultiset:
 
     Eigenvalues of the companion matrix of the monic normalization, one
     Newton step per root where it lowers |p|, then one entry per connected
-    component of the graph joining roots closer than CLUSTER_TOL.  The
-    result is kept on p; a raised error is not kept.
+    component of the graph joining roots closer than CLUSTER_TOL.  A p with
+    root seeds (construct's e1) takes their Newton limits instead when they
+    pass _seeded_roots.  The result is kept on p; a raised error is not kept.
     """
     if p.is_zero:
         raise ZeroPolynomialHasAllRoots("the zero polynomial vanishes everywhere")
@@ -349,26 +355,83 @@ def reflected_roots(p: Polynomial, n: int) -> RootMultiset:
     return RootMultiset(_entries(member @ (orders * locs) / total, total))
 
 
-def _derivative_roots(p: Polynomial, seeds):
-    """Newton's method on p' from seeds near the circle; returns the limits
-    and the rounding bound on their positions (Horner bound of p' over |p''|).
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the derivative of the polynomial with coefficients c."""
+    return np.arange(1, len(c)) * c[1:]
 
-    A seed stops once its step no longer shrinks.  Powers of near-unimodular
-    points stay bounded, so p' and p'' are products with one power matrix.
+
+def _newton_limits(f: np.ndarray, seeds) -> tuple:
+    """Newton's method on the polynomial with ascending coefficients f, all
+    seeds at once, one power matrix per step; a seed stops once its step no
+    longer shrinks.  Returns the limits, the rounding bound on their
+    positions (Horner bound of f over |f'|), f' there, and whether they
+    converged: each next step within its bound, each bound within CIRCLE_TOL.
     """
-    j = np.arange(1, len(p.coeffs))
-    d1 = j * p.coeffs[1:]
-    d2 = j[:-1] * d1[1:]
-    c, last = seeds, np.inf
-    for _ in range(64):
-        powers = c[:, None] ** np.arange(len(d1))
-        slope = powers[:, :-1] @ d2
-        step = (powers @ d1) / slope
-        size = np.abs(step)
-        if not np.any((size < last) & (size > 4 * EPS * np.abs(c))):
-            break
-        c, last = np.where(size < last, c - step, c), np.minimum(size, last)
-    return c, p.degree * EPS * (np.abs(powers) @ np.abs(d1)) / np.abs(slope)
+    df = _derivative(f)
+    c, last = np.asarray(seeds, dtype=complex), np.inf
+    with np.errstate(all="ignore"):
+        for _ in range(64):
+            powers = c[:, None] ** np.arange(len(f))
+            slope = powers[:, :-1] @ df
+            step = (powers @ f) / slope
+            size = np.abs(step)
+            if not np.any((size < last) & (size > 4 * EPS * np.abs(c))):
+                break
+            c, last = np.where(size < last, c - step, c), np.minimum(size, last)
+        bound = len(f) * EPS * (np.abs(powers) @ np.abs(f)) / np.abs(slope)
+        return c, bound, slope, bool(np.all((size <= bound) & (bound <= CIRCLE_TOL)))
+
+
+def _distinct(z: np.ndarray, margin: np.ndarray) -> bool:
+    """True iff the points z lie pairwise more than 2 CLUSTER_TOL plus their margins apart."""
+    gap = np.abs(z[:, None] - z[None, :]) - margin[:, None] - margin[None, :]
+    return bool(np.all((gap > 2 * CLUSTER_TOL) | np.eye(len(z), dtype=bool)))
+
+
+def _seeded_roots(f: np.ndarray, seeds) -> RootMultiset | None:
+    """roots() of the polynomial with ascending coefficients f as Newton limits
+    from one seed per root; None unless they converged and are _distinct."""
+    if seeds is None or len(seeds) != len(f) - 1:
+        return None
+    z, bound, _, converged = _newton_limits(f, seeds)
+    if converged and _distinct(z, bound):
+        return RootMultiset(_entries(z, np.ones(len(z), dtype=int)))
+    return None
+
+
+def _seeded_split(p: Polynomial, seeds) -> tuple | None:
+    """circle_split(p)'s inside and circle entries as Newton limits from the
+    seeds; None unless they account for every root of p.
+
+    A seed within SPEC_TOL of the circle stands for a double root: its limit
+    c on p' must pass circle_split's tests (|c| within CIRCLE_TOL plus the
+    rounding bound t of 1, and the roots c +- w of the quadratic model,
+    |w|^2 = |2 p(c) / p''(c)|, within the join radius 2 sqrt(2 t) of c) and
+    gives (c/|c|, 2).  Another seed's limit s on p, inside the circle and
+    outside the join band, gives (s, 1) and the root 1/conj(s) unless the
+    seed is 0.  All limits converge, are _distinct (c by its join radius)
+    and count deg p roots.
+    """
+    if seeds is None:
+        return None
+    seeds = np.asarray(seeds, dtype=complex)
+    on = np.abs(np.abs(seeds) - 1.0) <= SPEC_TOL
+    s, bound, _, converged = _newton_limits(p.coeffs, seeds[~on])
+    c, c_bound, ddp, c_converged = _newton_limits(_derivative(p.coeffs), seeds[on])
+    paired = seeds[~on] != 0
+    with np.errstate(all="ignore"):
+        join = 2.0 * np.sqrt(2.0 * (CIRCLE_TOL + c_bound))
+        ok = (converged and c_converged
+              and np.all(1.0 - np.abs(s) > 2.0 * np.sqrt(2.0 * (CIRCLE_TOL + bound)))
+              and np.all(np.abs(np.abs(c) - 1.0) <= CIRCLE_TOL + c_bound)
+              and np.all(np.sqrt(np.abs(2.0 * p.eval(c) / ddp)) <= join)
+              and len(s) + np.count_nonzero(paired) + 2 * len(c) == p.degree
+              and _distinct(np.concatenate([s, 1.0 / np.conj(s[paired]), c]),
+                            np.concatenate([bound, bound[paired] / np.abs(s[paired]) ** 2,
+                                            join])))
+    if not ok:
+        return None
+    return _entries(s, np.ones(len(s), dtype=int)), _entries(c / np.abs(c), np.full(len(c), 2))
 
 
 def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
@@ -401,12 +464,12 @@ def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
         # is known to CLUSTER_TOL.
         powers = z[:, None] ** np.arange(len(p.coeffs))
         simple = p.degree * EPS * (np.abs(powers) @ np.abs(p.coeffs)) / np.abs(
-            powers[:, :-1] @ (np.arange(1, len(p.coeffs)) * p.coeffs[1:]))
+            powers[:, :-1] @ _derivative(p.coeffs))
         slack = circle_tol + np.where(orders > 1, CLUSTER_TOL, simple)
         joined = dist <= 2.0 * np.sqrt(2.0 * slack)
         locs, total = z[:0], orders[:0]
         if joined.any():
-            c, rounding = _derivative_roots(p, z[joined])
+            c, rounding, _, _ = _newton_limits(_derivative(p.coeffs), z[joined])
             close = np.abs(c - z[joined]) <= 2.0 * np.sqrt(2.0 * (circle_tol + rounding))
             joined[joined] = close
             member = _components(c[close], 2.0 * rounding[close])

@@ -40,6 +40,7 @@ from .polycx import (
     SPEC_TOL,
     TRACE_SAMPLES,
     Polynomial,
+    _seeded_split,
     agree,
     circle_split,
     coeff_distance,
@@ -61,6 +62,8 @@ class TetraRational:
     d: Polynomial
     n: int
     strict: bool = True
+    # royal_nodes tries Newton from these first (not a field: copies and JSON drop it)
+    _node_seeds = None
 
     @cached_property
     def d_reflected(self) -> Polynomial:
@@ -82,7 +85,8 @@ class TetraRational:
         """The royal_nodes result; a raised error is not kept."""
         if self._on_royal_variety:
             raise RoyalVarietyFunction("royal polynomial is identically zero")
-        inside, circle, _ = circle_split(self._royal[0])
+        royal = self._royal[0]
+        inside, circle = _seeded_split(royal, self._node_seeds) or circle_split(royal)[:2]
         nodes = [RoyalNode(loc, order, order, False) for loc, order in inside]
         nodes += [RoyalNode(loc, order, order // 2, True) for loc, order in circle]
         nodes.sort(key=lambda nd: (round(nd.location.real, 12), round(nd.location.imag, 12)))
@@ -285,8 +289,10 @@ def royal_nodes(x: TetraRational) -> tuple[RoyalNode, ...]:
     lam^-n times the royal polynomial is |d|^2 - |e1|^2 on the circle, so
     polycx.circle_split applies.  Zeros outside the closed disc are the
     reflections of interior zeros and are discarded; circle zeros carry
-    half of their even raw order as multiplicity.  The result is kept on x;
-    a raised error is not kept.
+    half of their even raw order as multiplicity.  A function that
+    construct returned takes the Newton limits from its spec's nodes where
+    they account for every root (polycx._seeded_split); any other
+    function solves.  The result is kept on x; a raised error is not kept.
     """
     return x._royal_nodes
 

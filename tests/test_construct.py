@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -21,14 +22,17 @@ from tetrainner.errors import (
     NodeZeroCollision,
     NonFiniteCoefficient,
     RoyalVarietyFunction,
+    TetraError,
 )
 from tetrainner.polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, Polynomial, coeff_distance, from_roots,
                                roots, unit_circle)
 from tetrainner.tetrafun import (
     degree,
     eval_function,
+    from_json_dict,
     royal_nodes,
     royal_polynomial,
+    to_json_dict,
     validate,
 )
 
@@ -301,14 +305,17 @@ def test_pipeline_solves_each_polynomial_once(monkeypatch, k_circle):
 
     monkeypatch.setattr(np, "roots", counting)
     x = construct(spec)
-    recover_data(x)
-    result = extremal.perturb_nonextreme(x)
-    # e1 and the royal polynomial (2n); factor takes its cepstral path, the
-    # Schur-Cohn test decides d, the zeros of e2 are reflected from those of
-    # e1, and the degree of a strict function is n
-    assert degrees == [8, 16]
-    assert degree(result.x_plus) == degree(result.x_minus) == 8
-    assert len(degrees) == 2
+    # a constructed function finds its zeros and nodes by Newton from the
+    # spec; a reloaded copy solves e1 and the royal polynomial (2n).  factor
+    # takes its cepstral path, the Schur-Cohn test decides d, the zeros of e2
+    # are reflected from those of e1, and the degree of a strict function is n
+    for y, solved in ((x, []), (from_json_dict(to_json_dict(x)), [8, 16])):
+        degrees.clear()
+        recover_data(y)
+        result = extremal.perturb_nonextreme(y)
+        assert degrees == solved
+        assert degree(result.x_plus) == degree(result.x_minus) == 8
+        assert len(degrees) == len(solved)
 
 
 @pytest.mark.parametrize("k_circle", [0, 4])
@@ -368,3 +375,150 @@ def test_expansions_match_pairwise_product():
 
         expected = pairwise_product(Polynomial((1.0,)), [Polynomial((-r, 1)) for r in sigma])
         assert coeff_bits(from_roots(sigma)) == coeff_bits(expected)
+
+
+# -- seeded nodes and zeros of constructed functions -------------------------------
+
+def _solves(monkeypatch):
+    """The degree of every eigen-solve from here on."""
+    solve, degrees = np.roots, []
+    monkeypatch.setattr(np, "roots", lambda a: degrees.append(len(a) - 1) or solve(a))
+    return degrees
+
+
+def _nodes_or_error(x):
+    try:
+        return royal_nodes(x)
+    except TetraError as exc:
+        return type(exc)
+
+
+def _assert_same_roots(x, copy):
+    """x's nodes and zeros have the structure of copy's, which were solved, at
+    locations within the rounding bound of the Newton pass."""
+    nodes, solved = _nodes_or_error(x), _nodes_or_error(copy)
+    if not isinstance(solved, tuple):
+        assert nodes is solved
+        return
+    assert [(nd.raw_order, nd.multiplicity, nd.on_circle) for nd in nodes] == \
+        [(nd.raw_order, nd.multiplicity, nd.on_circle) for nd in solved]
+    coeffs = royal_polynomial(x).coeffs
+    derivative = polycx._derivative(coeffs)
+    for nd, fresh in zip(nodes, solved):
+        bound = polycx._newton_limits(derivative if nd.on_circle else coeffs,
+                                      np.array([nd.location]))[1][0]
+        assert abs(nd.location - fresh.location) <= bound
+    zeros, fresh_zeros = roots(x.e1).entries, roots(copy.e1).entries
+    assert [order for _, order in zeros] == [order for _, order in fresh_zeros]
+    bounds = polycx._newton_limits(x.e1.coeffs, np.array([loc for loc, _ in zeros]))[1]
+    assert all(abs(a - b) <= bound for (a, _), (b, _), bound in zip(zeros, fresh_zeros, bounds))
+    rec, fresh_rec = recover_data(x), recover_data(copy)
+    for found, fresh in ((rec.zeros1, fresh_rec.zeros1), (rec.zeros2, fresh_rec.zeros2)):
+        assert [order for _, order in found.entries] == [order for _, order in fresh.entries]
+    assert rec.nodes is nodes
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 24, 32])
+def test_seeded_roots_equal_a_fresh_solve(monkeypatch, n):
+    accepted = []
+    for seed in range(3):
+        for k in (0, n // 2):
+            try:
+                x = construct(random_construction_spec(np.random.default_rng([seed, n]), n,
+                                                       k_circle=k))
+            except ConstructionInconsistent:
+                continue
+            solves = _solves(monkeypatch)
+            _nodes_or_error(x)
+            roots(x.e1)
+            accepted.append(solves == [])
+            monkeypatch.undo()
+            _assert_same_roots(x, from_json_dict(to_json_dict(x)))
+    assert any(accepted)
+
+
+@pytest.mark.parametrize("spec, seeds, royal_seeded", [
+    # the partner of the node 0 is at infinity
+    (ConstructionSpec(alpha1=(0.3,), alpha2=(0.5j,), sigma=(0.0, 0.4)), None, True),
+    (ConstructionSpec(alpha1=(0.5,), alpha2=(-0.2,), sigma=(0.3, 0.3)), None, False),
+    (ConstructionSpec(alpha1=(0.5,), alpha2=(-0.4,), sigma=(1.0, 1.0)), None, False),
+    (ConstructionSpec(alpha1=(0.3,), alpha2=(0.0,), sigma=(0.2, -0.5j)), None, True),
+    (ConstructionSpec(alpha1=(0.3,), alpha2=(-0.1j,), sigma=(0.999, 0.2j)), None, False),
+    (ConstructionSpec(), None, True),
+    (ConstructionSpec(alpha1=(0.3, 0.1), alpha2=(-0.5j, 0.2), sigma=(1j, -1.0, 0.2, 0.5 - 0.5j)),
+     None, True),
+    (random_construction_spec(np.random.default_rng(1), 8, k_circle=2),
+     random_construction_spec(np.random.default_rng(2), 8, k_circle=2), False),
+], ids=["origin", "repeated", "circle-order-4", "alpha2-zero", "join-band", "n0", "circle",
+        "other-seeds"])
+def test_seeded_roots_edge_specs(monkeypatch, spec, seeds, royal_seeded):
+    x = construct(spec)
+    if seeds is not None:
+        # another spec's nodes and zeros: Newton from them does not find every root
+        object.__setattr__(x, "_node_seeds", seeds.sigma)
+        object.__setattr__(x.e1, "_root_seeds",
+                           seeds.alpha1 + tuple(1 / np.conj(a) for a in seeds.alpha2))
+    solves = _solves(monkeypatch)
+    _nodes_or_error(x)
+    assert solves == ([] if royal_seeded else [royal_polynomial(x).degree])
+    solves.clear()
+    roots(x.e1)
+    assert solves == ([] if seeds is None else [x.e1.degree])
+    monkeypatch.undo()
+    _assert_same_roots(x, from_json_dict(to_json_dict(x)))
+
+
+def _mp_root(mpmath, coeffs, z):
+    """The root next to z of the polynomial with ascending coefficients coeffs,
+    by Newton's method from a z good to 1e-6, so 6 steps reach 60 digits."""
+    z = mpmath.mpc(z)
+    for _ in range(6):
+        value, slope = mpmath.polyval(coeffs[::-1], z, derivative=True)
+        z -= value / slope
+    return complex(z)
+
+
+@pytest.mark.parametrize("n, k, seed", [(24, 0, 3), (24, 0, 4), (32, 0, 3), (24, 12, 3),
+                                        (32, 16, 3)])
+def test_seeded_nodes_match_the_mpmath_oracle(monkeypatch, n, k, seed):
+    """Oracle: 60-digit roots of the royal polynomial of the returned triple,
+    formed exactly, and of the double one the pass solves.  The pass's limits
+    lie within their rounding bound of the latter; forming R in double moves
+    the former by up to the rounding of the convolutions, (n + 2) eps times
+    the same sums of moduli, over |R'| (or |R''| for a circle node, with
+    2n for the derivative)."""
+    mpmath = pytest.importorskip("mpmath")
+    x = construct(random_construction_spec(np.random.default_rng(seed), n, k_circle=k))
+    solves = _solves(monkeypatch)
+    nodes = [nd for nd in royal_nodes(x) if nd.on_circle == (k > 0)]
+    assert solves == [] and len(nodes) == (k or n)
+
+    coeffs = royal_polynomial(x).coeffs
+    scale = 2 * n if k else 1
+    f = polycx._derivative(coeffs) if k else coeffs
+    z, bound, slope, _ = polycx._newton_limits(f, np.array([nd.location for nd in nodes]))
+    powers = np.abs(z)[:, None] ** np.arange(n + 1)
+    d_reflected, d, e1, e2 = (powers[:, :len(p.coeffs)] @ np.abs(p.coeffs)
+                              for p in (x.d_reflected, x.d, x.e1, x.e2))
+    formed = scale * (n + 2) * polycx.EPS * (d_reflected * d + e1 * e2)
+
+    with mpmath.workdps(60):
+        def mp(p):
+            return [mpmath.mpc(c) for c in p.coeffs.tolist()]
+
+        def times(a, b):
+            out = [mpmath.mpc(0)] * (len(a) + len(b) - 1)
+            for i, ai in enumerate(a):
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+            return out
+
+        exact = [a - b for a, b in itertools.zip_longest(
+            times(mp(x.d_reflected), mp(x.d)), times(mp(x.e1), mp(x.e2)), fillvalue=0)]
+        for oracle, allowed in ((exact, bound + formed / np.abs(slope)),
+                                ([mpmath.mpc(c) for c in coeffs.tolist()], bound)):
+            if k:
+                oracle = [j * c for j, c in enumerate(oracle)][1:]
+            for nd, start, tol in zip(nodes, z, allowed):
+                root = _mp_root(mpmath, oracle, start)
+                assert abs((root / abs(root) if k else root) - nd.location) <= tol

@@ -524,3 +524,69 @@ def test_zero_free_disc_is_kept_per_radius(monkeypatch):
     assert zero_free_disc(Polynomial(p.coeffs), 1.0) and len(calls) == 4
     with pytest.raises(ZeroPolynomialHasAllRoots):
         zero_free_disc(Polynomial(), 1.0)
+
+
+# -- roots by Newton's method from seeds ------------------------------------------
+
+# two interior roots and their reflections
+PAIRS = from_roots([0.5, 2.0, -0.3j, 1 / np.conj(-0.3j)])
+
+
+def test_seeded_split_equals_circle_split():
+    # a root at 0 (its partner is at infinity), two interior pairs, a double circle root
+    p = from_roots([0.0, 0.5, 2.0, -0.3j, 1 / np.conj(-0.3j), 1j, 1j])
+    inside, circle = polycx._seeded_split(p, (0.0, 0.5, -0.3j, 1j))
+    expected = circle_split(p)[:2]
+    assert [order for _, order in inside] == [order for _, order in expected[0]] == [1, 1, 1]
+    assert [order for _, order in circle] == [order for _, order in expected[1]] == [2]
+    for found, solved in zip(inside + circle, expected[0] + expected[1]):
+        assert abs(found[0] - solved[0]) < 1e-12
+
+
+# roots spaced evenly on a segment or an arc: separated, yet so ill-conditioned
+# that their rounding bounds exceed CIRCLE_TOL (Wilkinson's example)
+SEGMENT = np.linspace(0.2, 0.6, 10)
+ARC = np.exp(1j * np.linspace(0.0, 0.8, 6))
+
+
+@pytest.mark.parametrize("p, seeds", [
+    (from_roots(np.concatenate([SEGMENT, 1 / SEGMENT])), SEGMENT),
+    (from_roots(np.concatenate([ARC, ARC])), ARC),
+    # a simple root inside the join band of the circle
+    (from_roots([0.999, 1 / 0.999]), (0.999,)),
+    # a double root 1e-3 off the circle
+    (from_roots([1.001, 1.001]), (1.0,)),
+    # the derivative root 1 is on the circle, but 1 +- 0.01j split past the join radius
+    (Polynomial((1 + 1e-4, -2, 1)), (1.0,)),
+    # one seed for four roots
+    (PAIRS, (0.5,)),
+    # two seeds converge to one root: the count is right, the limits are not distinct
+    (PAIRS, (0.5, 0.5001)),
+], ids=["not-converged", "circle-not-converged", "join-band", "off-circle", "split",
+        "count-short", "duplicate"])
+def test_seeded_split_rejects(p, seeds):
+    assert polycx._seeded_split(p, seeds) is None
+    assert polycx._seeded_split(p, None) is None
+
+
+@pytest.mark.parametrize("p, seeds, accepted", [
+    (PAIRS, (0.5, 2.0, -0.3j, 1 / np.conj(-0.3j)), True),
+    (Polynomial((2.0,)), (), True),
+    (PAIRS, None, False),
+    (PAIRS, (0.5, 2.0, -0.3j), False),                   # a seed short
+    (PAIRS, (0.5, 0.5001, 2.0, -0.3j), False),           # two seeds converge to one root
+    (from_roots(np.linspace(0.2, 0.6, 12)), np.linspace(0.2, 0.6, 12), False),  # not converged
+])
+def test_seeded_roots_accept_only_distinct_converged_limits(monkeypatch, p, seeds, accepted):
+    seeded = polycx._seeded_roots(p.coeffs, seeds)
+    assert (seeded is not None) == accepted
+    if accepted:
+        solved = roots(Polynomial(p.coeffs))
+        assert [order for _, order in seeded.entries] == [order for _, order in solved.entries]
+        for (found, _), (loc, _) in zip(seeded.entries, solved.entries):
+            assert abs(found - loc) < 1e-12
+        # a seeded polynomial solves nothing
+        seeded_copy = Polynomial(p.coeffs)
+        object.__setattr__(seeded_copy, "_root_seeds", seeds)
+        monkeypatch.setattr(np, "roots", None)
+        assert roots(seeded_copy) == seeded

@@ -516,11 +516,15 @@ def _count_roots(monkeypatch):
 def test_royal_nodes_solved_once_per_function(monkeypatch):
     x = construct(random_construction_spec(np.random.default_rng(55), 4, k_circle=2))
     calls = _count_roots(monkeypatch)
-    tk = type_nk(x)
-    assert len(calls) == 1
-    nodes = royal_nodes(x)
-    assert royal_nodes(x) is nodes and type_nk(x) == tk == TypeNK.from_nodes(nodes)
-    assert len(calls) == 1
+    # the constructed function starts Newton from its spec's nodes; a
+    # reloaded copy solves once
+    for y, solves in ((x, 0), (from_json_dict(to_json_dict(x)), 1)):
+        calls.clear()
+        tk = type_nk(y)
+        assert len(calls) == solves
+        nodes = royal_nodes(y)
+        assert royal_nodes(y) is nodes and type_nk(y) == tk == TypeNK.from_nodes(nodes)
+        assert len(calls) == solves
 
 
 def test_royal_nodes_forms_each_royal_product_once(monkeypatch):
