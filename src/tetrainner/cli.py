@@ -40,7 +40,9 @@ def _load_payload(args) -> dict:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
-        text = sys.stdin.read()
+        # strict UTF-8 as for a file; the locale's text stdin may escape bad bytes instead
+        raw = getattr(sys.stdin, "buffer", None)
+        text = raw.read().decode("utf-8") if raw else sys.stdin.read()
     data = json.loads(text)
     if not isinstance(data, dict):
         raise MalformedInput("top level JSON value must be an object")
@@ -265,7 +267,9 @@ def main(argv=None) -> int:
         # a non-finite result raises a typed error, so numpy's warnings would only add noise
         with np.errstate(all="ignore"):
             return args.handler(args)
-    except (MalformedInput, json.JSONDecodeError, OSError, KeyError, TypeError) as exc:
+    # UnicodeDecodeError is a ValueError, so it must be caught before the precondition clause
+    except (MalformedInput, json.JSONDecodeError, UnicodeDecodeError, OSError, KeyError,
+            TypeError) as exc:
         return _fail(str(exc), EXIT_PARSE)
     except TetraError as exc:
         return _fail(f"{type(exc).__name__}: {exc}", exc.cli_exit_code)

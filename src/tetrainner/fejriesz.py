@@ -6,21 +6,23 @@ polynomial D of degree n.  `factor` samples p once on the CIRCLE_SAMPLES
 grid by one FFT, strips a negligible top coefficient c_n, and then takes
 one of two paths to D:
 
-  * the cepstral (Kolmogorov) path, when min p > CEPSTRAL_TOL * max p on the
-    grid.  log p is then smooth, and log D is its causal half with the
-    constant halved; exponentiating that on the grid and keeping the first
-    n + 1 Fourier coefficients gives D up to aliasing.  Wilson's Newton
-    iteration on F_j(D) = sum_q D_{q+j} conj(D_q) = c_j, j = 0..n, finishes
-    it (Wilson 1969; Sayed & Kailath 2001).  The result is kept when
+  * the cepstral (Kolmogorov) path, when every sample of p on the grid is
+    positive, which is exactly when log p is defined there.  log D is the
+    causal half of log p with the constant halved; exponentiating that on
+    the grid and keeping the first n + 1 Fourier coefficients gives D up to
+    aliasing.  Wilson's Newton iteration on
+    F_j(D) = sum_q D_{q+j} conj(D_q) = c_j, j = 0..n, finishes it (Wilson
+    1969; Sayed & Kailath 2001).  The result is kept when
     max |c - F(D)| <= NEWTON_TOL * max |c| and D passes is_outer (from a
     poor start Newton can reach a factor with a root reflected into the
     disc).  No roots are solved.
-  * the root path, in every other case (p touches or nearly touches zero,
-    or Newton fell short): split the roots of P(lam) = lam^n p(lam) with
-    polycx.circle_split, which pairs them as (r, 1/conj(r)) and returns the
-    circle roots with their even order; keep the roots outside the disc and
-    each circle root at half its order; rebuild D from them and fix its
-    scale at the largest sample of p.  The same Newton steps then polish it.
+  * the root path, in every other case (a sample of p is zero or negative
+    within the guard, or Newton fell short or reached a non-outer D): split
+    the roots of P(lam) = lam^n p(lam) with polycx.circle_split, which
+    pairs them as (r, 1/conj(r)) and returns the circle roots with their
+    even order; keep the roots outside the disc and each circle root at
+    half its order; rebuild D from them and fix its scale at the largest
+    sample of p.  The same Newton steps then polish it.
 
 Either way D_0 is real and positive.
 """
@@ -47,7 +49,6 @@ from .polycx import (
 )
 
 NONNEG_GUARD = 1e-10
-CEPSTRAL_TOL = 1e-8    # min p / max p above this takes the cepstral path
 NEWTON_TOL = 1e-13     # relative residual max |c - F(D)| the cepstral path must reach
 NEWTON_STEPS = 6
 
@@ -131,7 +132,7 @@ def factor(p: TrigPolynomial) -> Polynomial:
         raise ValueError("cannot factor: every coefficient is at most polycx.TRIM_TOL")
     target = asc[len(asc) // 2:]
 
-    if low > CEPSTRAL_TOL * high:
+    if low > 0.0:
         d, resid = _newton(_cepstral(vals, len(target)), target)
         d = Polynomial(d)
         if resid <= NEWTON_TOL * mag.max() and is_outer(d):
@@ -188,11 +189,13 @@ def _newton(d: np.ndarray, c: np.ndarray) -> tuple:
     diff, total = j[None, :] - j[:, None], j[:, None] + j[None, :]
     resid = c - _autocorrelation(d)
     size = float(modulus(resid).max())
+    jac = np.empty((2 * n + 1, 2 * n + 1))    # every step fills all four blocks
     for _ in range(NEWTON_STEPS):
         pad = np.concatenate((d, np.zeros(n + 1)))    # negative and large indices read 0
         toeplitz, hankel = np.conj(pad[diff]), pad[total]
         plus, minus = toeplitz + hankel, toeplitz - hankel
-        jac = np.block([[plus.real, -minus.imag[:, 1:]], [plus.imag[1:], minus.real[1:, 1:]]])
+        jac[:n + 1, :n + 1], jac[:n + 1, n + 1:] = plus.real, -minus.imag[:, 1:]
+        jac[n + 1:, :n + 1], jac[n + 1:, n + 1:] = plus.imag[1:], minus.real[1:, 1:]
         try:
             x = np.linalg.solve(jac, np.concatenate((resid.real, resid.imag[1:])))
         except np.linalg.LinAlgError:    # D = 0, from a negative constant within the guard

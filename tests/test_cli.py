@@ -201,6 +201,27 @@ def test_reads_stdin_when_no_file(capsys, monkeypatch):
     assert json.loads(out)["region"] == "Interior"
 
 
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}",
+                                 b'{"x1": [0, 0], "x2": [0, 0], "x3": [0, 0], "note": "\xff"}'])
+@pytest.mark.parametrize("errors", [None, "strict", "surrogateescape"])
+def test_payload_that_is_not_utf8_exits_2(tmp_path, capsys, monkeypatch, raw, errors):
+    import io
+
+    if errors is None:      # a file argument
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        argv = ["classify", str(path)]
+    else:                   # stdin, decoded as the locale says
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                                                          errors=errors))
+        argv = ["classify"]
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert captured.err.count("\n") == 1
+
+
 def test_output_file_flag(tmp_path, capsys):
     in_path = _write(tmp_path, "pt.json", {"x1": [0, 0], "x2": [0, 0], "x3": [0, 0]})
     out_path = tmp_path / "result.json"

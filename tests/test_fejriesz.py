@@ -11,7 +11,6 @@ from tetrainner.errors import (
     OddCircleRootOrder,
 )
 from tetrainner.fejriesz import (
-    CEPSTRAL_TOL,
     TrigPolynomial,
     factor,
     is_outer,
@@ -204,9 +203,9 @@ def test_is_outer_worked_denominator():
 
 # -- the two paths of factor ------------------------------------------------------
 
-def _construction_trig(n, k):
+def _construction_trig(n, k, seed=4):
     """lam^-n R + |E1|^2 as construct builds it, for a seeded spec with k circle nodes."""
-    spec = random_construction_spec(np.random.default_rng([4, n, k]), n, k_circle=k)
+    spec = random_construction_spec(np.random.default_rng([seed, n, k]), n, k_circle=k)
     return (laurent_shift(build_royal_target(spec.sigma, spec.t_plus), n)
             + modulus_squared_on_circle(build_e1(spec.alpha1, spec.alpha2, spec.t)))
 
@@ -224,23 +223,49 @@ def _factor_counting(p, monkeypatch):
 @pytest.mark.parametrize("n", [16, 24, 32])
 @pytest.mark.parametrize("half", [False, True])
 def test_cepstral_factor_against_a_30_digit_residual(monkeypatch, n, half):
-    mpmath = pytest.importorskip("mpmath")
     p = _construction_trig(n, n // 2 if half else 0)
     d, degrees, runs = _factor_counting(p, monkeypatch)
     assert degrees == [] and runs == 1       # no root solve, no fallback
     assert d.degree == n and is_outer(d)
     assert d.coeffs[0].imag == 0 and d.coeffs[0].real > 0
+    assert _residual_30_digits(d, p) <= 1e-13
+    # the root path reaches the same factor; the largest gap seen on 36
+    # construction specs at n = 16, 24, 32 was 8.9e-12 relative
+    monkeypatch.setattr(fejriesz, "NEWTON_TOL", -1.0)    # no residual meets it
+    assert coeff_distance(d, factor(p)) <= 1e-10 * d.max_coeff()
+
+
+def _residual_30_digits(d, p):
+    """max_j |c_j - F_j(D)| / max |c| with F(D) formed at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         dm = [mpmath.mpc(z) for z in d.coeffs.tolist()]
         cm = [mpmath.mpc(z) for z in p.coeffs.tolist()]
         resid = max(abs(cm[j] - mpmath.fsum(dm[q + j] * mpmath.conj(dm[q])
-                                            for q in range(n + 1 - j)))
-                    for j in range(n + 1))
-        assert resid <= 1e-13 * max(abs(c) for c in cm)
-    # the root path reaches the same factor; the largest gap seen on 36
-    # construction specs at n = 16, 24, 32 was 8.9e-12 relative
-    monkeypatch.setattr(fejriesz, "CEPSTRAL_TOL", float("inf"))
-    assert coeff_distance(d, factor(p)) <= 1e-10 * d.max_coeff()
+                                            for q in range(len(dm) - j)))
+                    for j in range(len(cm)))
+        return float(resid / max(abs(c) for c in cm))
+
+
+def _min_over_max(p):
+    vals = p.value(unit_circle(CIRCLE_SAMPLES))
+    return vals.min() / vals.max()
+
+
+@pytest.mark.parametrize("n, k, seed", [
+    (16, 8, 61),        # min p / max p = 3.6e-10
+    (24, 12, 21),       # 5.9e-12
+    (32, 0, 69),        # 1.0e-11
+    (32, 16, 0),        # 1.1e-10
+])
+def test_cepstral_factor_close_to_zero_needs_no_root_solve(monkeypatch, n, k, seed):
+    p = _construction_trig(n, k, seed)
+    assert 1e-13 <= _min_over_max(p) <= 1e-8
+    d, degrees, runs = _factor_counting(p, monkeypatch)
+    assert degrees == [] and runs == 1
+    assert d.degree == n and is_outer(d)
+    assert d.coeffs[0].imag == 0 and d.coeffs[0].real > 0
+    assert _residual_30_digits(d, p) <= 1e-13
 
 
 def _near_circle_square(eps, extra):
@@ -252,17 +277,23 @@ def _near_circle_square(eps, extra):
 
 
 @pytest.mark.parametrize("eps, extra, newton_runs", [
-    (0.0, 4, 1),        # a double circle root: min p = 0
-    (1e-3, 4, 1),       # min p / max p = 1.7e-9, below CEPSTRAL_TOL
+    (0.0, 4, 2),        # a double circle root between grid points: min p / max p = 4.0e-11
     (2e-4, 10, 2),      # 2.7e-8: Newton stops at residual 4e-7
     (1e-4, 10, 2),      # 1.4e-8: Newton converges to a root reflected into the disc
 ])
 def test_factor_falls_back_to_the_root_path(monkeypatch, eps, extra, newton_runs):
     d_ref, p = _near_circle_square(eps, extra)
-    vals = p.value(unit_circle(CIRCLE_SAMPLES))
-    assert (vals.min() > CEPSTRAL_TOL * vals.max()) == (newton_runs == 2)
     d, degrees, runs = _factor_counting(p, monkeypatch)
     assert degrees == [2 * d_ref.degree]
     assert runs == newton_runs    # the root path is polished too
+    assert coeff_distance(d, d_ref) < 1e-8 and is_outer(d)
+    assert d.coeffs[0].imag == 0 and d.coeffs[0].real > 0
+
+
+def test_factor_near_a_circle_root_takes_the_cepstral_path(monkeypatch):
+    d_ref, p = _near_circle_square(1e-3, 4)
+    assert _min_over_max(p) < 1e-8    # 1.7e-9
+    d, degrees, runs = _factor_counting(p, monkeypatch)
+    assert degrees == [] and runs == 1
     assert coeff_distance(d, d_ref) < 1e-8 and is_outer(d)
     assert d.coeffs[0].imag == 0 and d.coeffs[0].real > 0

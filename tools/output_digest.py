@@ -1,6 +1,6 @@
 """Digest every output of the benchmark's item lists, to show two checkouts agree bit for bit.
 
-    python3 tools/output_digest.py ROOT --seed N [--out FILE]
+    python3 tools/output_digest.py ROOT --seed N [--out FILE] [--compare OTHER.json]
 
 ROOT is a checkout of the repository.  The item lists are the ones
 ``ROOT/perfbench/workloads.py`` builds for the seed, and the package is
@@ -15,8 +15,14 @@ returned coefficient, node, float and label at full precision, the type and
 message of a raised error, and for the CLI the exit code, stdout and
 stderr.  Coefficients are hashed by value, so a tuple and an array of the
 same complex numbers digest alike.  The per-item digests go to FILE
-(default ``output-digest-seed<N>.json`` in the working directory), so two
-files show which items differ.
+(default ``output-digest-seed<N>.json`` in the working directory), each as
+a ``[digest, outcome]`` pair: pass, silent, loud or crash for a library
+item, the exit code for a CLI input.
+
+With ``--compare OTHER.json`` (a FILE of an earlier run, say of the parent
+commit), each workload also prints the positions of the items whose digests
+differ and a table of outcome flips, read as OTHER's outcome -> this run's,
+with their count and positions (``silent -> pass  1  items 29``).
 """
 
 from __future__ import annotations
@@ -107,12 +113,32 @@ def cli_items(wl, items, cli):
             str(code), canon([out, err])
 
 
+def compare(name: str, ours: list, theirs: list):
+    """Print the items of one workload whose digests differ, and the outcome flips."""
+    if len(ours) != len(theirs):
+        print(f"{name:14s} {len(theirs)} items in the other file, {len(ours)} here")
+        return
+    differ = [i for i, (a, b) in enumerate(zip(ours, theirs)) if a[0] != b[0]]
+    print(f"{name:14s} {len(differ)} of {len(ours)} items differ:",
+          " ".join(map(str, differ)) or "none")
+    flips = {}
+    for i in differ:
+        if theirs[i][1] != ours[i][1]:
+            flips.setdefault(f"{theirs[i][1]} -> {ours[i][1]}", []).append(i)
+    for key, items in sorted(flips.items()):
+        print(f"  {key:16s} {len(items):4d}  items", " ".join(map(str, items)))
+    if not flips:
+        print("  no outcome flips")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("root", type=Path, help="checkout whose src/ and perfbench/ are used")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, default=None,
                         help="per-item digests (default output-digest-seed<N>.json)")
+    parser.add_argument("--compare", type=Path, default=None, metavar="OTHER",
+                        help="per-item file of another run to list differing items and flips")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -131,12 +157,16 @@ def main(argv=None) -> int:
         items = wl.setup(args.seed)
         rows = (cli_items(wl, items, cli) if name == "cli-batch"
                 else library_items(wl, items, TetraError))
-        digests = [hashlib.sha256("\n".join(row).encode()).hexdigest() for row in rows]
-        per_item[name] = digests
-        total = hashlib.sha256("".join(digests).encode()).hexdigest()
-        print(f"{name:14s} seed={args.seed} items={len(digests):4d} sha256={total}")
+        per_item[name] = [[hashlib.sha256("\n".join(row).encode()).hexdigest(), row[1]]
+                          for row in rows]
+        total = hashlib.sha256("".join(d for d, _ in per_item[name]).encode()).hexdigest()
+        print(f"{name:14s} seed={args.seed} items={len(per_item[name]):4d} sha256={total}")
     out = args.out or Path(f"output-digest-seed{args.seed}.json")
     out.write_text(json.dumps(per_item, indent=1) + "\n", encoding="utf-8")
+    if args.compare:
+        other = json.loads(args.compare.read_text(encoding="utf-8"))
+        for name in WORKLOADS:
+            compare(name, per_item[name], other[name])
     return 0
 
 
