@@ -17,7 +17,7 @@ import numpy as np
 from . import boundary, extremal, polycx, tetrafun
 from .construct import ConstructionSpec, construct as run_construct
 from .errors import DenominatorVanishes, MalformedInput, SamplingTooCoarse, TetraError
-from .polycx import CIRCLE_SAMPLES, coeff_distance, unit_circle
+from .polycx import circle_power, coeff_distance
 from .tetrafun import decode_complex, decode_complex_list, decode_real, encode_complex
 
 EXIT_OK = 0
@@ -133,11 +133,10 @@ def cmd_verify(args) -> int:
     report = {"valid": valid, "conditions": conditions}
     if valid:
         x = tetrafun.TetraRational(e1, e2, d, n, strict=args.strict)
-        # the circle values validation_report sampled on the same d, e1 and e2
-        m = CIRCLE_SAMPLES
+        # d and e1 as validation_report sampled them; e2 too, unless it was e1's exact mirror
         dv, e1v, e2v = d.on_circle, e1.on_circle, e2.on_circle
         royal = tetrafun.royal_polynomial(x)
-        shifted = unit_circle(m)[(-n % m) * np.arange(m) % m] * royal.on_circle
+        shifted = circle_power(-n) * royal.on_circle
         sym_dev = coeff_distance(royal, royal.reflect(2 * n))
         radius, angle = np.random.default_rng(0).random((32, 2)).T
         x1, x2, x3 = (v.tolist() for v in tetrafun._eval_grid(

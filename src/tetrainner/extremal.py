@@ -27,8 +27,8 @@ from .errors import (
     NumericalSupAtOne,
     ThirdComponentMismatch,
 )
-from .polycx import (AGREE_TOL, CIRCLE_SAMPLES, Polynomial, agree, linear_product, modulus,
-                     unit_circle)
+from .polycx import (AGREE_TOL, CIRCLE_SAMPLES, Polynomial, agree, is_mirror, linear_product,
+                     modulus, unit_circle)
 from .tetrafun import (
     TetraRational,
     TypeNK,
@@ -91,14 +91,15 @@ def scale_nonextreme(x: TetraRational) -> PerturbationResult:
 
     eps = MARGIN * (1/s - 1) where s is the circle sup of max(|x1|, |x2|);
     with no circle royal nodes s < 1 and both scalings stay in the class.
+    When e2 is_mirror of e1, |x2| = |x1| on the circle and s is read from x1.
     """
     tk = TypeNK.from_nodes(royal_nodes(x))
     if tk.k > 0:
         raise CircleNodesPresent(
             f"{tk.k} circle royal nodes force the component sup to 1")
     dv = np.abs(x.d.on_circle)
-    sup = max(float(np.max(np.abs(x.e1.on_circle) / dv)),
-              float(np.max(np.abs(x.e2.on_circle) / dv)))
+    sup = max(float(np.max(np.abs(e.on_circle) / dv))
+              for e in ((x.e1,) if is_mirror(x.e1, x.e2, x.n) else (x.e1, x.e2)))
     if sup == 0.0:
         return PerturbationResult(x, x, 1.0, Polynomial(),
                                   PerturbationMethod.EPSILON_SCALING,
@@ -113,14 +114,20 @@ def scale_nonextreme(x: TetraRational) -> PerturbationResult:
 
 
 def _perturbation_polynomial(taus, n: int, k: int) -> Polynomial:
-    """n-symmetric g vanishing to second order at every circle node."""
+    """n-symmetric g vanishing to second order at every circle node.
+
+    Returned as (g + g~n)/2 (deg g <= n for 2k <= n), which equals its own
+    n-reflection exactly: the halves of a mirrored function are mirrors too.
+    """
     squares = [(-tau, 1) for tau in taus for _ in range(2)]
     if n % 2 == 0:
         lead = complex(np.prod([np.conj(t) for t in taus]))
-        return linear_product(lead, [(0, 1)] * (n // 2 - k) + squares)
-    omega_sq = -np.conj(taus[0]) * complex(np.prod([np.conj(t) ** 2 for t in taus]))
-    omega = np.exp(0.5j * np.angle(omega_sq)) * np.sqrt(abs(omega_sq))
-    return linear_product(omega, [(0, 1)] * ((n - 1) // 2 - k) + [(-taus[0], 1)] + squares)
+        g = linear_product(lead, [(0, 1)] * (n // 2 - k) + squares)
+    else:
+        omega_sq = -np.conj(taus[0]) * complex(np.prod([np.conj(t) ** 2 for t in taus]))
+        omega = np.exp(0.5j * np.angle(omega_sq)) * np.sqrt(abs(omega_sq))
+        g = linear_product(omega, [(0, 1)] * ((n - 1) // 2 - k) + [(-taus[0], 1)] + squares)
+    return (g + g.reflect(n)).scale(0.5)
 
 
 def perturb_nonextreme(x: TetraRational) -> PerturbationResult:

@@ -226,6 +226,13 @@ def is_n_symmetric(p: Polynomial, n: int) -> bool:
     return p.degree <= n and agree(p, p.reflect(n))
 
 
+def is_mirror(p: Polynomial, q: Polynomial, n: int) -> bool:
+    """True iff q is p's n-reflection exactly, nothing trimmed: then |q| = |p| on the circle."""
+    m = n + 1
+    return (max(len(p.coeffs), len(q.coeffs)) <= m
+            and np.array_equal(zero_pad(q.coeffs, m), np.conj(zero_pad(p.coeffs, m)[::-1])))
+
+
 def circle_values(c: np.ndarray) -> np.ndarray:
     """Values of the ascending coefficients c on unit_circle(CIRCLE_SAMPLES).
 
@@ -248,6 +255,11 @@ def unit_circle(m: int) -> np.ndarray:
     grid = np.exp(2j * np.pi * np.arange(m) / m)
     grid.flags.writeable = False
     return grid
+
+
+def circle_power(n: int) -> np.ndarray:
+    """lam^n on unit_circle(CIRCLE_SAMPLES), read off the grid as exact as the grid itself."""
+    return unit_circle(CIRCLE_SAMPLES)[n * np.arange(CIRCLE_SAMPLES) % CIRCLE_SAMPLES]
 
 
 @dataclass(frozen=True)
@@ -414,21 +426,22 @@ def _seeded_split(p: Polynomial, seeds) -> tuple | None:
     gives (c/|c|, 2).  Another seed's limit s on p, inside the circle and
     outside the join band, gives (s, 1) and the root 1/conj(s) unless the
     seed is 0.  All limits converge, are _distinct (c by its join radius)
-    and count deg p roots.
+    and count deg p roots; the circle seeds run first, the rest only if they pass.
     """
     if seeds is None:
         return None
     seeds = np.asarray(seeds, dtype=complex)
     on = np.abs(np.abs(seeds) - 1.0) <= SPEC_TOL
-    s, bound, _, converged = _newton_limits(p.coeffs, seeds[~on])
-    c, c_bound, ddp, c_converged = _newton_limits(_derivative(p.coeffs), seeds[on])
-    paired = seeds[~on] != 0
+    c, c_bound, ddp, converged = _newton_limits(_derivative(p.coeffs), seeds[on])
     with np.errstate(all="ignore"):
         join = 2.0 * np.sqrt(2.0 * (CIRCLE_TOL + c_bound))
-        ok = (converged and c_converged
+        if not (converged and np.all(np.abs(np.abs(c) - 1.0) <= CIRCLE_TOL + c_bound)
+                and np.all(np.sqrt(np.abs(2.0 * p.eval(c) / ddp)) <= join)):
+            return None
+        s, bound, _, converged = _newton_limits(p.coeffs, seeds[~on])
+        paired = seeds[~on] != 0
+        ok = (converged
               and np.all(1.0 - np.abs(s) > 2.0 * np.sqrt(2.0 * (CIRCLE_TOL + bound)))
-              and np.all(np.abs(np.abs(c) - 1.0) <= CIRCLE_TOL + c_bound)
-              and np.all(np.sqrt(np.abs(2.0 * p.eval(c) / ddp)) <= join)
               and len(s) + np.count_nonzero(paired) + 2 * len(c) == p.degree
               and _distinct(np.concatenate([s, 1.0 / np.conj(s[paired]), c]),
                             np.concatenate([bound, bound[paired] / np.abs(s[paired]) ** 2,

@@ -42,8 +42,10 @@ from .polycx import (
     Polynomial,
     _seeded_split,
     agree,
+    circle_power,
     circle_split,
     coeff_distance,
+    is_mirror,
     linear_product,
     roots as poly_roots,
     unit_circle,
@@ -156,7 +158,8 @@ class ConditionCheck:
 
 def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
                       strict: bool = True) -> list[ConditionCheck]:
-    """Per-condition report for the representation conditions."""
+    """Per-condition report for the representation conditions; ModulusDomination
+    reads an e2 that is_mirror of e1 (|e2| = |e1| on the circle) as e1, unsampled."""
     checks = []
 
     # the circle grid cannot vouch for ModulusDomination above degree CIRCLE_SAMPLES
@@ -196,7 +199,7 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
     dv = np.abs(d.on_circle)
     slack = MODULUS_SLACK * (1.0 + float(np.max(dv)))
     worst = 0.0
-    for e in (e1, e2):
+    for e in (e1,) if deg_ok and is_mirror(e1, e2, n) else (e1, e2):
         ev = np.abs(e.on_circle)
         worst = max(worst, float(np.max(ev - dv)))
     checks.append(ConditionCheck(
@@ -263,10 +266,12 @@ def winding_number(x: TetraRational) -> int:
     """Total winding of the third component along the circle.
 
     Counterclockwise orientation over CIRCLE_SAMPLES points; consecutive-sample
-    argument jumps of pi or more abort with SamplingTooCoarse.
+    argument jumps of pi or more abort with SamplingTooCoarse.  On the circle
+    d~n = lam^n conj(d), so the samples are lam^n conj(d)/d, read from d's.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
-        vals = x.d_reflected.on_circle / x.d.on_circle
+        dv = x.d.on_circle
+        vals = circle_power(x.n) * np.conj(dv) / dv
         closed = np.append(vals, vals[0])
         jumps = np.angle(closed[1:] / closed[:-1])
     if not np.all(np.isfinite(jumps)) or np.any(np.abs(jumps) >= np.pi - 1e-9):

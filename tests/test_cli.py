@@ -305,8 +305,9 @@ def test_verify_does_not_evaluate_pointwise(tmp_path, capsys, monkeypatch):
      "t_plus": 1.0, "t": [0.8, 0.0]},
 ], ids=["worked", "n4-k2"])
 def test_verify_samples_each_polynomial_once(tmp_path, capsys, monkeypatch, spec):
-    # d, e1 and e2 on the circle once for validation and the invariants, then
-    # the royal polynomial and the reflection of d
+    # d and e1 on the circle once for validation and the invariants (e2, the
+    # exact mirror of e1, is read as e1 there), e2 for the modulus-equality
+    # invariant, and the royal polynomial; winding_number reads d's samples
     code, out = _run(capsys, ["construct", _write(tmp_path, "spec.json", spec)])
     assert code == 0
     func_path = _write(tmp_path, "func.json", json.loads(out)["function"])
@@ -314,7 +315,7 @@ def test_verify_samples_each_polynomial_once(tmp_path, capsys, monkeypatch, spec
     monkeypatch.setattr(np.fft, "ifft", lambda *args, **kw: calls.append(1) or ifft(*args, **kw))
     code, out = _run(capsys, ["verify", func_path])
     assert code == 0 and json.loads(out)["valid"]
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 def test_malformed_function_exits_2_naming_the_field(tmp_path, capsys):

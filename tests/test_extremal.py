@@ -29,8 +29,8 @@ from tetrainner.extremal import (
     perturb_nonextreme,
     scale_nonextreme,
 )
-from tetrainner.polycx import (Polynomial, agree, coeff_distance, from_roots, is_n_symmetric,
-                               product, unit_circle)
+from tetrainner.polycx import (Polynomial, agree, coeff_distance, from_roots, is_mirror,
+                               is_n_symmetric, product, unit_circle)
 from tetrainner.tetrafun import (
     TetraRational,
     TypeNK,
@@ -41,6 +41,7 @@ from tetrainner.tetrafun import (
     to_json_dict,
     type_nk,
     validate,
+    validation_report,
 )
 
 ONE = Polynomial((1,))
@@ -175,6 +176,29 @@ def test_scale_nonextreme_epsilon_value():
     assert abs(sup - 3 * np.sqrt(2) / 5) < 1e-6
 
 
+def test_scale_nonextreme_reads_the_sup_of_a_mirror_off_e1():
+    x = construct(random_construction_spec(np.random.default_rng(3), 8))
+    assert type_nk(x).k == 0 and is_mirror(x.e1, x.e2, 8)
+    mirrored = TetraRational(*(Polynomial(p.coeffs) for p in (x.e1, x.e2, x.d)), 8)
+    result = scale_nonextreme(mirrored)
+    assert "on_circle" not in mirrored.e2.__dict__
+    sup = float(np.max(np.abs(mirrored.e1.on_circle) / np.abs(mirrored.d.on_circle)))
+    assert result.t_used == 0.5 * (1.0 / sup - 1.0)
+    # both halves are mirrors too, so validating them sampled neither e2 half
+    for half in (result.x_plus, result.x_minus):
+        assert is_mirror(half.e1, half.e2, 8) and "on_circle" not in half.e2.__dict__
+    # e2 one ulp off the mirror: both numerators are sampled
+    coeffs = x.e2.coeffs.copy()
+    coeffs[2] = complex(coeffs[2].real, np.nextafter(coeffs[2].imag, np.inf))
+    near = TetraRational(Polynomial(x.e1.coeffs), Polynomial(coeffs), Polynomial(x.d.coeffs), 8)
+    near_result = scale_nonextreme(near)
+    dv = np.abs(near.d.on_circle)
+    sup = max(float(np.max(np.abs(e.on_circle) / dv)) for e in (near.e1, near.e2))
+    assert "on_circle" in near.e2.__dict__
+    assert near_result.t_used == 0.5 * (1.0 / sup - 1.0)
+    assert abs(near_result.t_used - result.t_used) < 1e-12
+
+
 def test_scale_nonextreme_degenerate_zero_components():
     x = validate(ZERO, ZERO, ONE, 1)
     result = scale_nonextreme(x)
@@ -238,17 +262,20 @@ def test_perturb_with_zero_numerators_bounds_t_by_the_royal_slack():
 
 
 def _perturbation_polynomial_by_product(taus, n, k):
-    """One Polynomial per linear factor, multiplied by product(): the reference form."""
+    """One Polynomial per linear factor, multiplied by product(), then averaged
+    with its n-reflection: the reference form."""
     squares = [Polynomial((-tau, 1)) for tau in taus for _ in range(2)]
     if n % 2 == 0:
         m = n // 2
         lead = complex(np.prod([np.conj(t) for t in taus])) if taus else 1.0
-        return product([Polynomial((lead,)), Polynomial((0,) * (m - k) + (1,))] + squares)
-    m = (n - 1) // 2
-    omega_sq = -np.conj(taus[0]) * complex(np.prod([np.conj(t) ** 2 for t in taus]))
-    omega = np.exp(0.5j * np.angle(omega_sq)) * np.sqrt(abs(omega_sq))
-    return product([Polynomial((omega,)), Polynomial((0,) * (m - k) + (1,)),
-                    Polynomial((-taus[0], 1))] + squares)
+        g = product([Polynomial((lead,)), Polynomial((0,) * (m - k) + (1,))] + squares)
+    else:
+        m = (n - 1) // 2
+        omega_sq = -np.conj(taus[0]) * complex(np.prod([np.conj(t) ** 2 for t in taus]))
+        omega = np.exp(0.5j * np.angle(omega_sq)) * np.sqrt(abs(omega_sq))
+        g = product([Polynomial((omega,)), Polynomial((0,) * (m - k) + (1,)),
+                     Polynomial((-taus[0], 1))] + squares)
+    return (g + g.reflect(n)).scale(0.5)
 
 
 def test_perturbation_polynomial_matches_the_product_form_bit_for_bit():
@@ -262,6 +289,32 @@ def test_perturbation_polynomial_matches_the_product_form_bit_for_bit():
                 got = _perturbation_polynomial(taus, n, k)
                 assert coeff_bits(got) == coeff_bits(
                     _perturbation_polynomial_by_product(taus, n, k)), (n, k, taus)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (16, 8), (24, 12)])
+def test_perturbation_g_is_its_own_reflection(n, k):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = construct(random_construction_spec(rng, n, k_circle=k))
+        if type_nk(x) == TypeNK(n, k):
+            break
+    else:
+        pytest.fail(f"no construction of type ({n}, {k}) in twenty draws")
+    result = perturb_nonextreme(x)
+    g = result.g
+    # equal values (the middle coefficient's zero imaginary part may change sign)
+    assert g == g.reflect(n)
+    for half in (result.x_plus, result.x_minus):
+        check = next(c for c in validation_report(half.e1, half.e2, half.d, n)
+                     if c.code == "ReflectionMismatch")
+        assert check.passed and coeff_distance(half.e1, half.e2.reflect(n)) == 0.0
+        assert check.detail.endswith(": 0.000e+00") and is_mirror(half.e1, half.e2, n)
+    # g and g' still vanish at every circle node
+    dg = Polynomial(np.arange(1, len(g.coeffs)) * g.coeffs[1:])
+    for nd in royal_nodes(x):
+        if nd.on_circle:
+            assert abs(g.eval(nd.location)) <= 1e-10 * g.max_coeff()
+            assert abs(dg.eval(nd.location)) <= 1e-10 * g.max_coeff()
 
 
 def test_perturb_rejects_majority_circle_nodes():

@@ -24,6 +24,7 @@ from tetrainner.polycx import (
     circle_split,
     coeff_distance,
     from_roots,
+    is_mirror,
     is_n_symmetric,
     product,
     roots,
@@ -569,6 +570,27 @@ def test_seeded_split_rejects(p, seeds):
     assert polycx._seeded_split(p, None) is None
 
 
+def test_seeded_split_skips_the_interior_seeds_when_the_circle_seeds_fail(monkeypatch):
+    # the circle pass reports a limit that fails every circle rule at once
+    calls, run = [], polycx._newton_limits
+
+    def limits(f, seeds):
+        calls.append(len(seeds))
+        if len(calls) == 1:
+            return np.array([3.0 + 0j]), np.array([0.5]), np.array([1e-300 + 0j]), False
+        return run(f, seeds)
+
+    monkeypatch.setattr(polycx, "_newton_limits", limits)
+    p = from_roots([0.5, 2.0, 1j, 1j])
+    assert polycx._seeded_split(p, (0.5, 1j)) is None
+    assert calls == [1]
+    calls.clear()
+    monkeypatch.setattr(polycx, "_newton_limits", lambda f, seeds: calls.append(len(seeds))
+                        or run(f, seeds))
+    assert polycx._seeded_split(p, (0.5, 1j)) is not None
+    assert calls == [1, 1]
+
+
 @pytest.mark.parametrize("p, seeds, accepted", [
     (PAIRS, (0.5, 2.0, -0.3j, 1 / np.conj(-0.3j)), True),
     (Polynomial((2.0,)), (), True),
@@ -590,3 +612,33 @@ def test_seeded_roots_accept_only_distinct_converged_limits(monkeypatch, p, seed
         object.__setattr__(seeded_copy, "_root_seeds", seeds)
         monkeypatch.setattr(np, "roots", None)
         assert roots(seeded_copy) == seeded
+
+
+# -- exact reflections on the circle ------------------------------------------
+
+@pytest.mark.parametrize("p, q, n, expected", [
+    (Polynomial((1, 2j)), Polynomial((-2j, 1)), 1, True),
+    (Polynomial((1, 2j)), Polynomial((0, -2j, 1)), 2, True),         # degree below n
+    (Polynomial(), Polynomial(), 3, True),
+    (Polynomial((1, 2j)), Polynomial((-2j, np.nextafter(1.0, 2.0))), 1, False),
+    (Polynomial((1, 2j)), Polynomial((2j, 1)), 1, False),
+    (Polynomial((1, 2j, 3)), Polynomial((3, -2j, 1)), 1, False),     # degree above n
+])
+def test_is_mirror_is_the_exact_reflection(p, q, n, expected):
+    assert is_mirror(p, q, n) == expected
+
+
+def test_is_mirror_rejects_a_reflection_that_trims():
+    # q.reflect(1) drops q's coefficient 1e-15 and equals p, but |q| != |p| on the circle
+    p, q = Polynomial((2j,)), Polynomial((1e-15, -2j))
+    assert q.reflect(1) == p and not is_mirror(p, q, 1)
+    assert not np.array_equal(np.abs(p.on_circle), np.abs(q.on_circle))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 32, 4095, 4096, 10000])
+def test_circle_power_reads_lam_to_the_n_off_the_grid(n):
+    grid = unit_circle(4096)
+    for power in (n, -n):
+        assert np.max(np.abs(polycx.circle_power(power) - grid ** power)) < 1e-11
+    # the index form the verify command used for lam^-n, bit for bit
+    assert np.array_equal(polycx.circle_power(-n), grid[(-n % 4096) * np.arange(4096) % 4096])

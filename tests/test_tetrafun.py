@@ -15,6 +15,7 @@ from tetrainner.errors import (
     NonFiniteCoefficient,
     OddCircleRootOrder,
     RoyalVarietyFunction,
+    SamplingTooCoarse,
     UndefinedOmegaOrK,
     ValidationError,
     ZeroPolynomialHasAllRoots,
@@ -729,3 +730,102 @@ def test_json_rejects_a_negative_reflection_index(n):
     with pytest.raises(MalformedInput) as exc:
         from_json_dict(dict(ROYAL_JSON, n=n))
     assert str(exc.value) == "field 'n' must be nonnegative"
+
+
+# -- reflections read off the circle ------------------------------------------
+
+def _count_ifft(monkeypatch):
+    calls, ifft = [], np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda *args, **kw: calls.append(1) or ifft(*args, **kw))
+    return calls
+
+
+def _fresh(*polys):
+    """Copies with nothing memoised, so each on_circle is a transform."""
+    return tuple(Polynomial(p.coeffs) for p in polys)
+
+
+def _modulus_check(e1, e2, d, n):
+    return next(c for c in validation_report(e1, e2, d, n) if c.code == "ModulusDomination")
+
+
+def _constructed(rng, n, k_circle=0):
+    for _ in range(5):
+        try:
+            return construct(random_construction_spec(rng, n, k_circle=k_circle))
+        except ConstructionInconsistent:
+            continue
+    pytest.fail(f"no construction at n = {n} in five draws")
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 24, 32])
+def test_validation_reads_an_exact_mirror_off_e1(monkeypatch, n):
+    x = _constructed(np.random.default_rng(n), n, k_circle=n // 4)
+    e1, e2, d = _fresh(x.e1, x.e2, x.d)
+    assert polycx.is_mirror(e1, e2, n)
+    calls = _count_ifft(monkeypatch)
+    check = _modulus_check(e1, e2, d, n)
+    assert len(calls) == 2 and "on_circle" not in e2.__dict__
+    # the verdict and worst of sampling both numerators
+    dv = np.abs(d.on_circle)
+    worst_e1 = max(0.0, float(np.max(np.abs(e1.on_circle) - dv)))
+    worst_both = max(worst_e1, float(np.max(np.abs(e2.on_circle) - dv)))
+    assert check.passed == (worst_both <= 1e-9 * (1.0 + np.max(dv)))
+    assert check.detail == f"max(|e_i| - |d|) on the circle: {worst_e1:.3e}"
+    assert abs(worst_e1 - worst_both) <= 1e-15 * (1.0 + np.max(dv))
+
+
+def test_validation_samples_e2_one_ulp_off_its_mirror(monkeypatch):
+    x = _constructed(np.random.default_rng(16), 16)
+    coeffs = x.e2.coeffs.copy()
+    coeffs[3] = complex(np.nextafter(coeffs[3].real, np.inf), coeffs[3].imag)
+    e1, e2, d = _fresh(x.e1, Polynomial(coeffs), x.d)
+    assert not polycx.is_mirror(e1, e2, 16)
+    calls = _count_ifft(monkeypatch)
+    assert _modulus_check(e1, e2, d, 16).passed
+    assert len(calls) == 3
+
+
+def test_validation_catches_a_violation_by_e2_alone():
+    # |e1| = 1 <= |d| = 2 everywhere, |e2| = 3 > |d|: not a mirror, so e2 is sampled
+    check = _modulus_check(Polynomial((1,)), Polynomial((3,)), Polynomial((2,)), 0)
+    assert not check.passed and check.detail == "max(|e_i| - |d|) on the circle: 1.000e+00"
+
+
+@pytest.mark.parametrize("e1, e2, n", [
+    (Polynomial((0, 0, 1)), Polynomial((1,)), 1),                     # degree above n
+    (Polynomial((1,)), Polynomial((0,) * 4097 + (1,)), 4097),          # n above CIRCLE_SAMPLES
+])
+def test_degree_bound_failure_samples_both_numerators(monkeypatch, e1, e2, n):
+    calls = _count_ifft(monkeypatch)
+    report = {c.code: c for c in validation_report(e1, e2, Polynomial((2,)), n)}
+    assert not report["DegreeBound"].passed
+    assert len(calls) == 3 and "on_circle" in e2.__dict__
+
+
+def test_winding_reads_the_reflection_of_d_off_its_samples(monkeypatch):
+    rng = np.random.default_rng(61)
+    for n in (1, 4, 16, 24):
+        x = _constructed(rng, n, k_circle=n // 2)
+        d, d_reflected = _fresh(x.d, x.d_reflected)
+        read = polycx.circle_power(n) * np.conj(d.on_circle)
+        transformed = d_reflected.on_circle
+        assert np.max(np.abs(read - transformed)) <= 1e-13 * np.max(np.abs(transformed))
+        y = TetraRational(x.e1, x.e2, d, n)
+        calls = _count_ifft(monkeypatch)
+        assert winding_number(y) == n and not calls
+        assert "d_reflected" not in y.__dict__
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("d, n", [
+    (Polynomial((1, -1)), 1),      # d vanishes at the grid point 1: the sample is NaN
+    (Polynomial((1,)), 2048),      # lam^n turns by pi between samples
+])
+def test_winding_raises_sampling_too_coarse(d, n):
+    with pytest.raises(SamplingTooCoarse):
+        winding_number(TetraRational(ZERO, ZERO, d, n, strict=False))
+
+
+def test_winding_just_below_the_sampling_limit():
+    assert winding_number(TetraRational(ZERO, ZERO, Polynomial((1,)), 2047)) == 2047
