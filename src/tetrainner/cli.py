@@ -16,7 +16,7 @@ import numpy as np
 
 from . import boundary, extremal, polycx, tetrafun
 from .construct import ConstructionSpec, construct as run_construct
-from .errors import DenominatorVanishes, MalformedInput, SamplingTooCoarse, TetraError
+from .errors import DenominatorVanishes, MalformedInput, TetraError
 from .polycx import circle_power, coeff_distance
 from .tetrafun import decode_complex, decode_complex_list, decode_real, encode_complex
 
@@ -161,10 +161,7 @@ def cmd_verify(args) -> int:
                 rec[2] for rec in tetrafun.circle_trace(x)))
         except DenominatorVanishes:
             invariants["circle_defect_max"] = None
-        try:
-            invariants["winding_number"] = tetrafun.winding_number(x)
-        except (SamplingTooCoarse, DenominatorVanishes):
-            invariants["winding_number"] = None
+        invariants["winding_number"] = tetrafun.winding_number(x)
         report["invariants"] = invariants
     _emit(args, _dump(report))
     return EXIT_OK

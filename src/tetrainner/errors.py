@@ -69,10 +69,6 @@ class DenominatorVanishes(TetraError):
     cli_exit_code = 4
 
 
-class SamplingTooCoarse(TetraError):
-    pass
-
-
 class RoyalVarietyFunction(TetraError):
     pass
 

@@ -117,10 +117,8 @@ class Polynomial(CoefficientArray):
         return float(modulus(self.coeffs).max(initial=0.0))
 
     def eval(self, z):
-        """Horner evaluation; accepts a scalar or an ndarray of points."""
-        if isinstance(z, np.ndarray):
-            return np.polyval(self.coeffs[::-1], z)
-        acc = 0j
+        """Horner evaluation at a scalar, or elementwise at an ndarray of points."""
+        acc = 0j * z
         for c in reversed(self._coeff_tuple):
             acc = acc * z + c
         return acc
@@ -325,6 +323,20 @@ def zero_free_disc(p: Polynomial, radius: float) -> bool:
     if radius not in memo:
         memo[radius] = _schur_cohn(p.coeffs * radius ** np.arange(len(p.coeffs)))
     return memo[radius]
+
+
+def roots_inside(p: Polynomial, radius: float) -> tuple:
+    """The (location, order) entries of roots(p) of modulus below radius.
+
+    zero_free_disc decides, and roots are solved only when it finds one.
+    When rounding puts every solved root at or past radius, the entry
+    nearest to 0 stands for the root the test found.
+    """
+    if zero_free_disc(p, radius):
+        return ()
+    found = roots(p).entries
+    return (tuple(entry for entry in found if abs(entry[0]) < radius)
+            or (min(found, key=lambda entry: abs(entry[0])),))
 
 
 def _schur_cohn(q: np.ndarray) -> bool:

@@ -30,7 +30,6 @@ from .errors import (
     InvalidSuperficialSpec,
     MalformedInput,
     RoyalVarietyFunction,
-    SamplingTooCoarse,
     UndefinedOmegaOrK,
     ValidationError,
 )
@@ -42,14 +41,12 @@ from .polycx import (
     Polynomial,
     _seeded_split,
     agree,
-    circle_power,
     circle_split,
     coeff_distance,
     is_mirror,
     linear_product,
-    roots as poly_roots,
+    roots_inside,
     unit_circle,
-    zero_free_disc,
 )
 
 MODULUS_SLACK = 1e-9
@@ -173,15 +170,9 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
     if d.is_zero:
         checks.append(ConditionCheck("DVanishesInDisc", False, "d is identically zero"))
     else:
-        # the Schur-Cohn test decides; roots are solved only to list the offenders
         limit = 1.0 + CIRCLE_TOL if strict else 1.0 - CIRCLE_TOL
         mode = "closed disc" if strict else "open disc"
-        bad = []
-        if not zero_free_disc(d, limit):
-            found = poly_roots(d).entries
-            # rounding can leave the root that failed the test just past the limit
-            bad = ([(loc, order) for loc, order in found if abs(loc) < limit]
-                   or [min(found, key=lambda entry: abs(entry[0]))])
+        bad = list(roots_inside(d, limit))
         checks.append(ConditionCheck(
             "DVanishesInDisc", not bad,
             f"roots of d inside the {mode}: {bad if bad else 'none'}"))
@@ -251,32 +242,24 @@ def degree(x: TetraRational) -> int:
     """Blaschke degree of the third component.
 
     Counts the open-disc zeros of the n-reflection of d: x.n less the orders
-    of the roots r of d with |r| < 1 + CIRCLE_TOL, so x.n with nothing solved
+    in polycx.roots_inside(d, 1 + CIRCLE_TOL), so x.n with nothing solved
     when d passes the strict disc test, which validation memoised.  Circle
     zeros of d (lenient mode) cancel against the reflection and do not count.
     Raises ZeroPolynomialHasAllRoots for d = 0.
     """
-    if zero_free_disc(x.d, 1.0 + CIRCLE_TOL):
-        return x.n
-    return x.n - sum(order for loc, order in poly_roots(x.d).entries
-                     if abs(loc) < 1.0 + CIRCLE_TOL)
+    return x.n - sum(order for _, order in roots_inside(x.d, 1.0 + CIRCLE_TOL))
 
 
 def winding_number(x: TetraRational) -> int:
     """Total winding of the third component along the circle.
 
-    Counterclockwise orientation over CIRCLE_SAMPLES points; consecutive-sample
-    argument jumps of pi or more abort with SamplingTooCoarse.  On the circle
-    d~n = lam^n conj(d), so the samples are lam^n conj(d)/d, read from d's.
+    By the argument principle, the zeros of d~n in the open disc (degree)
+    less the poles of d~n/d there, the orders in roots_inside(d, 1 - CIRCLE_TOL).
+    Circle zeros of d cancel against the reflection.  Nothing is sampled, and
+    nothing is solved when d passes both disc tests.
+    Raises ZeroPolynomialHasAllRoots for d = 0.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dv = x.d.on_circle
-        vals = circle_power(x.n) * np.conj(dv) / dv
-        closed = np.append(vals, vals[0])
-        jumps = np.angle(closed[1:] / closed[:-1])
-    if not np.all(np.isfinite(jumps)) or np.any(np.abs(jumps) >= np.pi - 1e-9):
-        raise SamplingTooCoarse("argument jump of at least pi between samples")
-    return int(np.rint(np.sum(jumps) / (2 * np.pi)))
+    return degree(x) - sum(order for _, order in roots_inside(x.d, 1.0 - CIRCLE_TOL))
 
 
 def royal_polynomial(x: TetraRational) -> Polynomial:

@@ -284,6 +284,14 @@ def test_verify_lenient_circle_zero_reports_null_defect(tmp_path, capsys):
     assert json.loads(out)["valid"]
 
 
+def test_verify_lenient_circle_zero_counts_the_winding(tmp_path, capsys):
+    # d = 1 - lam: its circle zero cancels against the reflection
+    func = {"n": 1, "E1": [], "E2": [], "D": [[1.0, 0.0], [-1.0, 0.0]]}
+    code, out = _run(capsys, ["verify", _write(tmp_path, "func.json", func), "--lenient"])
+    invariants = json.loads(out)["invariants"]
+    assert code == 0 and invariants["winding_number"] == invariants["degree"] == 0
+
+
 def test_verify_does_not_evaluate_pointwise(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("pointwise evaluation in verify")
@@ -307,7 +315,7 @@ def test_verify_does_not_evaluate_pointwise(tmp_path, capsys, monkeypatch):
 def test_verify_samples_each_polynomial_once(tmp_path, capsys, monkeypatch, spec):
     # d and e1 on the circle once for validation and the invariants (e2, the
     # exact mirror of e1, is read as e1 there), e2 for the modulus-equality
-    # invariant, and the royal polynomial; winding_number reads d's samples
+    # invariant, and the royal polynomial
     code, out = _run(capsys, ["construct", _write(tmp_path, "spec.json", spec)])
     assert code == 0
     func_path = _write(tmp_path, "func.json", json.loads(out)["function"])

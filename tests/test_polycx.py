@@ -514,6 +514,26 @@ def test_zero_free_disc_edge_cases(coeffs, radius, expected):
     assert zero_free_disc(p, radius) == expected
 
 
+# -- roots_inside --------------------------------------------------------------
+
+def test_roots_inside_a_zero_free_disc_solves_nothing(monkeypatch):
+    def refuse(a):
+        raise AssertionError("roots solved")
+
+    monkeypatch.setattr(np, "roots", refuse)
+    assert polycx.roots_inside(from_roots([1.5, -2.0j, 0.5 + 1.2j]), 1.0 + CIRCLE_TOL) == ()
+    assert polycx.roots_inside(Polynomial((3.0 - 1j,)), 1e6) == ()
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 1.0 + CIRCLE_TOL])
+def test_roots_inside_keeps_a_root_solved_onto_the_radius(rho):
+    # Schur-Cohn finds the root of lam - rho in the closed disc of radius rho,
+    # and the solve puts it at rho, not below: it is the nearest root
+    p = Polynomial((-rho, 1.0))
+    assert not zero_free_disc(p, rho) and polycx.roots(p).entries == ((rho + 0j, 1),)
+    assert polycx.roots_inside(p, rho) == ((rho + 0j, 1),)
+
+
 def test_zero_free_disc_is_kept_per_radius(monkeypatch):
     p = from_roots([1.5, -2.0j, 0.5 + 1.2j])
     calls = []

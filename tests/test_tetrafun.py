@@ -15,7 +15,6 @@ from tetrainner.errors import (
     NonFiniteCoefficient,
     OddCircleRootOrder,
     RoyalVarietyFunction,
-    SamplingTooCoarse,
     UndefinedOmegaOrK,
     ValidationError,
     ZeroPolynomialHasAllRoots,
@@ -118,6 +117,10 @@ def test_failing_disc_check_lists_the_offending_roots():
         listed = sorted(ast.literal_eval(listed), key=lambda entry: abs(entry[0]))
         assert [order for _, order in listed] == [1] * len(offending)
         assert all(abs(loc - r) < 1e-12 for (loc, _), r in zip(listed, offending))
+        # the entries of roots(d) as they are, in a list
+        radius = 1.0 + CIRCLE_TOL if strict else 1.0 - CIRCLE_TOL
+        assert check.detail.endswith(str([entry for entry in polycx.roots(d).entries
+                                          if abs(entry[0]) < radius]))
     # a root exactly on the strict radius fails the closed-disc test and is listed
     check = _disc_check(Polynomial((-(1.0 + CIRCLE_TOL), 1.0)), True)
     assert not check.passed
@@ -803,29 +806,75 @@ def test_degree_bound_failure_samples_both_numerators(monkeypatch, e1, e2, n):
     assert len(calls) == 3 and "on_circle" in e2.__dict__
 
 
-def test_winding_reads_the_reflection_of_d_off_its_samples(monkeypatch):
+# -- the winding as a root count -------------------------------------------------
+
+def test_winding_of_a_strict_function_transforms_and_solves_nothing(monkeypatch):
     rng = np.random.default_rng(61)
     for n in (1, 4, 16, 24):
         x = _constructed(rng, n, k_circle=n // 2)
-        d, d_reflected = _fresh(x.d, x.d_reflected)
-        read = polycx.circle_power(n) * np.conj(d.on_circle)
-        transformed = d_reflected.on_circle
-        assert np.max(np.abs(read - transformed)) <= 1e-13 * np.max(np.abs(transformed))
-        y = TetraRational(x.e1, x.e2, d, n)
-        calls = _count_ifft(monkeypatch)
-        assert winding_number(y) == n and not calls
-        assert "d_reflected" not in y.__dict__
+        y = TetraRational(x.e1, x.e2, *_fresh(x.d), n)
+        ffts, solves = _count_ifft(monkeypatch), _count_np_roots(monkeypatch)
+        assert winding_number(y) == n and not ffts and not solves
+        assert "d_reflected" not in y.__dict__ and "on_circle" not in y.d.__dict__
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("d, n", [
-    (Polynomial((1, -1)), 1),      # d vanishes at the grid point 1: the sample is NaN
-    (Polynomial((1,)), 2048),      # lam^n turns by pi between samples
-])
-def test_winding_raises_sampling_too_coarse(d, n):
-    with pytest.raises(SamplingTooCoarse):
-        winding_number(TetraRational(ZERO, ZERO, d, n, strict=False))
+@pytest.mark.parametrize("d, n, expected", [
+    (Polynomial((1, -1)), 1, 0),   # a circle zero of d cancels against the reflection
+    (ONE, 2048, 2048),             # lam^n turns by pi between two of 4096 samples
+    (ONE, 4096, 4096),
+], ids=["circle-zero", "n2048", "n4096"])
+def test_winding_is_a_count_at_any_n(d, n, expected):
+    assert winding_number(TetraRational(ZERO, ZERO, d, n, strict=False)) == expected
 
 
 def test_winding_just_below_the_sampling_limit():
     assert winding_number(TetraRational(ZERO, ZERO, Polynomial((1,)), 2047)) == 2047
+
+
+def test_winding_counts_a_root_of_d_too_close_to_the_circle_to_sample():
+    # d's nearest root lies 1.6e-4 off the circle, a tenth of the spacing of a
+    # 4096-point grid; between two such samples d~n/d turns by almost 2 pi
+    rng = np.random.default_rng(61)
+    for n in (1, 4, 16):
+        _constructed(rng, n, k_circle=n // 2)
+    x = _constructed(rng, 32, k_circle=16)
+    assert abs(min(abs(loc) for loc, _ in polycx.roots(x.d).entries) - 1.000163) < 1e-6
+    assert winding_number(x) == degree(x) == 32
+
+
+def test_winding_equals_degree_with_half_the_nodes_on_the_circle():
+    # sampled on 4096 points, 4 of these 12 windings read 22 or 23
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        x = _constructed(rng, 24, k_circle=12)
+        assert winding_number(x) == degree(x) == 24
+
+
+def _argument_count(d, n, m=2 ** 16):
+    """Winding of lam^n conj(d)/d, the third component on the circle, over m
+    points offset by half a step from the m-th roots of unity, so that none
+    meets a root of d at 1, -1, i or -i."""
+    lam = np.exp(2j * np.pi * (np.arange(m) + 0.5) / m)
+    dv = np.polyval(d.coeffs[::-1], lam)
+    vals = lam ** n * np.conj(dv) / dv
+    jumps = np.angle(np.roll(vals, -1) / vals)
+    assert np.max(np.abs(jumps)) < 0.5
+    return round(float(np.sum(jumps)) / (2 * np.pi))
+
+
+def test_winding_matches_root_counts_and_the_argument_principle():
+    # roots at least 0.1 off the circle, or exactly on it: the fine grid cannot alias
+    rng = np.random.default_rng(19)
+
+    def placed(low, high):
+        count = int(rng.integers(0, 6))
+        return rng.uniform(low, high, count) * np.exp(2j * np.pi * rng.random(count))
+
+    for _ in range(24):
+        inside, outside = placed(0.2, 0.9), placed(1.1, 3.0)
+        circle = rng.choice([1, -1, 1j, -1j], int(rng.integers(0, 4)), replace=False)
+        d = polycx.from_roots([*inside, *outside, *circle])
+        n = d.degree + int(rng.integers(0, 4))
+        x = TetraRational(ZERO, ZERO, d, n, strict=False)
+        assert winding_number(x) == n - len(circle) - 2 * len(inside) == _argument_count(d, n)
