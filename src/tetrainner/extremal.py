@@ -130,6 +130,19 @@ def _perturbation_polynomial(taus, n: int, k: int) -> Polynomial:
     return (g + g.reflect(n)).scale(0.5)
 
 
+def _node_products(grid: np.ndarray, interior, taus) -> list[np.ndarray]:
+    """prod |lam - s|^2 on the grid over the interior nodes, then over all nodes;
+    each factor is (re lam - re s)^2 + (im lam - im s)^2, in real arithmetic."""
+    re, im = grid.real.copy(), grid.imag.copy()   # contiguous parts: faster passes
+    acc, products = np.ones(len(grid)), []
+    for nodes in (interior, taus):
+        for s in nodes:
+            dx, dy = re - s.real, im - s.imag
+            acc = acc * np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+        products.append(acc)
+    return products
+
+
 def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
     """Midpoint decomposition for 1 <= k with 2k <= n.
 
@@ -150,18 +163,10 @@ def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
     g = _perturbation_polynomial(taus, n, k)
 
     grid = unit_circle(CIRCLE_SAMPLES)
-    royal = royal_polynomial(x)
-    all_nodes = taus + interior
-    node_products = np.ones_like(grid, dtype=float)
-    for s in all_nodes:
-        node_products = node_products * np.abs(grid - s) ** 2
+    interior_product, node_products = _node_products(grid, interior, taus)
     pivot = int(np.argmax(node_products))
     lam0 = grid[pivot]
-    r = float(np.real(lam0 ** (-n) * royal.eval(lam0)) / node_products[pivot])
-
-    interior_product = np.ones_like(grid, dtype=float)
-    for s in interior:
-        interior_product = interior_product * np.abs(grid - s) ** 2
+    r = float(np.real(lam0 ** (-n) * royal_polynomial(x).eval(lam0)) / node_products[pivot])
     m_const = float(np.min(interior_product))
     e1_sup = _circle_sup(x.e1)
     g_sup = _circle_sup(g)

@@ -125,10 +125,23 @@ class Polynomial(CoefficientArray):
 
     @cached_property
     def on_circle(self) -> np.ndarray:
-        """Values on unit_circle(CIRCLE_SAMPLES), computed once and shared read-only."""
+        """Values on unit_circle(CIRCLE_SAMPLES), once per instance, read-only; see _carry."""
         vals = circle_values(self.coeffs)
         vals.flags.writeable = False
         return vals
+
+    def _carry(self, operands, combine) -> "Polynomial":
+        """self, given on_circle = combine(operand samples) with no transform, when
+        every operand has sampled and self kept all of their coefficients.
+
+        scale, negation, + and - (linear maps) carry samples so.
+        """
+        if (len(self.coeffs) == max(len(q.coeffs) for q in operands)
+                and all("on_circle" in q.__dict__ for q in operands)):
+            vals = combine(*(q.on_circle for q in operands))
+            vals.flags.writeable = False
+            self.__dict__["on_circle"] = vals
+        return self
 
     def reflect(self, n: int) -> "Polynomial":
         """Coefficient reversal with conjugation at index n.
@@ -144,11 +157,14 @@ class Polynomial(CoefficientArray):
         """Conjugate every coefficient: f -> conj(f(conj(lambda)))."""
         return Polynomial(np.conj(self.coeffs))
 
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return super().__add__(other)._carry((self, other), np.add)
+
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-self.coeffs)
+        return Polynomial(-self.coeffs)._carry((self,), np.negative)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -163,7 +179,7 @@ class Polynomial(CoefficientArray):
         # Python's complex product c * a_j part by part; numpy's complex multiply rounds otherwise
         out = (c.real * a.real - c.imag * a.imag).astype(complex)
         out.imag = c.real * a.imag + c.imag * a.real
-        return Polynomial(out)
+        return Polynomial(out)._carry((self,), lambda vals: c * vals)
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -438,18 +454,21 @@ def _seeded_split(p: Polynomial, seeds) -> tuple | None:
     gives (c/|c|, 2).  Another seed's limit s on p, inside the circle and
     outside the join band, gives (s, 1) and the root 1/conj(s) unless the
     seed is 0.  All limits converge, are _distinct (c by its join radius)
-    and count deg p roots; the circle seeds run first, the rest only if they pass.
+    and count deg p roots; the circle seeds run first, when there are any, and
+    the rest only if they pass.
     """
     if seeds is None:
         return None
     seeds = np.asarray(seeds, dtype=complex)
     on = np.abs(np.abs(seeds) - 1.0) <= SPEC_TOL
-    c, c_bound, ddp, converged = _newton_limits(_derivative(p.coeffs), seeds[on])
+    c, join = seeds[on], np.zeros(0)
     with np.errstate(all="ignore"):
-        join = 2.0 * np.sqrt(2.0 * (CIRCLE_TOL + c_bound))
-        if not (converged and np.all(np.abs(np.abs(c) - 1.0) <= CIRCLE_TOL + c_bound)
-                and np.all(np.sqrt(np.abs(2.0 * p.eval(c) / ddp)) <= join)):
-            return None
+        if on.any():
+            c, c_bound, ddp, converged = _newton_limits(_derivative(p.coeffs), c)
+            join = 2.0 * np.sqrt(2.0 * (CIRCLE_TOL + c_bound))
+            if not (converged and np.all(np.abs(np.abs(c) - 1.0) <= CIRCLE_TOL + c_bound)
+                    and np.all(np.sqrt(np.abs(2.0 * p.eval(c) / ddp)) <= join)):
+                return None
         s, bound, _, converged = _newton_limits(p.coeffs, seeds[~on])
         paired = seeds[~on] != 0
         ok = (converged

@@ -155,8 +155,9 @@ class ConditionCheck:
 
 def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
                       strict: bool = True) -> list[ConditionCheck]:
-    """Per-condition report for the representation conditions; ModulusDomination
-    reads an e2 that is_mirror of e1 (|e2| = |e1| on the circle) as e1, unsampled."""
+    """Per-condition report for the representation conditions; an e2 that is_mirror
+    of e1 passes ReflectionMismatch with deviation 0, unreflected, and ModulusDomination
+    reads it as e1 (|e2| = |e1| on the circle), unsampled."""
     checks = []
 
     # the circle grid cannot vouch for ModulusDomination above degree CIRCLE_SAMPLES
@@ -177,20 +178,23 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
             "DVanishesInDisc", not bad,
             f"roots of d inside the {mode}: {bad if bad else 'none'}"))
 
+    mirror = deg_ok and is_mirror(e1, e2, n)
     if not deg_ok:
         checks.append(ConditionCheck("ReflectionMismatch", False,
                                      "degree bound failed, reflection undefined"))
     else:
-        e2_reflected = e2.reflect(n)
-        dev = coeff_distance(e1, e2_reflected)
+        passed, dev = True, 0.0
+        if not mirror:
+            e2_reflected = e2.reflect(n)
+            passed, dev = agree(e1, e2_reflected), coeff_distance(e1, e2_reflected)
         checks.append(ConditionCheck(
-            "ReflectionMismatch", agree(e1, e2_reflected),
+            "ReflectionMismatch", passed,
             f"max coefficient deviation of e1 from the n-reflection of e2: {dev:.3e}"))
 
     dv = np.abs(d.on_circle)
     slack = MODULUS_SLACK * (1.0 + float(np.max(dv)))
     worst = 0.0
-    for e in (e1,) if deg_ok and is_mirror(e1, e2, n) else (e1, e2):
+    for e in (e1,) if mirror else (e1, e2):
         ev = np.abs(e.on_circle)
         worst = max(worst, float(np.max(ev - dv)))
     checks.append(ConditionCheck(

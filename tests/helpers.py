@@ -1,6 +1,7 @@
 """Shared generators for randomized sweeps."""
 
 import numpy as np
+import pytest
 
 from tetrainner.boundary import TetraPoint, sample_distinguished, sample_interior
 from tetrainner.construct import ConstructionSpec
@@ -131,3 +132,23 @@ def sample_fixed_x3_distinguished(rng: np.random.Generator, x3: complex) -> Tetr
     """Random distinguished-boundary point with prescribed unimodular x3."""
     x2 = np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
     return TetraPoint(np.conj(x2) * x3, x2, x3)
+
+
+def mp_circle_values(p, m, stride=1):
+    """p at every stride-th m-th root of unity, Horner in mpmath at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        out = []
+        for j in range(0, m, stride):
+            w, acc = mpmath.expjpi(mpmath.mpf(2 * j) / m), mpmath.mpc(0)
+            for c in reversed(p.coeffs):
+                acc = acc * w + mpmath.mpc(c.real, c.imag)
+            out.append(complex(acc))
+    return np.array(out)
+
+
+def count_ifft(monkeypatch):
+    """A list that grows by one entry per np.fft.ifft call from now on."""
+    calls, ifft = [], np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda *args, **kw: calls.append(1) or ifft(*args, **kw))
+    return calls

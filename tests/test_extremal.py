@@ -5,6 +5,8 @@ import pytest
 
 from helpers import (
     coeff_bits,
+    count_ifft,
+    mp_circle_values,
     random_construction_spec,
     sample_fixed_x3_closed,
     sample_fixed_x3_distinguished,
@@ -20,6 +22,7 @@ from tetrainner.errors import (
     RoyalVarietyFunction,
     ThirdComponentMismatch,
 )
+from tetrainner import extremal
 from tetrainner.extremal import (
     PerturbationMethod,
     _perturbation_polynomial,
@@ -29,8 +32,8 @@ from tetrainner.extremal import (
     perturb_nonextreme,
     scale_nonextreme,
 )
-from tetrainner.polycx import (Polynomial, agree, coeff_distance, from_roots, is_mirror,
-                               is_n_symmetric, product, unit_circle)
+from tetrainner.polycx import (CIRCLE_SAMPLES, EPS, Polynomial, agree, coeff_distance,
+                               from_roots, is_mirror, is_n_symmetric, product, unit_circle)
 from tetrainner.tetrafun import (
     TetraRational,
     TypeNK,
@@ -291,15 +294,19 @@ def test_perturbation_polynomial_matches_the_product_form_bit_for_bit():
                     _perturbation_polynomial_by_product(taus, n, k)), (n, k, taus)
 
 
-@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (16, 8), (24, 12)])
-def test_perturbation_g_is_its_own_reflection(n, k):
+def _constructed_of_type(n, k):
+    """The first of twenty constructions from default_rng(n) whose type is (n, k)."""
     rng = np.random.default_rng(n)
     for _ in range(20):
         x = construct(random_construction_spec(rng, n, k_circle=k))
         if type_nk(x) == TypeNK(n, k):
-            break
-    else:
-        pytest.fail(f"no construction of type ({n}, {k}) in twenty draws")
+            return x
+    pytest.fail(f"no construction of type ({n}, {k}) in twenty draws")
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (16, 8), (24, 12)])
+def test_perturbation_g_is_its_own_reflection(n, k):
+    x = _constructed_of_type(n, k)
     result = perturb_nonextreme(x)
     g = result.g
     # equal values (the middle coefficient's zero imaginary part may change sign)
@@ -315,6 +322,56 @@ def test_perturbation_g_is_its_own_reflection(n, k):
         if nd.on_circle:
             assert abs(g.eval(nd.location)) <= 1e-10 * g.max_coeff()
             assert abs(dg.eval(nd.location)) <= 1e-10 * g.max_coeff()
+
+
+def _node_products_by_complex_loop(grid, interior, taus):
+    """The reference: |lam - s|^2 from the complex difference, interior nodes looped twice."""
+    node_products = np.ones_like(grid, dtype=float)
+    for s in taus + interior:
+        node_products = node_products * np.abs(grid - s) ** 2
+    interior_product = np.ones_like(grid, dtype=float)
+    for s in interior:
+        interior_product = interior_product * np.abs(grid - s) ** 2
+    return [interior_product, node_products]
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_node_products_match_the_complex_loop(monkeypatch, n):
+    x = _constructed_of_type(n, n // 2)
+    nodes = royal_nodes(x)
+    taus = [nd.location for nd in nodes if nd.on_circle for _ in range(nd.multiplicity)]
+    interior = [nd.location for nd in nodes if not nd.on_circle for _ in range(nd.multiplicity)]
+    grid = unit_circle(CIRCLE_SAMPLES)
+    # fixed before measuring: each of the n factors and products rounds a few ulps
+    tol = 8 * n * EPS
+    got = extremal._node_products(grid, interior, taus)
+    ref = _node_products_by_complex_loop(grid, interior, taus)
+    assert abs(got[1].max() - ref[1].max()) <= tol * ref[1].max()     # the pivot value
+    assert abs(got[0].min() - ref[0].min()) <= tol * ref[0].min()     # m_const
+    t_used = perturb_nonextreme(x).t_used
+    monkeypatch.setattr(extremal, "_node_products", _node_products_by_complex_loop)
+    t_ref = perturb_nonextreme(x).t_used
+    assert abs(t_used - t_ref) <= tol * t_ref
+
+
+@pytest.mark.parametrize("n, k", [(16, 0), (24, 0), (16, 8), (24, 12)])
+def test_perturbation_halves_carry_their_samples(monkeypatch, n, k):
+    x = _constructed_of_type(n, k)
+    assert "on_circle" in x.e1.__dict__ and "on_circle" in x.d.__dict__
+    calls = count_ifft(monkeypatch)
+    result = perturb_nonextreme(x)
+    # g is the only polynomial transformed; k = 0 transforms nothing
+    assert len(calls) == (1 if k else 0)
+    t, g = result.t_used, result.g
+    weight = sum(map(abs, x.e1.coeffs)) * (1 + t if k == 0 else 1) + t * sum(map(abs, g.coeffs))
+    bound = 1e-15 * weight     # fixed before measuring
+    for half in (result.x_plus, result.x_minus):
+        assert "on_circle" in half.e1.__dict__ and "on_circle" not in half.e2.__dict__
+        carried, oracle = half.e1.on_circle, mp_circle_values(half.e1, CIRCLE_SAMPLES, 61)
+        assert np.max(np.abs(carried - Polynomial(half.e1.coeffs).on_circle)) <= bound
+        assert np.max(np.abs(carried[::61] - oracle)) <= bound
+    # each twin built from the coefficients transformed afresh
+    assert len(calls) == (1 if k else 0) + 2
 
 
 def test_perturb_rejects_majority_circle_nodes():

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from helpers import coeff_bits, pairwise_product, random_construction_spec
+from helpers import (coeff_bits, count_ifft, mp_circle_values, pairwise_product,
+                     random_construction_spec)
 import tetrainner
 from tetrainner.construct import construct
 from tetrainner.errors import (
@@ -269,19 +270,6 @@ def test_roots_memo_is_per_instance_and_tolerance():
     assert twin == p and roots(twin) is not ms and roots(twin) == ms
 
 
-def mp_circle_values(p, m, stride=1):
-    """p at every stride-th m-th root of unity, Horner in mpmath at 40 digits."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        out = []
-        for j in range(0, m, stride):
-            w, acc = mpmath.expjpi(mpmath.mpf(2 * j) / m), mpmath.mpc(0)
-            for c in reversed(p.coeffs):
-                acc = acc * w + mpmath.mpc(c.real, c.imag)
-            out.append(complex(acc))
-    return np.array(out)
-
-
 def test_on_circle_memo_is_per_instance_and_read_only():
     p = Polynomial((1.0, -2.0j, 0.25))
     vals = p.on_circle
@@ -295,6 +283,63 @@ def test_on_circle_memo_is_per_instance_and_read_only():
     assert twin.on_circle is not vals and np.array_equal(twin.on_circle, vals)
     zero = Polynomial().on_circle
     assert not zero.flags.writeable and not zero.any()
+    # a carried array is read-only too, and a twin of the result transforms afresh
+    carried = p.scale(2.0)
+    assert "on_circle" in carried.__dict__ and not carried.on_circle.flags.writeable
+    with pytest.raises(ValueError):
+        carried.on_circle[0] = 0.0
+    twin = Polynomial(carried.coeffs)
+    assert "on_circle" not in twin.__dict__ and twin.on_circle is not carried.on_circle
+
+
+P = Polynomial((1.0, -2.0j, 0.25))
+Q = Polynomial((0.5j, 1.0, 0.0, -3.0 + 1.0j))
+
+
+@pytest.mark.parametrize("op, scale", [
+    (lambda p, q: p.scale(0.3 - 1.1j), 0.3 - 1.1j),
+    (lambda p, q: 2.5 * p, 2.5),
+    (lambda p, q: -p, 1.0),
+    (lambda p, q: p + q, 1.0),
+    (lambda p, q: p - q, 1.0),
+    (lambda p, q: q.scale(0.5) - p.scale(2j), 2.0),
+], ids=["scale", "rmul", "neg", "add", "sub", "combination"])
+def test_linear_maps_carry_the_samples_of_sampled_operands(monkeypatch, op, scale):
+    p, q = Polynomial(P.coeffs), Polynomial(Q.coeffs)
+    p.on_circle, q.on_circle
+    calls = count_ifft(monkeypatch)
+    result = op(p, q)
+    assert not calls and "on_circle" in result.__dict__
+    assert not result.on_circle.flags.writeable
+    # fixed before measuring: each operand's rounding, times the largest weight
+    bound = 1e-15 * abs(scale) * (sum(map(abs, P.coeffs)) + sum(map(abs, Q.coeffs)))
+    fresh = Polynomial(result.coeffs).on_circle
+    assert len(calls) == 1 and np.max(np.abs(result.on_circle - fresh)) <= bound
+    assert np.max(np.abs(result.on_circle[::61] - mp_circle_values(result, CIRCLE_SAMPLES, 61))
+                  ) <= bound
+
+
+@pytest.mark.parametrize("op", [
+    lambda p, q: p + Polynomial(q.coeffs),          # an operand never sampled
+    lambda p, q: Polynomial(q.coeffs) - p,
+    lambda p, q: -Polynomial(p.coeffs),
+    lambda p, q: Polynomial(p.coeffs).scale(3.0),
+    lambda p, q: p - p.scale(1.0 + 1e-15),          # every coefficient trims
+    lambda p, q: p.scale(1e-14),                    # the top coefficient drops below TRIM_TOL
+], ids=["add-unsampled", "sub-unsampled", "neg-unsampled", "scale-unsampled", "sub-trims",
+        "scale-trims"])
+def test_no_carry_from_an_unsampled_operand_or_a_trimmed_result(op):
+    p, q = Polynomial(P.coeffs), Polynomial(Q.coeffs)
+    p.on_circle, q.on_circle
+    result = op(p, q)
+    assert "on_circle" not in result.__dict__
+    # the fresh samples are those of the trimmed coefficients
+    assert np.array_equal(result.on_circle, polycx.circle_values(result.coeffs))
+
+
+def test_trig_polynomials_have_no_samples_to_carry():
+    total = TrigPolynomial((1.0, 0.5j)) + TrigPolynomial((2.0,))
+    assert type(total) is TrigPolynomial and not hasattr(total, "on_circle")
 
 
 # degree -1 is the zero polynomial; degree > CIRCLE_SAMPLES folds the coefficients.
@@ -609,6 +654,28 @@ def test_seeded_split_skips_the_interior_seeds_when_the_circle_seeds_fail(monkey
                         or run(f, seeds))
     assert polycx._seeded_split(p, (0.5, 1j)) is not None
     assert calls == [1, 1]
+
+
+def test_seeded_split_runs_no_circle_pass_without_circle_seeds(monkeypatch):
+    # k = 0 constructions: every seed lies inside the circle; the interior pass
+    # converges for some of them and not for others
+    rng, accepted = np.random.default_rng(5), 0
+    calls, run, evaluate = [], polycx._newton_limits, Polynomial.eval
+    monkeypatch.setattr(polycx, "_newton_limits", lambda f, z: calls.append(len(z)) or run(f, z))
+    monkeypatch.setattr(Polynomial, "eval", lambda q, z: calls.append("eval") or evaluate(q, z))
+    for _ in range(4):
+        x = construct(random_construction_spec(rng, 16))
+        p, seeds = x._royal[0], x._node_seeds
+        assert all(abs(s) < 1.0 - 1e-3 for s in seeds)
+        calls.clear()
+        found = polycx._seeded_split(p, seeds)
+        assert calls == [16]
+        if found is not None:
+            # the entries of the interior pass alone, as the empty circle pass left them
+            interior = run(p.coeffs, seeds)[0]
+            assert found == (polycx._entries(interior, np.ones(16, dtype=int)), ())
+            accepted += 1
+    assert 0 < accepted < 4
 
 
 @pytest.mark.parametrize("p, seeds, accepted", [

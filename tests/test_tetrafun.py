@@ -3,8 +3,8 @@ import ast
 import numpy as np
 import pytest
 
-from helpers import random_construction_spec
-from tetrainner import polycx
+from helpers import count_ifft, random_construction_spec
+from tetrainner import polycx, tetrafun
 from tetrainner.boundary import TetraRegion, classify_tetra, psi, tetra_defect
 from tetrainner.construct import construct
 from tetrainner.errors import (
@@ -22,6 +22,7 @@ from tetrainner.errors import (
 from tetrainner.polycx import CIRCLE_TOL, Polynomial, coeff_distance, is_n_symmetric, unit_circle
 from tetrainner.tetrafun import (
     BlaschkeSpec,
+    ConditionCheck,
     SuperficialSpec,
     TetraRational,
     TypeNK,
@@ -737,12 +738,6 @@ def test_json_rejects_a_negative_reflection_index(n):
 
 # -- reflections read off the circle ------------------------------------------
 
-def _count_ifft(monkeypatch):
-    calls, ifft = [], np.fft.ifft
-    monkeypatch.setattr(np.fft, "ifft", lambda *args, **kw: calls.append(1) or ifft(*args, **kw))
-    return calls
-
-
 def _fresh(*polys):
     """Copies with nothing memoised, so each on_circle is a transform."""
     return tuple(Polynomial(p.coeffs) for p in polys)
@@ -766,9 +761,19 @@ def test_validation_reads_an_exact_mirror_off_e1(monkeypatch, n):
     x = _constructed(np.random.default_rng(n), n, k_circle=n // 4)
     e1, e2, d = _fresh(x.e1, x.e2, x.d)
     assert polycx.is_mirror(e1, e2, n)
-    calls = _count_ifft(monkeypatch)
-    check = _modulus_check(e1, e2, d, n)
+    calls = count_ifft(monkeypatch)
+    monkeypatch.setattr(Polynomial, "reflect", None)
+    monkeypatch.setattr(tetrafun, "coeff_distance", None)
+    monkeypatch.setattr(tetrafun, "agree", None)
+    report = {c.code: c for c in validation_report(e1, e2, d, n)}
+    check = report["ModulusDomination"]
     assert len(calls) == 2 and "on_circle" not in e2.__dict__
+    # ReflectionMismatch passes as the reflection would, with nothing reflected or compared
+    assert report["ReflectionMismatch"] == ConditionCheck(
+        "ReflectionMismatch", True,
+        "max coefficient deviation of e1 from the n-reflection of e2: 0.000e+00")
+    monkeypatch.undo()
+    assert coeff_distance(e1, e2.reflect(n)) == 0.0
     # the verdict and worst of sampling both numerators
     dv = np.abs(d.on_circle)
     worst_e1 = max(0.0, float(np.max(np.abs(e1.on_circle) - dv)))
@@ -784,9 +789,13 @@ def test_validation_samples_e2_one_ulp_off_its_mirror(monkeypatch):
     coeffs[3] = complex(np.nextafter(coeffs[3].real, np.inf), coeffs[3].imag)
     e1, e2, d = _fresh(x.e1, Polynomial(coeffs), x.d)
     assert not polycx.is_mirror(e1, e2, 16)
-    calls = _count_ifft(monkeypatch)
-    assert _modulus_check(e1, e2, d, 16).passed
-    assert len(calls) == 3
+    calls = count_ifft(monkeypatch)
+    report = {c.code: c for c in validation_report(e1, e2, d, 16)}
+    assert report["ModulusDomination"].passed and len(calls) == 3
+    # the reflection is formed and compared: one ulp off shows as a deviation
+    dev = coeff_distance(e1, e2.reflect(16))
+    assert report["ReflectionMismatch"].passed and dev > 0.0
+    assert report["ReflectionMismatch"].detail.endswith(f": {dev:.3e}")
 
 
 def test_validation_catches_a_violation_by_e2_alone():
@@ -800,7 +809,7 @@ def test_validation_catches_a_violation_by_e2_alone():
     (Polynomial((1,)), Polynomial((0,) * 4097 + (1,)), 4097),          # n above CIRCLE_SAMPLES
 ])
 def test_degree_bound_failure_samples_both_numerators(monkeypatch, e1, e2, n):
-    calls = _count_ifft(monkeypatch)
+    calls = count_ifft(monkeypatch)
     report = {c.code: c for c in validation_report(e1, e2, Polynomial((2,)), n)}
     assert not report["DegreeBound"].passed
     assert len(calls) == 3 and "on_circle" in e2.__dict__
@@ -813,7 +822,7 @@ def test_winding_of_a_strict_function_transforms_and_solves_nothing(monkeypatch)
     for n in (1, 4, 16, 24):
         x = _constructed(rng, n, k_circle=n // 2)
         y = TetraRational(x.e1, x.e2, *_fresh(x.d), n)
-        ffts, solves = _count_ifft(monkeypatch), _count_np_roots(monkeypatch)
+        ffts, solves = count_ifft(monkeypatch), _count_np_roots(monkeypatch)
         assert winding_number(y) == n and not ffts and not solves
         assert "d_reflected" not in y.__dict__ and "on_circle" not in y.d.__dict__
         monkeypatch.undo()
