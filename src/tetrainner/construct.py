@@ -150,8 +150,8 @@ def construct(spec: ConstructionSpec) -> TetraRational:
             f"royal polynomial drift {drift:.3e} exceeds tolerance")
     if is_royal_variety(x):
         raise ConstructionInconsistent("constructed function lies on the royal variety")
-    # the nodes and zeros are known: royal_nodes and roots(e1) start Newton from them
-    object.__setattr__(x, "_node_seeds", spec.sigma)
+    # the nodes and zeros are known: circle_split(royal) and roots(e1) start Newton from them
+    object.__setattr__(royal, "_node_seeds", spec.sigma)
     object.__setattr__(e1, "_root_seeds",
                        spec.alpha1 + tuple(1 / np.conj(a) for a in spec.alpha2 if a))
     return x

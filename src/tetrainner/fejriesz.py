@@ -62,17 +62,15 @@ class TrigPolynomial(CoefficientArray):
     def __post_init__(self):
         self._set_coeffs(zero_pad(np.array(self.coeffs, dtype=complex), 1))
 
+    def _half(self) -> np.ndarray:
+        """h = (c0.real / 2, c1, ..., cn), so that the value on the circle is 2 Re h."""
+        half = self.coeffs.copy()
+        half[0] = 0.5 * half[0].real
+        return half
+
     def value(self, lam):
         """Real value at a unimodular point (scalar or ndarray)."""
-        arr = np.asarray(lam, dtype=complex)
-        acc = np.full(arr.shape, self.coeffs[0].real)
-        power = np.ones_like(arr)
-        for c in self.coeffs[1:].tolist():
-            power = power * arr
-            acc = acc + 2.0 * np.real(c * power)
-        if arr.shape == ():
-            return float(acc)
-        return acc
+        return 2.0 * Polynomial(self._half()).eval(lam).real
 
 
 def modulus_squared_on_circle(p: Polynomial) -> TrigPolynomial:
@@ -113,9 +111,7 @@ def factor(p: TrigPolynomial) -> Polynomial:
     the guard, OddCircleRootOrder (from circle_split) when a circle root
     has odd order, and ValueError when lam^n p trims to zero.
     """
-    half = p.coeffs.copy()
-    half[0] = 0.5 * half[0].real
-    vals = 2.0 * circle_values(half).real
+    vals = 2.0 * circle_values(p._half()).real
     low, high = float(vals.min()), float(vals.max())
     if low < -NONNEG_GUARD * (1.0 + max(high, -low)):
         raise NotNonnegativeOnCircle(f"min sampled value {low:.3e} below guard")

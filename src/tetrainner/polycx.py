@@ -76,8 +76,10 @@ class CoefficientArray:
 @dataclass(frozen=True, eq=False, repr=False)
 class Polynomial(CoefficientArray):
     coeffs: np.ndarray = ()
-    # roots() tries Newton from these first (not a field: copies and JSON drop it)
+    # roots() and circle_split() try Newton from these first (not fields: copies
+    # and JSON drop them)
     _root_seeds = None
+    _node_seeds = None
 
     def __post_init__(self):
         self._set_coeffs(_trim(np.array(self.coeffs, dtype=complex)))
@@ -85,9 +87,11 @@ class Polynomial(CoefficientArray):
     @cached_property
     def _roots(self) -> "RootMultiset":
         """The roots result; polycx.roots rejects the zero polynomial before it."""
-        seeded = _seeded_roots(self.coeffs, self._root_seeds)
-        if seeded is not None:
-            return seeded
+        seeds = self._root_seeds
+        if seeds is not None and len(seeds) == self.degree:
+            z, bound, _, converged = _newton_limits(self.coeffs, seeds)
+            if converged and _distinct(z, bound):
+                return RootMultiset(_entries(z, np.ones(len(z), dtype=int)))
         a = self.coeffs[::-1]
         z = np.roots(a)
         with np.errstate(all="ignore"):
@@ -319,8 +323,9 @@ def roots(p: Polynomial) -> RootMultiset:
     Eigenvalues of the companion matrix of the monic normalization, one
     Newton step per root where it lowers |p|, then one entry per connected
     component of the graph joining roots closer than CLUSTER_TOL.  A p with
-    root seeds (construct's e1) takes their Newton limits instead when they
-    pass _seeded_roots.  The result is kept on p; a raised error is not kept.
+    one root seed per root (construct's e1) takes their Newton limits instead
+    when they converge and are _distinct.  The result is kept on p; a raised
+    error is not kept.
     """
     if p.is_zero:
         raise ZeroPolynomialHasAllRoots("the zero polynomial vanishes everywhere")
@@ -432,30 +437,19 @@ def _distinct(z: np.ndarray, margin: np.ndarray) -> bool:
     return bool(np.all((gap > 2 * CLUSTER_TOL) | np.eye(len(z), dtype=bool)))
 
 
-def _seeded_roots(f: np.ndarray, seeds) -> RootMultiset | None:
-    """roots() of the polynomial with ascending coefficients f as Newton limits
-    from one seed per root; None unless they converged and are _distinct."""
-    if seeds is None or len(seeds) != len(f) - 1:
-        return None
-    z, bound, _, converged = _newton_limits(f, seeds)
-    if converged and _distinct(z, bound):
-        return RootMultiset(_entries(z, np.ones(len(z), dtype=int)))
-    return None
-
-
-def _seeded_split(p: Polynomial, seeds) -> tuple | None:
-    """circle_split(p)'s inside and circle entries as Newton limits from the
-    seeds; None unless they account for every root of p.
+def _seeded_split(p: Polynomial, seeds, circle_tol: float) -> tuple | None:
+    """circle_split(p, circle_tol) as Newton limits from the seeds; None
+    unless they account for every root of p.
 
     A seed within SPEC_TOL of the circle stands for a double root: its limit
-    c on p' must pass circle_split's tests (|c| within CIRCLE_TOL plus the
+    c on p' must pass circle_split's tests (|c| within circle_tol plus the
     rounding bound t of 1, and the roots c +- w of the quadratic model,
     |w|^2 = |2 p(c) / p''(c)|, within the join radius 2 sqrt(2 t) of c) and
     gives (c/|c|, 2).  Another seed's limit s on p, inside the circle and
-    outside the join band, gives (s, 1) and the root 1/conj(s) unless the
-    seed is 0.  All limits converge, are _distinct (c by its join radius)
-    and count deg p roots; the circle seeds run first, when there are any, and
-    the rest only if they pass.
+    outside the join band, gives (s, 1) inside and (1/conj(s), 1) outside
+    unless the seed is 0.  All limits converge, are _distinct (c by its join
+    radius) and count deg p roots; the circle seeds run first, when there are
+    any, and the rest only if they pass.
     """
     if seeds is None:
         return None
@@ -465,21 +459,23 @@ def _seeded_split(p: Polynomial, seeds) -> tuple | None:
     with np.errstate(all="ignore"):
         if on.any():
             c, c_bound, ddp, converged = _newton_limits(_derivative(p.coeffs), c)
-            join = 2.0 * np.sqrt(2.0 * (CIRCLE_TOL + c_bound))
-            if not (converged and np.all(np.abs(np.abs(c) - 1.0) <= CIRCLE_TOL + c_bound)
+            join = 2.0 * np.sqrt(2.0 * (circle_tol + c_bound))
+            if not (converged and np.all(np.abs(np.abs(c) - 1.0) <= circle_tol + c_bound)
                     and np.all(np.sqrt(np.abs(2.0 * p.eval(c) / ddp)) <= join)):
                 return None
         s, bound, _, converged = _newton_limits(p.coeffs, seeds[~on])
         paired = seeds[~on] != 0
+        partners = 1.0 / np.conj(s[paired])
         ok = (converged
-              and np.all(1.0 - np.abs(s) > 2.0 * np.sqrt(2.0 * (CIRCLE_TOL + bound)))
-              and len(s) + np.count_nonzero(paired) + 2 * len(c) == p.degree
-              and _distinct(np.concatenate([s, 1.0 / np.conj(s[paired]), c]),
+              and np.all(1.0 - np.abs(s) > 2.0 * np.sqrt(2.0 * (circle_tol + bound)))
+              and len(s) + len(partners) + 2 * len(c) == p.degree
+              and _distinct(np.concatenate([s, partners, c]),
                             np.concatenate([bound, bound[paired] / np.abs(s[paired]) ** 2,
                                             join])))
     if not ok:
         return None
-    return _entries(s, np.ones(len(s), dtype=int)), _entries(c / np.abs(c), np.full(len(c), 2))
+    return (_entries(s, np.ones(len(s), dtype=int)), _entries(c / np.abs(c), np.full(len(c), 2)),
+            _entries(partners, np.ones(len(partners), dtype=int)))
 
 
 def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
@@ -499,11 +495,16 @@ def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
     circle_tol = 0 forgives rounding only.  The rounding bounds cover
     evaluating p's coefficients as given, not the rounding that formed them
     (for a royal polynomial at n = 24-32, 30-175 times larger at its nodes).
+    A p with node seeds (construct's royal polynomial) takes their Newton
+    limits instead when _seeded_split accepts them, and solves nothing.
 
     Raises OddCircleRootOrder for a circle entry of odd order, and for a
     root that joins none yet lies within circle_tol plus its own rounding
     bound of the circle.
     """
+    seeded = _seeded_split(p, p._node_seeds, circle_tol)
+    if seeded is not None:
+        return seeded
     ms = roots(p)
     z = np.array([loc for loc, _ in ms.entries], dtype=complex)
     orders = np.array([order for _, order in ms.entries], dtype=int)

@@ -39,7 +39,6 @@ from .polycx import (
     SPEC_TOL,
     TRACE_SAMPLES,
     Polynomial,
-    _seeded_split,
     agree,
     circle_split,
     coeff_distance,
@@ -61,8 +60,6 @@ class TetraRational:
     d: Polynomial
     n: int
     strict: bool = True
-    # royal_nodes tries Newton from these first (not a field: copies and JSON drop it)
-    _node_seeds = None
 
     @cached_property
     def d_reflected(self) -> Polynomial:
@@ -84,8 +81,7 @@ class TetraRational:
         """The royal_nodes result; a raised error is not kept."""
         if self._on_royal_variety:
             raise RoyalVarietyFunction("royal polynomial is identically zero")
-        royal = self._royal[0]
-        inside, circle = _seeded_split(royal, self._node_seeds) or circle_split(royal)[:2]
+        inside, circle = circle_split(self._royal[0])[:2]
         nodes = [RoyalNode(loc, order, order, False) for loc, order in inside]
         nodes += [RoyalNode(loc, order, order // 2, True) for loc, order in circle]
         nodes.sort(key=lambda nd: (round(nd.location.real, 12), round(nd.location.imag, 12)))
@@ -170,6 +166,10 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
 
     if d.is_zero:
         checks.append(ConditionCheck("DVanishesInDisc", False, "d is identically zero"))
+    elif d.degree > min(n, CIRCLE_SAMPLES):
+        # a d this long would cost a companion solve of its own degree
+        checks.append(ConditionCheck("DVanishesInDisc", False,
+                                     "degree bound failed, disc test skipped"))
     else:
         limit = 1.0 + CIRCLE_TOL if strict else 1.0 - CIRCLE_TOL
         mode = "closed disc" if strict else "open disc"
@@ -283,7 +283,7 @@ def royal_nodes(x: TetraRational) -> tuple[RoyalNode, ...]:
     reflections of interior zeros and are discarded; circle zeros carry
     half of their even raw order as multiplicity.  A function that
     construct returned takes the Newton limits from its spec's nodes where
-    they account for every root (polycx._seeded_split); any other
+    they account for every root (see polycx.circle_split); any other
     function solves.  The result is kept on x; a raised error is not kept.
     """
     return x._royal_nodes

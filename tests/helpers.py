@@ -152,3 +152,10 @@ def count_ifft(monkeypatch):
     calls, ifft = [], np.fft.ifft
     monkeypatch.setattr(np.fft, "ifft", lambda *args, **kw: calls.append(1) or ifft(*args, **kw))
     return calls
+
+
+def count_solves(monkeypatch):
+    """The degree of every np.roots eigen-solve from now on."""
+    solve, degrees = np.roots, []
+    monkeypatch.setattr(np, "roots", lambda a: degrees.append(len(a) - 1) or solve(a))
+    return degrees

@@ -191,6 +191,19 @@ def test_module_entry_point_exits_with_the_command_code(tmp_path, capsys, monkey
     assert json.loads(capsys.readouterr().out)["region"] == "GammaBoundaryTop"
 
 
+# running an imported module as __main__ re-executes it; the warning says so
+@pytest.mark.filterwarnings("ignore:'tetrainner.cli' found in sys.modules:RuntimeWarning")
+def test_cli_module_run_as_a_script_exits_with_the_command_code(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr(sys, "argv", ["tetrainner.cli", "classify"])
+    monkeypatch.setattr(sys, "stdin", io.StringIO("not json"))
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("tetrainner.cli", run_name="__main__")
+    assert exc.value.code == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_reads_stdin_when_no_file(capsys, monkeypatch):
     import io
 

@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import coeff_bits, match_multiset, pairwise_product, random_construction_spec
+from helpers import (coeff_bits, count_solves, match_multiset, pairwise_product,
+                     random_construction_spec)
 from tetrainner import extremal, polycx
 from tetrainner.boundary import TetraRegion, classify_tetra
 from tetrainner.construct import (
@@ -379,13 +380,6 @@ def test_expansions_match_pairwise_product():
 
 # -- seeded nodes and zeros of constructed functions -------------------------------
 
-def _solves(monkeypatch):
-    """The degree of every eigen-solve from here on."""
-    solve, degrees = np.roots, []
-    monkeypatch.setattr(np, "roots", lambda a: degrees.append(len(a) - 1) or solve(a))
-    return degrees
-
-
 def _nodes_or_error(x):
     try:
         return royal_nodes(x)
@@ -428,7 +422,7 @@ def test_seeded_roots_equal_a_fresh_solve(monkeypatch, n):
                                                        k_circle=k))
             except ConstructionInconsistent:
                 continue
-            solves = _solves(monkeypatch)
+            solves = count_solves(monkeypatch)
             _nodes_or_error(x)
             roots(x.e1)
             accepted.append(solves == [])
@@ -455,10 +449,10 @@ def test_seeded_roots_edge_specs(monkeypatch, spec, seeds, royal_seeded):
     x = construct(spec)
     if seeds is not None:
         # another spec's nodes and zeros: Newton from them does not find every root
-        object.__setattr__(x, "_node_seeds", seeds.sigma)
+        object.__setattr__(royal_polynomial(x), "_node_seeds", seeds.sigma)
         object.__setattr__(x.e1, "_root_seeds",
                            seeds.alpha1 + tuple(1 / np.conj(a) for a in seeds.alpha2))
-    solves = _solves(monkeypatch)
+    solves = count_solves(monkeypatch)
     _nodes_or_error(x)
     assert solves == ([] if royal_seeded else [royal_polynomial(x).degree])
     solves.clear()
@@ -489,7 +483,7 @@ def test_seeded_nodes_match_the_mpmath_oracle(monkeypatch, n, k, seed):
     2n for the derivative)."""
     mpmath = pytest.importorskip("mpmath")
     x = construct(random_construction_spec(np.random.default_rng(seed), n, k_circle=k))
-    solves = _solves(monkeypatch)
+    solves = count_solves(monkeypatch)
     nodes = [nd for nd in royal_nodes(x) if nd.on_circle == (k > 0)]
     assert solves == [] and len(nodes) == (k or n)
 

@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (coeff_bits, count_ifft, mp_circle_values, pairwise_product,
-                     random_construction_spec)
+from helpers import (coeff_bits, count_ifft, count_solves, mp_circle_values,
+                     pairwise_product, random_construction_spec)
 import tetrainner
 from tetrainner.construct import construct
 from tetrainner.errors import (
@@ -598,15 +598,61 @@ def test_zero_free_disc_is_kept_per_radius(monkeypatch):
 PAIRS = from_roots([0.5, 2.0, -0.3j, 1 / np.conj(-0.3j)])
 
 
-def test_seeded_split_equals_circle_split():
+def _seeded(p, root_seeds=None, node_seeds=None):
+    """An unsolved copy of p carrying the given seeds."""
+    copy = Polynomial(p.coeffs)
+    object.__setattr__(copy, "_root_seeds", root_seeds)
+    object.__setattr__(copy, "_node_seeds", node_seeds)
+    return copy
+
+
+def _assert_split_within_rounding(split, solved, p):
+    """split has solved's structure, each entry within the rounding bound of
+    the Newton limit at it (on p' for a circle entry, on p otherwise)."""
+    assert [[order for _, order in group] for group in split] == \
+        [[order for _, order in group] for group in solved]
+    for group, fresh, f in zip(split, solved, (p.coeffs, polycx._derivative(p.coeffs),
+                                               p.coeffs)):
+        if group:
+            bound = polycx._newton_limits(f, np.array([loc for loc, _ in group]))[1]
+            assert np.all(np.abs(np.array([loc for loc, _ in group])
+                                 - np.array([loc for loc, _ in fresh])) <= bound)
+
+
+def test_seeded_split_equals_circle_split(monkeypatch):
     # a root at 0 (its partner is at infinity), two interior pairs, a double circle root
     p = from_roots([0.0, 0.5, 2.0, -0.3j, 1 / np.conj(-0.3j), 1j, 1j])
-    inside, circle = polycx._seeded_split(p, (0.0, 0.5, -0.3j, 1j))
-    expected = circle_split(p)[:2]
+    seeds = (0.0, 0.5, -0.3j, 1j)
+    inside, circle, outside = polycx._seeded_split(p, seeds, CIRCLE_TOL)
+    expected = circle_split(p)
     assert [order for _, order in inside] == [order for _, order in expected[0]] == [1, 1, 1]
     assert [order for _, order in circle] == [order for _, order in expected[1]] == [2]
-    for found, solved in zip(inside + circle, expected[0] + expected[1]):
+    assert [order for _, order in outside] == [order for _, order in expected[2]] == [1, 1]
+    for found, solved in zip(inside + circle + outside, sum(expected, ())):
         assert abs(found[0] - solved[0]) < 1e-12
+    # the outside entries are the partners of the nonzero interior limits
+    assert outside == polycx._entries(
+        1 / np.conj(np.array([loc for loc, _ in inside if loc])), np.ones(2, dtype=int))
+    solves = count_solves(monkeypatch)
+    assert circle_split(_seeded(p, node_seeds=seeds)) == (inside, circle, outside)
+    assert solves == []
+
+    # constructed royal polynomials, n = 1-16 at k = 0 and k = n/2
+    accepted = 0
+    for n in range(1, 17):
+        for k in sorted({0, n // 2}):
+            x = construct(random_construction_spec(np.random.default_rng([n, k]), n,
+                                                   k_circle=k))
+            royal = x._royal[0]
+            found = polycx._seeded_split(royal, royal._node_seeds, CIRCLE_TOL)
+            solves.clear()
+            split = circle_split(royal)
+            assert solves == ([] if found else [royal.degree])
+            if found:
+                accepted += 1
+                assert split == found
+            _assert_split_within_rounding(split, circle_split(Polynomial(royal.coeffs)), royal)
+    assert accepted >= 28    # 30 of the 31 when written
 
 
 # roots spaced evenly on a segment or an arc: separated, yet so ill-conditioned
@@ -630,9 +676,17 @@ ARC = np.exp(1j * np.linspace(0.0, 0.8, 6))
     (PAIRS, (0.5, 0.5001)),
 ], ids=["not-converged", "circle-not-converged", "join-band", "off-circle", "split",
         "count-short", "duplicate"])
-def test_seeded_split_rejects(p, seeds):
-    assert polycx._seeded_split(p, seeds) is None
-    assert polycx._seeded_split(p, None) is None
+def test_seeded_split_rejects(monkeypatch, p, seeds):
+    assert polycx._seeded_split(p, seeds, CIRCLE_TOL) is None
+    assert polycx._seeded_split(p, None, CIRCLE_TOL) is None
+    # circle_split of a seeded copy solves instead
+    solves = count_solves(monkeypatch)
+    copy = _seeded(p, node_seeds=seeds)
+    try:
+        circle_split(copy)
+    except TetraError:
+        pass
+    assert solves == [p.degree]
 
 
 def test_seeded_split_skips_the_interior_seeds_when_the_circle_seeds_fail(monkeypatch):
@@ -647,12 +701,12 @@ def test_seeded_split_skips_the_interior_seeds_when_the_circle_seeds_fail(monkey
 
     monkeypatch.setattr(polycx, "_newton_limits", limits)
     p = from_roots([0.5, 2.0, 1j, 1j])
-    assert polycx._seeded_split(p, (0.5, 1j)) is None
+    assert polycx._seeded_split(p, (0.5, 1j), CIRCLE_TOL) is None
     assert calls == [1]
     calls.clear()
     monkeypatch.setattr(polycx, "_newton_limits", lambda f, seeds: calls.append(len(seeds))
                         or run(f, seeds))
-    assert polycx._seeded_split(p, (0.5, 1j)) is not None
+    assert polycx._seeded_split(p, (0.5, 1j), CIRCLE_TOL) is not None
     assert calls == [1, 1]
 
 
@@ -665,15 +719,18 @@ def test_seeded_split_runs_no_circle_pass_without_circle_seeds(monkeypatch):
     monkeypatch.setattr(Polynomial, "eval", lambda q, z: calls.append("eval") or evaluate(q, z))
     for _ in range(4):
         x = construct(random_construction_spec(rng, 16))
-        p, seeds = x._royal[0], x._node_seeds
-        assert all(abs(s) < 1.0 - 1e-3 for s in seeds)
+        p = x._royal[0]
+        seeds = p._node_seeds
+        assert all(0.0 < abs(s) < 1.0 - 1e-3 for s in seeds)
         calls.clear()
-        found = polycx._seeded_split(p, seeds)
+        found = polycx._seeded_split(p, seeds, CIRCLE_TOL)
         assert calls == [16]
         if found is not None:
             # the entries of the interior pass alone, as the empty circle pass left them
             interior = run(p.coeffs, seeds)[0]
-            assert found == (polycx._entries(interior, np.ones(16, dtype=int)), ())
+            simple = np.ones(16, dtype=int)
+            assert found == (polycx._entries(interior, simple), (),
+                             polycx._entries(1 / np.conj(interior), simple))
             accepted += 1
     assert 0 < accepted < 4
 
@@ -687,18 +744,14 @@ def test_seeded_split_runs_no_circle_pass_without_circle_seeds(monkeypatch):
     (from_roots(np.linspace(0.2, 0.6, 12)), np.linspace(0.2, 0.6, 12), False),  # not converged
 ])
 def test_seeded_roots_accept_only_distinct_converged_limits(monkeypatch, p, seeds, accepted):
-    seeded = polycx._seeded_roots(p.coeffs, seeds)
-    assert (seeded is not None) == accepted
-    if accepted:
-        solved = roots(Polynomial(p.coeffs))
-        assert [order for _, order in seeded.entries] == [order for _, order in solved.entries]
-        for (found, _), (loc, _) in zip(seeded.entries, solved.entries):
-            assert abs(found - loc) < 1e-12
-        # a seeded polynomial solves nothing
-        seeded_copy = Polynomial(p.coeffs)
-        object.__setattr__(seeded_copy, "_root_seeds", seeds)
-        monkeypatch.setattr(np, "roots", None)
-        assert roots(seeded_copy) == seeded
+    solved = roots(Polynomial(p.coeffs))
+    solves = count_solves(monkeypatch)
+    seeded = roots(_seeded(p, root_seeds=seeds))
+    # an accepted seed list solves nothing; a rejected one solves as an unseeded p does
+    assert solves == ([] if accepted else [p.degree])
+    assert [order for _, order in seeded.entries] == [order for _, order in solved.entries]
+    for (found, _), (loc, _) in zip(seeded.entries, solved.entries):
+        assert abs(found - loc) < 1e-12
 
 
 # -- exact reflections on the circle ------------------------------------------

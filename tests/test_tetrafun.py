@@ -245,6 +245,25 @@ def test_degree_bound_caps_n_at_circle_samples():
     ]
 
 
+def test_disc_test_skipped_when_d_breaks_the_degree_bound(monkeypatch):
+    # 200 coefficients, zero free in the closed disc (Rouché: the tail sums below 1)
+    tail = np.random.default_rng(7).uniform(-1e-3, 1e-3, 199)
+    d = Polynomial(np.concatenate(([1.0], tail)))
+    calls = []
+    for owner, name in ((polycx.np, "roots"), (polycx, "_schur_cohn")):
+        run = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, run=run, name=name:
+                            calls.append(name) or run(*a))
+
+    with pytest.raises(ValidationError) as err:
+        validate(ONE, ONE, d, 2)
+    assert ("DVanishesInDisc", "degree bound failed, disc test skipped") in err.value.violations
+    assert err.value.violations[0][0] == "DegreeBound" and calls == []
+    # within the bound the disc is tested, and passes with no solve
+    disc, = (c for c in validation_report(ONE, ONE, d, 199) if c.code == "DVanishesInDisc")
+    assert disc.passed and calls == ["_schur_cohn"]
+
+
 def test_degree_matches_construction_size():
     rng = np.random.default_rng(31)
     x = construct(random_construction_spec(rng, 3))

@@ -11,7 +11,8 @@ A statement counts as run when any line of its header ran: the whole of a
 simple statement, or for a compound one (``if``, ``for``, ``def``, ...)
 the lines before its body, decorators included.  Docstrings hold no
 bytecode and are not statements here.  Code that runs only in a
-subprocess is not seen.  The exit code is pytest's.
+subprocess is not seen.  The exit code is pytest's when it is nonzero,
+else 1 if some statement never ran, else 0.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def main() -> int:
                 missed += 1
                 print(f"{path.relative_to(ROOT)}:{first} {lines[first - 1].strip()}")
     print(f"{missed} statements in {PACKAGE.relative_to(ROOT)} never ran")
-    return int(code)
+    return int(code) or int(missed > 0)
 
 
 if __name__ == "__main__":
