@@ -86,8 +86,12 @@ def tetra_defect(x: TetraPoint) -> float:
 
     The coordinates may also be ndarrays of points; the defect is then an array.
     """
-    return (abs(x.x1 - x.x2.conjugate() * x.x3) + abs(x.x2 - x.x1.conjugate() * x.x3)
-            - (1.0 - abs(x.x3) ** 2))
+    return _defect(x.x1, x.x2, x.x3, abs(x.x3))
+
+
+def _defect(x1, x2, x3, a3):
+    """tetra_defect of (x1, x2, x3), given a3 = |x3|."""
+    return abs(x1 - x2.conjugate() * x3) + abs(x2 - x1.conjugate() * x3) - (1.0 - a3 ** 2)
 
 
 def classify_tetra(x: TetraPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> TetraRegion:
@@ -96,14 +100,14 @@ def classify_tetra(x: TetraPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> TetraR
     Distinguished boundary before topological boundary before interior;
     the |x3| = 1 edge case additionally requires |x1| <= 1.
     """
-    defect = tetra_defect(x)
-    a1, a3 = abs(x.x1), abs(x.x3)
-    closed = defect <= tol and (abs(a3 - 1.0) > tol or a1 <= 1.0 + tol)
-    if closed and abs(a3 - 1.0) <= tol:
+    x1, x2, x3 = x.x1, x.x2, x.x3
+    a3 = abs(x3)
+    defect = _defect(x1, x2, x3, a3)
+    if abs(a3 - 1.0) <= tol and defect <= tol and abs(x1) <= 1.0 + tol:
         return TetraRegion.DISTINGUISHED_BOUNDARY
     if defect < -tol:
         return TetraRegion.INTERIOR
-    if abs(defect) <= tol and a1 <= 1.0 + tol and abs(x.x2) <= 1.0 + tol:
+    if abs(defect) <= tol and abs(x1) <= 1.0 + tol and abs(x2) <= 1.0 + tol:
         return TetraRegion.TOPOLOGICAL_BOUNDARY
     return TetraRegion.OUTSIDE
 

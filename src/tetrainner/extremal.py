@@ -83,7 +83,7 @@ def convex_combine(x: TetraRational, y: TetraRational, t: float) -> TetraRationa
 
 
 def _circle_sup(p: Polynomial) -> float:
-    return float(np.max(np.abs(p.on_circle)))
+    return float(np.max(p.abs_on_circle))
 
 
 def scale_nonextreme(x: TetraRational) -> PerturbationResult:
@@ -97,8 +97,8 @@ def scale_nonextreme(x: TetraRational) -> PerturbationResult:
     if tk.k > 0:
         raise CircleNodesPresent(
             f"{tk.k} circle royal nodes force the component sup to 1")
-    dv = np.abs(x.d.on_circle)
-    sup = max(float(np.max(np.abs(e.on_circle) / dv))
+    dv = x.d.abs_on_circle
+    sup = max(float(np.max(e.abs_on_circle / dv))
               for e in ((x.e1,) if is_mirror(x.e1, x.e2, x.n) else (x.e1, x.e2)))
     if sup == 0.0:
         return PerturbationResult(x, x, 1.0, Polynomial(),

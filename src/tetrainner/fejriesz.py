@@ -15,7 +15,10 @@ one of two paths to D:
     1969; Sayed & Kailath 2001).  The result is kept when
     max |c - F(D)| <= NEWTON_TOL * max |c| and D passes is_outer (from a
     poor start Newton can reach a factor with a root reflected into the
-    disc).  No roots are solved.
+    disc).  D is first asked whether it is zero-free up to 1 + CIRCLE_TOL,
+    which implies outer and is the question strict validation asks of
+    d = conj(omega) D next, so a constructed d is tested once; is_outer
+    runs only when that answer is no.  No roots are solved.
   * the root path, in every other case (a sample of p is zero or negative
     within the guard, or Newton fell short or reached a non-outer D): split
     the roots of P(lam) = lam^n p(lam) with polycx.circle_split, which
@@ -36,6 +39,7 @@ import numpy as np
 from .errors import NotNonnegativeOnCircle, NotTwoNSymmetric
 from .polycx import (
     CIRCLE_SAMPLES,
+    CIRCLE_TOL,
     CoefficientArray,
     Polynomial,
     circle_split,
@@ -131,7 +135,9 @@ def factor(p: TrigPolynomial) -> Polynomial:
     if low > 0.0:
         d, resid = _newton(_cepstral(vals, len(target)), target)
         d = Polynomial(d)
-        if resid <= NEWTON_TOL * mag.max() and is_outer(d):
+        # D = 0 leaves resid = max |c|, so a D past the residual test is nonzero
+        if resid <= NEWTON_TOL * mag.max() and (zero_free_disc(d, 1.0 + CIRCLE_TOL)
+                                                or is_outer(d)):
             return d
     return Polynomial(_newton(_from_roots(big_p, vals, len(target)), target)[0])
 

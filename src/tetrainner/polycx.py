@@ -105,7 +105,7 @@ class Polynomial(CoefficientArray):
 
     @cached_property
     def _zero_free(self) -> dict:
-        """zero_free_disc results by radius."""
+        """zero_free_disc results by radius; scale carries them (see scale)."""
         return {}
 
     @property
@@ -131,6 +131,13 @@ class Polynomial(CoefficientArray):
     def on_circle(self) -> np.ndarray:
         """Values on unit_circle(CIRCLE_SAMPLES), once per instance, read-only; see _carry."""
         vals = circle_values(self.coeffs)
+        vals.flags.writeable = False
+        return vals
+
+    @cached_property
+    def abs_on_circle(self) -> np.ndarray:
+        """|on_circle|, once per instance, read-only."""
+        vals = np.abs(self.on_circle)
         vals.flags.writeable = False
         return vals
 
@@ -179,11 +186,16 @@ class Polynomial(CoefficientArray):
         return self.scale(other)
 
     def scale(self, c) -> "Polynomial":
+        """c times self; a result that kept every coefficient (so c != 0) has
+        self's roots and takes a copy of self's zero_free_disc answers."""
         a = self.coeffs
         # Python's complex product c * a_j part by part; numpy's complex multiply rounds otherwise
         out = (c.real * a.real - c.imag * a.imag).astype(complex)
         out.imag = c.real * a.imag + c.imag * a.real
-        return Polynomial(out)._carry((self,), lambda vals: c * vals)
+        scaled = Polynomial(out)._carry((self,), lambda vals: c * vals)
+        if len(scaled.coeffs) == len(a) and "_zero_free" in self.__dict__:
+            scaled.__dict__["_zero_free"] = dict(self._zero_free)
+        return scaled
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -336,13 +348,17 @@ def zero_free_disc(p: Polynomial, radius: float) -> bool:
     """True iff every root of p has modulus above radius; no roots are solved.
 
     The Schur-Cohn test on p(radius lam); see _schur_cohn.  O(degree^2)
-    flops.  The result is kept on p for each radius.
+    flops.  The result is kept on p for each radius, and a kept answer
+    decides every radius it implies: zero-free up to r is zero-free up to
+    any radius <= r, and not zero-free up to r is not up to any radius >= r.
     """
     if p.is_zero:
         raise ZeroPolynomialHasAllRoots("the zero polynomial vanishes everywhere")
     memo = p._zero_free
-    if radius not in memo:
-        memo[radius] = _schur_cohn(p.coeffs * radius ** np.arange(len(p.coeffs)))
+    for kept, free in memo.items():
+        if (kept >= radius) if free else (kept <= radius):
+            return free
+    memo[radius] = _schur_cohn(p.coeffs * radius ** np.arange(len(p.coeffs)))
     return memo[radius]
 
 

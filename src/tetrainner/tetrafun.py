@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -75,6 +75,14 @@ class TetraRational:
     def _on_royal_variety(self) -> bool:
         royal, dd, ee = self._royal
         return royal.max_coeff() <= 1e-12 * (1.0 + dd.max_coeff() + ee.max_coeff())
+
+    @cached_property
+    def _on_rings(self) -> tuple:
+        """(x1, x2, x3) on _rings(), read-only; a raised error is not kept."""
+        values = _eval_grid(self, _rings())
+        for v in values:
+            v.flags.writeable = False
+        return values
 
     @cached_property
     def _royal_nodes(self) -> tuple:
@@ -191,12 +199,11 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
             "ReflectionMismatch", passed,
             f"max coefficient deviation of e1 from the n-reflection of e2: {dev:.3e}"))
 
-    dv = np.abs(d.on_circle)
+    dv = d.abs_on_circle
     slack = MODULUS_SLACK * (1.0 + float(np.max(dv)))
     worst = 0.0
     for e in (e1,) if mirror else (e1, e2):
-        ev = np.abs(e.on_circle)
-        worst = max(worst, float(np.max(ev - dv)))
+        worst = max(worst, float(np.max(e.abs_on_circle - dv)))
     checks.append(ConditionCheck(
         "ModulusDomination", worst <= slack,
         f"max(|e_i| - |d|) on the circle: {worst:.3e}"))
@@ -237,9 +244,12 @@ def _eval_grid(x: TetraRational, lam: np.ndarray):
     return x.e1.eval(lam) / dv, x.e2.eval(lam) / dv, x.d_reflected.eval(lam) / dv
 
 
+@cache
 def _rings() -> np.ndarray:
-    """RING_SAMPLES points on each of the circles of radius 0.1, 0.5 and 0.9."""
-    return (np.array([0.1, 0.5, 0.9])[:, None] * unit_circle(RING_SAMPLES)).ravel()
+    """RING_SAMPLES points on each circle of radius 0.1, 0.5 and 0.9; shared, read-only."""
+    rings = (np.array([0.1, 0.5, 0.9])[:, None] * unit_circle(RING_SAMPLES)).ravel()
+    rings.flags.writeable = False
+    return rings
 
 
 def degree(x: TetraRational) -> int:
@@ -321,9 +331,10 @@ def is_superficial(x: TetraRational) -> bool:
     """Sampled test that the open-disc image stays on the topological boundary.
 
     Evaluates on RING_SAMPLES uniform points of each circle of radius 0.1,
-    0.5 and 0.9, as one array; every |tetra_defect| must stay below 1e-10.
+    0.5 and 0.9, as one array kept on x; every |tetra_defect| must stay
+    below 1e-10.
     """
-    defect = boundary.tetra_defect(TetraPoint(*_eval_grid(x, _rings())))
+    defect = boundary.tetra_defect(TetraPoint(*x._on_rings))
     return not np.any(np.abs(defect) >= 1e-10)
 
 
@@ -332,14 +343,15 @@ def psi_omega_check(x: TetraRational, spec: SuperficialSpec) -> float:
 
     omega = conj(beta2)/|beta2| and the constant is beta1/|beta1|; both
     beta weights must be nonzero.  lam runs over RING_SAMPLES uniform points
-    of each circle of radius 0.1, 0.5 and 0.9, evaluated as one array by
-    boundary.psi, which raises PsiPole at the first pole.
+    of each circle of radius 0.1, 0.5 and 0.9, the samples is_superficial
+    keeps on x, evaluated as one array by boundary.psi, which raises PsiPole
+    at the first pole.
     """
     if spec.beta1 == 0 or spec.beta2 == 0:
         raise UndefinedOmegaOrK("both beta weights must be nonzero")
     omega = np.conj(spec.beta2) / abs(spec.beta2)
     k_val = spec.beta1 / abs(spec.beta1)
-    psi = boundary.psi(omega, TetraPoint(*_eval_grid(x, _rings())))
+    psi = boundary.psi(omega, TetraPoint(*x._on_rings))
     return float(np.max(np.abs(psi - k_val)))
 
 

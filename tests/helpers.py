@@ -159,3 +159,12 @@ def count_solves(monkeypatch):
     solve, degrees = np.roots, []
     monkeypatch.setattr(np, "roots", lambda a: degrees.append(len(a) - 1) or solve(a))
     return degrees
+
+
+def count_disc_tests(monkeypatch):
+    """A list that grows by one entry per Schur-Cohn test from now on."""
+    from tetrainner import polycx
+
+    calls, test = [], polycx._schur_cohn
+    monkeypatch.setattr(polycx, "_schur_cohn", lambda q: calls.append(1) or test(q))
+    return calls

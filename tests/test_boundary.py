@@ -80,6 +80,75 @@ def test_classify_topological_boundary():
     assert classify_tetra(TetraPoint(0.5, 0.5, 0)) is TetraRegion.TOPOLOGICAL_BOUNDARY
 
 
+def _classify_reference(x, tol):
+    """classify_tetra written out from tetra_defect and the moduli, point by point."""
+    defect = (abs(x.x1 - x.x2.conjugate() * x.x3) + abs(x.x2 - x.x1.conjugate() * x.x3)
+              - (1.0 - abs(x.x3) ** 2))
+    a1, a3 = abs(x.x1), abs(x.x3)
+    if defect <= tol and (abs(a3 - 1.0) > tol or a1 <= 1.0 + tol) and abs(a3 - 1.0) <= tol:
+        return TetraRegion.DISTINGUISHED_BOUNDARY
+    if defect < -tol:
+        return TetraRegion.INTERIOR
+    if abs(defect) <= tol and a1 <= 1.0 + tol and abs(x.x2) <= 1.0 + tol:
+        return TetraRegion.TOPOLOGICAL_BOUNDARY
+    return TetraRegion.OUTSIDE
+
+
+class _Counted(complex):
+    """A coordinate that counts the abs() taken of it."""
+
+    def __abs__(self):
+        self.reads["abs"] += 1
+        return complex.__abs__(self)
+
+
+class _CountingPoint:
+    """A TetraPoint stand-in that counts reads of each coordinate and of its modulus."""
+
+    def __init__(self, x):
+        self.reads = {"x1": 0, "x2": 0, "x3": 0}
+        self._coords = {}
+        for name, value in zip(("x1", "x2", "x3"), x.as_tuple()):
+            self._coords[name] = _Counted(value)
+            self._coords[name].reads = {"abs": 0}
+
+    def __getattr__(self, name):
+        self.reads[name] += 1
+        return self._coords[name]
+
+
+def _edge_points(rng, tol):
+    """Points of every region, and points straddling |x3| = 1 and |x1| = 1 by
+    fractions and multiples of tol."""
+    points = [sample_interior(rng) for _ in range(20)]
+    points += [sample_distinguished(rng) for _ in range(20)]
+    points += [TetraPoint(0.5, 0.5, 0), TetraPoint(0.5j, -0.5j, 0), TetraPoint(0.9, 0.9, 0.5),
+               TetraPoint(2.0, 0, 0), TetraPoint((-1 + 1j) / 2, (1 + 1j) / 2, 0)]
+    for shift in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+        r = 1.0 + shift * tol
+        for _ in range(4):
+            u = np.exp(2j * np.pi * rng.random())
+            x2 = np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+            points.append(TetraPoint(np.conj(x2) * r * u, x2, r * u))       # |x3| = r
+            points.append(TetraPoint(r * u, np.conj(u) * u, u))            # |x1| = r
+            points.append(TetraPoint(r * u, 0.3 * x2, 0.5 * u))
+    return points
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-7])
+def test_classify_tetra_matches_the_pointwise_rule_and_reads_each_coordinate_once(tol):
+    rng = np.random.default_rng(113)
+    seen = set()
+    for x in _edge_points(rng, tol):
+        counting = _CountingPoint(x)
+        region = classify_tetra(counting, tol)
+        assert region is _classify_reference(x, tol) is classify_tetra(x, tol), x
+        assert counting.reads == {"x1": 1, "x2": 1, "x3": 1}
+        assert counting._coords["x3"].reads["abs"] == 1
+        seen.add(region)
+    assert seen == set(TetraRegion)
+
+
 def test_classify_gamma_origin():
     assert classify_gamma(GammaPoint(0, 0)) is GammaRegion.OPEN_G
 

@@ -1,13 +1,16 @@
 import argparse
 import json
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tetrainner
 from tetrainner import errors
 from tetrainner.cli import EXIT_NUMERICAL, EXIT_PARSE, EXIT_PRECONDITION, _build_parser, main
 
@@ -122,6 +125,22 @@ def test_verify_worked_function(tmp_path, capsys):
     assert len(report["conditions"]) == 4
     assert all(c["passed"] for c in report["conditions"])
     assert report["invariants"]["winding_number"] == 1
+
+
+def test_verify_imports_no_numpy_random(tmp_path, capsys):
+    # the test process has numpy.random loaded already, so a fresh interpreter runs verify
+    main(["construct", _write(tmp_path, "spec.json", WORKED_SPEC)])
+    func_path = _write(tmp_path, "func.json", json.loads(capsys.readouterr().out)["function"])
+    probe = ("import sys\n"
+             "from tetrainner import cli\n"
+             "code = cli.main(['verify', sys.argv[1]])\n"
+             "print(code, 'numpy.random' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(tetrainner.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe, func_path], env=env,
+                          capture_output=True, text=True, timeout=120)
+    *report, last = done.stdout.splitlines()
+    assert done.returncode == 0 and last == "0 False", done.stderr
+    assert json.loads("\n".join(report))["invariants"]["disc_image_in_closure"] is True
 
 
 def test_verify_invalid_function_reports(tmp_path, capsys):

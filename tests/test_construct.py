@@ -4,8 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import (coeff_bits, count_solves, match_multiset, pairwise_product,
-                     random_construction_spec)
+from helpers import (coeff_bits, count_disc_tests, count_solves, match_multiset,
+                     pairwise_product, random_construction_spec)
 from tetrainner import extremal, polycx
 from tetrainner.boundary import TetraRegion, classify_tetra
 from tetrainner.construct import (
@@ -321,12 +321,18 @@ def test_pipeline_solves_each_polynomial_once(monkeypatch, k_circle):
 
 @pytest.mark.parametrize("k_circle", [0, 4])
 def test_perturbation_halves_reuse_the_disc_test_of_d(monkeypatch, k_circle):
-    x = construct(random_construction_spec(np.random.default_rng(79), 8, k_circle=k_circle))
-    calls, test = [], polycx._schur_cohn
-    monkeypatch.setattr(polycx, "_schur_cohn", lambda q: calls.append(1) or test(q))
-    result = extremal.perturb_nonextreme(x)
-    assert result.x_plus.d is result.x_minus.d is x.d
-    assert calls == []
+    # k_circle is k at n = 8; at n = 16 it stands for k = 0 and k = n/2.
+    # factor asks D the strict question, d = conj(omega) D carries the answer
+    # into validation, and the halves reuse d: one test in all
+    for n in (8, 16):
+        spec = random_construction_spec(np.random.default_rng(79), n, k_circle=k_circle * n // 8)
+        calls = count_disc_tests(monkeypatch)
+        x = construct(spec)
+        recover_data(x)
+        result = extremal.perturb_nonextreme(x)
+        assert result.x_plus.d is result.x_minus.d is x.d
+        assert len(calls) == 1, n
+        monkeypatch.undo()
 
 
 def test_zeros2_are_the_reflected_zeros_of_x1():

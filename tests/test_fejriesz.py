@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_construction_spec, random_outer_polynomial
+from helpers import count_solves, random_construction_spec, random_outer_polynomial
 from tetrainner import fejriesz
 from tetrainner.construct import build_e1, build_royal_target
 from tetrainner.errors import (
@@ -17,8 +17,8 @@ from tetrainner.fejriesz import (
     laurent_shift,
     modulus_squared_on_circle,
 )
-from tetrainner.polycx import (CIRCLE_SAMPLES, Polynomial, coeff_distance, from_roots, roots,
-                               unit_circle)
+from tetrainner.polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, Polynomial, coeff_distance, from_roots,
+                               roots, unit_circle, zero_pad)
 
 SQ2 = np.sqrt(2.0)
 
@@ -187,6 +187,18 @@ def test_factor_keeps_near_circle_root_off_the_circle():
     d = factor(modulus_squared_on_circle(d_ref))
     assert coeff_distance(d, d_ref) < 1e-8
     assert min(abs(loc - near) for loc, _ in roots(d).entries) < 1e-9
+
+
+def test_factor_asks_the_strict_disc_question_first_and_falls_back_to_is_outer(monkeypatch):
+    # D has a root between 1 and 1 + CIRCLE_TOL: outer, but not zero-free up
+    # to 1 + CIRCLE_TOL.  The cepstral start of so near a circle zero aliases,
+    # so the test hands Newton D itself and checks the acceptance rule.
+    d_ref = from_roots([1.0 + 5e-7, 3.0])
+    monkeypatch.setattr(fejriesz, "_cepstral", lambda vals, m: zero_pad(d_ref.coeffs, m))
+    solves = count_solves(monkeypatch)
+    d = factor(modulus_squared_on_circle(d_ref))
+    assert solves == [] and coeff_distance(d, d_ref) < 1e-12
+    assert d._zero_free == {1.0 + CIRCLE_TOL: False, 1.0 - 1e-9: True}
 
 
 def test_is_outer_circle_zero_allowed():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (coeff_bits, count_ifft, count_solves, mp_circle_values,
+from helpers import (coeff_bits, count_disc_tests, count_ifft, count_solves, mp_circle_values,
                      pairwise_product, random_construction_spec)
 import tetrainner
 from tetrainner.construct import construct
@@ -519,6 +519,12 @@ def test_zero_free_disc_matches_mpmath_on_constructed_d():
         nearest = min(abs(r) for r in mp_roots(d.coeffs.tolist(), np.roots(d.coeffs[::-1])))
         for radius in RADII:
             assert zero_free_disc(d, radius) == (nearest > radius), (n, radius)
+        # scale carries the answers kept on d; each equals a fresh test of the scaled twin
+        q = d.scale(np.exp(2j * np.pi * rng.random()) * (0.5 + rng.random()))
+        assert q._zero_free == d._zero_free and q._zero_free is not d._zero_free
+        for radius in (*RADII, 1.0 - 1e-9, 1.0, 0.5):
+            assert zero_free_disc(q, radius) == zero_free_disc(Polynomial(q.coeffs), radius), (
+                n, radius)
 
 
 @pytest.mark.parametrize("n", [4, 12, 24])
@@ -581,15 +587,35 @@ def test_roots_inside_keeps_a_root_solved_onto_the_radius(rho):
 
 def test_zero_free_disc_is_kept_per_radius(monkeypatch):
     p = from_roots([1.5, -2.0j, 0.5 + 1.2j])
-    calls = []
-    test = polycx._schur_cohn
-    monkeypatch.setattr(polycx, "_schur_cohn", lambda q: calls.append(1) or test(q))
+    calls = count_disc_tests(monkeypatch)
     assert [zero_free_disc(p, r) for r in (1.0, 1.2, 1.0, 1.6, 1.2)] == [
         True, True, True, False, True]
+    assert len(calls) == 3
+    # zero-free up to 1.2 decides every smaller radius, a root within 1.6 every larger one
+    assert [zero_free_disc(p, r) for r in (1.1, 0.5, 2.0)] == [True, True, False]
     assert len(calls) == 3
     assert zero_free_disc(Polynomial(p.coeffs), 1.0) and len(calls) == 4
     with pytest.raises(ZeroPolynomialHasAllRoots):
         zero_free_disc(Polynomial(), 1.0)
+
+
+def test_scale_carries_disc_answers_unless_it_trims(monkeypatch):
+    p = from_roots([1.5, -2.0j, 0.5 + 1.2j])
+    assert zero_free_disc(p, 1.2) and not zero_free_disc(p, 1.6)
+    calls = count_disc_tests(monkeypatch)
+    q = p.scale(0.3 - 2.0j)
+    assert [zero_free_disc(q, r) for r in (1.1, 1.2, 1.6, 2.0)] == [True, True, False, False]
+    assert calls == []
+    # a copy: what q learns later is not written back onto p
+    assert zero_free_disc(q, 1.25) and len(calls) == 1
+    assert zero_free_disc(p, 1.25) and len(calls) == 2
+    # c = 0 leaves the zero polynomial; a trimmed top coefficient moves a root
+    assert "_zero_free" not in p.scale(0.0).__dict__
+    tiny_top = Polynomial((1.0, -0.5, 2e-14))
+    assert not zero_free_disc(tiny_top, 2.5)
+    trimmed = tiny_top.scale(0.4)
+    assert trimmed.degree == 1 and "_zero_free" not in trimmed.__dict__
+    assert not zero_free_disc(trimmed, 2.5) and len(calls) == 4
 
 
 # -- roots by Newton's method from seeds ------------------------------------------

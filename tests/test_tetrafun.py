@@ -3,7 +3,7 @@ import ast
 import numpy as np
 import pytest
 
-from helpers import count_ifft, random_construction_spec
+from helpers import count_disc_tests, count_ifft, random_construction_spec
 from tetrainner import polycx, tetrafun
 from tetrainner.boundary import TetraRegion, classify_tetra, psi, tetra_defect
 from tetrainner.construct import construct
@@ -143,6 +143,14 @@ def test_degree_of_a_strict_function_solves_nothing(monkeypatch):
     assert degree(strict) == 6 and calls == []
     lenient = from_json_dict(to_json_dict(x), strict=False)
     assert degree(lenient) == 6 and calls == []
+
+
+def test_degree_and_winding_of_a_function_read_from_json_run_one_disc_test(monkeypatch):
+    x = construct(random_construction_spec(np.random.default_rng(97), 6, k_circle=2))
+    data = to_json_dict(x)
+    calls = count_disc_tests(monkeypatch)
+    y = from_json_dict(data)
+    assert degree(y) == winding_number(y) == 6 and len(calls) == 1
 
 
 def test_lenient_degree_solves_d_when_d_has_a_circle_zero(monkeypatch):
@@ -406,6 +414,17 @@ def test_psi_omega_constant_real_weights():
 def test_psi_omega_constant_imaginary_weights():
     spec = SuperficialSpec(0.5j, -0.5j, BlaschkeSpec((0.0,)))
     assert psi_omega_check(superficial_build(spec, 1), spec) < 1e-10
+
+
+def test_superficial_checks_evaluate_the_rings_once(monkeypatch):
+    spec = SuperficialSpec(0.6, 0.4j, BlaschkeSpec((0.3, -0.5j)))
+    x = superficial_build(spec, 2)
+    calls, evaluate = [], tetrafun._eval_grid
+    monkeypatch.setattr(tetrafun, "_eval_grid", lambda *a: calls.append(1) or evaluate(*a))
+    assert is_superficial(x) and psi_omega_check(x, spec) < 1e-10
+    assert len(calls) == 1
+    assert not any(v.flags.writeable for v in x._on_rings)
+    assert not tetrafun._rings().flags.writeable
 
 
 def test_psi_omega_rejects_zero_weight():

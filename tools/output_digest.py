@@ -22,7 +22,8 @@ item, the exit code for a CLI input.
 With ``--compare OTHER.json`` (a FILE of an earlier run, say of the parent
 commit), each workload also prints the positions of the items whose digests
 differ and a table of outcome flips, read as OTHER's outcome -> this run's,
-with their count and positions (``silent -> pass  1  items 29``).
+with their count and positions (``silent -> pass  1  items 29``), and the
+exit status is 1 when any item of any workload differs.
 """
 
 from __future__ import annotations
@@ -113,11 +114,12 @@ def cli_items(wl, items, cli):
             str(code), canon([out, err])
 
 
-def compare(name: str, ours: list, theirs: list):
-    """Print the items of one workload whose digests differ, and the outcome flips."""
+def compare(name: str, ours: list, theirs: list) -> int:
+    """Print the items of one workload whose digests differ, and the outcome
+    flips; return how many items differ (every item, when the counts differ)."""
     if len(ours) != len(theirs):
         print(f"{name:14s} {len(theirs)} items in the other file, {len(ours)} here")
-        return
+        return max(len(ours), len(theirs))
     differ = [i for i, (a, b) in enumerate(zip(ours, theirs)) if a[0] != b[0]]
     print(f"{name:14s} {len(differ)} of {len(ours)} items differ:",
           " ".join(map(str, differ)) or "none")
@@ -129,6 +131,7 @@ def compare(name: str, ours: list, theirs: list):
         print(f"  {key:16s} {len(items):4d}  items", " ".join(map(str, items)))
     if not flips:
         print("  no outcome flips")
+    return len(differ)
 
 
 def main(argv=None) -> int:
@@ -165,8 +168,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(per_item, indent=1) + "\n", encoding="utf-8")
     if args.compare:
         other = json.loads(args.compare.read_text(encoding="utf-8"))
-        for name in WORKLOADS:
-            compare(name, per_item[name], other[name])
+        differing = [compare(name, per_item[name], other[name]) for name in WORKLOADS]
+        return int(any(differing))
     return 0
 
 
