@@ -9,20 +9,25 @@ with the extra condition |x1| <= 1 when |x3| = 1.  The distinguished
 boundary is the part of the topological boundary with |x3| = 1; there
 x1 = conj(x2) x3 and x2 = conj(x1) x3 hold.  The symmetrized bidisc uses
 the analogous criteria on |s - conj(s) p| against 1 - |p|^2.
+
+pi(A) = (a11, a22, det A) lies in the closed tetrablock exactly when mu of A
+against diagonal perturbations is at most one; equivalently x lies there iff
+|x1|^2 + |x2|^2 - |x3|^2 + 2|x1 x2 - x3| <= 1 and |x3| <= 1 (Abouhajar, White
+& Young 2007, J. Geom. Anal. 17).  For two scalar blocks mu has a closed form,
+as the D-scaled bound is exact (Doyle 1982, IEE Proc. D 129).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PsiPole
+from .errors import NonFiniteCoefficient, PsiPole
 from .polycx import DEFAULT_MEMBERSHIP_TOL
 
-MU_BISECTION_CAP = 1e6
-MU_MAX_ITER = 200
 PSI_POLE_TOL = 1e-12
 INTERIOR_MARGIN = 0.02  # sample_interior's distance from the boundary
 
@@ -143,38 +148,31 @@ def mu_diag_le_one(a: Matrix2) -> bool:
     return classify_tetra(pi_map(a)) is not TetraRegion.OUTSIDE
 
 
-def _mu_predicate(a: Matrix2, r: float) -> bool:
-    scaled = TetraPoint(r * a.a11, r * a.a22, r * r * a.det())
-    return classify_tetra(scaled) is not TetraRegion.OUTSIDE
-
-
 def mu_diag_value(a: Matrix2) -> float:
-    """mu for diagonal perturbations, by bisection on the scaling radius.
+    """mu for diagonal perturbations, in closed form.
 
-    Scaling X by r scales (z, w) by r, so membership of
-    (r a11, r a22, r^2 det A) in the closed tetrablock is monotone in r.
-    Stops at a bracket of relative width 1e-9; returns 0 when membership
-    persists up to the search cap.
+    The D-scaled bound is exact for two scalar blocks (Doyle 1982): mu is the
+    largest singular value of [[a11, d a12], [a21/d, a22]] at d^2 = |a21/a12|,
+    mu^2 = (S + sqrt(S^2 - 4|det A|^2))/2 with S = |a11|^2 + |a22|^2 + 2|q| and
+    q = a12 a21.  So 1/mu is the least r with r^2 S - r^4 |det A|^2 = 1, where
+    pi(rA) leaves the closed tetrablock by the criterion of Abouhajar, White &
+    Young 2007, as a11 a22 - det A = q.  S^2/4 - |det A|^2 is formed as
+    ((|a11|^2 - |a22|^2)/2)^2 + |q| |a22 + conj(a11) q/|q||^2, which does not
+    cancel, on A over its largest real or imaginary part (mu is homogeneous).
+    Raises NonFiniteCoefficient for a NaN or infinite entry.
     """
-    if not _mu_predicate(a, 1.0):
-        lo, hi = 0.0, 1.0
-    else:
-        lo, hi = 1.0, 2.0
-        while _mu_predicate(a, hi):
-            lo = hi
-            hi *= 2.0
-            if hi > MU_BISECTION_CAP:
-                return 0.0
-    for _ in range(MU_MAX_ITER):
-        if hi - lo <= 1e-9 * max(lo, 1e-300):
-            break
-        mid = 0.5 * (lo + hi)
-        if _mu_predicate(a, mid):
-            lo = mid
-        else:
-            hi = mid
-    r_star = 0.5 * (lo + hi)
-    return 1.0 / r_star
+    entries = [complex(v) for v in (a.a11, a.a12, a.a21, a.a22)]
+    if not np.isfinite(entries).all():
+        raise NonFiniteCoefficient(f"Matrix2 entries {entries} are not all finite")
+    m = max(max(abs(v.real), abs(v.imag)) for v in entries)
+    if m == 0.0:
+        return 0.0
+    a11, a12, a21, a22 = (v / m for v in entries)
+    q = a12 * a21
+    aq = abs(q)
+    p, s = abs(a11) ** 2, abs(a22) ** 2
+    coupling = math.sqrt(aq) * abs(a22 + a11.conjugate() * q / aq) if aq else 0.0
+    return m * math.sqrt((p + s) / 2 + aq + math.hypot((p - s) / 2, coupling))
 
 
 def gamma_to_tetra(g: GammaPoint) -> TetraPoint:

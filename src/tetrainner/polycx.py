@@ -92,12 +92,11 @@ class Polynomial(CoefficientArray):
             z, bound, _, converged = _newton_limits(self.coeffs, seeds)
             if converged and _distinct(z, bound):
                 return RootMultiset(_entries(z, np.ones(len(z), dtype=int)))
-        a = self.coeffs[::-1]
-        z = np.roots(a)
+        z = np.roots(self.coeffs[::-1])
         with np.errstate(all="ignore"):
-            fz = np.polyval(a, z)
-            cand = z - fz / np.polyval(np.polyder(a), z)
-            better = np.isfinite(cand) & (np.abs(np.polyval(a, cand)) <= np.abs(fz))
+            fz = self.eval(z)
+            cand = z - fz / Polynomial(_derivative(self.coeffs)).eval(z)
+            better = np.isfinite(cand) & (np.abs(self.eval(cand)) <= np.abs(fz))
         z = np.where(better, cand, z)
         member = _components(z, CLUSTER_TOL)
         orders = member.sum(axis=1)

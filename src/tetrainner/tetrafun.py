@@ -222,7 +222,7 @@ def validate(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
 
 def eval_function(x: TetraRational, lam: complex) -> TetraPoint:
     """Value of the function at a point of the closed disc."""
-    if abs(lam) > 1.0 + 1e-9:
+    if not abs(lam) <= 1.0 + 1e-9:   # NaN fails it
         raise ValueError(f"|lam| = {abs(lam)} is outside the closed disc")
     dv = x.d.eval(lam)
     if abs(dv) < DENOMINATOR_POLE_TOL:

@@ -22,7 +22,7 @@ from tetrainner.boundary import (
     tetra_to_gamma_diff,
     tetra_to_gamma_sum,
 )
-from tetrainner.errors import PsiPole
+from tetrainner.errors import NonFiniteCoefficient, PsiPole
 from tetrainner.polycx import unit_circle
 
 
@@ -372,3 +372,90 @@ def test_defects_match_np_conj_formulas_bit_for_bit():
     for row in (*pts.tolist(), *pts[:2000]):
         got = tetra_defect(TetraPoint(*row)), gamma_defect(GammaPoint(row[0], row[2]))
         assert got == _np_conj_defects(*row)
+
+
+def _d_scaled_bound(a):
+    """min over d > 0 of the largest singular value of [[a11, d a12], [a21/d, a22]],
+    by golden section on log d in [-30, 30] (the Frobenius norm is convex in
+    log d, and the largest singular value increases with it at fixed |det|)."""
+    def sbar(t):
+        d = np.exp(t)
+        return np.linalg.norm(np.array([[a.a11, d * a.a12], [a.a21 / d, a.a22]]), 2)
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = -30.0, 30.0
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = sbar(x1), sbar(x2)
+    while hi - lo > 1e-10:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - g * (hi - lo)
+            f1 = sbar(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + g * (hi - lo)
+            f2 = sbar(x2)
+    return min(f1, f2)
+
+
+def test_mu_value_against_d_scaling_oracle():
+    # for two scalar blocks the D-scaled bound is mu itself (Doyle 1982)
+    rng = np.random.default_rng(71)
+    for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+        for _ in range(20):
+            m = scale * (rng.normal(size=4) + 1j * rng.normal(size=4))
+            a = Matrix2(*[complex(v) for v in m])
+            oracle = _d_scaled_bound(a)
+            assert abs(mu_diag_value(a) - oracle) <= 1e-12 * oracle
+
+
+def test_closed_tetrablock_criterion_matches_classify_tetra():
+    # the criterion mu_diag_value rests on (Abouhajar, White & Young 2007)
+    rng = np.random.default_rng(72)
+    parts = rng.uniform(-1.2, 1.2, size=(20000, 6))
+    for row in parts:
+        x1, x2, x3 = complex(row[0], row[1]), complex(row[2], row[3]), complex(row[4], row[5])
+        inside = (abs(x1) ** 2 + abs(x2) ** 2 - abs(x3) ** 2 + 2 * abs(x1 * x2 - x3) <= 1
+                  and abs(x3) <= 1)
+        assert (classify_tetra(TetraPoint(x1, x2, x3), 0.0) is not TetraRegion.OUTSIDE) == inside
+
+
+@pytest.mark.parametrize("a, expected", [(Matrix2(1e-7, 0, 0, 0), 1e-7),
+                                         (Matrix2(0, 1e-6, 1e-6, 0), 1e-6)],
+                         ids=["diagonal", "antidiagonal"])
+def test_mu_value_small(a, expected):
+    assert mu_diag_value(a) == expected
+
+
+def test_mu_value_of_triangular_matrices_to_a_few_ulps():
+    # det(I - A diag(z, w)) = (1 - a11 z)(1 - a22 w) when a21 = 0, so mu is
+    # max(|a11|, |a22|), also when the two are nearly equal
+    rng = np.random.default_rng(73)
+    for _ in range(200):
+        a11 = complex(rng.normal(), rng.normal())
+        a22 = a11 * (1 + 10 ** rng.uniform(-15, -3)) * np.exp(2j * np.pi * rng.random())
+        a12 = 10 ** rng.uniform(-3, 3) * complex(rng.normal(), rng.normal())
+        exact = max(abs(a11), abs(a22))
+        for a in (Matrix2(a11, a12, 0, a22), Matrix2(a22, 0, a12, a11)):
+            assert abs(mu_diag_value(a) - exact) <= 4 * np.spacing(exact)
+
+
+def test_mu_value_is_homogeneous():
+    rng = np.random.default_rng(74)
+    for _ in range(20):
+        m = rng.normal(size=4) + 1j * rng.normal(size=4)
+        a = Matrix2(*[complex(v) for v in m])
+        mu = mu_diag_value(a)
+        for k in range(-200, 151, 10):
+            c = 10.0 ** k * np.exp(2j * np.pi * rng.random())
+            scaled = Matrix2(*[complex(c * v) for v in m])
+            assert abs(mu_diag_value(scaled) - abs(c) * mu) <= 8 * np.spacing(abs(c) * mu)
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(0, float("-inf")),
+                                   complex(1e300, float("nan"))])
+@pytest.mark.parametrize("position", range(4))
+def test_mu_value_rejects_non_finite_entries(entry, position):
+    entries = [0.5, 0.1j, -0.2, 0.3]
+    entries[position] = entry
+    with pytest.raises(NonFiniteCoefficient):
+        mu_diag_value(Matrix2(*entries))

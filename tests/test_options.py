@@ -3,6 +3,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import tetrainner
@@ -69,3 +70,20 @@ def test_readme_tolerance_table_matches_the_constants():
     assert defined.keys() - documented.keys() == set()
     for key, value in defined.items():
         assert float(documented[key]) == value, key
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # README and pyproject.toml promise this; where the test-only mpmath (or
+    # scipy) is installed, an import of it in the package passes every other test
+    package = Path(tetrainner.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "numpy", f"{path.name}: {name}"

@@ -227,6 +227,13 @@ def test_eval_function_rejects_far_point_and_pole():
         eval_function(x, 1.0)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), complex(0.5, float("nan")), float("inf"),
+                                 complex(float("inf"), 0.0)])
+def test_eval_function_rejects_non_finite_points(lam):
+    with pytest.raises(ValueError):
+        eval_function(worked_example(), lam)
+
+
 def test_degree_monomial():
     assert degree(third_component_spec()) == 1
 
