@@ -2,7 +2,9 @@
 
 Six commands: classify, construct, verify, analyze, trace, perturb.
 Complex numbers travel as [re, im] pairs.  Exit codes: 0 success, 2 parse
-or IO error, 3 precondition violation, 4 numerical failure.
+or IO error, 3 precondition violation, 4 numerical failure.  Parsing needs
+only the base layer (errors, polycx); each command imports the modules it
+runs, so `classify` loads no function layer.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ import sys
 
 import numpy as np
 
-from . import boundary, extremal, polycx, tetrafun
-from .construct import ConstructionSpec, construct as run_construct
+from . import polycx
 from .errors import DenominatorVanishes, MalformedInput, TetraError
-from .polycx import circle_power, coeff_distance
-from .tetrafun import decode_complex, decode_complex_list, decode_real, encode_complex
+from .polycx import (circle_power, coeff_distance, decode_complex, decode_complex_list,
+                     decode_real, encode_complex)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -66,7 +67,10 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _analysis_block(x: tetrafun.TetraRational) -> dict:
+def _analysis_block(x) -> dict:
+    """Degree, type and royal nodes of a TetraRational."""
+    from . import tetrafun
+
     deg = tetrafun.degree(x)
     if tetrafun.is_royal_variety(x):
         return {"degree": deg, "type": "royal-variety", "royal_nodes": []}
@@ -84,6 +88,8 @@ def _analysis_block(x: tetrafun.TetraRational) -> dict:
 
 
 def cmd_classify(args) -> int:
+    from . import boundary
+
     data = _load_payload(args)
     if {"x1", "x2", "x3"} <= set(data):
         pt = boundary.TetraPoint(decode_complex(data["x1"], "x1"),
@@ -105,6 +111,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from . import tetrafun
+    from .construct import ConstructionSpec, construct
+
     data = _load_payload(args)
     for key in ("alpha1", "alpha2", "sigma", "t_plus", "t"):
         if key not in data:
@@ -117,13 +126,15 @@ def cmd_construct(args) -> int:
         t=decode_complex(data["t"], "t"),
         omega=decode_complex(data.get("omega", 1.0), "omega"),
     )
-    x = run_construct(spec)
+    x = construct(spec)
     payload = {"function": tetrafun.to_json_dict(x), "analysis": _analysis_block(x)}
     _emit(args, _dump(payload))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    from . import boundary, tetrafun
+
     e1, e2, d, n = tetrafun.decode_function_fields(_load_payload(args))
     checks = tetrafun.validation_report(e1, e2, d, n, strict=args.strict)
     by_code = {c.code: c for c in checks}
@@ -164,12 +175,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import tetrafun
+
     x = tetrafun.from_json_dict(_load_payload(args), args.strict)
     _emit(args, _dump(_analysis_block(x)))
     return EXIT_OK
 
 
 def cmd_trace(args) -> int:
+    from . import tetrafun
+
     x = tetrafun.from_json_dict(_load_payload(args), args.strict)
     trace = tetrafun.circle_trace(x, args.samples)
     thetas = [2.0 * np.pi * idx / args.samples for idx in range(args.samples)]
@@ -190,6 +205,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    from . import extremal, tetrafun
+
     x = tetrafun.from_json_dict(_load_payload(args))
     result = extremal.perturb_nonextreme(x)
     err = max(

@@ -2,11 +2,14 @@
 
 Coefficients are one read-only complex128 array; the zero polynomial is the
 empty array.  Trailing coefficients of magnitude <= TRIM_TOL are dropped on
-construction so convolution noise cannot inflate the formal degree.
+construction so convolution noise cannot inflate the formal degree.  The
+JSON number codec, shared by the CLI and tetrafun's function payloads, is
+here too, so that reading a point loads no function layer.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -14,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DegreeExceedsReflectionIndex,
+    MalformedInput,
     NonFiniteCoefficient,
     OddCircleRootOrder,
     ZeroPolynomialHasAllRoots,
@@ -557,3 +561,38 @@ def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
 def from_roots(locations) -> Polynomial:
     """Expand prod (lambda - r) over the given root list."""
     return linear_product(1.0, [(-r, 1) for r in locations])
+
+
+# JSON numbers: a real as itself, a complex as an [re, im] pair
+
+def encode_complex(z: complex) -> list[float]:
+    return [float(z.real), float(z.imag)]
+
+
+def _is_number(obj) -> bool:
+    """A JSON number other than a bool, no larger in magnitude than the largest float."""
+    return (isinstance(obj, (int, float)) and not isinstance(obj, bool)
+            and abs(obj) <= sys.float_info.max)
+
+
+def decode_real(obj, field: str) -> float:
+    """A JSON number; MalformedInput names the field otherwise."""
+    if not _is_number(obj):
+        raise MalformedInput(f"field {field!r} must be a real number")
+    return float(obj)
+
+
+def decode_complex(obj, field: str) -> complex:
+    """A number or an [re, im] pair of numbers; MalformedInput names the field otherwise."""
+    if _is_number(obj):
+        return complex(obj)
+    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_number, obj)):
+        return complex(obj[0], obj[1])
+    raise MalformedInput(f"field {field!r} must be a number or an [re, im] pair")
+
+
+def decode_complex_list(obj, field: str) -> tuple[complex, ...]:
+    """A list of numbers or [re, im] pairs; MalformedInput names the field otherwise."""
+    if not isinstance(obj, list):
+        raise MalformedInput(f"field {field!r} must be a list of [re, im] pairs")
+    return tuple(decode_complex(c, field) for c in obj)

@@ -17,7 +17,6 @@ the royal nodes, counted with halved multiplicity on the circle.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -39,9 +38,12 @@ from .polycx import (
     SPEC_TOL,
     TRACE_SAMPLES,
     Polynomial,
+    _is_number,
     agree,
     circle_split,
     coeff_distance,
+    decode_complex_list,
+    encode_complex,
     is_mirror,
     linear_product,
     roots_inside,
@@ -382,40 +384,7 @@ def circle_trace(x: TetraRational,
         grid.tolist(), x1.tolist(), x2.tolist(), x3.tolist(), defect.tolist())]
 
 
-# JSON codec: [re, im] pairs, ascending coefficient lists, {"n", "E1", "E2", "D"}
-
-def encode_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _is_number(obj) -> bool:
-    """A JSON number other than a bool, no larger in magnitude than the largest float."""
-    return (isinstance(obj, (int, float)) and not isinstance(obj, bool)
-            and abs(obj) <= sys.float_info.max)
-
-
-def decode_real(obj, field: str) -> float:
-    """A JSON number; MalformedInput names the field otherwise."""
-    if not _is_number(obj):
-        raise MalformedInput(f"field {field!r} must be a real number")
-    return float(obj)
-
-
-def decode_complex(obj, field: str) -> complex:
-    """A number or an [re, im] pair of numbers; MalformedInput names the field otherwise."""
-    if _is_number(obj):
-        return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_number, obj)):
-        return complex(obj[0], obj[1])
-    raise MalformedInput(f"field {field!r} must be a number or an [re, im] pair")
-
-
-def decode_complex_list(obj, field: str) -> tuple[complex, ...]:
-    """A list of numbers or [re, im] pairs; MalformedInput names the field otherwise."""
-    if not isinstance(obj, list):
-        raise MalformedInput(f"field {field!r} must be a list of [re, im] pairs")
-    return tuple(decode_complex(c, field) for c in obj)
-
+# JSON codec: ascending coefficient lists, {"n", "E1", "E2", "D"}; numbers as in polycx
 
 def decode_function_fields(data: dict) -> tuple[Polynomial, Polynomial, Polynomial, int]:
     """(e1, e2, d, n) of a function payload, parsed but not validated; n = 2.0 reads as 2."""

@@ -459,3 +459,19 @@ def test_mu_value_rejects_non_finite_entries(entry, position):
     entries[position] = entry
     with pytest.raises(NonFiniteCoefficient):
         mu_diag_value(Matrix2(*entries))
+    with pytest.raises(NonFiniteCoefficient):
+        mu_diag_le_one(Matrix2(*entries))
+
+
+@pytest.mark.parametrize("mu, inside", [(1 - 1e-5, True), (1 + 1e-5, False), (1 + 1e-3, False)])
+def test_mu_threshold_near_a_double_singular_value(mu, inside):
+    # nearly unimodular diagonal, tiny off-diagonal: the balanced matrix has two
+    # nearly equal singular values, and the membership defect of pi(A) hardly
+    # moves with mu there, so a threshold on the defect accepts mu above one
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        a11, a22 = np.exp(2j * np.pi * rng.random(2)) * (1 - 10.0 ** rng.uniform(-9, -3, 2))
+        a12, a21 = 10.0 ** rng.uniform(-12, -3, 2) * np.exp(2j * np.pi * rng.random(2))
+        a = Matrix2(complex(a11), complex(a12), complex(a21), complex(a22))
+        c = mu / mu_diag_value(a)
+        assert mu_diag_le_one(Matrix2(a.a11 * c, a.a12 * c, a.a21 * c, a.a22 * c)) is inside

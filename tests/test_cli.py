@@ -143,6 +143,37 @@ def test_verify_imports_no_numpy_random(tmp_path, capsys):
     assert json.loads("\n".join(report))["invariants"]["disc_image_in_closure"] is True
 
 
+# the package modules each command loads in a fresh interpreter, beyond
+# tetrainner, its base layer (errors, polycx), cli and boundary
+COMMAND_MODULES = {
+    "classify": set(),
+    "construct": {"construct", "fejriesz", "tetrafun"},
+    "verify": {"tetrafun"},
+    "analyze": {"tetrafun"},
+    "trace": {"tetrafun"},
+    "perturb": {"extremal", "tetrafun"},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, capsys, command):
+    spec_path = _write(tmp_path, "spec.json", WORKED_SPEC)
+    main(["construct", spec_path])
+    func_path = _write(tmp_path, "func.json", json.loads(capsys.readouterr().out)["function"])
+    path = {"classify": _write(tmp_path, "pt.json", {"x1": 0.5, "x2": 0, "x3": 0}),
+            "construct": spec_path}.get(command, func_path)
+    probe = ("import sys\n"
+             "from tetrainner import cli\n"
+             "code = cli.main([sys.argv[1], sys.argv[2], '--out', sys.argv[3]])\n"
+             "print(code, *sorted(m for m in sys.modules if m.startswith('tetrainner.')))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(tetrainner.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe, command, path, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    base = {"boundary", "cli", "errors", "polycx"}
+    assert done.stdout.split() == ["0"] + [f"tetrainner.{m}" for m in
+                                           sorted(base | COMMAND_MODULES[command])], done.stderr
+
+
 def test_verify_invalid_function_reports(tmp_path, capsys):
     path = _write(tmp_path, "bad.json",
                   {"n": 1, "E1": [[3.0, 0.0]], "E2": [[0.0, 0.0], [1.0, 0.0]],
