@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,18 +33,16 @@ PSI_POLE_TOL = 1e-12
 INTERIOR_MARGIN = 0.02  # sample_interior's distance from the boundary
 
 
-@dataclass(frozen=True)
-class TetraPoint:
+class TetraPoint(NamedTuple):
     x1: complex
     x2: complex
     x3: complex
 
     def as_tuple(self):
-        return (self.x1, self.x2, self.x3)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class GammaPoint:
+class GammaPoint(NamedTuple):
     s: complex
     p: complex
 
@@ -65,12 +64,18 @@ class TetraRegion(enum.Enum):
     DISTINGUISHED_BOUNDARY = "DistinguishedBoundary"
     OUTSIDE = "Outside"
 
+    # members are singletons that compare by identity, so the identity hash
+    # agrees with ==, and it runs in C where Enum's hashes the name in Python
+    __hash__ = object.__hash__
+
 
 class GammaRegion(enum.Enum):
     OPEN_G = "OpenG"
     GAMMA_BOUNDARY_TOP = "GammaBoundaryTop"
     GAMMA_DISTINGUISHED = "GammaDistinguished"
     OUTSIDE = "Outside"
+
+    __hash__ = object.__hash__  # as TetraRegion's
 
 
 def psi(z: complex, x: TetraPoint) -> complex:

@@ -149,10 +149,8 @@ def cmd_verify(args) -> int:
         royal = tetrafun.royal_polynomial(x)
         shifted = circle_power(-n) * royal.on_circle
         sym_dev = coeff_distance(royal, royal.reflect(2 * n))
-        inside_ok = all(
-            boundary.classify_tetra(boundary.TetraPoint(*pt), 1e-7)
-            is not boundary.TetraRegion.OUTSIDE
-            for pt in zip(*(v.tolist() for v in x._on_rings)))
+        inside_ok = all(boundary.classify_tetra(pt, 1e-7) is not boundary.TetraRegion.OUTSIDE
+                        for pt in tetrafun._points(*x._on_rings))
         invariants = {
             "modulus_equality_max_dev": float(np.max(np.abs(e1v - e2v))),
             "royal_balance_max_dev": float(np.max(np.abs(shifted - (dv ** 2 - e1v ** 2)))),

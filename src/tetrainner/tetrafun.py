@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -246,6 +247,11 @@ def _eval_grid(x: TetraRational, lam: np.ndarray):
     return x.e1.eval(lam) / dv, x.e2.eval(lam) / dv, x.d_reflected.eval(lam) / dv
 
 
+def _points(x1, x2, x3):
+    """TetraPoints of coordinate arrays, built in C with no Python call per point."""
+    return map(tuple.__new__, repeat(TetraPoint), zip(x1.tolist(), x2.tolist(), x3.tolist()))
+
+
 @cache
 def _rings() -> np.ndarray:
     """RING_SAMPLES points on each circle of radius 0.1, 0.5 and 0.9; shared, read-only."""
@@ -380,8 +386,7 @@ def circle_trace(x: TetraRational,
     grid = unit_circle(samples)
     x1, x2, x3 = _eval_grid(x, grid)
     defect = np.abs(x1 - x2.conjugate() * x3)
-    return [(lam, TetraPoint(a, b, c), e) for lam, a, b, c, e in zip(
-        grid.tolist(), x1.tolist(), x2.tolist(), x3.tolist(), defect.tolist())]
+    return list(zip(grid.tolist(), _points(x1, x2, x3), defect.tolist()))
 
 
 # JSON codec: ascending coefficient lists, {"n", "E1", "E2", "D"}; numbers as in polycx

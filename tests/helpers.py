@@ -1,5 +1,7 @@
 """Shared generators for randomized sweeps."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,18 @@ def count_disc_tests(monkeypatch):
     calls, test = [], polycx._schur_cohn
     monkeypatch.setattr(polycx, "_schur_cohn", lambda q: calls.append(1) or test(q))
     return calls
+
+
+def count_python_calls(fn, *args):
+    """The Python-level function calls (profile "call" events) made by fn(*args).
+
+    Calls of C functions and slots (a builtin, a C __hash__) are not
+    counted; fn itself counts once when it is a Python function.
+    """
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(1) if event == "call" else None)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return len(calls)

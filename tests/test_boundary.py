@@ -1,7 +1,10 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from helpers import sample_closed
+from helpers import count_python_calls, sample_closed
 from tetrainner.boundary import (
     GammaPoint,
     GammaRegion,
@@ -475,3 +478,33 @@ def test_mu_threshold_near_a_double_singular_value(mu, inside):
         a = Matrix2(complex(a11), complex(a12), complex(a21), complex(a22))
         c = mu / mu_diag_value(a)
         assert mu_diag_le_one(Matrix2(a.a11 * c, a.a12 * c, a.a21 * c, a.a22 * c)) is inside
+
+
+# -- points and labels as plain data -------------------------------------------
+
+def test_points_are_immutable_named_tuples_with_the_dataclass_repr():
+    x = TetraPoint(1j, 1, 1j)
+    assert repr(x) == "TetraPoint(x1=1j, x2=1, x3=1j)"
+    assert repr(GammaPoint(2, 1j)) == "GammaPoint(s=2, p=1j)"
+    with pytest.raises(AttributeError):
+        x.x1 = 0
+    with pytest.raises(AttributeError):
+        GammaPoint(2, 1j).p = 0
+    assert x == (1j, 1, 1j) == x.as_tuple() and type(x.as_tuple()) is tuple
+    assert x._replace(x2=0) == TetraPoint(1j, 0, 1j) and x.x2 == 1
+    assert hash(x) == hash((1j, 1, 1j))
+
+
+@pytest.mark.parametrize("region", [TetraRegion, GammaRegion])
+def test_a_set_of_labels_makes_no_python_call(region):
+    labels = list(region) * 250
+    assert count_python_calls(set, labels) == 0
+    assert set(labels) == set(region)
+
+
+@pytest.mark.parametrize("member", [*TetraRegion, *GammaRegion])
+def test_a_label_stays_its_member_through_pickle_copy_and_lookup(member):
+    assert pickle.loads(pickle.dumps(member)) is member
+    assert copy.deepcopy(member) is copy.copy(member) is member
+    assert type(member)(member.value) is member
+    assert hash(member) == object.__hash__(member)

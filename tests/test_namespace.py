@@ -90,3 +90,15 @@ def test_import_loads_only_the_base_layer():
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'tetrainner'))\n"
              "print('numpy' in sys.modules)\n")
     assert fresh(probe) == ["['tetrainner', 'tetrainner.errors', 'tetrainner.polycx']", "True"]
+
+
+def test_import_as_binds_the_function_and_the_module_is_reached_by_its_full_name():
+    # `import a.b as m` reads the attribute a.b, which is the exported function
+    probe = ("import importlib, types\n"
+             "import tetrainner.construct as m\n"
+             "module = importlib.import_module('tetrainner.construct')\n"
+             "from tetrainner.construct import ConstructionSpec\n"
+             "print(isinstance(m, types.ModuleType), m is module.construct,\n"
+             "      isinstance(module, types.ModuleType),\n"
+             "      ConstructionSpec is module.ConstructionSpec)\n")
+    assert fresh(probe) == ["False True True True"]

@@ -3,9 +3,9 @@ import ast
 import numpy as np
 import pytest
 
-from helpers import count_disc_tests, count_ifft, random_construction_spec
+from helpers import count_disc_tests, count_ifft, count_python_calls, random_construction_spec
 from tetrainner import polycx, tetrafun
-from tetrainner.boundary import TetraRegion, classify_tetra, psi, tetra_defect
+from tetrainner.boundary import TetraPoint, TetraRegion, classify_tetra, psi, tetra_defect
 from tetrainner.construct import construct
 from tetrainner.errors import (
     ConstructionInconsistent,
@@ -477,6 +477,26 @@ def test_circle_trace_worked_example():
 def test_circle_trace_rejects_tiny_sampling():
     with pytest.raises(ValueError):
         circle_trace(worked_example(), 8)
+
+
+def test_circle_trace_makes_no_python_call_per_row():
+    x = construct(random_construction_spec(np.random.default_rng(7), 8, k_circle=4))
+    for m in (256, 1024):
+        circle_trace(x, m)  # builds the grid and the values x keeps
+    assert count_python_calls(circle_trace, x, 256) == count_python_calls(circle_trace, x, 1024)
+
+
+@pytest.mark.parametrize("m", [16, 256])
+def test_circle_trace_rows_hold_the_grid_values_bit_for_bit(m):
+    x = construct(random_construction_spec(np.random.default_rng(11), 8))
+    rows = circle_trace(x, m)
+    lam, points, defect = zip(*rows)
+    assert all(type(pt) is TetraPoint for pt in points)
+    values = tetrafun._eval_grid(x, unit_circle(m))
+    got = np.array([pt.as_tuple() for pt in points]).T
+    assert all(got[j].tobytes() == values[j].tobytes() for j in range(3))
+    assert np.array(lam).tobytes() == unit_circle(m).tobytes()
+    assert np.array(defect).tobytes() == np.abs(values[0] - values[1].conjugate() * values[2]).tobytes()
 
 
 # -- grid evaluation against the pointwise oracle ------------------------------
