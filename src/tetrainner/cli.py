@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import polycx
-from .errors import DenominatorVanishes, MalformedInput, TetraError
+from .errors import MalformedInput, TetraError
 from .polycx import (circle_power, coeff_distance, decode_complex, decode_complex_list,
                      decode_real, encode_complex)
 
@@ -151,6 +151,9 @@ def cmd_verify(args) -> int:
         sym_dev = coeff_distance(royal, royal.reflect(2 * n))
         inside_ok = all(boundary.classify_tetra(pt, 1e-7) is not boundary.TetraRegion.OUTSIDE
                         for pt in tetrafun._points(*x._on_rings))
+        # on the circle x1 - conj(x2) x3 = (e1 - lam^n conj(e2)) / d; a circle zero
+        # of d (lenient mode) leaves it undefined at a sample, reported as None
+        defect = np.abs(e1.on_circle - circle_power(n) * e2.on_circle.conj())
         invariants = {
             "modulus_equality_max_dev": float(np.max(np.abs(e1v - e2v))),
             "royal_balance_max_dev": float(np.max(np.abs(shifted - (dv ** 2 - e1v ** 2)))),
@@ -158,15 +161,10 @@ def cmd_verify(args) -> int:
             "royal_min_on_circle": float(np.min(np.real(shifted))),
             "disc_image_in_closure": bool(inside_ok),
             "degree": tetrafun.degree(x),
+            "circle_defect_max": (None if np.min(dv) < tetrafun.DENOMINATOR_POLE_TOL
+                                  else float(np.max(defect / dv))),
+            "winding_number": tetrafun.winding_number(x),
         }
-        # circle zeros of d (lenient mode) leave the boundary trace undefined
-        # at finitely many samples; report None instead of failing
-        try:
-            invariants["circle_defect_max"] = float(max(
-                rec[2] for rec in tetrafun.circle_trace(x)))
-        except DenominatorVanishes:
-            invariants["circle_defect_max"] = None
-        invariants["winding_number"] = tetrafun.winding_number(x)
         report["invariants"] = invariants
     _emit(args, _dump(report))
     return EXIT_OK

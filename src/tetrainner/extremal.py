@@ -27,8 +27,8 @@ from .errors import (
     NumericalSupAtOne,
     ThirdComponentMismatch,
 )
-from .polycx import (AGREE_TOL, CIRCLE_SAMPLES, Polynomial, agree, is_mirror, linear_product,
-                     modulus, unit_circle)
+from .polycx import (AGREE_TOL, CIRCLE_SAMPLES, Polynomial, agree, from_roots, is_mirror,
+                     linear_product, modulus, unit_circle)
 from .tetrafun import (
     TetraRational,
     TypeNK,
@@ -82,10 +82,6 @@ def convex_combine(x: TetraRational, y: TetraRational, t: float) -> TetraRationa
     return validate(e1, e2, x.d, x.n, strict=x.strict and y.strict)
 
 
-def _circle_sup(p: Polynomial) -> float:
-    return float(np.max(p.abs_on_circle))
-
-
 def scale_nonextreme(x: TetraRational) -> PerturbationResult:
     """Midpoint decomposition by scaling both numerators, for k = 0.
 
@@ -130,17 +126,19 @@ def _perturbation_polynomial(taus, n: int, k: int) -> Polynomial:
     return (g + g.reflect(n)).scale(0.5)
 
 
-def _node_products(grid: np.ndarray, interior, taus) -> list[np.ndarray]:
-    """prod |lam - s|^2 on the grid over the interior nodes, then over all nodes;
-    each factor is (re lam - re s)^2 + (im lam - im s)^2, in real arithmetic."""
-    re, im = grid.real.copy(), grid.imag.copy()   # contiguous parts: faster passes
-    acc, products = np.ones(len(grid)), []
-    for nodes in (interior, taus):
-        for s in nodes:
-            dx, dy = re - s.real, im - s.imag
-            acc = acc * np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
-        products.append(acc)
-    return products
+def _node_extremes(interior, taus) -> tuple[complex, float, float]:
+    """The grid pivot lam0 of prod |lam - s|^2 over all nodes, that product
+    there, and the least prod |lam - s|^2 over the interior nodes on the grid.
+
+    The samples of the node polynomials only locate the two grid points; the
+    products there are formed from the nodes, as accurate as the nodes.
+    """
+    grid = unit_circle(CIRCLE_SAMPLES)
+    inner = from_roots(interior).abs_on_circle
+    lam0 = grid[np.argmax(inner * from_roots(taus).abs_on_circle)]
+    low = grid[np.argmin(inner)]
+    return (lam0, float(np.prod(np.abs(lam0 - np.array(taus + interior)) ** 2)),
+            float(np.prod(np.abs(low - np.array(interior)) ** 2)))
 
 
 def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
@@ -162,14 +160,10 @@ def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
     n, k = tk.n, tk.k
     g = _perturbation_polynomial(taus, n, k)
 
-    grid = unit_circle(CIRCLE_SAMPLES)
-    interior_product, node_products = _node_products(grid, interior, taus)
-    pivot = int(np.argmax(node_products))
-    lam0 = grid[pivot]
-    r = float(np.real(lam0 ** (-n) * royal_polynomial(x).eval(lam0)) / node_products[pivot])
-    m_const = float(np.min(interior_product))
-    e1_sup = _circle_sup(x.e1)
-    g_sup = _circle_sup(g)
+    lam0, pivot, m_const = _node_extremes(interior, taus)
+    r = float(np.real(lam0 ** (-n) * royal_polynomial(x).eval(lam0)) / pivot)
+    e1_sup = float(np.max(x.e1.abs_on_circle))
+    g_sup = float(np.max(g.abs_on_circle))
     divisor = 8.0 if n % 2 == 0 else 16.0
     if e1_sup == 0.0:
         t = SAFETY * np.sqrt(r * m_const / max(g_sup, 1e-300) / (1.0 if n % 2 == 0 else 2.0))

@@ -378,11 +378,14 @@ def circle_trace(x: TetraRational,
                  samples: int = TRACE_SAMPLES) -> list[tuple[complex, TetraPoint, float]]:
     """Uniform circle samples with the distinguished-boundary defect |x1 - conj(x2) x3|.
 
-    Evaluates on the grid unit_circle(samples) as one array and returns
-    (lam, x(lam), defect) rows of plain Python complex and float.
+    Evaluates on the grid unit_circle(samples), 16 <= samples <= CIRCLE_SAMPLES,
+    as one array and returns (lam, x(lam), defect) rows of plain Python
+    complex and float.
     """
     if samples < 16:
         raise ValueError("samples must be at least 16")
+    if samples > CIRCLE_SAMPLES:
+        raise ValueError(f"samples must be at most CIRCLE_SAMPLES = {CIRCLE_SAMPLES}")
     grid = unit_circle(samples)
     x1, x2, x3 = _eval_grid(x, grid)
     defect = np.abs(x1 - x2.conjugate() * x3)

@@ -347,6 +347,29 @@ def test_verify_lenient_circle_zero_reports_null_defect(tmp_path, capsys):
     assert json.loads(out)["valid"]
 
 
+def test_verify_circle_defect_is_the_trace_defect_on_the_validation_grid(tmp_path, capsys):
+    # e2 is e1's reflection plus a perturbation just inside AGREE_TOL, so the
+    # defect stands well above rounding noise
+    from tetrainner.construct import ConstructionSpec, construct
+    from tetrainner.polycx import AGREE_TOL, CIRCLE_SAMPLES, Polynomial, unit_circle
+    from tetrainner.tetrafun import TetraRational, _eval_grid, to_json_dict
+
+    x = construct(ConstructionSpec(alpha1=(0.3, 0.1 + 0.4j), alpha2=(-0.2j, 0.5),
+                                   sigma=(np.exp(0.7j), np.exp(2.5j), 0.2, -0.4j),
+                                   t_plus=1.0, t=0.8))
+    bound = AGREE_TOL * (1.0 + max(x.e1.max_coeff(), x.e2.max_coeff()))
+    bump = 0.9 * bound * np.exp(1j * np.arange(x.n + 1))
+    e2 = x.e2 + Polynomial(bump)
+    func = dict(to_json_dict(x), E2=[[c.real, c.imag] for c in e2.coeffs.tolist()])
+    code, out = _run(capsys, ["verify", _write(tmp_path, "func.json", func)])
+    report = json.loads(out)
+    assert code == 0 and report["valid"]
+    x1, x2, x3 = _eval_grid(TetraRational(x.e1, e2, x.d, x.n), unit_circle(CIRCLE_SAMPLES))
+    expected = float(np.max(np.abs(x1 - x2.conjugate() * x3)))
+    assert expected > 1e-10     # a hundred times the comparison tolerance
+    assert abs(report["invariants"]["circle_defect_max"] - expected) <= 1e-12
+
+
 def test_verify_lenient_circle_zero_counts_the_winding(tmp_path, capsys):
     # d = 1 - lam: its circle zero cancels against the reflection
     func = {"n": 1, "E1": [], "E2": [], "D": [[1.0, 0.0], [-1.0, 0.0]]}
@@ -557,6 +580,10 @@ def test_unoffered_flag_exits_2(tmp_path, capsys, command, flag):
     (["classify", "--tol", "inf"], EXIT_PRECONDITION, "error: tolerances must be finite\n"),
     (["trace", "--samples", "8"], EXIT_PRECONDITION, "error: samples must be at least 16\n"),
     (["trace", "--samples", "15"], EXIT_PRECONDITION, "error: samples must be at least 16\n"),
+    (["trace", "--samples", "4097"], EXIT_PRECONDITION,
+     "error: samples must be at most CIRCLE_SAMPLES = 4096\n"),
+    (["trace", "--samples", "1000000000000"], EXIT_PRECONDITION,
+     "error: samples must be at most CIRCLE_SAMPLES = 4096\n"),
 ])
 def test_range_checks_apply_to_offered_flags(tmp_path, capsys, argv, code, err):
     path = _write(tmp_path, "func.json", ROYAL_VARIETY_FUNCTION)

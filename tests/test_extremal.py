@@ -324,34 +324,47 @@ def test_perturbation_g_is_its_own_reflection(n, k):
             assert abs(dg.eval(nd.location)) <= 1e-10 * g.max_coeff()
 
 
-def _node_products_by_complex_loop(grid, interior, taus):
-    """The reference: |lam - s|^2 from the complex difference, interior nodes looped twice."""
+def _node_extremes_by_complex_loop(interior, taus):
+    """The reference: |lam - s|^2 from the complex difference on the whole grid,
+    interior nodes looped twice; (pivot location, pivot value, M)."""
+    grid = unit_circle(CIRCLE_SAMPLES)
     node_products = np.ones_like(grid, dtype=float)
     for s in taus + interior:
         node_products = node_products * np.abs(grid - s) ** 2
     interior_product = np.ones_like(grid, dtype=float)
     for s in interior:
         interior_product = interior_product * np.abs(grid - s) ** 2
-    return [interior_product, node_products]
+    pivot = int(np.argmax(node_products))
+    return grid[pivot], float(node_products[pivot]), float(interior_product.min())
+
+
+def _assert_node_extremes_match_the_complex_loop(monkeypatch, x):
+    n = x.n
+    nodes = royal_nodes(x)
+    taus = [nd.location for nd in nodes if nd.on_circle for _ in range(nd.multiplicity)]
+    interior = [nd.location for nd in nodes if not nd.on_circle for _ in range(nd.multiplicity)]
+    # fixed before measuring: each of the n factors and products rounds a few ulps
+    tol = 8 * n * EPS
+    _, pivot, m_const = extremal._node_extremes(interior, taus)
+    _, pivot_ref, m_ref = _node_extremes_by_complex_loop(interior, taus)
+    assert abs(pivot - pivot_ref) <= tol * pivot_ref
+    assert abs(m_const - m_ref) <= tol * m_ref
+    t_used = perturb_nonextreme(x).t_used
+    monkeypatch.setattr(extremal, "_node_extremes", _node_extremes_by_complex_loop)
+    t_ref = perturb_nonextreme(x).t_used
+    assert abs(t_used - t_ref) <= tol * t_ref
 
 
 @pytest.mark.parametrize("n", [16, 24, 32])
 def test_node_products_match_the_complex_loop(monkeypatch, n):
-    x = _constructed_of_type(n, n // 2)
-    nodes = royal_nodes(x)
-    taus = [nd.location for nd in nodes if nd.on_circle for _ in range(nd.multiplicity)]
-    interior = [nd.location for nd in nodes if not nd.on_circle for _ in range(nd.multiplicity)]
-    grid = unit_circle(CIRCLE_SAMPLES)
-    # fixed before measuring: each of the n factors and products rounds a few ulps
-    tol = 8 * n * EPS
-    got = extremal._node_products(grid, interior, taus)
-    ref = _node_products_by_complex_loop(grid, interior, taus)
-    assert abs(got[1].max() - ref[1].max()) <= tol * ref[1].max()     # the pivot value
-    assert abs(got[0].min() - ref[0].min()) <= tol * ref[0].min()     # m_const
-    t_used = perturb_nonextreme(x).t_used
-    monkeypatch.setattr(extremal, "_node_products", _node_products_by_complex_loop)
-    t_ref = perturb_nonextreme(x).t_used
-    assert abs(t_used - t_ref) <= tol * t_ref
+    _assert_node_extremes_match_the_complex_loop(monkeypatch, _constructed_of_type(n, n // 2))
+
+
+# both parity branches of _perturbation_polynomial, one circle node and the most
+@pytest.mark.parametrize("n, k", [(5, 1), (5, 2), (7, 1), (7, 3), (9, 1), (9, 4),
+                                  (16, 1), (24, 1)])
+def test_node_products_match_the_complex_loop_at_odd_n_and_one_circle_node(monkeypatch, n, k):
+    _assert_node_extremes_match_the_complex_loop(monkeypatch, _constructed_of_type(n, k))
 
 
 @pytest.mark.parametrize("n, k", [(16, 0), (24, 0), (16, 8), (24, 12)])
@@ -360,8 +373,8 @@ def test_perturbation_halves_carry_their_samples(monkeypatch, n, k):
     assert "on_circle" in x.e1.__dict__ and "on_circle" in x.d.__dict__
     calls = count_ifft(monkeypatch)
     result = perturb_nonextreme(x)
-    # g is the only polynomial transformed; k = 0 transforms nothing
-    assert len(calls) == (1 if k else 0)
+    # g and the two node polynomials are transformed; k = 0 transforms nothing
+    assert len(calls) == (3 if k else 0)
     t, g = result.t_used, result.g
     weight = sum(map(abs, x.e1.coeffs)) * (1 + t if k == 0 else 1) + t * sum(map(abs, g.coeffs))
     bound = 1e-15 * weight     # fixed before measuring
@@ -371,7 +384,7 @@ def test_perturbation_halves_carry_their_samples(monkeypatch, n, k):
         assert np.max(np.abs(carried - Polynomial(half.e1.coeffs).on_circle)) <= bound
         assert np.max(np.abs(carried[::61] - oracle)) <= bound
     # each twin built from the coefficients transformed afresh
-    assert len(calls) == (1 if k else 0) + 2
+    assert len(calls) == (3 if k else 0) + 2
 
 
 def test_perturb_rejects_majority_circle_nodes():

@@ -37,6 +37,50 @@ def test_compare_counts_the_differing_items(output_digest, capsys):
     assert output_digest.compare("cli-batch", ours[:2], theirs) == 3
 
 
+def test_compare_prints_the_node_errors_at_each_flip(output_digest, capsys):
+    theirs = [["a" * 64, "pass", 24, 12, 9.56e-7], ["b" * 64, "silent", 16, 0, 2e-5],
+              ["c" * 64, "pass", 32, 16, None]]
+    ours = [["d" * 64, "silent", 24, 12, 4.38e-6], ["e" * 64, "silent", 16, 0, 3e-5],
+            ["f" * 64, "loud", 32, 16, None]]
+    assert output_digest.compare("pipeline-high", ours, theirs) == 3
+    out = capsys.readouterr().out
+    assert "pass -> silent      1  items 0" in out
+    assert "item 0 (24, 12): node error 9.56e-07 -> 4.38e-06" in out
+    assert "item 2 (32, 16): node error - -> -" in out
+    assert "item 1 " not in out    # no flip
+
+    # a file of the two-field format still compares, on either side
+    old = [row[:2] for row in theirs]
+    assert output_digest.compare("pipeline-high", ours, old) == 3
+    assert "item 0 (24, 12): node error - -> 4.38e-06" in capsys.readouterr().out
+    assert output_digest.compare("pipeline-high", old, ours) == 3
+    assert "item 0 (24, 12): node error 4.38e-06 -> -" in capsys.readouterr().out
+    assert output_digest.compare("pipeline-high", old, [row[:2] for row in ours]) == 3
+    assert "item 0" not in capsys.readouterr().out
+
+
+def test_library_items_keep_each_items_own_node_error(output_digest):
+    class Item:
+        def __init__(self, index, err):
+            self.index, self.n, self.k, self.kind = index, 16, 8, "construct"
+            self.setup_error, self.data, self.err = None, {}, err
+
+    class Workload:
+        def run(self, item):
+            if item.err is None:
+                raise KeyError("raised")
+            return item.err
+
+        def check(self, item, output, maxima):
+            maxima["construct.node_err.max"] = max(maxima["construct.node_err.max"], output)
+            return "pass"
+
+    items = [Item(0, 3e-7), Item(1, 1e-9), Item(2, None)]
+    rows = list(output_digest.library_items(Workload(), items, KeyError))
+    assert [tail for _, tail in rows] == [[16, 8, 3e-7], [16, 8, 1e-9], [16, 8, None]]
+    assert [row[1] for row, _ in rows] == ["pass", "pass", "loud"]
+
+
 LOWER = {"name": "item_ms.p50", "unit": "ms", "better": "lower"}
 HIGHER = {"name": "items_per_s", "unit": "1/s", "better": "higher"}
 

@@ -17,13 +17,18 @@ stderr.  Coefficients are hashed by value, so a tuple and an array of the
 same complex numbers digest alike.  The per-item digests go to FILE
 (default ``output-digest-seed<N>.json`` in the working directory), each as
 a ``[digest, outcome]`` pair: pass, silent, loud or crash for a library
-item, the exit code for a CLI input.
+item, the exit code for a CLI input.  A library item's entry goes on with
+its n, its k and the node error its check recorded
+(``construct.node_err.max`` of that item alone; null when the check records
+none or did not run): ``[digest, outcome, n, k, node_err]``.
 
 With ``--compare OTHER.json`` (a FILE of an earlier run, say of the parent
 commit), each workload also prints the positions of the items whose digests
 differ and a table of outcome flips, read as OTHER's outcome -> this run's,
-with their count and positions (``silent -> pass  1  items 29``), and the
-exit status is 1 when any item of any workload differs.
+with their count and positions (``silent -> pass  1  items 29``), then for
+each flipped item its (n, k) and its node error on both sides.  OTHER may
+hold two-field entries; their node errors print as ``-``.  The exit status
+is 1 when any item of any workload differs.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import io
 import json
 import os
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 # one BLAS thread, as the benchmark runs; set before numpy loads
@@ -80,27 +86,30 @@ def _error(exc: Exception) -> str:
 
 
 def library_items(wl, items, tetra_error):
-    """(set-up, outcome, output) per item of a library workload."""
-    maxima = {"construct.node_err.max": 0.0, "extremal.midpoint_err.max": 0.0}
+    """((set-up, outcome, output), [n, k, node error]) per item of a library workload."""
     for item in items:
         head = canon([item.index, item.n, item.k, item.kind, item.setup_error,
                       item.data.get("json")])
+        tail = [item.n, item.k, None]
         if item.setup_error is not None:
-            yield head, "loud", ""
+            yield (head, "loud", ""), tail
             continue
         try:
             output = wl.run(item)
         except tetra_error as exc:
-            yield head, "loud", _error(exc)
+            yield (head, "loud", _error(exc)), tail
             continue
         except Exception as exc:  # recorded in the digest, as the benchmark counts it
-            yield head, "crash", _error(exc)
+            yield (head, "crash", _error(exc)), tail
             continue
-        yield head, wl.check(item, output, maxima), canon(output)
+        maxima = defaultdict(float)   # this item's maxima alone
+        outcome = wl.check(item, output, maxima)
+        tail[2] = maxima.get("construct.node_err.max")
+        yield (head, outcome, canon(output)), tail
 
 
 def cli_items(wl, items, cli):
-    """(input, exit code, stdout and stderr) per distinct cli-batch input."""
+    """((input, exit code, stdout and stderr), []) per distinct cli-batch input."""
     for item in items[:wl.distinct]:
         saved = sys.stdin, sys.stdout, sys.stderr
         sys.stdin, sys.stdout, sys.stderr = (io.StringIO(item.data["stdin"]),
@@ -110,8 +119,18 @@ def cli_items(wl, items, cli):
             out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
         finally:
             sys.stdin, sys.stdout, sys.stderr = saved
-        yield canon([item.index, item.setup_error, item.data["argv"], item.data["stdin"]]), \
-            str(code), canon([out, err])
+        yield (canon([item.index, item.setup_error, item.data["argv"], item.data["stdin"]]),
+               str(code), canon([out, err])), []
+
+
+def _node_error_change(theirs: list, ours: list) -> str:
+    """'(n, k): node error OTHER's -> this run's' of one library item's entries."""
+    n, k = (ours if len(ours) == 5 else theirs)[2:4]
+
+    def err(row):
+        return "-" if len(row) < 5 or row[4] is None else f"{row[4]:.3g}"
+
+    return f"({n}, {k}): node error {err(theirs)} -> {err(ours)}"
 
 
 def compare(name: str, ours: list, theirs: list) -> int:
@@ -129,6 +148,9 @@ def compare(name: str, ours: list, theirs: list) -> int:
             flips.setdefault(f"{theirs[i][1]} -> {ours[i][1]}", []).append(i)
     for key, items in sorted(flips.items()):
         print(f"  {key:16s} {len(items):4d}  items", " ".join(map(str, items)))
+        for i in items:
+            if max(len(theirs[i]), len(ours[i])) == 5:   # a library item
+                print(f"    item {i} {_node_error_change(theirs[i], ours[i])}")
     if not flips:
         print("  no outcome flips")
     return len(differ)
@@ -160,9 +182,9 @@ def main(argv=None) -> int:
         items = wl.setup(args.seed)
         rows = (cli_items(wl, items, cli) if name == "cli-batch"
                 else library_items(wl, items, TetraError))
-        per_item[name] = [[hashlib.sha256("\n".join(row).encode()).hexdigest(), row[1]]
-                          for row in rows]
-        total = hashlib.sha256("".join(d for d, _ in per_item[name]).encode()).hexdigest()
+        per_item[name] = [[hashlib.sha256("\n".join(row).encode()).hexdigest(), row[1], *tail]
+                          for row, tail in rows]
+        total = hashlib.sha256("".join(row[0] for row in per_item[name]).encode()).hexdigest()
         print(f"{name:14s} seed={args.seed} items={len(per_item[name]):4d} sha256={total}")
     out = args.out or Path(f"output-digest-seed{args.seed}.json")
     out.write_text(json.dumps(per_item, indent=1) + "\n", encoding="utf-8")
