@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -47,6 +48,12 @@ def zero_pad(a: np.ndarray, m: int) -> np.ndarray:
     return np.concatenate((a, np.zeros(max(m - len(a), 0))))
 
 
+def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, the shorter zero padded."""
+    m = max(len(a), len(b))
+    return zero_pad(a, m) + zero_pad(b, m)
+
+
 class CoefficientArray:
     """Frozen dataclass base: coeffs is a read-only complex128 array; == compares values."""
 
@@ -67,8 +74,7 @@ class CoefficientArray:
         return complex(self.coeffs[j]) if 0 <= j < len(self.coeffs) else 0j
 
     def __add__(self, other):
-        m = max(len(self.coeffs), len(other.coeffs))
-        return type(self)(zero_pad(self.coeffs, m) + zero_pad(other.coeffs, m))
+        return type(self)(_padded_sum(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         return type(other) is type(self) and np.array_equal(self.coeffs, other.coeffs)
@@ -96,10 +102,10 @@ class Polynomial(CoefficientArray):
             z, bound, _, converged = _newton_limits(self.coeffs, seeds)
             if converged and _distinct(z, bound):
                 return RootMultiset(_entries(z, np.ones(len(z), dtype=int)))
-        z = np.roots(self.coeffs[::-1])
+        z = _companion_roots(self.coeffs)
         with np.errstate(all="ignore"):
-            fz = self.eval(z)
-            cand = z - fz / Polynomial(_derivative(self.coeffs)).eval(z)
+            fz, dfz = _value_and_slope(self.coeffs, z)
+            cand = z - fz / dfz
             better = np.isfinite(cand) & (np.abs(self.eval(cand)) <= np.abs(fz))
         z = np.where(better, cand, z)
         member = _components(z, CLUSTER_TOL)
@@ -175,7 +181,14 @@ class Polynomial(CoefficientArray):
         return super().__add__(other)._carry((self, other), np.add)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        """self + (-other) bit for bit, with no Polynomial built for -other.
+
+        other is negated before it is padded, so where it has no coefficient
+        the sum adds +0 (a - 0 would keep a -0 of self).  On the circle, where
+        nothing is padded, a - b is a + (-b) in IEEE arithmetic.
+        """
+        return Polynomial(_padded_sum(self.coeffs, -other.coeffs))._carry(
+            (self, other), np.subtract)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(-self.coeffs)._carry((self,), np.negative)
@@ -316,8 +329,10 @@ class RootMultiset:
 def _components(points, tol):
     """Membership matrix (component x point) of the graph joining points
     closer than tol; with one tol per point the smaller of two decides."""
-    tol = np.broadcast_to(tol, points.shape)
     close = np.abs(points[:, None] - points[None, :]) < np.minimum.outer(tol, tol)
+    alone = np.eye(len(points), dtype=bool)
+    if np.array_equal(close, alone):
+        return alone
     labels = np.arange(len(points))
     while True:
         spread = np.where(close, labels, len(points)).min(axis=1, initial=len(points))
@@ -328,7 +343,9 @@ def _components(points, tol):
 
 def _entries(locs, orders):
     """(location, order) pairs in the library's canonical order."""
-    keys = np.lexsort((np.round(locs.imag, 12), np.round(locs.real, 12)))
+    if len(locs) < 2:
+        return tuple(zip(locs.tolist(), orders.tolist()))
+    keys = np.lexsort((locs.imag.round(12), locs.real.round(12)))
     return tuple(zip(locs[keys].tolist(), orders[keys].tolist()))
 
 
@@ -424,6 +441,42 @@ def _derivative(c: np.ndarray) -> np.ndarray:
     return np.arange(1, len(c)) * c[1:]
 
 
+def _companion_roots(c: np.ndarray) -> np.ndarray:
+    """The roots of the nonzero polynomial with ascending complex coefficients
+    c, bit for bit as np.roots gives them from the descending ones.
+
+    With exact-zero ends stripped and p the descending rest, the eigenvalues
+    of the companion matrix (ones on the subdiagonal, first row -p[1:]/p[0]),
+    then one root 0 per zero low coefficient (Edelman & Murakami, Math.
+    Comp. 64, 1995).
+    """
+    nonzero = np.flatnonzero(c)
+    low = int(nonzero[0])
+    p = c[low:nonzero[-1] + 1][::-1]
+    companion = np.eye(len(p) - 1, k=-1, dtype=complex)
+    companion[:1] = -p[1:] / p[0]    # no row at all for a constant
+    return np.concatenate((np.linalg.eigvals(companion), np.zeros(low, dtype=complex)))
+
+
+def _value_and_slope(c: np.ndarray, z: np.ndarray) -> tuple:
+    """p(z) and p'(z) for the polynomial p with ascending coefficients c, in one
+    Horner pass over two rows; bit for bit Polynomial(c).eval(z) and the eval
+    of p' (whose trim keeps every coefficient of a trimmed c).
+
+    eval starts from 0j * z.  A step from 0j with coefficient -0j reaches
+    exactly that, since adding -0 changes no value, and a step with +0j
+    turns any signed zero into +0.  So row 0 (c, then -0j) starts one step
+    in and row 1 (p', then -0j, then +0j) two steps in.
+    """
+    rows = np.zeros((2, len(c) + 1), dtype=complex)
+    rows[0, :-1], rows[0, -1] = c, -0j
+    rows[1, :-2], rows[1, -2] = _derivative(c), -0j
+    acc = 0j
+    for col in rows.T[::-1, :, None]:
+        acc = acc * z + col
+    return acc[0], acc[1]
+
+
 def _newton_limits(f: np.ndarray, seeds) -> tuple:
     """Newton's method on the polynomial with ascending coefficients f, all
     seeds at once, one power matrix per step; a seed stops once its step no
@@ -435,17 +488,18 @@ def _newton_limits(f: np.ndarray, seeds) -> tuple:
     forming it rounded 30-175 times more than this bound at the nodes of
     n = 24-32 specs.
     """
-    df = _derivative(f)
+    df, exponents = _derivative(f), np.arange(len(f))
     c, last = np.asarray(seeds, dtype=complex), np.inf
     with np.errstate(all="ignore"):
         for _ in range(64):
-            powers = c[:, None] ** np.arange(len(f))
+            powers = c[:, None] ** exponents
             slope = powers[:, :-1] @ df
             step = (powers @ f) / slope
             size = np.abs(step)
-            if not np.any((size < last) & (size > 4 * EPS * np.abs(c))):
+            shrinks = size < last
+            if not (shrinks & (size > 4 * EPS * np.abs(c))).any():
                 break
-            c, last = np.where(size < last, c - step, c), np.minimum(size, last)
+            c, last = np.where(shrinks, c - step, c), np.minimum(size, last)
         bound = len(f) * EPS * (np.abs(powers) @ np.abs(f)) / np.abs(slope)
         return c, bound, slope, bool(np.all((size <= bound) & (bound <= CIRCLE_TOL)))
 
@@ -527,19 +581,19 @@ def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
     ms = roots(p)
     z = np.array([loc for loc, _ in ms.entries], dtype=complex)
     orders = np.array([order for _, order in ms.entries], dtype=int)
-    dist = np.abs(np.abs(z) - 1.0)
+    radius, dp = np.abs(z), _derivative(p.coeffs)
+    dist = np.abs(radius - 1.0)
     with np.errstate(all="ignore"):
         # How far rounding alone can move each root: the Horner bound over
         # |p'| for a simple root, both from one power matrix; a merged entry
         # is known to CLUSTER_TOL.
         powers = z[:, None] ** np.arange(len(p.coeffs))
-        simple = p.degree * EPS * (np.abs(powers) @ np.abs(p.coeffs)) / np.abs(
-            powers[:, :-1] @ _derivative(p.coeffs))
+        simple = p.degree * EPS * (np.abs(powers) @ np.abs(p.coeffs)) / np.abs(powers[:, :-1] @ dp)
         slack = circle_tol + np.where(orders > 1, CLUSTER_TOL, simple)
         joined = dist <= 2.0 * np.sqrt(2.0 * slack)
         locs, total = z[:0], orders[:0]
         if joined.any():
-            c, rounding, _, _ = _newton_limits(_derivative(p.coeffs), z[joined])
+            c, rounding, _, _ = _newton_limits(dp, z[joined])
             close = np.abs(c - z[joined]) <= 2.0 * np.sqrt(2.0 * (circle_tol + rounding))
             joined[joined] = close
             member = _components(c[close], 2.0 * rounding[close])
@@ -553,9 +607,10 @@ def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
     odd = np.concatenate([locs[total % 2 == 1], z[lone]])
     if len(odd):
         raise OddCircleRootOrder(f"circle root near {complex(odd[0]):.6g} has odd order")
-    inside, outside = ~joined & (np.abs(z) < 1.0), ~joined & (np.abs(z) >= 1.0)
-    return (_entries(z[inside], orders[inside]), _entries(locs / np.abs(locs), total),
-            _entries(z[outside], orders[outside]))
+    # the roots are in canonical order, and so is any subset of them
+    inside, outside = ~joined & (radius < 1.0), ~joined & (radius >= 1.0)
+    return (tuple(compress(ms.entries, inside)), _entries(locs / np.abs(locs), total),
+            tuple(compress(ms.entries, outside)))
 
 
 def from_roots(locations) -> Polynomial:

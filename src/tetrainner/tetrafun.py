@@ -204,9 +204,7 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
 
     dv = d.abs_on_circle
     slack = MODULUS_SLACK * (1.0 + float(np.max(dv)))
-    worst = 0.0
-    for e in (e1,) if mirror else (e1, e2):
-        worst = max(worst, float(np.max(e.abs_on_circle - dv)))
+    worst = max(float(np.max(e.abs_on_circle - dv)) for e in ((e1,) if mirror else (e1, e2)))
     checks.append(ConditionCheck(
         "ModulusDomination", worst <= slack,
         f"max(|e_i| - |d|) on the circle: {worst:.3e}"))

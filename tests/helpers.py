@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from tetrainner import polycx
 from tetrainner.boundary import TetraPoint, sample_distinguished, sample_interior
 from tetrainner.construct import ConstructionSpec
 from tetrainner.polycx import Polynomial, product
@@ -157,9 +158,9 @@ def count_ifft(monkeypatch):
 
 
 def count_solves(monkeypatch):
-    """The degree of every np.roots eigen-solve from now on."""
-    solve, degrees = np.roots, []
-    monkeypatch.setattr(np, "roots", lambda a: degrees.append(len(a) - 1) or solve(a))
+    """The degree of every companion eigen-solve from now on."""
+    solve, degrees = polycx._companion_roots, []
+    monkeypatch.setattr(polycx, "_companion_roots", lambda c: degrees.append(len(c) - 1) or solve(c))
     return degrees
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tetrainner
+from helpers import count_solves
 from tetrainner import errors
 from tetrainner.cli import EXIT_NUMERICAL, EXIT_PARSE, EXIT_PRECONDITION, _build_parser, main
 
@@ -182,6 +183,18 @@ def test_verify_invalid_function_reports(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert not report["valid"]
+
+
+def test_verify_reports_a_negative_modulus_margin(tmp_path, capsys):
+    # x = (0.5, 0.5 lam, lam): the numerators stay 0.5 below |d| = 1
+    path = _write(tmp_path, "half.json",
+                  {"n": 1, "E1": [[0.5, 0.0]], "E2": [[0.0, 0.0], [0.5, 0.0]],
+                   "D": [[1.0, 0.0]]})
+    code, out = _run(capsys, ["verify", path])
+    check = next(c for c in json.loads(out)["conditions"]
+                 if c["condition"] == "modulus domination")
+    assert code == 0 and check == {"condition": "modulus domination", "passed": True,
+                                   "detail": "max(|e_i| - |d|) on the circle: -5.000e-01"}
 
 
 def test_analyze_royal_variety(tmp_path, capsys):
@@ -446,8 +459,7 @@ def test_analyze_and_verify_solve_only_the_royal_polynomial(tmp_path, capsys, mo
     code, out = _run(capsys, ["construct", _write(tmp_path, "spec.json", spec)])
     assert code == 0
     func_path = _write(tmp_path, "func.json", json.loads(out)["function"])
-    calls, solve = [], np.roots
-    monkeypatch.setattr(np, "roots", lambda a: calls.append(len(a) - 1) or solve(a))
+    calls = count_solves(monkeypatch)
     for argv, degrees in ((["analyze"], [4]), (["verify"], []),
                           (["analyze", "--lenient"], [4]), (["verify", "--lenient"], [])):
         calls.clear()

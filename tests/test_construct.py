@@ -298,13 +298,7 @@ def test_construct_handles_large_t():
 @pytest.mark.parametrize("k_circle", [0, 4])
 def test_pipeline_solves_each_polynomial_once(monkeypatch, k_circle):
     spec = random_construction_spec(np.random.default_rng(79), 8, k_circle=k_circle)
-    solve, degrees = np.roots, []
-
-    def counting(a):
-        degrees.append(len(a) - 1)
-        return solve(a)
-
-    monkeypatch.setattr(np, "roots", counting)
+    degrees = count_solves(monkeypatch)
     x = construct(spec)
     # a constructed function finds its zeros and nodes by Newton from the
     # spec; a reloaded copy solves e1 and the royal polynomial (2n).  factor

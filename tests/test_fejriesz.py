@@ -224,8 +224,7 @@ def _construction_trig(n, k, seed=4):
 
 def _factor_counting(p, monkeypatch):
     """factor(p), the degrees it solved, and the number of Newton runs."""
-    solve, newton, degrees, runs = np.roots, fejriesz._newton, [], []
-    monkeypatch.setattr(np, "roots", lambda a: degrees.append(len(a) - 1) or solve(a))
+    newton, degrees, runs = fejriesz._newton, count_solves(monkeypatch), []
     monkeypatch.setattr(fejriesz, "_newton", lambda d, c: runs.append(1) or newton(d, c))
     d = factor(p)
     monkeypatch.undo()

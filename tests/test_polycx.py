@@ -153,11 +153,96 @@ def test_circle_split_noisy_double_root():
     assert sum(o for _, o in inside) == sum(o for _, o in outside) == 3
 
 
-def test_np_roots_called_only_in_polycx():
+def test_eigvals_called_only_in_polycx():
     src = pathlib.Path(tetrainner.__file__).parent
-    callers = sorted(f.name for f in src.glob("*.py")
-                     if re.search(r"\b(np|numpy)\.roots\(", f.read_text()))
-    assert callers == ["polycx.py"]
+    texts = {f.name: f.read_text() for f in src.glob("*.py")}
+    assert sorted(name for name, text in texts.items()
+                  if re.search(r"\b(np|numpy)\.linalg\.eigvals\(", text)) == ["polycx.py"]
+    assert not any(re.search(r"\b(np|numpy)\.roots\(", text) for text in texts.values())
+
+
+def _solver_inputs(rng):
+    """Complex, real and real-negated (signed zero) coefficients of degree 0-64,
+    with 0-3 exact-zero low coefficients, and points with signed zeros."""
+    for trial in range(240):
+        deg = int(rng.integers(0, 65))
+        c = rng.normal(size=deg + 1) + 0j
+        if trial % 3 == 0:
+            c += 1j * rng.normal(size=deg + 1)
+        elif trial % 3 == 2:
+            c = -np.round(c, 1)
+        c[:min(int(rng.integers(0, 4)), deg)] = 0.0
+        c[-1] = c[-1] or 1.0
+        z = np.roots(c[::-1])
+        yield c, np.concatenate([z, np.round(z.real, 1) + 0j, -np.round(z.real, 1) + 0j,
+                                 np.conj(z), [0j, -0j, complex(-0.0, 0.0)]])
+
+
+def test_companion_roots_equal_np_roots_bit_for_bit():
+    for c, _ in _solver_inputs(np.random.default_rng(41)):
+        assert polycx._companion_roots(c).tobytes() == np.roots(c[::-1]).astype(complex).tobytes()
+
+
+def test_value_and_slope_equal_the_eval_pair_bit_for_bit():
+    for c, z in _solver_inputs(np.random.default_rng(42)):
+        fz, dfz = polycx._value_and_slope(c, z)
+        p = Polynomial(c)
+        assert fz.tobytes() == p.eval(z).tobytes()
+        assert dfz.tobytes() == Polynomial(polycx._derivative(p.coeffs)).eval(z).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+def test_circle_split_lists_inside_and_outside_in_canonical_order(n):
+    rng, checked = np.random.default_rng([43, n]), 0
+    for k_circle in (0, n // 2, 0, n // 2):
+        x = construct(random_construction_spec(rng, n, k_circle=k_circle))
+        try:
+            inside, _, outside = circle_split(Polynomial(x._royal[0].coeffs))
+        except TetraError:
+            continue
+        for entries in (inside, outside):
+            locs, orders = zip(*entries) if entries else ((), ())
+            assert entries == polycx._entries(np.array(locs, dtype=complex),
+                                              np.array(orders, dtype=int))
+        checked += len(inside) > 1
+    assert checked >= 2
+
+
+def _components_by_search(points, tol):
+    """Membership rows of the connected components, in order of their first point."""
+    tol = np.broadcast_to(tol, points.shape)
+    label = list(range(len(points)))
+    for i in range(len(points)):
+        for j in range(i):
+            if abs(points[i] - points[j]) < min(tol[i], tol[j]):
+                old, new = sorted((label[i], label[j]))[::-1]
+                label = [new if lab == old else lab for lab in label]
+    return np.array([[lab == root for lab in label] for root in sorted(set(label))],
+                    dtype=bool).reshape(len(set(label)), len(points))
+
+
+@pytest.mark.parametrize("points, tol", [
+    ([], 1e-7),
+    ([0.5j], 1e-7),
+    ([0.0, 1.0, 2.0j, -1.0], 1e-7),
+    ([0.0, 1.0, 1.0 + 5e-8, -1.0], 1e-7),                     # one close pair
+    ([0.0, 1.0, 1.0 + 5e-8, 2.0, 2.0 + 5e-8j, 2.0 - 5e-8j], 1e-7),
+    ([0.0, 5e-4, 1.0, 1.0 + 5e-4], [1e-3, 1e-3, 1e-9, 1e-3]),   # the smaller tol decides
+    ([0.0, 5e-4, 1.0], [1e-3, 1e-3, 1e-9]),
+    ([0.0, 5e-4, 1.0], [1e-3, 1e-4, 1e-9]),
+])
+def test_components_match_a_plain_search(points, tol):
+    points = np.array(points, dtype=complex)
+    member = polycx._components(points, tol)
+    assert member.dtype == bool
+    assert np.array_equal(member, _components_by_search(points, tol))
+
+
+def test_roots_of_a_polynomial_whose_derivative_overflows():
+    # 2 * 1e308 overflows: the polish reads p' as an array, not as a Polynomial
+    # (which would reject the infinite coefficient), and keeps the eigenvalues
+    (minus_one, order_a), (zero, order_b) = roots(Polynomial((0, 1e308, 1e308))).entries
+    assert abs(minus_one + 1) <= 1e-15 and zero == 0 and order_a == order_b == 1
 
 
 def test_roots_zero_polynomial_rejected():

@@ -3,7 +3,8 @@ import ast
 import numpy as np
 import pytest
 
-from helpers import count_disc_tests, count_ifft, count_python_calls, random_construction_spec
+from helpers import (count_disc_tests, count_ifft, count_python_calls, count_solves,
+                     random_construction_spec)
 from tetrainner import polycx, tetrafun
 from tetrainner.boundary import TetraPoint, TetraRegion, classify_tetra, psi, tetra_defect
 from tetrainner.construct import construct
@@ -130,15 +131,9 @@ def test_failing_disc_check_lists_the_offending_roots():
     assert check.passed and check.detail == "roots of d inside the closed disc: none"
 
 
-def _count_np_roots(monkeypatch):
-    calls, solve = [], np.roots
-    monkeypatch.setattr(np, "roots", lambda a: calls.append(len(a) - 1) or solve(a))
-    return calls
-
-
 def test_degree_of_a_strict_function_solves_nothing(monkeypatch):
     x = construct(random_construction_spec(np.random.default_rng(97), 6, k_circle=2))
-    calls = _count_np_roots(monkeypatch)
+    calls = count_solves(monkeypatch)
     strict = from_json_dict(to_json_dict(x))
     assert degree(strict) == 6 and calls == []
     lenient = from_json_dict(to_json_dict(x), strict=False)
@@ -156,7 +151,7 @@ def test_degree_and_winding_of_a_function_read_from_json_run_one_disc_test(monke
 def test_lenient_degree_solves_d_when_d_has_a_circle_zero(monkeypatch):
     # d = (lam - 1)(lam - 3): the circle zero cancels against the reflection
     x = validate(ZERO, ZERO, polycx.from_roots([1.0, 3.0]), 2, strict=False)
-    calls = _count_np_roots(monkeypatch)
+    calls = count_solves(monkeypatch)
     assert degree(x) == 1 and calls == [2]
 
 
@@ -308,6 +303,19 @@ def test_royal_polynomial_monomial():
 def test_royal_polynomial_worked_example():
     assert coeff_distance(royal_polynomial(worked_example()),
                           Polynomial((0, 1.75))) < 1e-14
+
+
+def test_royal_polynomial_is_the_sum_with_the_negated_product_bit_for_bit():
+    # coefficients rounded to 0.1 cancel exactly, so the sign of each zero
+    # shows, and a numerator product may be shorter than reflect(d, n) d
+    rng = np.random.default_rng(44)
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        d, e1, e2 = (Polynomial(np.round(rng.normal(size=int(rng.integers(1, n + 2))), 1))
+                     for _ in range(3))
+        x = TetraRational(e1, e2, d, n)
+        dd, ee = x.d_reflected * x.d, x.e1 * x.e2
+        assert x._royal[0].coeffs.tobytes() == (dd + (-ee)).coeffs.tobytes()
 
 
 def test_royal_nodes_monomial():
@@ -841,7 +849,7 @@ def test_validation_reads_an_exact_mirror_off_e1(monkeypatch, n):
     assert coeff_distance(e1, e2.reflect(n)) == 0.0
     # the verdict and worst of sampling both numerators
     dv = np.abs(d.on_circle)
-    worst_e1 = max(0.0, float(np.max(np.abs(e1.on_circle) - dv)))
+    worst_e1 = float(np.max(np.abs(e1.on_circle) - dv))
     worst_both = max(worst_e1, float(np.max(np.abs(e2.on_circle) - dv)))
     assert check.passed == (worst_both <= 1e-9 * (1.0 + np.max(dv)))
     assert check.detail == f"max(|e_i| - |d|) on the circle: {worst_e1:.3e}"
@@ -869,6 +877,12 @@ def test_validation_catches_a_violation_by_e2_alone():
     assert not check.passed and check.detail == "max(|e_i| - |d|) on the circle: 1.000e+00"
 
 
+def test_modulus_domination_reports_a_negative_margin():
+    # x = (0.5, 0.5 lam, lam): |e_i| - |d| = -0.5 on the whole circle
+    check = _modulus_check(Polynomial((0.5,)), Polynomial((0, 0.5)), ONE, 1)
+    assert check.passed and check.detail == "max(|e_i| - |d|) on the circle: -5.000e-01"
+
+
 @pytest.mark.parametrize("e1, e2, n", [
     (Polynomial((0, 0, 1)), Polynomial((1,)), 1),                     # degree above n
     (Polynomial((1,)), Polynomial((0,) * 4097 + (1,)), 4097),          # n above CIRCLE_SAMPLES
@@ -887,7 +901,7 @@ def test_winding_of_a_strict_function_transforms_and_solves_nothing(monkeypatch)
     for n in (1, 4, 16, 24):
         x = _constructed(rng, n, k_circle=n // 2)
         y = TetraRational(x.e1, x.e2, *_fresh(x.d), n)
-        ffts, solves = count_ifft(monkeypatch), _count_np_roots(monkeypatch)
+        ffts, solves = count_ifft(monkeypatch), count_solves(monkeypatch)
         assert winding_number(y) == n and not ffts and not solves
         assert "d_reflected" not in y.__dict__ and "on_circle" not in y.d.__dict__
         monkeypatch.undo()
