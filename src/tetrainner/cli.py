@@ -10,8 +10,10 @@ runs, so `classify` loads no function layer.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -283,7 +285,19 @@ def main(argv=None) -> int:
 
 
 def main_entry():
-    sys.exit(main())
+    # the start-up heap (interpreter, numpy, base modules) lives until exit; frozen,
+    # it is skipped by later collections, shutdown's full passes among them
+    gc.freeze()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk behind output still buffered
+        code = _fail(str(exc), EXIT_PARSE)
+        # as the Python docs advise for SIGPIPE, so that shutdown's flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
 import argparse
+import errno
+import gc
 import json
 import os
 import re
@@ -13,7 +15,8 @@ import pytest
 import tetrainner
 from helpers import count_solves
 from tetrainner import errors
-from tetrainner.cli import EXIT_NUMERICAL, EXIT_PARSE, EXIT_PRECONDITION, _build_parser, main
+from tetrainner.cli import (EXIT_NUMERICAL, EXIT_PARSE, EXIT_PRECONDITION, _build_parser, main,
+                            main_entry)
 
 SQ2 = np.sqrt(2.0)
 
@@ -43,6 +46,20 @@ def _write(tmp_path, name, payload):
 def _run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+def _fresh_env():
+    """Environment of a fresh interpreter that imports this package, stdout buffered."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(tetrainner.__file__).parents[1])}
+
+
+@pytest.fixture
+def freeze_calls(monkeypatch):
+    """gc.freeze as a recorder, so that main_entry leaves the test process's heap alone."""
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(None))
+    return calls
 
 
 def test_classify_interior_point(tmp_path, capsys):
@@ -136,8 +153,7 @@ def test_verify_imports_no_numpy_random(tmp_path, capsys):
              "from tetrainner import cli\n"
              "code = cli.main(['verify', sys.argv[1]])\n"
              "print(code, 'numpy.random' in sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(tetrainner.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", probe, func_path], env=env,
+    done = subprocess.run([sys.executable, "-c", probe, func_path], env=_fresh_env(),
                           capture_output=True, text=True, timeout=120)
     *report, last = done.stdout.splitlines()
     assert done.returncode == 0 and last == "0 False", done.stderr
@@ -156,20 +172,26 @@ COMMAND_MODULES = {
 }
 
 
+def _command_input(tmp_path, capsys, command):
+    """Input file of a command of COMMAND_MODULES: a point, WORKED_SPEC or its function."""
+    if command == "classify":
+        return _write(tmp_path, "pt.json", {"x1": 0.5, "x2": 0, "x3": 0})
+    spec_path = _write(tmp_path, "spec.json", WORKED_SPEC)
+    if command == "construct":
+        return spec_path
+    main(["construct", spec_path])
+    return _write(tmp_path, "func.json", json.loads(capsys.readouterr().out)["function"])
+
+
 @pytest.mark.parametrize("command", COMMAND_MODULES)
 def test_each_command_imports_only_the_modules_it_runs(tmp_path, capsys, command):
-    spec_path = _write(tmp_path, "spec.json", WORKED_SPEC)
-    main(["construct", spec_path])
-    func_path = _write(tmp_path, "func.json", json.loads(capsys.readouterr().out)["function"])
-    path = {"classify": _write(tmp_path, "pt.json", {"x1": 0.5, "x2": 0, "x3": 0}),
-            "construct": spec_path}.get(command, func_path)
+    path = _command_input(tmp_path, capsys, command)
     probe = ("import sys\n"
              "from tetrainner import cli\n"
              "code = cli.main([sys.argv[1], sys.argv[2], '--out', sys.argv[3]])\n"
              "print(code, *sorted(m for m in sys.modules if m.startswith('tetrainner.')))\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(tetrainner.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", probe, command, path, str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
     base = {"boundary", "cli", "errors", "polycx"}
     assert done.stdout.split() == ["0"] + [f"tetrainner.{m}" for m in
                                            sorted(base | COMMAND_MODULES[command])], done.stderr
@@ -245,26 +267,104 @@ def test_perturb_notes_degenerate_zero_components(tmp_path, capsys):
     assert payload["note"] == "DegenerateZeroComponents"
 
 
-def test_module_entry_point_exits_with_the_command_code(tmp_path, capsys, monkeypatch):
+def test_module_entry_point_exits_with_the_command_code(tmp_path, capsys, monkeypatch,
+                                                        freeze_calls):
     path = _write(tmp_path, "pt.json", {"s": [1, 0], "p": [0, 0]})
     monkeypatch.setattr(sys, "argv", ["tetrainner", "classify", path])
     with pytest.raises(SystemExit) as exc:
         runpy.run_module("tetrainner", run_name="__main__")
-    assert exc.value.code == 0
+    assert exc.value.code == 0 and len(freeze_calls) == 1
     assert json.loads(capsys.readouterr().out)["region"] == "GammaBoundaryTop"
 
 
 # running an imported module as __main__ re-executes it; the warning says so
 @pytest.mark.filterwarnings("ignore:'tetrainner.cli' found in sys.modules:RuntimeWarning")
-def test_cli_module_run_as_a_script_exits_with_the_command_code(capsys, monkeypatch):
+def test_cli_module_run_as_a_script_exits_with_the_command_code(capsys, monkeypatch,
+                                                               freeze_calls):
     import io
 
     monkeypatch.setattr(sys, "argv", ["tetrainner.cli", "classify"])
     monkeypatch.setattr(sys, "stdin", io.StringIO("not json"))
     with pytest.raises(SystemExit) as exc:
         runpy.run_module("tetrainner.cli", run_name="__main__")
-    assert exc.value.code == EXIT_PARSE
+    assert exc.value.code == EXIT_PARSE and len(freeze_calls) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_process_entry_freezes_the_heap_and_prints_what_main_prints(tmp_path, capsys,
+                                                                    command):
+    path = _command_input(tmp_path, capsys, command)
+    code = main([command, path])
+    out = capsys.readouterr().out.encode()
+    probe = ("import gc, runpy, sys\n"
+             "sys.argv = ['tetrainner', *sys.argv[1:]]\n"
+             "try:\n"
+             "    runpy.run_module('tetrainner', run_name='__main__')\n"
+             "except SystemExit as exc:\n"
+             "    sys.stderr.write(f'{exc.code} {gc.get_freeze_count() > 0}\\n')\n")
+    done = subprocess.run([sys.executable, "-c", probe, command, path], env=_fresh_env(),
+                          capture_output=True, timeout=120)
+    assert done.stderr.decode() == f"{code} True\n"
+    assert done.stdout == out
+
+
+def test_main_called_from_python_freezes_nothing(tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    code, _ = _run(capsys, ["classify", _command_input(tmp_path, capsys, "classify")])
+    assert code == 0 and gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["classify"], {"x1": 0.5, "x2": 0, "x3": 0}),                 # held in stdout's buffer
+    (["trace", "--samples", "4096"], ROYAL_VARIETY_FUNCTION),       # fails inside main
+], ids=["classify", "trace"])
+def test_closed_stdout_pipe_exits_2_with_one_error_line(tmp_path, argv, payload):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "tetrainner", *argv,
+                               _write(tmp_path, "in.json", payload)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=_fresh_env(),
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    lines = done.stderr.decode().splitlines()
+    assert done.returncode == EXIT_PARSE
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+
+
+class _UnflushableStdout:
+    """A stdout whose buffered output can no longer be written, on its own descriptor."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def fileno(self):
+        return self.fd
+
+
+def test_entry_reports_a_failed_final_flush_and_sends_stdout_to_devnull(tmp_path, capsys,
+                                                                        monkeypatch,
+                                                                        freeze_calls):
+    path = _write(tmp_path, "pt.json", {"x1": 0.5, "x2": 0, "x3": 0})
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(sys, "argv", ["tetrainner", "classify", path])
+    monkeypatch.setattr(sys, "stdout", _UnflushableStdout(fd))
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main_entry()
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert exc.value.code == EXIT_PARSE and len(freeze_calls) == 1
+    assert capsys.readouterr().err == f"error: [Errno {errno.EPIPE}] Broken pipe\n"
 
 
 def test_reads_stdin_when_no_file(capsys, monkeypatch):
