@@ -14,7 +14,8 @@ pi(A) = (a11, a22, det A) lies in the closed tetrablock exactly when mu of A
 against diagonal perturbations is at most one; equivalently x lies there iff
 |x1|^2 + |x2|^2 - |x3|^2 + 2|x1 x2 - x3| <= 1 and |x3| <= 1 (Abouhajar, White
 & Young 2007, J. Geom. Anal. 17).  For two scalar blocks mu has a closed form,
-as the D-scaled bound is exact (Doyle 1982, IEE Proc. D 129).
+as the D-scaled bound is exact (Doyle 1982, IEE Proc. D 129).  The scalar
+defects and labels raise NonFiniteCoefficient where a point overflows them.
 """
 
 from __future__ import annotations
@@ -96,12 +97,20 @@ def tetra_defect(x: TetraPoint) -> float:
 
     The coordinates may also be ndarrays of points; the defect is then an array.
     """
-    return _defect(x.x1, x.x2, x.x3, abs(x.x3))
+    try:
+        return _defect(x.x1, x.x2, x.x3, abs(x.x3))
+    except OverflowError:
+        raise _overflow(x) from None
 
 
 def _defect(x1, x2, x3, a3):
     """tetra_defect of (x1, x2, x3), given a3 = |x3|."""
     return abs(x1 - x2.conjugate() * x3) + abs(x2 - x1.conjugate() * x3) - (1.0 - a3 ** 2)
+
+
+def _overflow(point) -> NonFiniteCoefficient:
+    # abs() of a complex or a float's ** raises OverflowError; a try costs nothing until then
+    return NonFiniteCoefficient(f"point {tuple(point)} overflows the float range")
 
 
 def classify_tetra(x: TetraPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> TetraRegion:
@@ -111,25 +120,34 @@ def classify_tetra(x: TetraPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> TetraR
     the |x3| = 1 edge case additionally requires |x1| <= 1.
     """
     x1, x2, x3 = x.x1, x.x2, x.x3
-    a3 = abs(x3)
-    defect = _defect(x1, x2, x3, a3)
-    if abs(a3 - 1.0) <= tol and defect <= tol and abs(x1) <= 1.0 + tol:
-        return TetraRegion.DISTINGUISHED_BOUNDARY
-    if defect < -tol:
-        return TetraRegion.INTERIOR
-    if abs(defect) <= tol and abs(x1) <= 1.0 + tol and abs(x2) <= 1.0 + tol:
-        return TetraRegion.TOPOLOGICAL_BOUNDARY
+    try:
+        a3 = abs(x3)
+        defect = _defect(x1, x2, x3, a3)
+        if abs(a3 - 1.0) <= tol and defect <= tol and abs(x1) <= 1.0 + tol:
+            return TetraRegion.DISTINGUISHED_BOUNDARY
+        if defect < -tol:
+            return TetraRegion.INTERIOR
+        if abs(defect) <= tol and abs(x1) <= 1.0 + tol and abs(x2) <= 1.0 + tol:
+            return TetraRegion.TOPOLOGICAL_BOUNDARY
+    except OverflowError:
+        raise _overflow(x) from None
     return TetraRegion.OUTSIDE
 
 
 def gamma_defect(g: GammaPoint) -> float:
-    return abs(g.s - g.s.conjugate() * g.p) - (1.0 - abs(g.p) ** 2)
+    try:
+        return abs(g.s - g.s.conjugate() * g.p) - (1.0 - abs(g.p) ** 2)
+    except OverflowError:
+        raise _overflow(g) from None
 
 
 def classify_gamma(g: GammaPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> GammaRegion:
     """Most specific region label for a point of C^2."""
     defect = gamma_defect(g)
-    s_ok = abs(g.s) <= 2.0 + tol
+    try:
+        s_ok = abs(g.s) <= 2.0 + tol
+    except OverflowError:
+        raise _overflow(g) from None
     if s_ok and abs(abs(g.p) - 1.0) <= tol and abs(g.s - g.s.conjugate() * g.p) <= tol:
         return GammaRegion.GAMMA_DISTINGUISHED
     if s_ok and abs(defect) <= tol:

@@ -1,7 +1,9 @@
 """Command line front end.
 
 Six commands: classify, construct, verify, analyze, trace, perturb.
-Complex numbers travel as [re, im] pairs.  Exit codes: 0 success, 2 parse
+Complex numbers travel as [re, im] pairs.  Each command maps the decoded
+JSON object and the flags to its output, a CSV string or a JSON-ready object;
+`main` alone reads, writes and maps errors to exit codes: 0 success, 2 parse
 or IO error, 3 precondition violation, 4 numerical failure.  Parsing needs
 only the base layer (errors, polycx); each command imports the modules it
 runs, so `classify` loads no function layer.
@@ -19,7 +21,7 @@ import sys
 import numpy as np
 
 from . import polycx
-from .errors import MalformedInput, TetraError
+from .errors import MalformedInput, NonFiniteCoefficient, TetraError
 from .polycx import (circle_power, coeff_distance, decode_complex, decode_complex_list,
                      decode_real, encode_complex)
 
@@ -46,27 +48,18 @@ def _load_payload(args) -> dict:
         # strict UTF-8 as for a file; the locale's text stdin may escape bad bytes instead
         raw = getattr(sys.stdin, "buffer", None)
         text = raw.read().decode("utf-8") if raw else sys.stdin.read()
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise MalformedInput("JSON input is nested too deeply") from None
     if not isinstance(data, dict):
         raise MalformedInput("top level JSON value must be an object")
     return data
 
 
-def _emit(args, text: str):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-
-
 def _fail(message: str, code: int) -> int:
     sys.stderr.write(f"error: {message}\n")
     return code
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _analysis_block(x) -> dict:
@@ -78,25 +71,17 @@ def _analysis_block(x) -> dict:
         return {"degree": deg, "type": "royal-variety", "royal_nodes": []}
     nodes = tetrafun.royal_nodes(x)
     tk = tetrafun.TypeNK.from_nodes(nodes)
-    return {
-        "degree": deg,
-        "type": [tk.n, tk.k],
-        "royal_nodes": [
-            {"location": encode_complex(nd.location), "multiplicity": nd.multiplicity,
-             "on_circle": nd.on_circle}
-            for nd in nodes
-        ],
-    }
+    return {"degree": deg, "type": [tk.n, tk.k],
+            "royal_nodes": [{"location": encode_complex(nd.location),
+                             "multiplicity": nd.multiplicity, "on_circle": nd.on_circle}
+                            for nd in nodes]}
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(data, args):
     from . import boundary
 
-    data = _load_payload(args)
     if {"x1", "x2", "x3"} <= set(data):
-        pt = boundary.TetraPoint(decode_complex(data["x1"], "x1"),
-                                 decode_complex(data["x2"], "x2"),
-                                 decode_complex(data["x3"], "x3"))
+        pt = boundary.TetraPoint(*(decode_complex(data[key], key) for key in ("x1", "x2", "x3")))
         region = boundary.classify_tetra(pt, args.tol)
         defect = boundary.tetra_defect(pt)
     elif {"s", "p"} <= set(data):
@@ -105,18 +90,17 @@ def cmd_classify(args) -> int:
         defect = boundary.gamma_defect(gp)
     else:
         raise MalformedInput("expected fields x1/x2/x3 or s/p")
+    if not math.isfinite(defect):
+        raise NonFiniteCoefficient(f"membership defect {defect} is not finite")
     if args.format == "csv":
-        _emit(args, f"region,defect\n{region.value},{float(defect):.12g}")
-    else:
-        _emit(args, _dump({"region": region.value, "defect": float(defect)}))
-    return EXIT_OK
+        return f"region,defect\n{region.value},{float(defect):.12g}"
+    return {"region": region.value, "defect": float(defect)}
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(data, args):
     from . import tetrafun
     from .construct import ConstructionSpec, construct
 
-    data = _load_payload(args)
     for key in ("alpha1", "alpha2", "sigma", "t_plus", "t"):
         if key not in data:
             raise MalformedInput(f"missing field {key!r}")
@@ -129,15 +113,13 @@ def cmd_construct(args) -> int:
         omega=decode_complex(data.get("omega", 1.0), "omega"),
     )
     x = construct(spec)
-    payload = {"function": tetrafun.to_json_dict(x), "analysis": _analysis_block(x)}
-    _emit(args, _dump(payload))
-    return EXIT_OK
+    return {"function": tetrafun.to_json_dict(x), "analysis": _analysis_block(x)}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(data, args):
     from . import boundary, tetrafun
 
-    e1, e2, d, n = tetrafun.decode_function_fields(_load_payload(args))
+    e1, e2, d, n = tetrafun.decode_function_fields(data)
     checks = tetrafun.validation_report(e1, e2, d, n, strict=args.strict)
     by_code = {c.code: c for c in checks}
     conditions = [{"condition": label, "passed": by_code[code].passed,
@@ -156,7 +138,7 @@ def cmd_verify(args) -> int:
         # on the circle x1 - conj(x2) x3 = (e1 - lam^n conj(e2)) / d; a circle zero
         # of d (lenient mode) leaves it undefined at a sample, reported as None
         defect = np.abs(e1.on_circle - circle_power(n) * e2.on_circle.conj())
-        invariants = {
+        report["invariants"] = {
             "modulus_equality_max_dev": float(np.max(np.abs(e1v - e2v))),
             "royal_balance_max_dev": float(np.max(np.abs(shifted - (dv ** 2 - e1v ** 2)))),
             "royal_symmetry_dev": float(sym_dev),
@@ -167,45 +149,36 @@ def cmd_verify(args) -> int:
                                   else float(np.max(defect / dv))),
             "winding_number": tetrafun.winding_number(x),
         }
-        report["invariants"] = invariants
-    _emit(args, _dump(report))
-    return EXIT_OK
+    return report
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(data, args):
     from . import tetrafun
 
-    x = tetrafun.from_json_dict(_load_payload(args), args.strict)
-    _emit(args, _dump(_analysis_block(x)))
-    return EXIT_OK
+    return _analysis_block(tetrafun.from_json_dict(data, args.strict))
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(data, args):
     from . import tetrafun
 
-    x = tetrafun.from_json_dict(_load_payload(args), args.strict)
+    x = tetrafun.from_json_dict(data, args.strict)
     trace = tetrafun.circle_trace(x, args.samples)
     thetas = [2.0 * np.pi * idx / args.samples for idx in range(args.samples)]
     if args.format == "json":
-        payload = [
-            {"theta": theta, "x1": encode_complex(pt.x1), "x2": encode_complex(pt.x2),
-             "x3": encode_complex(pt.x3), "defect": defect}
-            for theta, (_, pt, defect) in zip(thetas, trace)
-        ]
-        _emit(args, _dump(payload))
-        return EXIT_OK
+        return [{"theta": theta, "x1": encode_complex(pt.x1), "x2": encode_complex(pt.x2),
+                 "x3": encode_complex(pt.x3), "defect": defect}
+                for theta, (_, pt, defect) in zip(thetas, trace)]
     rows = ["theta,x1_re,x1_im,x2_re,x2_im,x3_re,x3_im,defect"]
     for theta, (_, pt, defect) in zip(thetas, trace):
         parts = [theta] + [v for z in (pt.x1, pt.x2, pt.x3) for v in (z.real, z.imag)]
         rows.append(",".join(f"{v:.12g}" for v in parts) + f",{defect:.6g}")
-    _emit(args, "\n".join(rows))
-    return EXIT_OK
+    return "\n".join(rows)
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(data, args):
     from . import extremal, tetrafun
 
-    x = tetrafun.from_json_dict(_load_payload(args))
+    x = tetrafun.from_json_dict(data)
     result = extremal.perturb_nonextreme(x)
     err = max(
         coeff_distance((result.x_plus.e1 + result.x_minus.e1).scale(0.5), x.e1),
@@ -220,8 +193,7 @@ def cmd_perturb(args) -> int:
     }
     if result.note:
         payload["note"] = result.note
-    _emit(args, _dump(payload))
-    return EXIT_OK
+    return payload
 
 
 # add_argument spec of each tuning flag; every command also takes input and --out
@@ -271,9 +243,17 @@ def main(argv=None) -> int:
     if not math.isfinite(tol):
         return _fail("tolerances must be finite", EXIT_PRECONDITION)
     try:
+        data = _load_payload(args)
         # a non-finite result raises a typed error, so numpy's warnings would only add noise
         with np.errstate(all="ignore"):
-            return args.handler(args)
+            output = args.handler(data, args)
+        text = output if isinstance(output, str) else json.dumps(output, indent=2, sort_keys=True)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            sys.stdout.write(text + "\n")
+        return EXIT_OK
     # UnicodeDecodeError is a ValueError, so it must be caught before the precondition clause
     except (MalformedInput, json.JSONDecodeError, UnicodeDecodeError, OSError, KeyError,
             TypeError) as exc:

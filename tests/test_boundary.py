@@ -466,6 +466,21 @@ def test_mu_value_rejects_non_finite_entries(entry, position):
         mu_diag_le_one(Matrix2(*entries))
 
 
+# finite coordinates near the top of the float range: abs() of a complex or ** overflows
+@pytest.mark.parametrize("call, point", [
+    (tetra_defect, TetraPoint(0j, 0j, complex(1.5e308, 1.5e308))),
+    (classify_tetra, TetraPoint(0j, 0j, complex(1.5e308, 1.5e308))),
+    (classify_tetra, TetraPoint(complex(1e308, 1e308), complex(1e308, -1e308),
+                                complex(1e308, 1e308))),
+    (classify_tetra, TetraPoint(complex(1.5e308, 1.5e308), complex(1.5e308, -1.5e308), 1 + 0j)),
+    (gamma_defect, GammaPoint(complex(1e308, 1e308), complex(1e308, 1e308))),
+    (classify_gamma, GammaPoint(complex(1.5e308, 1.5e308), 1 + 0j)),
+])
+def test_scalar_overflow_raises_non_finite_coefficient(call, point):
+    with pytest.raises(NonFiniteCoefficient, match="overflows the float range"):
+        call(point)
+
+
 @pytest.mark.parametrize("mu, inside", [(1 - 1e-5, True), (1 + 1e-5, False), (1 + 1e-3, False)])
 def test_mu_threshold_near_a_double_singular_value(mu, inside):
     # nearly unimodular diagonal, tiny off-diagonal: the balanced matrix has two

@@ -197,6 +197,18 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, capsys, command
                                            sorted(base | COMMAND_MODULES[command])], done.stderr
 
 
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_handler_returns_what_main_prints(tmp_path, capsys, command):
+    # handlers map the decoded input to a CSV string or an object; main alone writes
+    path = _command_input(tmp_path, capsys, command)
+    code, out = _run(capsys, [command, path])
+    args = _build_parser().parse_args([command, path])
+    output = args.handler(json.loads(Path(path).read_text(encoding="utf-8")), args)
+    if not isinstance(output, str):
+        output = json.dumps(output, indent=2, sort_keys=True)
+    assert code == 0 and out == output + "\n"
+
+
 def test_verify_invalid_function_reports(tmp_path, capsys):
     path = _write(tmp_path, "bad.json",
                   {"n": 1, "E1": [[3.0, 0.0]], "E2": [[0.0, 0.0], [1.0, 0.0]],
@@ -375,6 +387,16 @@ def test_reads_stdin_when_no_file(capsys, monkeypatch):
     code, out = _run(capsys, ["classify"])
     assert code == 0
     assert json.loads(out)["region"] == "Interior"
+
+
+def test_deeply_nested_input_exits_2_with_one_error_line(capsys, monkeypatch):
+    import io
+
+    # json's decoder raises RecursionError past the interpreter's recursion limit
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 10_000))
+    assert main(["analyze"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: JSON input is nested too deeply\n"
 
 
 @pytest.mark.parametrize("raw", [b"\xff\xfe{}",
@@ -646,6 +668,22 @@ def test_non_finite_numbers_exit_2_naming_the_field(tmp_path, capsys, command, p
     assert main([command, path]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: field {field!r} must be")
+
+
+# finite coordinates whose defect overflows: abs() or ** raises, or the sum is infinite
+@pytest.mark.parametrize("payload", [
+    {"x1": [1e308, 1e308], "x2": [1e308, -1e308], "x3": [1e308, 1e308]},
+    {"s": [1e308, 1e308], "p": [1e308, 1e308]},
+    {"x1": [1e308, 0], "x2": [-1e308, 0], "x3": 0},
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_classify_overflowing_defect_exits_4_with_one_error_line(tmp_path, capsys, payload, fmt):
+    path = _write(tmp_path, "pt.json", payload)
+    assert main(["classify", path, "--format", fmt]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: NonFiniteCoefficient: ")
+    assert captured.err.count("\n") == 1
 
 
 # -- option surface: each command offers only the tuning flags it reads ---------

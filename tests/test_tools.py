@@ -1,14 +1,20 @@
+import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+from helpers import random_construction_spec
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def load_tool(name, folder=TOOLS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -158,3 +164,24 @@ def test_perf_pairs_alternates_the_first_side_and_sets_the_exit_status(
     out = capsys.readouterr().out
     assert "item_ms.p50" in out and "better in 3/3  better" in out
     assert ("error: pass_share" in out) == bool(status)
+
+
+def test_benchmark_tracer_attaches_to_the_library_and_records_construct():
+    # a traced benchmark run wraps every TARGETS binding, and factor's residual probe
+    # calls TrigPolynomial.value; a refactor that breaks either fails every traced run
+    tracer = load_tool("tracer", ROOT / "perfbench").Tracer()
+    importlib.import_module("tetrainner.construct")
+    module = sys.modules["tetrainner.construct"]  # tetrainner.construct is the function
+    original = module.construct
+    spec = random_construction_spec(np.random.default_rng(3), 4)
+    tracer.install()
+    try:
+        tracer.recording = True
+        module.construct(spec)
+    finally:
+        tracer.recording = False
+        tracer.uninstall()
+    assert module.construct is original
+    assert tracer.stats["construct.construct"].calls == 1
+    assert tracer.stats["fejriesz.factor"].calls >= 1
+    assert "fejriesz.factor.residual_max" in tracer.maxima
