@@ -35,8 +35,6 @@ from .polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, SPEC_TOL, TRIM_TOL, Polynomial,
 from .tetrafun import (RoyalNode, TetraRational, is_royal_variety, royal_nodes, royal_polynomial,
                        validate)
 
-DISJOINT_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class ConstructionSpec:
@@ -77,10 +75,10 @@ class ConstructionSpec:
                 if abs(z) > 1.0 + SPEC_TOL:
                     raise NodeOutsideClosedDisc(f"{name} entry {z} lies outside the closed disc")
         circle_zeros = [a for a in self.alpha1 + self.alpha2
-                        if abs(abs(a) - 1.0) <= DISJOINT_TOL]
+                        if abs(abs(a) - 1.0) <= CIRCLE_TOL]
         for a in circle_zeros:
             for s in self.sigma:
-                if abs(a - s) <= DISJOINT_TOL:
+                if abs(a - s) <= CIRCLE_TOL:
                     raise NodeZeroCollision(
                         f"circle zero {a} collides with royal node {s}")
 
@@ -130,7 +128,8 @@ def construct(spec: ConstructionSpec) -> TetraRational:
 
     The returned function passes strict validation, so its degree is n, and
     its royal polynomial equals the built target and is off the royal variety;
-    otherwise ConstructionInconsistent is raised.
+    otherwise ConstructionInconsistent is raised.  Its royal nodes are matched
+    to sigma when they are first read: royal_nodes raises it there.
     """
     n = spec.n
     target = build_royal_target(spec.sigma, spec.t_plus)

@@ -103,8 +103,8 @@ def scale_nonextreme(x: TetraRational) -> PerturbationResult:
     if sup >= 1.0 - 1e-12:
         raise NumericalSupAtOne(f"sampled component sup {sup} is at 1")
     eps = MARGIN * (1.0 / sup - 1.0)
-    x_plus = validate(x.e1.scale(1.0 + eps), x.e2.scale(1.0 + eps), x.d, x.n)
-    x_minus = validate(x.e1.scale(1.0 - eps), x.e2.scale(1.0 - eps), x.d, x.n)
+    x_plus = validate(x.e1.scale(1.0 + eps), x.e2.scale(1.0 + eps), x.d, x.n, strict=x.strict)
+    x_minus = validate(x.e1.scale(1.0 - eps), x.e2.scale(1.0 - eps), x.d, x.n, strict=x.strict)
     return PerturbationResult(x_plus, x_minus, eps, Polynomial(),
                               PerturbationMethod.EPSILON_SCALING)
 
@@ -170,8 +170,8 @@ def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
     else:
         t = SAFETY * min(2.0 * e1_sup / g_sup, r * m_const / (divisor * e1_sup))
     tg = g.scale(t)
-    x_plus = validate(x.e1 + tg, x.e2 + tg, x.d, x.n)
-    x_minus = validate(x.e1 - tg, x.e2 - tg, x.d, x.n)
+    x_plus = validate(x.e1 + tg, x.e2 + tg, x.d, x.n, strict=x.strict)
+    x_minus = validate(x.e1 - tg, x.e2 - tg, x.d, x.n, strict=x.strict)
     method = (PerturbationMethod.G_PERTURB_EVEN if n % 2 == 0
               else PerturbationMethod.G_PERTURB_ODD)
     return PerturbationResult(x_plus, x_minus, t, g, method)

@@ -13,14 +13,14 @@ one of two paths to D:
     aliasing.  Wilson's Newton iteration on
     F_j(D) = sum_q D_{q+j} conj(D_q) = c_j, j = 0..n, finishes it (Wilson
     1969; Sayed & Kailath 2001).  The result is kept when
-    max |c - F(D)| <= NEWTON_TOL * max |c| and D passes is_outer (from a
-    poor start Newton can reach a factor with a root reflected into the
-    disc).  D is first asked whether it is zero-free up to 1 + CIRCLE_TOL,
-    which implies outer and is the question strict validation asks of
-    d = conj(omega) D next, so a constructed d is tested once; is_outer
-    runs only when that answer is no.  No roots are solved.
+    max |c - F(D)| <= NEWTON_TOL * max |c| and D is zero-free up to
+    1 + CIRCLE_TOL (from a poor start Newton can reach a factor with a root
+    reflected into the disc).  That is the question strict validation asks
+    of d = conj(omega) D next, so a constructed d is tested once.  No roots
+    are solved.
   * the root path, in every other case (a sample of p is zero or negative
-    within the guard, or Newton fell short or reached a non-outer D): split
+    within the guard, Newton fell short, or D has a root in the closed
+    disc up to CIRCLE_TOL): split
     the roots of P(lam) = lam^n p(lam) with polycx.circle_split, which
     pairs them as (r, 1/conj(r)) and returns the circle roots with their
     even order; keep the roots outside the disc and each circle root at
@@ -104,8 +104,8 @@ def laurent_shift(r_poly: Polynomial, n: int) -> TrigPolynomial:
 
 
 def is_outer(p: Polynomial) -> bool:
-    """True iff p is nonzero and no root of p has modulus 1 - 1e-9 or below (Schur-Cohn test)."""
-    return not p.is_zero and zero_free_disc(p, 1.0 - 1e-9)
+    """True iff p is nonzero and zero-free up to 1 - CIRCLE_TOL, lenient validation's test."""
+    return not p.is_zero and zero_free_disc(p, 1.0 - CIRCLE_TOL)
 
 
 def factor(p: TrigPolynomial) -> Polynomial:
@@ -136,8 +136,7 @@ def factor(p: TrigPolynomial) -> Polynomial:
         d, resid = _newton(_cepstral(vals, len(target)), target)
         d = Polynomial(d)
         # D = 0 leaves resid = max |c|, so a D past the residual test is nonzero
-        if resid <= NEWTON_TOL * mag.max() and (zero_free_disc(d, 1.0 + CIRCLE_TOL)
-                                                or is_outer(d)):
+        if resid <= NEWTON_TOL * mag.max() and zero_free_disc(d, 1.0 + CIRCLE_TOL):
             return d
     return Polynomial(_newton(_from_roots(big_p, vals, len(target)), target)[0])
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import boundary
 from .boundary import TetraPoint
 from .errors import (
+    ConstructionInconsistent,
     DenominatorVanishes,
     InvalidSuperficialSpec,
     MalformedInput,
@@ -47,6 +48,7 @@ from .polycx import (
     encode_complex,
     is_mirror,
     linear_product,
+    modulus,
     roots_inside,
     unit_circle,
 )
@@ -76,8 +78,7 @@ class TetraRational:
 
     @cached_property
     def _on_royal_variety(self) -> bool:
-        royal, dd, ee = self._royal
-        return royal.max_coeff() <= 1e-12 * (1.0 + dd.max_coeff() + ee.max_coeff())
+        return agree(*self._royal[1:])
 
     @cached_property
     def _on_rings(self) -> tuple:
@@ -89,14 +90,40 @@ class TetraRational:
 
     @cached_property
     def _royal_nodes(self) -> tuple:
-        """The royal_nodes result; a raised error is not kept."""
+        """The royal_nodes result, checked against construct's spec; a raised error is not kept."""
         if self._on_royal_variety:
             raise RoyalVarietyFunction("royal polynomial is identically zero")
-        inside, circle = circle_split(self._royal[0])[:2]
+        royal = self._royal[0]
+        inside, circle = circle_split(royal)[:2]
         nodes = [RoyalNode(loc, order, order, False) for loc, order in inside]
         nodes += [RoyalNode(loc, order, order // 2, True) for loc, order in circle]
         nodes.sort(key=lambda nd: (round(nd.location.real, 12), round(nd.location.imag, 12)))
+        if royal._node_seeds is not None:
+            _match_spec(royal._node_seeds, [nd.location for nd in nodes
+                                            for _ in range(nd.multiplicity)])
         return tuple(nodes)
+
+
+def _match_spec(sigma, found) -> None:
+    """Raise ConstructionInconsistent unless the nodes found match sigma one to one within
+    CIRCLE_TOL: greedy in sigma's order, each taking the nearest unused node."""
+    if len(found) != len(sigma):
+        raise ConstructionInconsistent(
+            f"{len(found)} royal nodes found for the spec's {len(sigma)}")
+    if not sigma:
+        return
+    dist = modulus(np.subtract.outer(np.array(sigma), np.array(found)))
+    pick = np.argmin(dist, axis=1)
+    if len(set(pick.tolist())) < len(pick):
+        # two spec nodes share a nearest node: each takes the nearest unused one in turn
+        free = np.ones(len(found), dtype=bool)
+        for i, row in enumerate(dist):
+            pick[i] = np.flatnonzero(free)[np.argmin(row[free])]
+            free[pick[i]] = False
+    worst = float(dist[np.arange(len(pick)), pick].max())
+    if worst > CIRCLE_TOL:
+        raise ConstructionInconsistent(
+            f"a royal node lies {worst:.3e} from its spec node, above CIRCLE_TOL")
 
 
 @dataclass(frozen=True)
@@ -223,7 +250,7 @@ def validate(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
 
 def eval_function(x: TetraRational, lam: complex) -> TetraPoint:
     """Value of the function at a point of the closed disc."""
-    if not abs(lam) <= 1.0 + 1e-9:   # NaN fails it
+    if not abs(lam) <= 1.0 + CIRCLE_TOL:   # NaN fails it
         raise ValueError(f"|lam| = {abs(lam)} is outside the closed disc")
     dv = x.d.eval(lam)
     if abs(dv) < DENOMINATOR_POLE_TOL:
@@ -300,7 +327,10 @@ def royal_nodes(x: TetraRational) -> tuple[RoyalNode, ...]:
     half of their even raw order as multiplicity.  A function that
     construct returned takes the Newton limits from its spec's nodes where
     they account for every root (see polycx.circle_split); any other
-    function solves.  The result is kept on x; a raised error is not kept.
+    function solves.  Such a function's nodes, counted with multiplicity,
+    must then match its spec's one to one within CIRCLE_TOL, each spec node
+    in turn taking the nearest unused one, or ConstructionInconsistent is
+    raised.  The result is kept on x; a raised error is not kept.
     """
     return x._royal_nodes
 

@@ -91,6 +91,39 @@ def match_multiset(expected, recovered, tol):
     return worst
 
 
+def node_error(sigma, nodes) -> float:
+    """Greedy one-to-one distance of royal nodes, counted with multiplicity,
+    from the spec nodes sigma, in sigma's order; inf when the counts differ."""
+    found = [nd.location for nd in nodes for _ in range(nd.multiplicity)]
+    if len(found) != len(sigma):
+        return float("inf")
+    worst = 0.0
+    for s in sigma:
+        best = min(range(len(found)), key=lambda i: abs(found[i] - s))
+        worst = max(worst, abs(found.pop(best) - s))
+    return worst
+
+
+def compose_blaschke(x, zeros):
+    """(e1, e2, d, n m) of x composed with the Blaschke product B = num/den of the m zeros.
+
+    num = prod (lam - a) and den = prod (1 - conj(a) lam) have leading constant
+    1 (a unimodular constant c would rotate the reflection identity by c^n).
+    Each of e1, e2 and d, of formal degree n, becomes sum_j c_j num^j den^(n - j):
+    e(B) den^n, and reflecting d(B) den^n at index n m gives d~n(B) den^n.
+    """
+    num = product([Polynomial((-a, 1)) for a in zeros])
+    den = product([Polynomial((1, -np.conj(a))) for a in zeros])
+
+    def compose(p):
+        total = Polynomial(())
+        for j in range(x.n + 1):
+            total = total + product([num] * j + [den] * (x.n - j)).scale(p.coeff(j))
+        return total
+
+    return compose(x.e1), compose(x.e2), compose(x.d), x.n * len(zeros)
+
+
 def pairwise_product(first, factors):
     """Left-to-right product formed one pair at a time, each pair convolved and
     trimmed into a Polynomial: the reference for polycx.product."""

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tetrainner
-from helpers import count_solves
+from helpers import count_solves, random_construction_spec
 from tetrainner import errors
 from tetrainner.cli import (EXIT_NUMERICAL, EXIT_PARSE, EXIT_PRECONDITION, _build_parser, main,
                             main_entry)
@@ -129,6 +129,20 @@ def test_construct_tiny_scales_fail_loudly(tmp_path, capsys, scale, exit_code):
             "t_plus": 1.0, "t": [1.0, 0.0], **scale}
     code, out = _run(capsys, ["construct", _write(tmp_path, "spec.json", spec)])
     assert code == exit_code and out == ""
+
+
+def test_construct_with_royal_nodes_off_its_spec_exits_4(tmp_path, capsys):
+    # n = 16, k = 8: one royal node of the constructed function lies 1.23e-5 off its sigma
+    spec = random_construction_spec(np.random.default_rng(79), 16, k_circle=8)
+    payload = {name: [[z.real, z.imag] for z in getattr(spec, name)]
+               for name in ("alpha1", "alpha2", "sigma")}
+    payload |= {"t_plus": spec.t_plus, "t": [spec.t.real, spec.t.imag],
+                "omega": [spec.omega.real, spec.omega.imag]}
+    code = main(["construct", _write(tmp_path, "spec.json", payload)])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL and captured.out == ""
+    assert captured.err == ("error: ConstructionInconsistent: a royal node lies 1.229e-05 "
+                            "from its spec node, above CIRCLE_TOL\n")
 
 
 def test_verify_worked_function(tmp_path, capsys):

@@ -4,9 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import (coeff_bits, count_disc_tests, count_solves, match_multiset,
+from helpers import (coeff_bits, count_disc_tests, count_solves, match_multiset, node_error,
                      pairwise_product, random_construction_spec)
-from tetrainner import extremal, polycx
+from tetrainner import extremal, polycx, tetrafun
 from tetrainner.boundary import TetraRegion, classify_tetra
 from tetrainner.construct import (
     ConstructionSpec,
@@ -28,12 +28,14 @@ from tetrainner.errors import (
 from tetrainner.polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, Polynomial, coeff_distance, from_roots,
                                roots, unit_circle)
 from tetrainner.tetrafun import (
+    RoyalNode,
     degree,
     eval_function,
     from_json_dict,
     royal_nodes,
     royal_polynomial,
     to_json_dict,
+    type_nk,
     validate,
 )
 
@@ -322,6 +324,14 @@ def test_perturbation_halves_reuse_the_disc_test_of_d(monkeypatch, k_circle):
         spec = random_construction_spec(np.random.default_rng(79), n, k_circle=k_circle * n // 8)
         calls = count_disc_tests(monkeypatch)
         x = construct(spec)
+        if (n, k_circle) == (16, 4):
+            # a node of this function lies 1.23e-5 off its sigma, so its nodes
+            # raise; its JSON copy carries no seeds and is counted instead
+            with pytest.raises(ConstructionInconsistent, match="from its spec node"):
+                recover_data(x)
+            calls.clear()
+            x = from_json_dict(to_json_dict(x))
+            assert node_error(spec.sigma, royal_nodes(x)) > CIRCLE_TOL
         recover_data(x)
         result = extremal.perturb_nonextreme(x)
         assert result.x_plus.d is result.x_minus.d is x.d
@@ -391,6 +401,10 @@ def _assert_same_roots(x, copy):
     """x's nodes and zeros have the structure of copy's, which were solved, at
     locations within the rounding bound of the Newton pass."""
     nodes, solved = _nodes_or_error(x), _nodes_or_error(copy)
+    if nodes is ConstructionInconsistent:
+        # x's nodes are off its seeds, and so are the copy's, which carries none
+        assert node_error(royal_polynomial(x)._node_seeds, solved) > CIRCLE_TOL
+        return
     if not isinstance(solved, tuple):
         assert nodes is solved
         return
@@ -460,6 +474,49 @@ def test_seeded_roots_edge_specs(monkeypatch, spec, seeds, royal_seeded):
     assert solves == ([] if seeds is None else [x.e1.degree])
     monkeypatch.undo()
     _assert_same_roots(x, from_json_dict(to_json_dict(x)))
+
+
+# n = 16, k = 8: one royal node of the constructed function lies 1.23e-5 off its sigma
+OFF_SPEC = random_construction_spec(np.random.default_rng(79), 16, k_circle=8)
+
+
+@pytest.mark.parametrize("read", [recover_data, type_nk, extremal.perturb_nonextreme])
+def test_royal_nodes_off_the_spec_raise_when_read(read):
+    x = construct(OFF_SPEC)
+    with pytest.raises(ConstructionInconsistent,
+                       match=r"^a royal node lies 1\.229e-05 from its spec node, above CIRCLE_TOL$"):
+        read(x)
+    with pytest.raises(ConstructionInconsistent):   # the error is not kept
+        royal_nodes(x)
+    # a JSON copy carries no seeds: it returns the nodes that x found off its spec
+    assert node_error(OFF_SPEC.sigma, royal_nodes(from_json_dict(to_json_dict(x)))) > CIRCLE_TOL
+
+
+def test_royal_nodes_raise_when_their_count_is_not_the_specs():
+    spec = random_construction_spec(np.random.default_rng(5), 8, k_circle=2)
+    x = construct(spec)
+    object.__setattr__(royal_polynomial(x), "_node_seeds", spec.sigma[1:])
+    with pytest.raises(ConstructionInconsistent, match="^8 royal nodes found for the spec's 7$"):
+        royal_nodes(x)
+
+
+def test_the_node_match_is_the_greedy_loop_of_the_reference():
+    # the first two share a nearest node, which the first spec node takes
+    cases = [((0.0, 0.1), (0.04, 0.3)), ((0.1, 0.0), (0.04, 0.3)),
+             ((0.3, 0.3), (0.3 + 2e-7, 0.3 - 2e-7))]
+    rng = np.random.default_rng(89)
+    for _ in range(300):
+        m = int(rng.integers(1, 7))
+        sigma = 0.3 * (rng.normal(size=m) + 1j * rng.normal(size=m))
+        moved = sigma + 10.0 ** rng.uniform(-8, -1) * (rng.normal(size=m) + 1j * rng.normal(size=m))
+        cases.append((tuple(sigma), tuple(rng.permutation(moved))))
+    for sigma, found in cases:
+        worst = node_error(sigma, [RoyalNode(z, 1, 1, False) for z in found])
+        if worst <= CIRCLE_TOL:
+            tetrafun._match_spec(sigma, list(found))
+            continue
+        with pytest.raises(ConstructionInconsistent, match=f"lies {worst:.3e} from"):
+            tetrafun._match_spec(sigma, list(found))
 
 
 def _mp_root(mpmath, coeffs, z):

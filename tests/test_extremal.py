@@ -387,6 +387,19 @@ def test_perturbation_halves_carry_their_samples(monkeypatch, n, k):
     assert len(calls) == (3 if k else 0) + 2
 
 
+def test_perturbation_halves_keep_the_mode_their_function_was_validated_in():
+    # d = 1 + lam vanishes at -1, which only lenient validation accepts; the
+    # royal polynomial lam (1 + lam)^2 gives type (2, 1)
+    x = validate(Polynomial(()), Polynomial(()), Polynomial((1, 1)), 2, strict=False)
+    result = perturb_nonextreme(x)
+    assert result.method is PerturbationMethod.G_PERTURB_EVEN
+    assert not result.x_plus.strict and not result.x_minus.strict
+    # k = 0: scale_nonextreme keeps the mode too
+    x = validate(Polynomial((0.5,)), Polynomial((0, 0.5)), Polynomial((2,)), 1, strict=False)
+    result = scale_nonextreme(x)
+    assert not result.x_plus.strict and not result.x_minus.strict
+
+
 def test_perturb_rejects_majority_circle_nodes():
     rng = np.random.default_rng(75)
     x = construct(random_construction_spec(rng, 3, k_circle=2))

@@ -189,16 +189,21 @@ def test_factor_keeps_near_circle_root_off_the_circle():
     assert min(abs(loc - near) for loc, _ in roots(d).entries) < 1e-9
 
 
-def test_factor_asks_the_strict_disc_question_first_and_falls_back_to_is_outer(monkeypatch):
+def test_factor_keeps_a_cepstral_d_only_if_it_is_zero_free_up_to_the_strict_radius(monkeypatch):
     # D has a root between 1 and 1 + CIRCLE_TOL: outer, but not zero-free up
-    # to 1 + CIRCLE_TOL.  The cepstral start of so near a circle zero aliases,
-    # so the test hands Newton D itself and checks the acceptance rule.
+    # to 1 + CIRCLE_TOL, which strict validation asks of d next.  The cepstral
+    # start of so near a circle zero aliases, so the test hands Newton D itself;
+    # D fails the disc test and the root path solves P = lam^2 p once
     d_ref = from_roots([1.0 + 5e-7, 3.0])
     monkeypatch.setattr(fejriesz, "_cepstral", lambda vals, m: zero_pad(d_ref.coeffs, m))
     solves = count_solves(monkeypatch)
     d = factor(modulus_squared_on_circle(d_ref))
-    assert solves == [] and coeff_distance(d, d_ref) < 1e-12
-    assert d._zero_free == {1.0 + CIRCLE_TOL: False, 1.0 - 1e-9: True}
+    assert solves == [4] and coeff_distance(d, d_ref) < 1e-8
+
+
+def test_is_outer_asks_the_open_disc_question_of_lenient_validation():
+    assert is_outer(from_roots([1.0 - 5e-7]))
+    assert not is_outer(from_roots([1.0 - 2e-6]))
 
 
 def test_is_outer_circle_zero_allowed():

@@ -3,8 +3,9 @@ import ast
 import numpy as np
 import pytest
 
-from helpers import (count_disc_tests, count_ifft, count_python_calls, count_solves,
-                     random_construction_spec)
+from helpers import (compose_blaschke, count_disc_tests, count_ifft, count_python_calls,
+                     count_solves, random_construction_spec, random_disc_point,
+                     separated_points)
 from tetrainner import polycx, tetrafun
 from tetrainner.boundary import TetraPoint, TetraRegion, classify_tetra, psi, tetra_defect
 from tetrainner.construct import construct
@@ -222,6 +223,14 @@ def test_eval_function_rejects_far_point_and_pole():
         eval_function(x, 1.0)
 
 
+def test_eval_function_takes_the_closed_disc_up_to_circle_tol():
+    x = worked_example()
+    assert eval_function(x, 1.0 + 5e-7) == TetraPoint(*(
+        p.eval(1.0 + 5e-7) / x.d.eval(1.0 + 5e-7) for p in (x.e1, x.e2, x.d_reflected)))
+    with pytest.raises(ValueError, match="outside the closed disc"):
+        eval_function(x, 1.0 + 2e-6)
+
+
 @pytest.mark.parametrize("lam", [float("nan"), complex(0.5, float("nan")), float("inf"),
                                  complex(float("inf"), 0.0)])
 def test_eval_function_rejects_non_finite_points(lam):
@@ -355,6 +364,14 @@ def test_type_nk_monomial():
 
 def test_type_nk_royal_variety_flag():
     assert type_nk(royal_variety_spec()).royal_variety_flag
+
+
+def test_the_royal_variety_is_where_the_two_products_agree():
+    # d~n d = lam^2 and e1 e2 = (1 + 1e-11)^2 lam^2 are one polynomial to AGREE_TOL
+    e = Polynomial((0, 1.0 + 1e-11))
+    x = validate(e, e, Polynomial((1,)), 2)
+    assert royal_polynomial(x).max_coeff() > 1e-11
+    assert is_royal_variety(x) and type_nk(x) == TypeNK(0, 0, royal_variety_flag=True)
 
 
 def test_type_nk_circle_and_interior():
@@ -719,6 +736,23 @@ def _reflected_count(x, circle_tol=1e-6):
     if dr.degree <= 0:
         return 0
     return sum(order for loc, order in polycx.roots(dr).entries if abs(loc) < 1.0 - circle_tol)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("half", [False, True])
+def test_degree_multiplies_under_composition_with_a_blaschke_product(n, half):
+    # the paper reads the degree off pi_1 of the circle, which composition
+    # with a Blaschke product of degree m multiplies by m.  The zeros are kept
+    # 0.5 apart: three of modulus 0.65-0.76 within 0.31 of each other expand
+    # d(B) den^n so badly that rounding its exact coefficients to double moves
+    # roots from 1.018 to 0.943, and strict validation rightly rejects it
+    rng = np.random.default_rng([83, n, half])
+    for _ in range(4):
+        x = construct(random_construction_spec(rng, n, k_circle=n // 2 if half else 0))
+        for m in (1, 2, 3):
+            zeros = separated_points(rng, m, 0.5, lambda r: random_disc_point(r, 0.8))
+            y = validate(*compose_blaschke(x, zeros))
+            assert degree(y) == winding_number(y) == m * degree(x) == m * n
 
 
 def test_degree_of_an_unvalidated_strict_triple_counts_the_reflection():

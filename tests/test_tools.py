@@ -64,6 +64,28 @@ def test_compare_prints_the_node_errors_at_each_flip(output_digest, capsys):
     assert output_digest.compare("pipeline-high", old, [row[:2] for row in ours]) == 3
     assert "item 0" not in capsys.readouterr().out
 
+    # a loud item shows the class of its error where it has no node error
+    theirs = [row + [None] for row in theirs]
+    ours = [row + [None] for row in ours]
+    ours[2][5] = "ConstructionInconsistent"
+    theirs[1][1:] = ["silent", 16, 0, 1.38e-6, None]
+    ours[1][1:] = ["loud", 16, 0, None, "OddCircleRootOrder"]
+    assert output_digest.compare("pipeline-high", ours, theirs) == 3
+    out = capsys.readouterr().out
+    assert "item 1 (16, 0): node error 1.38e-06 -> OddCircleRootOrder" in out
+    assert "item 2 (32, 16): node error - -> ConstructionInconsistent" in out
+    # files of five fields, written before the error class was kept, print - there
+    assert output_digest.compare("pipeline-high", [row[:5] for row in ours], theirs) == 3
+    assert "item 1 (16, 0): node error 1.38e-06 -> -" in capsys.readouterr().out
+    assert output_digest.compare("pipeline-high", ours, [row[:5] for row in theirs]) == 3
+    assert "item 2 (32, 16): node error - -> ConstructionInconsistent" in capsys.readouterr().out
+
+    # the class is read off the run's error text; a set-up failure has none
+    assert [output_digest._error_class(row) for row in (
+        ("h", "loud", "ConstructionInconsistent: a royal node lies 1.229e-05 ..."),
+        ("h", "crash", "KeyError: 'x'"), ("h", "loud", ""), ("h", "pass", "(1,2)"))] == \
+        ["ConstructionInconsistent", "KeyError", None, None]
+
 
 def test_library_items_keep_each_items_own_node_error(output_digest):
     class Item:

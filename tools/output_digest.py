@@ -18,17 +18,20 @@ same complex numbers digest alike.  The per-item digests go to FILE
 (default ``output-digest-seed<N>.json`` in the working directory), each as
 a ``[digest, outcome]`` pair: pass, silent, loud or crash for a library
 item, the exit code for a CLI input.  A library item's entry goes on with
-its n, its k and the node error its check recorded
-(``construct.node_err.max`` of that item alone; null when the check records
-none or did not run): ``[digest, outcome, n, k, node_err]``.
+its n, its k, the node error its check recorded (``construct.node_err.max``
+of that item alone; null when the check records none or did not run) and
+the class of the error the library raised (null for a pass or silent item
+and for an item whose set-up failed): ``[digest, outcome, n, k, node_err,
+error]``.
 
 With ``--compare OTHER.json`` (a FILE of an earlier run, say of the parent
 commit), each workload also prints the positions of the items whose digests
 differ and a table of outcome flips, read as OTHER's outcome -> this run's,
 with their count and positions (``silent -> pass  1  items 29``), then for
-each flipped item its (n, k) and its node error on both sides.  OTHER may
-hold two-field entries; their node errors print as ``-``.  The exit status
-is 1 when any item of any workload differs.
+each flipped item its (n, k) and on both sides its node error, or else the
+error class (``node error 1.38e-06 -> ConstructionInconsistent``).  OTHER
+may hold entries of two or five fields; what they lack prints as ``-``.
+The exit status is 1 when any item of any workload differs.
 """
 
 from __future__ import annotations
@@ -108,6 +111,12 @@ def library_items(wl, items, tetra_error):
         yield (head, outcome, canon(output)), tail
 
 
+def _error_class(row) -> str | None:
+    """The class of the error a library item's run raised, read off its row."""
+    outcome, output = row[1:]
+    return output.partition(":")[0] if outcome in ("loud", "crash") and output else None
+
+
 def cli_items(wl, items, cli):
     """((input, exit code, stdout and stderr), []) per distinct cli-batch input."""
     for item in items[:wl.distinct]:
@@ -124,11 +133,14 @@ def cli_items(wl, items, cli):
 
 
 def _node_error_change(theirs: list, ours: list) -> str:
-    """'(n, k): node error OTHER's -> this run's' of one library item's entries."""
-    n, k = (ours if len(ours) == 5 else theirs)[2:4]
+    """'(n, k): node error OTHER's -> this run's' of one library item's entries;
+    a side with no node error shows its error class."""
+    n, k = (ours if len(ours) >= 5 else theirs)[2:4]
 
     def err(row):
-        return "-" if len(row) < 5 or row[4] is None else f"{row[4]:.3g}"
+        if len(row) >= 5 and row[4] is not None:
+            return f"{row[4]:.3g}"
+        return row[5] if len(row) == 6 and row[5] else "-"
 
     return f"({n}, {k}): node error {err(theirs)} -> {err(ours)}"
 
@@ -149,7 +161,7 @@ def compare(name: str, ours: list, theirs: list) -> int:
     for key, items in sorted(flips.items()):
         print(f"  {key:16s} {len(items):4d}  items", " ".join(map(str, items)))
         for i in items:
-            if max(len(theirs[i]), len(ours[i])) == 5:   # a library item
+            if max(len(theirs[i]), len(ours[i])) >= 5:   # a library item
                 print(f"    item {i} {_node_error_change(theirs[i], ours[i])}")
     if not flips:
         print("  no outcome flips")
@@ -183,7 +195,7 @@ def main(argv=None) -> int:
         rows = (cli_items(wl, items, cli) if name == "cli-batch"
                 else library_items(wl, items, TetraError))
         per_item[name] = [[hashlib.sha256("\n".join(row).encode()).hexdigest(), row[1], *tail]
-                          for row, tail in rows]
+                          + ([_error_class(row)] if tail else []) for row, tail in rows]
         total = hashlib.sha256("".join(row[0] for row in per_item[name]).encode()).hexdigest()
         print(f"{name:14s} seed={args.seed} items={len(per_item[name]):4d} sha256={total}")
     out = args.out or Path(f"output-digest-seed{args.seed}.json")
