@@ -104,13 +104,13 @@ class Polynomial(CoefficientArray):
                 return RootMultiset(_entries(z, np.ones(len(z), dtype=int)))
         z = _companion_roots(self.coeffs)
         with np.errstate(all="ignore"):
-            fz, dfz = _value_and_slope(self.coeffs, z)
-            cand = z - fz / dfz
+            # p' as a list, not a Polynomial, which would reject a coefficient that overflows
+            fz = self.eval(z)
+            cand = z - fz / _horner(_derivative(self.coeffs).tolist(), z)
             better = np.isfinite(cand) & (np.abs(self.eval(cand)) <= np.abs(fz))
-        z = np.where(better, cand, z)
-        member = _components(z, CLUSTER_TOL)
-        orders = member.sum(axis=1)
-        return RootMultiset(_entries(member @ z / orders, orders))
+        locs, orders, _ = _merge(np.where(better, cand, z), np.ones(len(z), dtype=int),
+                                 CLUSTER_TOL)
+        return RootMultiset(_entries(locs, orders))
 
     @cached_property
     def _zero_free(self) -> dict:
@@ -131,10 +131,7 @@ class Polynomial(CoefficientArray):
 
     def eval(self, z):
         """Horner evaluation at a scalar, or elementwise at an ndarray of points."""
-        acc = 0j * z
-        for c in reversed(self._coeff_tuple):
-            acc = acc * z + c
-        return acc
+        return _horner(self._coeff_tuple, z)
 
     @cached_property
     def on_circle(self) -> np.ndarray:
@@ -212,6 +209,15 @@ class Polynomial(CoefficientArray):
         if len(scaled.coeffs) == len(a) and "_zero_free" in self.__dict__:
             scaled.__dict__["_zero_free"] = dict(self._zero_free)
         return scaled
+
+
+def _horner(coeffs, z):
+    """Horner's rule for the ascending coefficients coeffs (Python numbers), at
+    a scalar or elementwise at an ndarray of points."""
+    acc = 0j * z
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -341,6 +347,14 @@ def _components(points, tol):
         labels = spread
 
 
+def _merge(points, orders, tol):
+    """The order-weighted mean and the total order of each _components(points,
+    tol) cluster of the points of the given orders, and the membership matrix."""
+    member = _components(points, tol)
+    total = member @ orders
+    return member @ (orders * points) / total, total, member
+
+
 def _entries(locs, orders):
     """(location, order) pairs in the library's canonical order."""
     if len(locs) < 2:
@@ -429,11 +443,9 @@ def reflected_roots(p: Polynomial, n: int) -> RootMultiset:
     pairs = [(1 / loc.conjugate(), order) for loc, order in roots(p).entries if loc]
     if n > p.degree:
         pairs.append((0j, n - p.degree))
-    locs = np.array([loc for loc, _ in pairs], dtype=complex)
-    orders = np.array([order for _, order in pairs], dtype=int)
-    member = _components(locs, CLUSTER_TOL)
-    total = member @ orders
-    return RootMultiset(_entries(member @ (orders * locs) / total, total))
+    locs, total, _ = _merge(np.array([loc for loc, _ in pairs], dtype=complex),
+                            np.array([order for _, order in pairs], dtype=int), CLUSTER_TOL)
+    return RootMultiset(_entries(locs, total))
 
 
 def _derivative(c: np.ndarray) -> np.ndarray:
@@ -458,23 +470,11 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     return np.concatenate((np.linalg.eigvals(companion), np.zeros(low, dtype=complex)))
 
 
-def _value_and_slope(c: np.ndarray, z: np.ndarray) -> tuple:
-    """p(z) and p'(z) for the polynomial p with ascending coefficients c, in one
-    Horner pass over two rows; bit for bit Polynomial(c).eval(z) and the eval
-    of p' (whose trim keeps every coefficient of a trimmed c).
-
-    eval starts from 0j * z.  A step from 0j with coefficient -0j reaches
-    exactly that, since adding -0 changes no value, and a step with +0j
-    turns any signed zero into +0.  So row 0 (c, then -0j) starts one step
-    in and row 1 (p', then -0j, then +0j) two steps in.
-    """
-    rows = np.zeros((2, len(c) + 1), dtype=complex)
-    rows[0, :-1], rows[0, -1] = c, -0j
-    rows[1, :-2], rows[1, -2] = _derivative(c), -0j
-    acc = 0j
-    for col in rows.T[::-1, :, None]:
-        acc = acc * z + col
-    return acc[0], acc[1]
+def _power_eval(f: np.ndarray, z: np.ndarray) -> tuple:
+    """f(z), f'(z) and the power matrix z_i^j of the polynomial with ascending
+    coefficients f, at every point z_i at once."""
+    powers = z[:, None] ** np.arange(len(f))
+    return powers @ f, powers[:, :-1] @ _derivative(f), powers
 
 
 def _newton_limits(f: np.ndarray, seeds) -> tuple:
@@ -488,13 +488,11 @@ def _newton_limits(f: np.ndarray, seeds) -> tuple:
     forming it rounded 30-175 times more than this bound at the nodes of
     n = 24-32 specs.
     """
-    df, exponents = _derivative(f), np.arange(len(f))
     c, last = np.asarray(seeds, dtype=complex), np.inf
     with np.errstate(all="ignore"):
         for _ in range(64):
-            powers = c[:, None] ** exponents
-            slope = powers[:, :-1] @ df
-            step = (powers @ f) / slope
+            value, slope, powers = _power_eval(f, c)
+            step = value / slope
             size = np.abs(step)
             shrinks = size < last
             if not (shrinks & (size > 4 * EPS * np.abs(c))).any():
@@ -534,7 +532,7 @@ def _seeded_split(p: Polynomial, seeds, circle_tol: float) -> tuple | None:
             c, c_bound, ddp, converged = _newton_limits(_derivative(p.coeffs), c)
             join = 2.0 * np.sqrt(2.0 * (circle_tol + c_bound))
             if not (converged and np.all(np.abs(np.abs(c) - 1.0) <= circle_tol + c_bound)
-                    and np.all(np.sqrt(np.abs(2.0 * p.eval(c) / ddp)) <= join)):
+                    and np.all(np.sqrt(np.abs(2.0 * _power_eval(p.coeffs, c)[0] / ddp)) <= join)):
                 return None
         s, bound, _, converged = _newton_limits(p.coeffs, seeds[~on])
         paired = seeds[~on] != 0
@@ -587,8 +585,8 @@ def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
         # How far rounding alone can move each root: the Horner bound over
         # |p'| for a simple root, both from one power matrix; a merged entry
         # is known to CLUSTER_TOL.
-        powers = z[:, None] ** np.arange(len(p.coeffs))
-        simple = p.degree * EPS * (np.abs(powers) @ np.abs(p.coeffs)) / np.abs(powers[:, :-1] @ dp)
+        _, slope, powers = _power_eval(p.coeffs, z)
+        simple = p.degree * EPS * (np.abs(powers) @ np.abs(p.coeffs)) / np.abs(slope)
         slack = circle_tol + np.where(orders > 1, CLUSTER_TOL, simple)
         joined = dist <= 2.0 * np.sqrt(2.0 * slack)
         locs, total = z[:0], orders[:0]
@@ -596,9 +594,7 @@ def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
             c, rounding, _, _ = _newton_limits(dp, z[joined])
             close = np.abs(c - z[joined]) <= 2.0 * np.sqrt(2.0 * (circle_tol + rounding))
             joined[joined] = close
-            member = _components(c[close], 2.0 * rounding[close])
-            total = member @ orders[joined]
-            locs = member @ (orders[joined] * c[close]) / total
+            locs, total, member = _merge(c[close], orders[joined], 2.0 * rounding[close])
             on_circle = np.abs(np.abs(locs) - 1.0) <= circle_tol + np.max(
                 np.where(member, rounding[close], 0.0), axis=1, initial=0.0)
             joined[joined] = member[on_circle].any(axis=0)

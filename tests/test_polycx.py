@@ -163,7 +163,7 @@ def test_eigvals_called_only_in_polycx():
 
 def _solver_inputs(rng):
     """Complex, real and real-negated (signed zero) coefficients of degree 0-64,
-    with 0-3 exact-zero low coefficients, and points with signed zeros."""
+    with 0-3 exact-zero low coefficients."""
     for trial in range(240):
         deg = int(rng.integers(0, 65))
         c = rng.normal(size=deg + 1) + 0j
@@ -173,22 +173,12 @@ def _solver_inputs(rng):
             c = -np.round(c, 1)
         c[:min(int(rng.integers(0, 4)), deg)] = 0.0
         c[-1] = c[-1] or 1.0
-        z = np.roots(c[::-1])
-        yield c, np.concatenate([z, np.round(z.real, 1) + 0j, -np.round(z.real, 1) + 0j,
-                                 np.conj(z), [0j, -0j, complex(-0.0, 0.0)]])
+        yield c
 
 
 def test_companion_roots_equal_np_roots_bit_for_bit():
-    for c, _ in _solver_inputs(np.random.default_rng(41)):
+    for c in _solver_inputs(np.random.default_rng(41)):
         assert polycx._companion_roots(c).tobytes() == np.roots(c[::-1]).astype(complex).tobytes()
-
-
-def test_value_and_slope_equal_the_eval_pair_bit_for_bit():
-    for c, z in _solver_inputs(np.random.default_rng(42)):
-        fz, dfz = polycx._value_and_slope(c, z)
-        p = Polynomial(c)
-        assert fz.tobytes() == p.eval(z).tobytes()
-        assert dfz.tobytes() == Polynomial(polycx._derivative(p.coeffs)).eval(z).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
@@ -239,7 +229,7 @@ def test_components_match_a_plain_search(points, tol):
 
 
 def test_roots_of_a_polynomial_whose_derivative_overflows():
-    # 2 * 1e308 overflows: the polish reads p' as an array, not as a Polynomial
+    # 2 * 1e308 overflows: the polish reads p' as a coefficient list, not as a Polynomial
     # (which would reject the infinite coefficient), and keeps the eigenvalues
     (minus_one, order_a), (zero, order_b) = roots(Polynomial((0, 1e308, 1e308))).entries
     assert abs(minus_one + 1) <= 1e-15 and zero == 0 and order_a == order_b == 1
