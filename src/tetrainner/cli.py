@@ -255,8 +255,7 @@ def main(argv=None) -> int:
             sys.stdout.write(text + "\n")
         return EXIT_OK
     # UnicodeDecodeError is a ValueError, so it must be caught before the precondition clause
-    except (MalformedInput, json.JSONDecodeError, UnicodeDecodeError, OSError, KeyError,
-            TypeError) as exc:
+    except (MalformedInput, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         return _fail(str(exc), EXIT_PARSE)
     except TetraError as exc:
         return _fail(f"{type(exc).__name__}: {exc}", exc.cli_exit_code)

@@ -43,6 +43,12 @@ def modulus(a: np.ndarray) -> np.ndarray:
     return np.hypot(a.real, a.imag)
 
 
+def _finite_modulus(a: np.ndarray) -> bool:
+    """True iff every entry of a has a finite modulus; np.abs, unlike Python's
+    abs, returns inf for one past the largest float, and maximum passes NaN on."""
+    return np.maximum.reduce(np.abs(a), initial=0.0) < np.inf
+
+
 def zero_pad(a: np.ndarray, m: int) -> np.ndarray:
     """a followed by zeros up to length m."""
     return np.concatenate((a, np.zeros(max(m - len(a), 0))))
@@ -58,10 +64,11 @@ class CoefficientArray:
     """Frozen dataclass base: coeffs is a read-only complex128 array; == compares values."""
 
     def _set_coeffs(self, c: np.ndarray):
-        """Keep c as coeffs, read-only; NonFiniteCoefficient if an entry is NaN or infinite."""
-        if not np.isfinite(c).all():
+        """Keep c as coeffs, read-only; NonFiniteCoefficient if an entry's modulus
+        is NaN or infinite, as it is for finite parts past the largest float."""
+        if not _finite_modulus(c):
             raise NonFiniteCoefficient(f"{type(self).__name__} coefficient "
-                                       f"{complex(c[~np.isfinite(c)][0])} is not finite")
+                                       f"{complex(c[~np.isfinite(np.abs(c))][0])} is not finite")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -102,8 +109,8 @@ class Polynomial(CoefficientArray):
             z, bound, _, converged = _newton_limits(self.coeffs, seeds)
             if converged and _distinct(z, bound):
                 return RootMultiset(_entries(z, np.ones(len(z), dtype=int)))
-        z = _companion_roots(self.coeffs)
         with np.errstate(all="ignore"):
+            z = _companion_roots(self.coeffs)
             # p' as a list, not a Polynomial, which would reject a coefficient that overflows
             fz = self.eval(z)
             cand = z - fz / _horner(_derivative(self.coeffs).tolist(), z)
@@ -223,8 +230,11 @@ def _horner(coeffs, z):
 def _trim(c: np.ndarray) -> np.ndarray:
     """c without its trailing coefficients of modulus TRIM_TOL or below."""
     k = len(c)
-    while k and abs(c.item(k - 1)) <= TRIM_TOL:
-        k -= 1
+    try:
+        while k and abs(c.item(k - 1)) <= TRIM_TOL:
+            k -= 1
+    except OverflowError:   # a modulus past the largest float is above TRIM_TOL
+        pass
     return c if k == len(c) else c[:k]
 
 
@@ -425,11 +435,14 @@ def _schur_cohn(q: np.ndarray) -> bool:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
         q = q / q[0]
-        while len(q) > 1:
-            a = q.item(-1)
-            if not abs(a) < 1.0:
-                return False
-            q = (q[:-1] - a * np.conj(q[:0:-1])) / (1.0 - abs(a) ** 2)
+        try:
+            while len(q) > 1:
+                a = q.item(-1)
+                if not abs(a) < 1.0:
+                    return False
+                q = (q[:-1] - a * np.conj(q[:0:-1])) / (1.0 - abs(a) ** 2)
+        except OverflowError:   # an |a| past the largest float is above 1
+            return False
     return True
 
 
@@ -460,21 +473,29 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     With exact-zero ends stripped and p the descending rest, the eigenvalues
     of the companion matrix (ones on the subdiagonal, first row -p[1:]/p[0]),
     then one root 0 per zero low coefficient (Edelman & Murakami, Math.
-    Comp. 64, 1995).
+    Comp. 64, 1995).  NonFiniteCoefficient when the first row or an
+    eigenvalue (LAPACK may return NaN) has an entry of no finite modulus.
     """
     nonzero = np.flatnonzero(c)
     low = int(nonzero[0])
     p = c[low:nonzero[-1] + 1][::-1]
+    row = -p[1:] / p[0]
+    if not _finite_modulus(row):
+        raise NonFiniteCoefficient("the monic normalization of a polynomial overflows")
     companion = np.eye(len(p) - 1, k=-1, dtype=complex)
-    companion[:1] = -p[1:] / p[0]    # no row at all for a constant
-    return np.concatenate((np.linalg.eigvals(companion), np.zeros(low, dtype=complex)))
+    companion[:1] = row    # no row at all for a constant
+    z = np.linalg.eigvals(companion)
+    if not _finite_modulus(z):
+        raise NonFiniteCoefficient("an eigenvalue of the companion matrix is not finite")
+    return np.concatenate((z, np.zeros(low, dtype=complex)))
 
 
-def _power_eval(f: np.ndarray, z: np.ndarray) -> tuple:
+def _power_eval(f: np.ndarray, df: np.ndarray, z: np.ndarray) -> tuple:
     """f(z), f'(z) and the power matrix z_i^j of the polynomial with ascending
-    coefficients f, at every point z_i at once."""
+    coefficients f, at every point z_i at once; df is _derivative(f), which
+    a Newton loop forms once."""
     powers = z[:, None] ** np.arange(len(f))
-    return powers @ f, powers[:, :-1] @ _derivative(f), powers
+    return powers @ f, powers[:, :-1] @ df, powers
 
 
 def _newton_limits(f: np.ndarray, seeds) -> tuple:
@@ -488,10 +509,10 @@ def _newton_limits(f: np.ndarray, seeds) -> tuple:
     forming it rounded 30-175 times more than this bound at the nodes of
     n = 24-32 specs.
     """
-    c, last = np.asarray(seeds, dtype=complex), np.inf
+    df, c, last = _derivative(f), np.asarray(seeds, dtype=complex), np.inf
     with np.errstate(all="ignore"):
         for _ in range(64):
-            value, slope, powers = _power_eval(f, c)
+            value, slope, powers = _power_eval(f, df, c)
             step = value / slope
             size = np.abs(step)
             shrinks = size < last
@@ -529,10 +550,12 @@ def _seeded_split(p: Polynomial, seeds, circle_tol: float) -> tuple | None:
     c, join = seeds[on], np.zeros(0)
     with np.errstate(all="ignore"):
         if on.any():
-            c, c_bound, ddp, converged = _newton_limits(_derivative(p.coeffs), c)
+            dp = _derivative(p.coeffs)
+            c, c_bound, ddp, converged = _newton_limits(dp, c)
             join = 2.0 * np.sqrt(2.0 * (circle_tol + c_bound))
             if not (converged and np.all(np.abs(np.abs(c) - 1.0) <= circle_tol + c_bound)
-                    and np.all(np.sqrt(np.abs(2.0 * _power_eval(p.coeffs, c)[0] / ddp)) <= join)):
+                    and np.all(np.sqrt(np.abs(2.0 * _power_eval(p.coeffs, dp, c)[0] / ddp))
+                               <= join)):
                 return None
         s, bound, _, converged = _newton_limits(p.coeffs, seeds[~on])
         paired = seeds[~on] != 0
@@ -585,7 +608,7 @@ def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
         # How far rounding alone can move each root: the Horner bound over
         # |p'| for a simple root, both from one power matrix; a merged entry
         # is known to CLUSTER_TOL.
-        _, slope, powers = _power_eval(p.coeffs, z)
+        _, slope, powers = _power_eval(p.coeffs, dp, z)
         simple = p.degree * EPS * (np.abs(powers) @ np.abs(p.coeffs)) / np.abs(slope)
         slack = circle_tol + np.where(orders > 1, CLUSTER_TOL, simple)
         joined = dist <= 2.0 * np.sqrt(2.0 * slack)

@@ -219,3 +219,32 @@ def count_python_calls(fn, *args):
     finally:
         sys.setprofile(None)
     return len(calls)
+
+
+# Denominators, as [re, im] pairs, whose finite coefficients reach moduli past
+# the largest float in the root layer.  This one, at n = 8, has a monic
+# normalization of finite parts and infinite modulus (LAPACK returned NaN
+# eigenvalues for it):
+NAN_EIGENVALUE_D = [
+    [1.084199003538805e-300, -1.9846950697407997e-301],
+    [-0.13402129728057094, -0.07799734797639567],
+    [-7.006782571698392e-201, 2.8570544480458537e-201],
+    [-4.217113823848949e+198, 2.0249043953063277e+199],
+    [-1.76586344561926e-09, -1.9039390937118144e-09],
+    [-2.9432131364870965e-14, 3.2777745974353724e-14],
+    [1.1091776780748167e+300, 1.4843337887394463e+300],
+    [2.8400329156012123e+199, 3.788200388948896e+199],
+    [-8.814477298366143e-09, -1.216394716674983e-09],
+]
+# and this one, at n = 2, normalised to q(0) = 1 in the Schur-Cohn test, a top
+# coefficient of finite parts and infinite modulus; its roots lie in the disc
+SCHUR_COHN_OVERFLOW_D = [
+    [-2.8215613936234185e-09, 3.584375910364057e-09],
+    [-1.404258951302745e-300, -1.2176273266170255e-301],
+    [-7.7260933806217e+299, 4.331483451147009e+299],
+]
+
+
+def complex_list(pairs) -> list:
+    """[re, im] pairs as complex numbers."""
+    return [complex(*pair) for pair in pairs]

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import tetrainner
-from helpers import count_solves, random_construction_spec
-from tetrainner import errors
+from helpers import NAN_EIGENVALUE_D, SCHUR_COHN_OVERFLOW_D, count_solves, random_construction_spec
+from tetrainner import cli, errors
 from tetrainner.cli import (EXIT_NUMERICAL, EXIT_PARSE, EXIT_PRECONDITION, _build_parser, main,
                             main_entry)
 
@@ -698,6 +698,66 @@ def test_classify_overflowing_defect_exits_4_with_one_error_line(tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith("error: NonFiniteCoefficient: ")
     assert captured.err.count("\n") == 1
+
+
+# finite inputs whose moduli pass the largest float in the root layer: a
+# coefficient, the monic normalization's parts, and its modulus
+@pytest.mark.parametrize("payload", [
+    {"n": 0, "E1": [], "E2": [], "D": [[1.5e308, 1.5e308]]},
+    {"n": 2, "E1": [], "E2": [], "D": [1, 1e300, 1e-10]},
+    {"n": 8, "E1": [], "E2": [], "D": NAN_EIGENVALUE_D},
+])
+@pytest.mark.parametrize("command", ["verify", "analyze", "trace", "perturb"])
+def test_function_with_an_overflowing_modulus_exits_4_with_one_error_line(tmp_path, capsys,
+                                                                          payload, command):
+    assert main([command, _write(tmp_path, "func.json", payload)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: NonFiniteCoefficient: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", [
+    dict(WORKED_SPEC, t=[1.5e308, 1.5e308]),
+    # the node analysis solves a royal polynomial of end coefficients 3e-11 and
+    # middle ones 1.2e300, whose monic normalization overflows
+    {"alpha1": [[-0.5982229375882225, 0.08185841020140175]],
+     "alpha2": [[-0.15586950056955345, 0.13904116901904226]],
+     "sigma": [[5.3373859949389545e-301, 2.586178391343202e-301],
+               [0.34046609134867156, 0.34197397977472427]],
+     "t_plus": 1e300, "t": [1.5707046043724853e-05, 0]},
+])
+def test_construct_with_an_overflowing_modulus_exits_4_with_one_error_line(tmp_path, capsys,
+                                                                           spec):
+    assert main(["construct", _write(tmp_path, "spec.json", spec)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: NonFiniteCoefficient: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_d_whose_schur_cohn_coefficient_overflows_vanishes_in_the_disc(tmp_path, capsys):
+    path = _write(tmp_path, "func.json", {"n": 2, "E1": [], "E2": [], "D": SCHUR_COHN_OVERFLOW_D})
+    code, out = _run(capsys, ["verify", path])
+    conditions = {c["condition"]: c for c in json.loads(out)["conditions"]}
+    assert code == 0 and not json.loads(out)["valid"]
+    assert not conditions["denominator nonvanishing"]["passed"]
+    for command in ("analyze", "trace", "perturb"):
+        assert main([command, path]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ValidationError: DVanishesInDisc")
+        assert captured.err.count("\n") == 1
+
+
+def test_a_handler_that_raises_type_error_is_not_a_parse_error(tmp_path, monkeypatch):
+    # a TypeError or KeyError is a library fault: it escapes main rather than exit 2
+    def handler(data, args):
+        raise TypeError("a library fault")
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", (handler, ("--lenient",), None))
+    with pytest.raises(TypeError, match="a library fault"):
+        main(["analyze", _write(tmp_path, "func.json", ROYAL_VARIETY_FUNCTION)])
 
 
 # -- option surface: each command offers only the tuning flags it reads ---------

@@ -117,6 +117,8 @@ def test_non_finite_coefficients_are_rejected_on_construction():
         factor(TrigPolynomial((np.nan,)))
     with pytest.raises(NonFiniteCoefficient):
         TrigPolynomial((1.0, complex(0, np.inf)))
+    with pytest.raises(NonFiniteCoefficient, match="TrigPolynomial coefficient"):
+        TrigPolynomial((1.0, complex(1.5e308, 1.5e308), 1.0))
 
 
 def test_factor_constant_one():

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (coeff_bits, count_disc_tests, count_ifft, count_solves, mp_circle_values,
+from helpers import (NAN_EIGENVALUE_D, SCHUR_COHN_OVERFLOW_D, coeff_bits, complex_list,
+                     count_disc_tests, count_ifft, count_solves, mp_circle_values,
                      pairwise_product, random_construction_spec)
 import tetrainner
 from tetrainner.construct import construct
@@ -16,6 +17,7 @@ from tetrainner.errors import (
     ZeroPolynomialHasAllRoots,
 )
 from tetrainner.fejriesz import TrigPolynomial
+from tetrainner.tetrafun import validate
 from tetrainner import polycx
 from tetrainner.polycx import (
     CIRCLE_SAMPLES,
@@ -235,6 +237,59 @@ def test_roots_of_a_polynomial_whose_derivative_overflows():
     assert abs(minus_one + 1) <= 1e-15 and zero == 0 and order_a == order_b == 1
 
 
+@pytest.mark.parametrize("coeffs", [
+    (1, 1e300, 1e-10),                  # the normalization's parts overflow
+    complex_list(NAN_EIGENVALUE_D),     # its modulus does
+])
+def test_roots_raise_when_the_monic_normalization_overflows(coeffs):
+    with pytest.raises(NonFiniteCoefficient, match="monic normalization"):
+        roots(Polynomial(coeffs))
+
+
+def test_roots_raise_on_an_eigenvalue_that_is_not_finite(monkeypatch):
+    # LAPACK may return NaN eigenvalues; _components would drop them from the multiset
+    monkeypatch.setattr(polycx.np.linalg, "eigvals", lambda m: np.full(len(m), np.nan + 0j))
+    with pytest.raises(NonFiniteCoefficient, match="eigenvalue"):
+        roots(Polynomial((1, 2, 3)))
+
+
+def test_schur_cohn_reads_a_top_coefficient_past_the_float_range_as_not_zero_free():
+    assert not zero_free_disc(Polynomial(complex_list(SCHUR_COHN_OVERFLOW_D)), 1.0)
+    assert polycx._schur_cohn(np.array([1.0, complex(1.5e308, 1.5e308)])) is False
+
+
+def _extreme_draws(rng, count):
+    """(coefficients, degree) of degree 1-8, of random phase, with moduli near
+    powers of ten from 1e-300 to 1e300: their ratios and products leave the
+    float range when normalised, reflected and multiplied."""
+    scales = np.array([-300.0, -200.0, -100.0, -10.0, 0.0, 10.0, 100.0, 200.0, 300.0])
+    for _ in range(count):
+        deg = int(rng.integers(1, 9))
+        exponents = rng.choice(scales, size=deg + 1) + rng.uniform(-1, 1, size=deg + 1)
+        yield (10.0 ** np.clip(exponents, -300, 300) * np.exp(2j * np.pi * rng.random(deg + 1)),
+               deg)
+
+
+def _or_typed_error(call):
+    """call(), or None when it raises a TetraError."""
+    try:
+        return call()
+    except TetraError:
+        return None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_extreme_finite_coefficients_give_results_or_typed_errors():
+    for c, deg in _extreme_draws(np.random.default_rng(61), 300):
+        p = Polynomial(c)
+        found = _or_typed_error(lambda: roots(p))
+        assert found is None or found.total_order == p.degree, c
+        _or_typed_error(lambda: zero_free_disc(p, 1.0))
+        _or_typed_error(lambda: polycx.roots_inside(p, 1.0))
+        _or_typed_error(lambda: circle_split(p * p.reflect(p.degree)))
+        _or_typed_error(lambda: validate(Polynomial(()), Polynomial(()), p, deg))
+
+
 def test_roots_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomialHasAllRoots):
         roots(Polynomial())
@@ -299,8 +354,13 @@ def test_multiply_by_a_scalar_scales():
         p * np.nan
 
 
+# finite parts of infinite modulus count as not finite, first, inner or trailing
+HUGE = complex(1.5e308, 1.5e308)
+
+
 @pytest.mark.parametrize("coeffs", [
-    (np.nan, 1), (np.inf,), (1, complex(0, np.nan)), (1, 2, complex(-np.inf, 0))])
+    (np.nan, 1), (np.inf,), (1, complex(0, np.nan)), (1, 2, complex(-np.inf, 0)),
+    (HUGE, 2, 3), (1, HUGE, 3), (1, 2, HUGE)])
 def test_non_finite_coefficients_raise_a_typed_error(coeffs):
     with pytest.raises(NonFiniteCoefficient, match="Polynomial coefficient .* not finite") as err:
         Polynomial(coeffs)

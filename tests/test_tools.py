@@ -86,6 +86,46 @@ def test_compare_prints_the_node_errors_at_each_flip(output_digest, capsys):
         ("h", "crash", "KeyError: 'x'"), ("h", "loud", ""), ("h", "pass", "(1,2)"))] == \
         ["ConstructionInconsistent", "KeyError", None, None]
 
+    # a flipped CLI input shows its command and its last standard error line
+    theirs = [["a" * 64, "0", "analyze", ""], ["b" * 64, "0", "verify", ""]]
+    ours = [["c" * 64, "4", "analyze", "error: NonFiniteCoefficient: x"],
+            ["d" * 64, "0", "verify", ""]]
+    assert output_digest.compare("cli-batch", ours, theirs) == 2
+    out = capsys.readouterr().out
+    assert 'item 0 analyze: "" -> "error: NonFiniteCoefficient: x"' in out
+    assert "item 1 " not in out    # no flip
+    # files of two fields, written before the command was kept, print - there
+    assert output_digest.compare("cli-batch", ours, [row[:2] for row in theirs]) == 2
+    assert 'item 0 analyze: - -> "error: NonFiniteCoefficient: x"' in capsys.readouterr().out
+    assert output_digest.compare("cli-batch", [row[:2] for row in ours], theirs) == 2
+    assert 'item 0 analyze: "" -> -' in capsys.readouterr().out
+    assert output_digest.compare("cli-batch", [row[:2] for row in ours],
+                                 [row[:2] for row in theirs]) == 2
+    assert "item 0" not in capsys.readouterr().out
+
+
+def test_cli_items_keep_the_command_and_the_last_stderr_line(output_digest):
+    class Item:
+        def __init__(self, index, argv):
+            self.index, self.setup_error = index, None
+            self.data = {"argv": argv, "stdin": "{}"}
+
+    class Cli:
+        @staticmethod
+        def main(argv):
+            if argv[0] == "verify":
+                return 0
+            sys.stderr.write("a warning\nerror: the last line\n")
+            return 4
+
+    class Workload:
+        distinct = 2
+
+    items = [Item(0, ["trace", "--samples", "8"]), Item(1, ["verify"]), Item(2, ["verify"])]
+    rows = list(output_digest.cli_items(Workload(), items, Cli))
+    assert [tail for _, tail in rows] == [["trace", "error: the last line"], ["verify", ""]]
+    assert [row[1] for row, _ in rows] == ["4", "0"]
+
 
 def test_library_items_keep_each_items_own_node_error(output_digest):
     class Item:
@@ -105,7 +145,8 @@ def test_library_items_keep_each_items_own_node_error(output_digest):
 
     items = [Item(0, 3e-7), Item(1, 1e-9), Item(2, None)]
     rows = list(output_digest.library_items(Workload(), items, KeyError))
-    assert [tail for _, tail in rows] == [[16, 8, 3e-7], [16, 8, 1e-9], [16, 8, None]]
+    assert [tail for _, tail in rows] == [[16, 8, 3e-7, None], [16, 8, 1e-9, None],
+                                          [16, 8, None, "KeyError"]]
     assert [row[1] for row, _ in rows] == ["pass", "pass", "loud"]
 
 

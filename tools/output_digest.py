@@ -22,15 +22,19 @@ its n, its k, the node error its check recorded (``construct.node_err.max``
 of that item alone; null when the check records none or did not run) and
 the class of the error the library raised (null for a pass or silent item
 and for an item whose set-up failed): ``[digest, outcome, n, k, node_err,
-error]``.
+error]``.  A CLI input's entry goes on with its command and the last line
+it wrote to standard error ("" when none): ``[digest, exit code, command,
+stderr]``.
 
 With ``--compare OTHER.json`` (a FILE of an earlier run, say of the parent
 commit), each workload also prints the positions of the items whose digests
 differ and a table of outcome flips, read as OTHER's outcome -> this run's,
 with their count and positions (``silent -> pass  1  items 29``), then for
 each flipped item its (n, k) and on both sides its node error, or else the
-error class (``node error 1.38e-06 -> ConstructionInconsistent``).  OTHER
-may hold entries of two or five fields; what they lack prints as ``-``.
+error class (``node error 1.38e-06 -> ConstructionInconsistent``); for a
+flipped CLI input its command and on both sides its last standard error
+line (``construct: "" -> "error: ..."``).  OTHER may hold entries of two or
+five fields, or CLI entries of two; what they lack prints as ``-``.
 The exit status is 1 when any item of any workload differs.
 """
 
@@ -89,26 +93,26 @@ def _error(exc: Exception) -> str:
 
 
 def library_items(wl, items, tetra_error):
-    """((set-up, outcome, output), [n, k, node error]) per item of a library workload."""
+    """((set-up, outcome, output), [n, k, node error, error class]) per item of a
+    library workload."""
     for item in items:
         head = canon([item.index, item.n, item.k, item.kind, item.setup_error,
                       item.data.get("json")])
-        tail = [item.n, item.k, None]
+        node_err = None
         if item.setup_error is not None:
-            yield (head, "loud", ""), tail
-            continue
-        try:
-            output = wl.run(item)
-        except tetra_error as exc:
-            yield (head, "loud", _error(exc)), tail
-            continue
-        except Exception as exc:  # recorded in the digest, as the benchmark counts it
-            yield (head, "crash", _error(exc)), tail
-            continue
-        maxima = defaultdict(float)   # this item's maxima alone
-        outcome = wl.check(item, output, maxima)
-        tail[2] = maxima.get("construct.node_err.max")
-        yield (head, outcome, canon(output)), tail
+            row = (head, "loud", "")
+        else:
+            try:
+                output = wl.run(item)
+            except tetra_error as exc:
+                row = (head, "loud", _error(exc))
+            except Exception as exc:  # recorded in the digest, as the benchmark counts it
+                row = (head, "crash", _error(exc))
+            else:
+                maxima = defaultdict(float)   # this item's maxima alone
+                row = (head, wl.check(item, output, maxima), canon(output))
+                node_err = maxima.get("construct.node_err.max")
+        yield row, [item.n, item.k, node_err, _error_class(row)]
 
 
 def _error_class(row) -> str | None:
@@ -118,7 +122,8 @@ def _error_class(row) -> str | None:
 
 
 def cli_items(wl, items, cli):
-    """((input, exit code, stdout and stderr), []) per distinct cli-batch input."""
+    """((input, exit code, stdout and stderr), [command, last stderr line]) per
+    distinct cli-batch input."""
     for item in items[:wl.distinct]:
         saved = sys.stdin, sys.stdout, sys.stderr
         sys.stdin, sys.stdout, sys.stderr = (io.StringIO(item.data["stdin"]),
@@ -128,8 +133,9 @@ def cli_items(wl, items, cli):
             out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
         finally:
             sys.stdin, sys.stdout, sys.stderr = saved
+        last_line = err.rstrip("\n").rpartition("\n")[2]
         yield (canon([item.index, item.setup_error, item.data["argv"], item.data["stdin"]]),
-               str(code), canon([out, err])), []
+               str(code), canon([out, err])), [item.data["argv"][0], last_line]
 
 
 def _node_error_change(theirs: list, ours: list) -> str:
@@ -143,6 +149,15 @@ def _node_error_change(theirs: list, ours: list) -> str:
         return row[5] if len(row) == 6 and row[5] else "-"
 
     return f"({n}, {k}): node error {err(theirs)} -> {err(ours)}"
+
+
+def _stderr_change(theirs: list, ours: list) -> str:
+    """'COMMAND: OTHER's last stderr line -> this run's' of one CLI input's
+    entries, at least one of four fields."""
+    def line(row):
+        return json.dumps(row[3]) if len(row) >= 4 else "-"
+
+    return f"{(ours if len(ours) >= 4 else theirs)[2]}: {line(theirs)} -> {line(ours)}"
 
 
 def compare(name: str, ours: list, theirs: list) -> int:
@@ -163,6 +178,8 @@ def compare(name: str, ours: list, theirs: list) -> int:
         for i in items:
             if max(len(theirs[i]), len(ours[i])) >= 5:   # a library item
                 print(f"    item {i} {_node_error_change(theirs[i], ours[i])}")
+            elif max(len(theirs[i]), len(ours[i])) == 4:   # a CLI input
+                print(f"    item {i} {_stderr_change(theirs[i], ours[i])}")
     if not flips:
         print("  no outcome flips")
     return len(differ)
@@ -195,7 +212,7 @@ def main(argv=None) -> int:
         rows = (cli_items(wl, items, cli) if name == "cli-batch"
                 else library_items(wl, items, TetraError))
         per_item[name] = [[hashlib.sha256("\n".join(row).encode()).hexdigest(), row[1], *tail]
-                          + ([_error_class(row)] if tail else []) for row, tail in rows]
+                          for row, tail in rows]
         total = hashlib.sha256("".join(row[0] for row in per_item[name]).encode()).hexdigest()
         print(f"{name:14s} seed={args.seed} items={len(per_item[name]):4d} sha256={total}")
     out = args.out or Path(f"output-digest-seed{args.seed}.json")
