@@ -66,15 +66,13 @@ def _analysis_block(x) -> dict:
     """Degree, type and royal nodes of a TetraRational."""
     from . import tetrafun
 
-    deg = tetrafun.degree(x)
-    if tetrafun.is_royal_variety(x):
+    deg, tk = tetrafun.degree(x), tetrafun.type_nk(x)
+    if tk.royal_variety_flag:
         return {"degree": deg, "type": "royal-variety", "royal_nodes": []}
-    nodes = tetrafun.royal_nodes(x)
-    tk = tetrafun.TypeNK.from_nodes(nodes)
     return {"degree": deg, "type": [tk.n, tk.k],
             "royal_nodes": [{"location": encode_complex(nd.location),
                              "multiplicity": nd.multiplicity, "on_circle": nd.on_circle}
-                            for nd in nodes]}
+                            for nd in tetrafun.royal_nodes(x)]}
 
 
 def cmd_classify(data, args):

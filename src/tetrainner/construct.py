@@ -32,8 +32,8 @@ from .errors import (
 from .fejriesz import factor, laurent_shift, modulus_squared_on_circle
 from .polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, SPEC_TOL, TRIM_TOL, Polynomial, RootMultiset,
                      coeff_distance, linear_product, reflected_roots, roots as poly_roots)
-from .tetrafun import (RoyalNode, TetraRational, is_royal_variety, royal_nodes, royal_polynomial,
-                       validate)
+from .tetrafun import (RoyalNode, TetraRational, cancel_circle_zeros, is_royal_variety,
+                       royal_nodes, royal_polynomial, validate)
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,8 @@ def recover_data(x: TetraRational) -> RecoveredData:
 
     Only the roots of e1 are found (seeded or solved, see polycx.roots):
     validation makes e2 = e1~n within AGREE_TOL, so the zeros of x2 are the
-    reflections of the zeros of x1.  Identically zero
+    reflections of the zeros of x1.  A circle zero of d (lenient mode)
+    cancels from both lists (see tetrafun.cancel_circle_zeros).  Identically zero
     components carry no finite zero list and are rejected; royal-variety
     functions have no node data, so royal_nodes raises.
     """
@@ -169,7 +170,8 @@ def recover_data(x: TetraRational) -> RecoveredData:
         raise DegenerateZeroComponent(
             "a component of the function is identically zero; no zero list exists")
     zeros1, zeros2 = (
-        RootMultiset(tuple((loc, order) for loc, order in found.entries
-                           if abs(loc) <= 1.0 + CIRCLE_TOL))
-        for found in (poly_roots(x.e1), reflected_roots(x.e1, x.n)))
+        RootMultiset(cancel_circle_zeros(x, [(loc, order) for loc, order in found.entries
+                                             if abs(loc) <= 1.0 + CIRCLE_TOL], 1, name))
+        for found, name in ((poly_roots(x.e1), "zero of e1"),
+                            (reflected_roots(x.e1, x.n), "zero of e2")))
     return RecoveredData(zeros1, zeros2, royal_nodes(x))

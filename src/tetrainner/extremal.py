@@ -88,14 +88,17 @@ def scale_nonextreme(x: TetraRational) -> PerturbationResult:
     eps = MARGIN * (1/s - 1) where s is the circle sup of max(|x1|, |x2|);
     with no circle royal nodes s < 1 and both scalings stay in the class.
     When e2 is_mirror of e1, |x2| = |x1| on the circle and s is read from x1.
+    A sample where d and both numerators vanish (a common circle zero,
+    lenient mode) is a 0/0 and does not count.
     """
     tk = TypeNK.from_nodes(royal_nodes(x))
     if tk.k > 0:
         raise CircleNodesPresent(
             f"{tk.k} circle royal nodes force the component sup to 1")
     dv = x.d.abs_on_circle
-    sup = max(float(np.max(e.abs_on_circle / dv))
-              for e in ((x.e1,) if is_mirror(x.e1, x.e2, x.n) else (x.e1, x.e2)))
+    with np.errstate(invalid="ignore"):   # fmax passes over the 0/0 samples
+        sup = max(float(np.fmax.reduce(e.abs_on_circle / dv))
+                  for e in ((x.e1,) if is_mirror(x.e1, x.e2, x.n) else (x.e1, x.e2)))
     if sup == 0.0:
         return PerturbationResult(x, x, 1.0, Polynomial(),
                                   PerturbationMethod.EPSILON_SCALING,

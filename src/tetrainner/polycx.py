@@ -177,10 +177,6 @@ class Polynomial(CoefficientArray):
                 f"degree {self.degree} exceeds reflection index {n}")
         return Polynomial(np.conj(zero_pad(self.coeffs, n + 1)[::-1]))
 
-    def conj_flip(self) -> "Polynomial":
-        """Conjugate every coefficient: f -> conj(f(conj(lambda)))."""
-        return Polynomial(np.conj(self.coeffs))
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return super().__add__(other)._carry((self, other), np.add)
 
@@ -329,10 +325,6 @@ class RootMultiset:
     """Clustered roots with integer orders; orders sum to the degree."""
 
     entries: tuple = ()
-
-    @property
-    def total_order(self) -> int:
-        return sum(order for _, order in self.entries)
 
     def expand(self) -> tuple:
         """Locations repeated according to order."""
@@ -498,16 +490,26 @@ def _power_eval(f: np.ndarray, df: np.ndarray, z: np.ndarray) -> tuple:
     return powers @ f, powers[:, :-1] @ df, powers
 
 
+def _rounding_bound(f: np.ndarray, powers: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """How far rounding alone can move simple roots z_i of the polynomial with
+    ascending coefficients f: Horner's bound len(f) eps sum_j |f_j z_i^j|
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5) over
+    |f'(z_i)|, read off _power_eval's power matrix and slopes at z.
+
+    It covers evaluating f as given, not the rounding that formed f: for a
+    royal polynomial, a difference of two convolutions that cancel, forming
+    it rounded 30-175 times more than this bound at the nodes of n = 24-32
+    specs.
+    """
+    return len(f) * EPS * (np.abs(powers) @ np.abs(f)) / np.abs(slope)
+
+
 def _newton_limits(f: np.ndarray, seeds) -> tuple:
     """Newton's method on the polynomial with ascending coefficients f, all
     seeds at once, one power matrix per step; a seed stops once its step no
-    longer shrinks.  Returns the limits, the rounding bound on their
-    positions (Horner bound of f over |f'|), f' there, and whether they
-    converged: each next step within its bound, each bound within CIRCLE_TOL.
-    The bound covers evaluating f as given, not the rounding that formed f:
-    for a royal polynomial, a difference of two convolutions that cancel,
-    forming it rounded 30-175 times more than this bound at the nodes of
-    n = 24-32 specs.
+    longer shrinks.  Returns the limits, the _rounding_bound on their
+    positions, f' there, and whether they converged: each next step within
+    its bound, each bound within CIRCLE_TOL.
     """
     df, c, last = _derivative(f), np.asarray(seeds, dtype=complex), np.inf
     with np.errstate(all="ignore"):
@@ -519,7 +521,7 @@ def _newton_limits(f: np.ndarray, seeds) -> tuple:
             if not (shrinks & (size > 4 * EPS * np.abs(c))).any():
                 break
             c, last = np.where(shrinks, c - step, c), np.minimum(size, last)
-        bound = len(f) * EPS * (np.abs(powers) @ np.abs(f)) / np.abs(slope)
+        bound = _rounding_bound(f, powers, slope)
         return c, bound, slope, bool(np.all((size <= bound) & (bound <= CIRCLE_TOL)))
 
 
@@ -527,49 +529,6 @@ def _distinct(z: np.ndarray, margin: np.ndarray) -> bool:
     """True iff the points z lie pairwise more than 2 CLUSTER_TOL plus their margins apart."""
     gap = np.abs(z[:, None] - z[None, :]) - margin[:, None] - margin[None, :]
     return bool(np.all((gap > 2 * CLUSTER_TOL) | np.eye(len(z), dtype=bool)))
-
-
-def _seeded_split(p: Polynomial, seeds, circle_tol: float) -> tuple | None:
-    """circle_split(p, circle_tol) as Newton limits from the seeds; None
-    unless they account for every root of p.
-
-    A seed within SPEC_TOL of the circle stands for a double root: its limit
-    c on p' must pass circle_split's tests (|c| within circle_tol plus the
-    rounding bound t of 1, and the roots c +- w of the quadratic model,
-    |w|^2 = |2 p(c) / p''(c)|, within the join radius 2 sqrt(2 t) of c) and
-    gives (c/|c|, 2).  Another seed's limit s on p, inside the circle and
-    outside the join band, gives (s, 1) inside and (1/conj(s), 1) outside
-    unless the seed is 0.  All limits converge, are _distinct (c by its join
-    radius) and count deg p roots; the circle seeds run first, when there are
-    any, and the rest only if they pass.
-    """
-    if seeds is None:
-        return None
-    seeds = np.asarray(seeds, dtype=complex)
-    on = np.abs(np.abs(seeds) - 1.0) <= SPEC_TOL
-    c, join = seeds[on], np.zeros(0)
-    with np.errstate(all="ignore"):
-        if on.any():
-            dp = _derivative(p.coeffs)
-            c, c_bound, ddp, converged = _newton_limits(dp, c)
-            join = 2.0 * np.sqrt(2.0 * (circle_tol + c_bound))
-            if not (converged and np.all(np.abs(np.abs(c) - 1.0) <= circle_tol + c_bound)
-                    and np.all(np.sqrt(np.abs(2.0 * _power_eval(p.coeffs, dp, c)[0] / ddp))
-                               <= join)):
-                return None
-        s, bound, _, converged = _newton_limits(p.coeffs, seeds[~on])
-        paired = seeds[~on] != 0
-        partners = 1.0 / np.conj(s[paired])
-        ok = (converged
-              and np.all(1.0 - np.abs(s) > 2.0 * np.sqrt(2.0 * (circle_tol + bound)))
-              and len(s) + len(partners) + 2 * len(c) == p.degree
-              and _distinct(np.concatenate([s, partners, c]),
-                            np.concatenate([bound, bound[paired] / np.abs(s[paired]) ** 2,
-                                            join])))
-    if not ok:
-        return None
-    return (_entries(s, np.ones(len(s), dtype=int)), _entries(c / np.abs(c), np.full(len(c), 2)),
-            _entries(partners, np.ones(len(partners), dtype=int)))
 
 
 def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
@@ -582,47 +541,75 @@ def circle_split(p: Polynomial, circle_tol: float = CIRCLE_TOL) -> tuple:
     stays near the circle.  So each root of p near the circle seeds Newton's
     method on p'.  A double root whose derivative root c lies t off the
     circle splits by sqrt(2 t), so a root joins its limit c when it lies
-    within twice that, t being circle_tol plus the rounding bound on the
-    position of c.  Limits within twice their rounding bounds of each other
-    are one derivative root c; when c lies within t of the circle, their
-    roots form one circle entry at c/|c| with their total raw order.
-    circle_tol = 0 forgives rounding only.  The rounding bounds cover
-    evaluating p's coefficients as given, not the rounding that formed them
-    (for a royal polynomial at n = 24-32, 30-175 times larger at its nodes).
+    within the join radius 2 sqrt(2 t), t being circle_tol plus the
+    _rounding_bound on the position of c.  Limits within twice their
+    rounding bounds of each other are one derivative root c; when c lies
+    within t of the circle, their roots form one circle entry at c/|c| with
+    their total raw order.  circle_tol = 0 forgives rounding only.
+
     A p with node seeds (construct's royal polynomial) takes their Newton
-    limits instead when _seeded_split accepts them, and solves nothing.
+    limits instead, and solves nothing, when they account for every root.
+    A seed within SPEC_TOL of the circle stands for a double root: its limit
+    c on p' passes the same tests (|c| within t of 1, and the roots c +- w
+    of the quadratic model, |w|^2 = |2 p(c) / p''(c)|, within the join
+    radius of c) and gives (c/|c|, 2).  Another seed's limit s on p, inside
+    the circle and outside the join band, gives (s, 1) inside and
+    (1/conj(s), 1) outside unless the seed is 0.  All limits converge, are
+    _distinct (c by its join radius) and count deg p roots; the circle seeds
+    run first, when there are any, and the rest only if they pass.
 
     Raises OddCircleRootOrder for a circle entry of odd order, and for a
     root that joins none yet lies within circle_tol plus its own rounding
     bound of the circle.
     """
-    seeded = _seeded_split(p, p._node_seeds, circle_tol)
-    if seeded is not None:
-        return seeded
-    ms = roots(p)
-    z = np.array([loc for loc, _ in ms.entries], dtype=complex)
-    orders = np.array([order for _, order in ms.entries], dtype=int)
-    radius, dp = np.abs(z), _derivative(p.coeffs)
-    dist = np.abs(radius - 1.0)
+    dp = _derivative(p.coeffs)
+
+    def join(bound):
+        return 2.0 * np.sqrt(2.0 * (circle_tol + bound))
+
     with np.errstate(all="ignore"):
-        # How far rounding alone can move each root: the Horner bound over
-        # |p'| for a simple root, both from one power matrix; a merged entry
-        # is known to CLUSTER_TOL.
+        if p._node_seeds is not None:
+            seeds = np.asarray(p._node_seeds, dtype=complex)
+            on = np.abs(np.abs(seeds) - 1.0) <= SPEC_TOL
+            c, c_join, ok = seeds[on], np.zeros(0), True
+            if on.any():
+                c, c_bound, ddp, converged = _newton_limits(dp, c)
+                c_join = join(c_bound)
+                ok = (converged and np.all(np.abs(np.abs(c) - 1.0) <= circle_tol + c_bound)
+                      and np.all(np.sqrt(np.abs(2.0 * _power_eval(p.coeffs, dp, c)[0] / ddp))
+                                 <= c_join))
+            if ok:
+                s, bound, _, converged = _newton_limits(p.coeffs, seeds[~on])
+                paired = seeds[~on] != 0
+                partners = 1.0 / np.conj(s[paired])
+                if (converged and np.all(1.0 - np.abs(s) > join(bound))
+                        and len(s) + len(partners) + 2 * len(c) == p.degree
+                        and _distinct(np.concatenate([s, partners, c]),
+                                      np.concatenate([bound, bound[paired] / np.abs(s[paired]) ** 2,
+                                                      c_join]))):
+                    return (_entries(s, np.ones(len(s), dtype=int)),
+                            _entries(c / np.abs(c), np.full(len(c), 2)),
+                            _entries(partners, np.ones(len(partners), dtype=int)))
+        ms = roots(p)
+        z = np.array([loc for loc, _ in ms.entries], dtype=complex)
+        orders = np.array([order for _, order in ms.entries], dtype=int)
+        radius = np.abs(z)
+        dist = np.abs(radius - 1.0)
+        # a merged entry is known to CLUSTER_TOL
         _, slope, powers = _power_eval(p.coeffs, dp, z)
-        simple = p.degree * EPS * (np.abs(powers) @ np.abs(p.coeffs)) / np.abs(slope)
-        slack = circle_tol + np.where(orders > 1, CLUSTER_TOL, simple)
-        joined = dist <= 2.0 * np.sqrt(2.0 * slack)
+        rounding = np.where(orders > 1, CLUSTER_TOL, _rounding_bound(p.coeffs, powers, slope))
+        joined = dist <= join(rounding)
         locs, total = z[:0], orders[:0]
         if joined.any():
-            c, rounding, _, _ = _newton_limits(dp, z[joined])
-            close = np.abs(c - z[joined]) <= 2.0 * np.sqrt(2.0 * (circle_tol + rounding))
+            c, c_bound, _, _ = _newton_limits(dp, z[joined])
+            close = np.abs(c - z[joined]) <= join(c_bound)
             joined[joined] = close
-            locs, total, member = _merge(c[close], orders[joined], 2.0 * rounding[close])
+            locs, total, member = _merge(c[close], orders[joined], 2.0 * c_bound[close])
             on_circle = np.abs(np.abs(locs) - 1.0) <= circle_tol + np.max(
-                np.where(member, rounding[close], 0.0), axis=1, initial=0.0)
+                np.where(member, c_bound[close], 0.0), axis=1, initial=0.0)
             joined[joined] = member[on_circle].any(axis=0)
             locs, total = locs[on_circle], total[on_circle]
-        lone = ~joined & (dist <= slack)
+        lone = ~joined & (dist <= circle_tol + rounding)
     odd = np.concatenate([locs[total % 2 == 1], z[lone]])
     if len(odd):
         raise OddCircleRootOrder(f"circle root near {complex(odd[0]):.6g} has odd order")

@@ -95,6 +95,7 @@ class TetraRational:
             raise RoyalVarietyFunction("royal polynomial is identically zero")
         royal = self._royal[0]
         inside, circle = circle_split(royal)[:2]
+        circle = cancel_circle_zeros(self, circle, 2, "circle royal node")
         nodes = [RoyalNode(loc, order, order, False) for loc, order in inside]
         nodes += [RoyalNode(loc, order, order // 2, True) for loc, order in circle]
         nodes.sort(key=lambda nd: (round(nd.location.real, 12), round(nd.location.imag, 12)))
@@ -102,6 +103,32 @@ class TetraRational:
             _match_spec(royal._node_seeds, [nd.location for nd in nodes
                                             for _ in range(nd.multiplicity)])
         return tuple(nodes)
+
+
+def cancel_circle_zeros(x: TetraRational, entries, weight: int, name: str) -> tuple:
+    """The (location, order) entries less weight m at each circle zero tau of
+    d of order m, taken from the entry within CIRCLE_TOL of tau; entries left
+    of order 0 go.  DenominatorVanishes when no entry there has the order.
+
+    d(tau) = 0 with |tau| = 1 forces e1(tau) = e2(tau) = 0 (modulus
+    domination), so lenient mode admits a factor c (lam - tau) common to e1,
+    e2 and d: it cancels m from the zeros of e1 and e2 and 2m from the royal
+    polynomial.  The circle zeros are degree's: the entries of roots_inside(d,
+    1 + CIRCLE_TOL) of modulus 1 - CIRCLE_TOL or more; a strict d has none,
+    read from the disc answer validation kept.
+    """
+    entries = list(entries)
+    for tau, m in roots_inside(x.d, 1.0 + CIRCLE_TOL):
+        if abs(tau) < 1.0 - CIRCLE_TOL:
+            continue
+        at = [i for i, (loc, order) in enumerate(entries)
+              if abs(loc - tau) <= CIRCLE_TOL and order >= weight * m]
+        if not at:
+            raise DenominatorVanishes(
+                f"d vanishes to order {m} at {complex(tau):.6g}, and no {name} there cancels it")
+        loc, order = entries[at[0]]
+        entries[at[0]] = (loc, order - weight * m)
+    return tuple(entry for entry in entries if entry[1])
 
 
 def _match_spec(sigma, found) -> None:
@@ -324,7 +351,9 @@ def royal_nodes(x: TetraRational) -> tuple[RoyalNode, ...]:
     lam^-n times the royal polynomial is |d|^2 - |e1|^2 on the circle, so
     polycx.circle_split applies.  Zeros outside the closed disc are the
     reflections of interior zeros and are discarded; circle zeros carry
-    half of their even raw order as multiplicity.  A function that
+    half of their even raw order as multiplicity, less the factors common
+    to e1, e2 and d at circle zeros of d (lenient mode; see
+    cancel_circle_zeros).  A function that
     construct returned takes the Newton limits from its spec's nodes where
     they account for every root (see polycx.circle_split); any other
     function solves.  Such a function's nodes, counted with multiplicity,

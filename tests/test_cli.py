@@ -527,6 +527,15 @@ def test_verify_lenient_circle_zero_counts_the_winding(tmp_path, capsys):
     assert code == 0 and invariants["winding_number"] == invariants["degree"] == 0
 
 
+def test_analyze_lenient_cancels_a_common_circle_factor(tmp_path, capsys):
+    # (0, 0, 1 + lam) is the constant (0, 0, 1): the double root -1 of its
+    # royal polynomial is the factor 1 + lam common to the three components
+    func = {"n": 1, "E1": [], "E2": [], "D": [1, 1]}
+    code, out = _run(capsys, ["analyze", _write(tmp_path, "func.json", func), "--lenient"])
+    assert code == 0
+    assert json.loads(out) == {"degree": 0, "type": [0, 0], "royal_nodes": []}
+
+
 def test_verify_does_not_evaluate_pointwise(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("pointwise evaluation in verify")

@@ -18,6 +18,7 @@ from tetrainner.construct import (
 from tetrainner.errors import (
     ConstructionInconsistent,
     DegenerateZeroComponent,
+    DenominatorVanishes,
     InvalidConstructionSpec,
     NodeOutsideClosedDisc,
     NodeZeroCollision,
@@ -29,6 +30,7 @@ from tetrainner.polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, Polynomial, coeff_dis
                                roots, unit_circle)
 from tetrainner.tetrafun import (
     RoyalNode,
+    TypeNK,
     degree,
     eval_function,
     from_json_dict,
@@ -517,6 +519,54 @@ def test_the_node_match_is_the_greedy_loop_of_the_reference():
             continue
         with pytest.raises(ConstructionInconsistent, match=f"lies {worst:.3e} from"):
             tetrafun._match_spec(sigma, list(found))
+
+
+def test_a_lenient_common_circle_factor_cancels_from_every_answer():
+    # f = c (lam - tau) equals its 1-reflection, so x times f/f is x
+    x = construct(ConstructionSpec(alpha1=(0.3,), alpha2=(0.2j,), sigma=(0.5, -0.4j)))
+    tau, c = np.exp(0.7j), np.exp(0.5j * (np.pi - 0.7))
+    f = Polynomial((-c * tau, c))
+    xl = validate(x.e1 * f, x.e2 * f, x.d * f, 3, strict=False)
+    assert degree(xl) == degree(x) == 2 and type_nk(xl) == type_nk(x)
+    nodes, expected = royal_nodes(xl), royal_nodes(x)
+    assert [(nd.raw_order, nd.multiplicity, nd.on_circle) for nd in nodes] == \
+        [(nd.raw_order, nd.multiplicity, nd.on_circle) for nd in expected]
+    assert max(abs(nd.location - e.location) for nd, e in zip(nodes, expected)) < 1e-9
+    for found, zeros in zip((recover_data(xl).zeros1, recover_data(xl).zeros2),
+                            (recover_data(x).zeros1, recover_data(x).zeros2)):
+        assert [order for _, order in found.entries] == [order for _, order in zeros.entries]
+        match_multiset(zeros.expand(), found.expand(), 1e-9)
+    assert extremal.perturb_nonextreme(xl).method is extremal.perturb_nonextreme(x).method
+
+
+def test_a_circle_zero_of_d_with_nothing_there_to_cancel_raises():
+    # (0, 0, 1 + lam): the royal polynomial's double root at -1 is the common factor
+    x = validate(Polynomial(()), Polynomial(()), Polynomial((1, 1)), 1, strict=False)
+    assert royal_nodes(x) == () and degree(x) == 0
+    with pytest.raises(DenominatorVanishes, match="no circle royal node there cancels it"):
+        tetrafun.cancel_circle_zeros(x, ((1j, 2),), 2, "circle royal node")
+    with pytest.raises(DenominatorVanishes):   # an entry there of too low an order
+        tetrafun.cancel_circle_zeros(x, ((-1.0, 1),), 2, "circle royal node")
+    # e1 = 1e-10 passes modulus domination with d but has no zero at -1
+    x = validate(Polynomial((1e-10,)), Polynomial((0, 1e-10)), Polynomial((1, 1)), 1,
+                 strict=False)
+    assert royal_nodes(x) == ()
+    with pytest.raises(DenominatorVanishes, match="no zero of e1 there cancels it"):
+        recover_data(x)
+    # a zero of d inside the circle (no validation admits it) is no circle zero
+    x = tetrafun.TetraRational(Polynomial(()), Polynomial(()), Polynomial((0.0, -2.0, 1.0)), 3,
+                               strict=False)
+    assert type_nk(x) == TypeNK(3, 0)
+
+
+def test_a_strict_function_solves_nothing_to_cancel(monkeypatch):
+    x = from_json_dict(to_json_dict(construct(
+        random_construction_spec(np.random.default_rng(7), 6, k_circle=3))))
+    solves, tests = count_solves(monkeypatch), count_disc_tests(monkeypatch)
+    data = recover_data(x)
+    # the royal polynomial and e1, each once; d's disc answer is the one validation kept
+    assert solves == [6, 12] and tests == []
+    assert type_nk(x) == TypeNK(6, 3) and len(data.zeros1.expand()) + len(data.zeros2.expand()) == 6
 
 
 def _mp_root(mpmath, coeffs, z):

@@ -388,12 +388,21 @@ def test_perturbation_halves_carry_their_samples(monkeypatch, n, k):
 
 
 def test_perturbation_halves_keep_the_mode_their_function_was_validated_in():
-    # d = 1 + lam vanishes at -1, which only lenient validation accepts; the
-    # royal polynomial lam (1 + lam)^2 gives type (2, 1)
-    x = validate(Polynomial(()), Polynomial(()), Polynomial((1, 1)), 2, strict=False)
+    # a constructed k = 1 function read in lenient mode takes the G path
+    x = _constructed_of_type(2, 1)
+    x = validate(x.e1, x.e2, x.d, x.n, strict=False)
     result = perturb_nonextreme(x)
     assert result.method is PerturbationMethod.G_PERTURB_EVEN
     assert not result.x_plus.strict and not result.x_minus.strict
+    # d = 1 + lam vanishes at -1, which only lenient validation accepts; its
+    # factor common to (0, 0, d) cancels from the royal polynomial
+    # lam (1 + lam)^2, leaving (0, 0, lam) of type (1, 0), and the grid sample
+    # at -1 is a 0/0
+    x = validate(Polynomial(()), Polynomial(()), Polynomial((1, 1)), 2, strict=False)
+    assert type_nk(x) == TypeNK(1, 0)
+    result = perturb_nonextreme(x)
+    assert result.method is PerturbationMethod.EPSILON_SCALING
+    assert result.note == "DegenerateZeroComponents"
     # k = 0: scale_nonextreme keeps the mode too
     x = validate(Polynomial((0.5,)), Polynomial((0, 0.5)), Polynomial((2,)), 1, strict=False)
     result = scale_nonextreme(x)

@@ -98,24 +98,6 @@ def test_reflect_circle_identity():
             assert abs(lhs - rhs) < 1e-12
 
 
-def test_conj_flip_imaginary_monomial():
-    assert Polynomial((0, 1j)).conj_flip() == Polynomial((0, -1j))
-
-
-def test_conj_flip_real_fixed_point():
-    p = Polynomial((1.0, -2.0, 0.5))
-    assert p.conj_flip() == p
-
-
-def test_conj_flip_involution_and_eval():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        p = Polynomial(tuple(rng.normal(size=5) + 1j * rng.normal(size=5)))
-        assert p.conj_flip().conj_flip() == p
-        lam = complex(rng.normal(), rng.normal())
-        assert abs(p.conj_flip().eval(np.conj(lam)) - np.conj(p.eval(lam))) < 1e-12
-
-
 def test_roots_quadratic():
     ms = roots(Polynomial((-1, 0, 1)))
     locs = sorted(ms.expand(), key=lambda z: z.real)
@@ -283,7 +265,7 @@ def test_extreme_finite_coefficients_give_results_or_typed_errors():
     for c, deg in _extreme_draws(np.random.default_rng(61), 300):
         p = Polynomial(c)
         found = _or_typed_error(lambda: roots(p))
-        assert found is None or found.total_order == p.degree, c
+        assert found is None or len(found.expand()) == p.degree, c
         _or_typed_error(lambda: zero_free_disc(p, 1.0))
         _or_typed_error(lambda: polycx.roots_inside(p, 1.0))
         _or_typed_error(lambda: circle_split(p * p.reflect(p.degree)))
@@ -300,7 +282,7 @@ def test_roots_orders_sum_to_degree():
     for _ in range(20):
         deg = int(rng.integers(1, 10))
         p = Polynomial(tuple(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)))
-        assert roots(p).total_order == p.degree
+        assert len(roots(p).expand()) == p.degree
 
 
 def test_roots_expand_round_trip():
@@ -784,8 +766,11 @@ def test_seeded_split_equals_circle_split(monkeypatch):
     # a root at 0 (its partner is at infinity), two interior pairs, a double circle root
     p = from_roots([0.0, 0.5, 2.0, -0.3j, 1 / np.conj(-0.3j), 1j, 1j])
     seeds = (0.0, 0.5, -0.3j, 1j)
-    inside, circle, outside = polycx._seeded_split(p, seeds, CIRCLE_TOL)
     expected = circle_split(p)
+    solves = count_solves(monkeypatch)
+    # the seeds account for every root: no solve
+    inside, circle, outside = circle_split(_seeded(p, node_seeds=seeds))
+    assert solves == []
     assert [order for _, order in inside] == [order for _, order in expected[0]] == [1, 1, 1]
     assert [order for _, order in circle] == [order for _, order in expected[1]] == [2]
     assert [order for _, order in outside] == [order for _, order in expected[2]] == [1, 1]
@@ -794,9 +779,6 @@ def test_seeded_split_equals_circle_split(monkeypatch):
     # the outside entries are the partners of the nonzero interior limits
     assert outside == polycx._entries(
         1 / np.conj(np.array([loc for loc, _ in inside if loc])), np.ones(2, dtype=int))
-    solves = count_solves(monkeypatch)
-    assert circle_split(_seeded(p, node_seeds=seeds)) == (inside, circle, outside)
-    assert solves == []
 
     # constructed royal polynomials, n = 1-16 at k = 0 and k = n/2
     accepted = 0
@@ -805,13 +787,11 @@ def test_seeded_split_equals_circle_split(monkeypatch):
             x = construct(random_construction_spec(np.random.default_rng([n, k]), n,
                                                    k_circle=k))
             royal = x._royal[0]
-            found = polycx._seeded_split(royal, royal._node_seeds, CIRCLE_TOL)
             solves.clear()
             split = circle_split(royal)
-            assert solves == ([] if found else [royal.degree])
-            if found:
-                accepted += 1
-                assert split == found
+            # seeds taken solve nothing; seeds refused solve the royal polynomial once
+            assert solves in ([], [royal.degree])
+            accepted += not solves
             _assert_split_within_rounding(split, circle_split(Polynomial(royal.coeffs)), royal)
     assert accepted >= 28    # 30 of the 31 when written
 
@@ -838,37 +818,38 @@ ARC = np.exp(1j * np.linspace(0.0, 0.8, 6))
 ], ids=["not-converged", "circle-not-converged", "join-band", "off-circle", "split",
         "count-short", "duplicate"])
 def test_seeded_split_rejects(monkeypatch, p, seeds):
-    assert polycx._seeded_split(p, seeds, CIRCLE_TOL) is None
-    assert polycx._seeded_split(p, None, CIRCLE_TOL) is None
-    # circle_split of a seeded copy solves instead
+    # circle_split of a copy with these seeds, or with none, solves, and
+    # answers (or raises) as an unseeded p does
+    expected = _or_typed_error(lambda: circle_split(Polynomial(p.coeffs)))
     solves = count_solves(monkeypatch)
-    copy = _seeded(p, node_seeds=seeds)
-    try:
-        circle_split(copy)
-    except TetraError:
-        pass
-    assert solves == [p.degree]
+    for node_seeds in (seeds, None):
+        assert _or_typed_error(lambda: circle_split(_seeded(p, node_seeds=node_seeds))) == expected
+    assert solves == [p.degree, p.degree]
 
 
 def test_seeded_split_skips_the_interior_seeds_when_the_circle_seeds_fail(monkeypatch):
     # the circle pass reports a limit that fails every circle rule at once
+    # (len(f), seed count) per Newton pass: 4 for p', 5 for p
     calls, run = [], polycx._newton_limits
 
     def limits(f, seeds):
-        calls.append(len(seeds))
+        calls.append((len(f), len(seeds)))
         if len(calls) == 1:
             return np.array([3.0 + 0j]), np.array([0.5]), np.array([1e-300 + 0j]), False
         return run(f, seeds)
 
     monkeypatch.setattr(polycx, "_newton_limits", limits)
     p = from_roots([0.5, 2.0, 1j, 1j])
-    assert polycx._seeded_split(p, (0.5, 1j), CIRCLE_TOL) is None
-    assert calls == [1]
+    solves = count_solves(monkeypatch)
+    # no Newton pass on p: the fallback solve and its circle pass on p' follow
+    assert circle_split(_seeded(p, node_seeds=(0.5, 1j))) == circle_split(Polynomial(p.coeffs))
+    assert calls[0] == (4, 1) and all(f == 4 for f, _ in calls) and solves == [4, 4]
     calls.clear()
-    monkeypatch.setattr(polycx, "_newton_limits", lambda f, seeds: calls.append(len(seeds))
-                        or run(f, seeds))
-    assert polycx._seeded_split(p, (0.5, 1j), CIRCLE_TOL) is not None
-    assert calls == [1, 1]
+    solves.clear()
+    monkeypatch.setattr(polycx, "_newton_limits", lambda f, seeds: calls.append(
+        (len(f), len(seeds))) or run(f, seeds))
+    circle_split(_seeded(p, node_seeds=(0.5, 1j)))
+    assert calls == [(4, 1), (5, 1)] and solves == []
 
 
 def test_seeded_split_runs_no_circle_pass_without_circle_seeds(monkeypatch):
@@ -878,15 +859,21 @@ def test_seeded_split_runs_no_circle_pass_without_circle_seeds(monkeypatch):
     calls, run, evaluate = [], polycx._newton_limits, Polynomial.eval
     monkeypatch.setattr(polycx, "_newton_limits", lambda f, z: calls.append(len(z)) or run(f, z))
     monkeypatch.setattr(Polynomial, "eval", lambda q, z: calls.append("eval") or evaluate(q, z))
+    solves = count_solves(monkeypatch)
     for _ in range(4):
         x = construct(random_construction_spec(rng, 16))
         p = x._royal[0]
         seeds = p._node_seeds
         assert all(0.0 < abs(s) < 1.0 - 1e-3 for s in seeds)
         calls.clear()
-        found = polycx._seeded_split(p, seeds, CIRCLE_TOL)
-        assert calls == [16]
-        if found is not None:
+        solves.clear()
+        found = circle_split(p)
+        # the interior pass runs first; when it fails, the fallback solve follows
+        assert calls[0] == 16 and solves in ([], [32])
+        if solves:
+            assert found == circle_split(Polynomial(p.coeffs))
+        else:
+            assert calls == [16]
             # the entries of the interior pass alone, as the empty circle pass left them
             interior = run(p.coeffs, seeds)[0]
             simple = np.ones(16, dtype=int)

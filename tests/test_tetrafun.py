@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import (compose_blaschke, count_disc_tests, count_ifft, count_python_calls,
-                     count_solves, random_construction_spec, random_disc_point,
+                     count_solves, match_multiset, random_construction_spec, random_disc_point,
                      separated_points)
 from tetrainner import polycx, tetrafun
 from tetrainner.boundary import TetraPoint, TetraRegion, classify_tetra, psi, tetra_defect
-from tetrainner.construct import construct
+from tetrainner.construct import construct, recover_data
 from tetrainner.errors import (
     ConstructionInconsistent,
     DenominatorVanishes,
@@ -17,6 +17,7 @@ from tetrainner.errors import (
     NonFiniteCoefficient,
     OddCircleRootOrder,
     RoyalVarietyFunction,
+    TetraError,
     UndefinedOmegaOrK,
     ValidationError,
     ZeroPolynomialHasAllRoots,
@@ -700,7 +701,8 @@ def test_first_component_off_disc_identity():
                 lam = complex(lam)
                 dv = x.d.eval(lam)
                 lhs = x.e1.eval(lam) / dv
-                x2_flip = x.e2.conj_flip().eval(1.0 / lam) / x.d.conj_flip().eval(1.0 / lam)
+                e2_flip, d_flip = (Polynomial(np.conj(q.coeffs)) for q in (x.e2, x.d))
+                x2_flip = e2_flip.eval(1.0 / lam) / d_flip.eval(1.0 / lam)
                 rhs = x2_flip * (x.d_reflected.eval(lam) / dv)
                 assert abs(lhs - rhs) < 1e-9
 
@@ -753,6 +755,50 @@ def test_degree_multiplies_under_composition_with_a_blaschke_product(n, half):
             zeros = separated_points(rng, m, 0.5, lambda r: random_disc_point(r, 0.8))
             y = validate(*compose_blaschke(x, zeros))
             assert degree(y) == winding_number(y) == m * degree(x) == m * n
+
+
+# (n, k, |a|, phase) of the composed functions below whose royal nodes come out
+# wrong without an error: the eigen-solve of the royal polynomial is off by more
+# than 1e-6, and in four of them circle_split's join radius then merges interior
+# pairs into circle nodes, so the type is wrong too (ROADMAP item 2)
+COMPOSED_SILENT = {(8, 0, 0.8, 0), (8, 0, 0.8, 1), (8, 0, 0.8, 2), (8, 0, 0.8, 3),
+                   (8, 4, 0.8, 0), (8, 4, 0.8, 1), (8, 4, 0.8, 3)}
+
+
+def _composed_cases():
+    """One random_construction_spec per case, drawn in grid order from one generator,
+    and a = |a| exp(i (pi/4 + phase pi/2))."""
+    rng = np.random.default_rng(34)
+    for n in (4, 8):
+        for k in (0, n // 2):
+            for r in (0.3, 0.5, 0.8):
+                for phase in range(4):
+                    spec = random_construction_spec(rng, n, k_circle=k)
+                    silent = (n, k, r, phase) in COMPOSED_SILENT
+                    yield pytest.param(
+                        spec, r * np.exp(1j * (np.pi / 4 + phase * np.pi / 2)), n, k,
+                        id=f"n{n}-k{k}-a{r}-phase{phase}",
+                        marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 2")] * silent)
+
+
+@pytest.mark.parametrize("spec, a, n, k", list(_composed_cases()))
+def test_composition_with_a_disc_automorphism_maps_type_nodes_and_zeros(spec, a, n, k):
+    # x o m_a, m_a(lam) = (lam - a)/(1 - conj(a) lam), has x's type, and its
+    # royal nodes and the zeros of its components are those of x pulled back by
+    # m_a; each is found to 1e-6, or the library raises
+    def pulled_back(points):
+        return [(s + a) / (1 + np.conj(a) * s) for s in points]
+
+    try:
+        y = validate(*compose_blaschke(construct(spec), [a]))
+        tk, nodes, data = type_nk(y), royal_nodes(y), recover_data(y)
+    except TetraError:
+        return
+    assert tk == TypeNK(n, k)
+    match_multiset(pulled_back(spec.sigma),
+                   [nd.location for nd in nodes for _ in range(nd.multiplicity)], 1e-6)
+    match_multiset(pulled_back(spec.alpha1), data.zeros1.expand(), 1e-6)
+    match_multiset(pulled_back(spec.alpha2), data.zeros2.expand(), 1e-6)
 
 
 def test_degree_of_an_unvalidated_strict_triple_counts_the_reflection():

@@ -28,13 +28,22 @@ def output_digest(monkeypatch):
     return load_tool("output_digest")
 
 
+def _library(digest, outcome, n=16, k=0, node_err=None, error=None):
+    return {"digest": digest * 64, "outcome": outcome, "n": n, "k": k, "node_err": node_err,
+            "error": error}
+
+
+def _cli(digest, code, command, stderr=""):
+    return {"digest": digest * 64, "exit": code, "command": command, "stderr": stderr}
+
+
 def test_compare_counts_the_differing_items(output_digest, capsys):
-    theirs = [["a" * 64, "pass"], ["b" * 64, "silent"], ["c" * 64, "loud"]]
-    assert output_digest.compare("analysis-low", [list(row) for row in theirs], theirs) == 0
+    theirs = [_library("a", "pass"), _library("b", "silent"), _library("c", "loud")]
+    assert output_digest.compare("analysis-low", [dict(e) for e in theirs], theirs) == 0
     assert "0 of 3 items differ: none" in capsys.readouterr().out
 
-    ours = [list(row) for row in theirs]
-    ours[1] = ["d" * 64, "pass"]
+    ours = [dict(e) for e in theirs]
+    ours[1] = _library("d", "pass")
     assert output_digest.compare("pipeline-high", ours, theirs) == 1
     out = capsys.readouterr().out
     assert "1 of 3 items differ: 1" in out
@@ -44,10 +53,10 @@ def test_compare_counts_the_differing_items(output_digest, capsys):
 
 
 def test_compare_prints_the_node_errors_at_each_flip(output_digest, capsys):
-    theirs = [["a" * 64, "pass", 24, 12, 9.56e-7], ["b" * 64, "silent", 16, 0, 2e-5],
-              ["c" * 64, "pass", 32, 16, None]]
-    ours = [["d" * 64, "silent", 24, 12, 4.38e-6], ["e" * 64, "silent", 16, 0, 3e-5],
-            ["f" * 64, "loud", 32, 16, None]]
+    theirs = [_library("a", "pass", 24, 12, 9.56e-7), _library("b", "silent", 16, 0, 2e-5),
+              _library("c", "pass", 32, 16)]
+    ours = [_library("d", "silent", 24, 12, 4.38e-6), _library("e", "silent", 16, 0, 3e-5),
+            _library("f", "loud", 32, 16)]
     assert output_digest.compare("pipeline-high", ours, theirs) == 3
     out = capsys.readouterr().out
     assert "pass -> silent      1  items 0" in out
@@ -55,30 +64,14 @@ def test_compare_prints_the_node_errors_at_each_flip(output_digest, capsys):
     assert "item 2 (32, 16): node error - -> -" in out
     assert "item 1 " not in out    # no flip
 
-    # a file of the two-field format still compares, on either side
-    old = [row[:2] for row in theirs]
-    assert output_digest.compare("pipeline-high", ours, old) == 3
-    assert "item 0 (24, 12): node error - -> 4.38e-06" in capsys.readouterr().out
-    assert output_digest.compare("pipeline-high", old, ours) == 3
-    assert "item 0 (24, 12): node error 4.38e-06 -> -" in capsys.readouterr().out
-    assert output_digest.compare("pipeline-high", old, [row[:2] for row in ours]) == 3
-    assert "item 0" not in capsys.readouterr().out
-
     # a loud item shows the class of its error where it has no node error
-    theirs = [row + [None] for row in theirs]
-    ours = [row + [None] for row in ours]
-    ours[2][5] = "ConstructionInconsistent"
-    theirs[1][1:] = ["silent", 16, 0, 1.38e-6, None]
-    ours[1][1:] = ["loud", 16, 0, None, "OddCircleRootOrder"]
+    ours[2]["error"] = "ConstructionInconsistent"
+    theirs[1] = _library("b", "silent", 16, 0, 1.38e-6)
+    ours[1] = _library("e", "loud", 16, 0, error="OddCircleRootOrder")
     assert output_digest.compare("pipeline-high", ours, theirs) == 3
     out = capsys.readouterr().out
     assert "item 1 (16, 0): node error 1.38e-06 -> OddCircleRootOrder" in out
     assert "item 2 (32, 16): node error - -> ConstructionInconsistent" in out
-    # files of five fields, written before the error class was kept, print - there
-    assert output_digest.compare("pipeline-high", [row[:5] for row in ours], theirs) == 3
-    assert "item 1 (16, 0): node error 1.38e-06 -> -" in capsys.readouterr().out
-    assert output_digest.compare("pipeline-high", ours, [row[:5] for row in theirs]) == 3
-    assert "item 2 (32, 16): node error - -> ConstructionInconsistent" in capsys.readouterr().out
 
     # the class is read off the run's error text; a set-up failure has none
     assert [output_digest._error_class(row) for row in (
@@ -87,21 +80,12 @@ def test_compare_prints_the_node_errors_at_each_flip(output_digest, capsys):
         ["ConstructionInconsistent", "KeyError", None, None]
 
     # a flipped CLI input shows its command and its last standard error line
-    theirs = [["a" * 64, "0", "analyze", ""], ["b" * 64, "0", "verify", ""]]
-    ours = [["c" * 64, "4", "analyze", "error: NonFiniteCoefficient: x"],
-            ["d" * 64, "0", "verify", ""]]
+    theirs = [_cli("a", "0", "analyze"), _cli("b", "0", "verify")]
+    ours = [_cli("c", "4", "analyze", "error: NonFiniteCoefficient: x"), _cli("d", "0", "verify")]
     assert output_digest.compare("cli-batch", ours, theirs) == 2
     out = capsys.readouterr().out
     assert 'item 0 analyze: "" -> "error: NonFiniteCoefficient: x"' in out
     assert "item 1 " not in out    # no flip
-    # files of two fields, written before the command was kept, print - there
-    assert output_digest.compare("cli-batch", ours, [row[:2] for row in theirs]) == 2
-    assert 'item 0 analyze: - -> "error: NonFiniteCoefficient: x"' in capsys.readouterr().out
-    assert output_digest.compare("cli-batch", [row[:2] for row in ours], theirs) == 2
-    assert 'item 0 analyze: "" -> -' in capsys.readouterr().out
-    assert output_digest.compare("cli-batch", [row[:2] for row in ours],
-                                 [row[:2] for row in theirs]) == 2
-    assert "item 0" not in capsys.readouterr().out
 
 
 def test_cli_items_keep_the_command_and_the_last_stderr_line(output_digest):
@@ -123,7 +107,9 @@ def test_cli_items_keep_the_command_and_the_last_stderr_line(output_digest):
 
     items = [Item(0, ["trace", "--samples", "8"]), Item(1, ["verify"]), Item(2, ["verify"])]
     rows = list(output_digest.cli_items(Workload(), items, Cli))
-    assert [tail for _, tail in rows] == [["trace", "error: the last line"], ["verify", ""]]
+    assert [fields for _, fields in rows] == [
+        {"exit": "4", "command": "trace", "stderr": "error: the last line"},
+        {"exit": "0", "command": "verify", "stderr": ""}]
     assert [row[1] for row, _ in rows] == ["4", "0"]
 
 
@@ -145,8 +131,10 @@ def test_library_items_keep_each_items_own_node_error(output_digest):
 
     items = [Item(0, 3e-7), Item(1, 1e-9), Item(2, None)]
     rows = list(output_digest.library_items(Workload(), items, KeyError))
-    assert [tail for _, tail in rows] == [[16, 8, 3e-7, None], [16, 8, 1e-9, None],
-                                          [16, 8, None, "KeyError"]]
+    assert [fields for _, fields in rows] == [
+        {"outcome": "pass", "n": 16, "k": 8, "node_err": 3e-7, "error": None},
+        {"outcome": "pass", "n": 16, "k": 8, "node_err": 1e-9, "error": None},
+        {"outcome": "loud", "n": 16, "k": 8, "node_err": None, "error": "KeyError"}]
     assert [row[1] for row, _ in rows] == ["pass", "pass", "loud"]
 
 

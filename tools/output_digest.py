@@ -16,15 +16,14 @@ message of a raised error, and for the CLI the exit code, stdout and
 stderr.  Coefficients are hashed by value, so a tuple and an array of the
 same complex numbers digest alike.  The per-item digests go to FILE
 (default ``output-digest-seed<N>.json`` in the working directory), each as
-a ``[digest, outcome]`` pair: pass, silent, loud or crash for a library
-item, the exit code for a CLI input.  A library item's entry goes on with
-its n, its k, the node error its check recorded (``construct.node_err.max``
-of that item alone; null when the check records none or did not run) and
-the class of the error the library raised (null for a pass or silent item
-and for an item whose set-up failed): ``[digest, outcome, n, k, node_err,
-error]``.  A CLI input's entry goes on with its command and the last line
-it wrote to standard error ("" when none): ``[digest, exit code, command,
-stderr]``.
+an object.  A library item's is ``{digest, outcome, n, k, node_err,
+error}``: its outcome (pass, silent, loud or crash), its n and k, the node
+error its check recorded (``construct.node_err.max`` of that item alone;
+null when the check records none or did not run) and the class of the
+error the library raised (null for a pass or silent item and for an item
+whose set-up failed).  A CLI input's is ``{digest, exit, command,
+stderr}``: its exit code, its command and the last line it wrote to
+standard error ("" when none).
 
 With ``--compare OTHER.json`` (a FILE of an earlier run, say of the parent
 commit), each workload also prints the positions of the items whose digests
@@ -33,8 +32,8 @@ with their count and positions (``silent -> pass  1  items 29``), then for
 each flipped item its (n, k) and on both sides its node error, or else the
 error class (``node error 1.38e-06 -> ConstructionInconsistent``); for a
 flipped CLI input its command and on both sides its last standard error
-line (``construct: "" -> "error: ..."``).  OTHER may hold entries of two or
-five fields, or CLI entries of two; what they lack prints as ``-``.
+line (``construct: "" -> "error: ..."``).  OTHER must come from this same
+tool, as the two runs of one comparison do.
 The exit status is 1 when any item of any workload differs.
 """
 
@@ -93,7 +92,7 @@ def _error(exc: Exception) -> str:
 
 
 def library_items(wl, items, tetra_error):
-    """((set-up, outcome, output), [n, k, node error, error class]) per item of a
+    """((set-up, outcome, output), entry fields but the digest) per item of a
     library workload."""
     for item in items:
         head = canon([item.index, item.n, item.k, item.kind, item.setup_error,
@@ -112,7 +111,8 @@ def library_items(wl, items, tetra_error):
                 maxima = defaultdict(float)   # this item's maxima alone
                 row = (head, wl.check(item, output, maxima), canon(output))
                 node_err = maxima.get("construct.node_err.max")
-        yield row, [item.n, item.k, node_err, _error_class(row)]
+        yield row, {"outcome": row[1], "n": item.n, "k": item.k, "node_err": node_err,
+                    "error": _error_class(row)}
 
 
 def _error_class(row) -> str | None:
@@ -122,7 +122,7 @@ def _error_class(row) -> str | None:
 
 
 def cli_items(wl, items, cli):
-    """((input, exit code, stdout and stderr), [command, last stderr line]) per
+    """((input, exit code, stdout and stderr), entry fields but the digest) per
     distinct cli-batch input."""
     for item in items[:wl.distinct]:
         saved = sys.stdin, sys.stdout, sys.stderr
@@ -135,29 +135,24 @@ def cli_items(wl, items, cli):
             sys.stdin, sys.stdout, sys.stderr = saved
         last_line = err.rstrip("\n").rpartition("\n")[2]
         yield (canon([item.index, item.setup_error, item.data["argv"], item.data["stdin"]]),
-               str(code), canon([out, err])), [item.data["argv"][0], last_line]
+               str(code), canon([out, err])), {"exit": str(code), "command": item.data["argv"][0],
+                                               "stderr": last_line}
 
 
-def _node_error_change(theirs: list, ours: list) -> str:
+def _node_error_change(theirs: dict, ours: dict) -> str:
     """'(n, k): node error OTHER's -> this run's' of one library item's entries;
     a side with no node error shows its error class."""
-    n, k = (ours if len(ours) >= 5 else theirs)[2:4]
+    def err(entry):
+        if entry["node_err"] is not None:
+            return f"{entry['node_err']:.3g}"
+        return entry["error"] or "-"
 
-    def err(row):
-        if len(row) >= 5 and row[4] is not None:
-            return f"{row[4]:.3g}"
-        return row[5] if len(row) == 6 and row[5] else "-"
-
-    return f"({n}, {k}): node error {err(theirs)} -> {err(ours)}"
+    return f"({ours['n']}, {ours['k']}): node error {err(theirs)} -> {err(ours)}"
 
 
-def _stderr_change(theirs: list, ours: list) -> str:
-    """'COMMAND: OTHER's last stderr line -> this run's' of one CLI input's
-    entries, at least one of four fields."""
-    def line(row):
-        return json.dumps(row[3]) if len(row) >= 4 else "-"
-
-    return f"{(ours if len(ours) >= 4 else theirs)[2]}: {line(theirs)} -> {line(ours)}"
+def _stderr_change(theirs: dict, ours: dict) -> str:
+    """'COMMAND: OTHER's last stderr line -> this run's' of one CLI input's entries."""
+    return f"{ours['command']}: {json.dumps(theirs['stderr'])} -> {json.dumps(ours['stderr'])}"
 
 
 def compare(name: str, ours: list, theirs: list) -> int:
@@ -166,20 +161,19 @@ def compare(name: str, ours: list, theirs: list) -> int:
     if len(ours) != len(theirs):
         print(f"{name:14s} {len(theirs)} items in the other file, {len(ours)} here")
         return max(len(ours), len(theirs))
-    differ = [i for i, (a, b) in enumerate(zip(ours, theirs)) if a[0] != b[0]]
+    differ = [i for i, (a, b) in enumerate(zip(ours, theirs)) if a["digest"] != b["digest"]]
     print(f"{name:14s} {len(differ)} of {len(ours)} items differ:",
           " ".join(map(str, differ)) or "none")
+    outcome, change = (("exit", _stderr_change) if name == "cli-batch"
+                       else ("outcome", _node_error_change))
     flips = {}
     for i in differ:
-        if theirs[i][1] != ours[i][1]:
-            flips.setdefault(f"{theirs[i][1]} -> {ours[i][1]}", []).append(i)
+        if theirs[i][outcome] != ours[i][outcome]:
+            flips.setdefault(f"{theirs[i][outcome]} -> {ours[i][outcome]}", []).append(i)
     for key, items in sorted(flips.items()):
         print(f"  {key:16s} {len(items):4d}  items", " ".join(map(str, items)))
         for i in items:
-            if max(len(theirs[i]), len(ours[i])) >= 5:   # a library item
-                print(f"    item {i} {_node_error_change(theirs[i], ours[i])}")
-            elif max(len(theirs[i]), len(ours[i])) == 4:   # a CLI input
-                print(f"    item {i} {_stderr_change(theirs[i], ours[i])}")
+            print(f"    item {i} {change(theirs[i], ours[i])}")
     if not flips:
         print("  no outcome flips")
     return len(differ)
@@ -211,9 +205,9 @@ def main(argv=None) -> int:
         items = wl.setup(args.seed)
         rows = (cli_items(wl, items, cli) if name == "cli-batch"
                 else library_items(wl, items, TetraError))
-        per_item[name] = [[hashlib.sha256("\n".join(row).encode()).hexdigest(), row[1], *tail]
-                          for row, tail in rows]
-        total = hashlib.sha256("".join(row[0] for row in per_item[name]).encode()).hexdigest()
+        per_item[name] = [{"digest": hashlib.sha256("\n".join(row).encode()).hexdigest(),
+                           **fields} for row, fields in rows]
+        total = hashlib.sha256("".join(e["digest"] for e in per_item[name]).encode()).hexdigest()
         print(f"{name:14s} seed={args.seed} items={len(per_item[name]):4d} sha256={total}")
     out = args.out or Path(f"output-digest-seed{args.seed}.json")
     out.write_text(json.dumps(per_item, indent=1) + "\n", encoding="utf-8")
