@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import compress
 
 import numpy as np
@@ -234,38 +234,24 @@ def _trim(c: np.ndarray) -> np.ndarray:
     return c if k == len(c) else c[:k]
 
 
-def _convolve(arrays) -> np.ndarray:
-    """Left-to-right product of coefficient arrays, None if there are none.
-
-    Each factor and each partial product is trimmed as Polynomial trims, so
-    the result equals the repeated Polynomial product bit for bit.
-    """
-    acc = None
-    for a in arrays:
-        a = _trim(a)
-        if not len(a) or (acc is not None and not len(acc)):
-            return a[:0]
-        acc = a if acc is None else _trim(np.convolve(acc, a))
-    return acc
-
-
 def product(factors) -> Polynomial:
-    """Product of the polynomials in factors, multiplied left to right; 1 if none.
+    """Product of the polynomials in factors, convolved left to right; 1 if none.
 
-    Convolves coefficient arrays and builds one Polynomial at the end.
+    The one Polynomial built at the end trims once: a product's top
+    coefficient is the product of the factors' tops, so a partial product
+    holds no rounding noise to trim, only true small coefficients.
     """
-    acc = _convolve(f.coeffs for f in factors)
-    return Polynomial((1.0,)) if acc is None else Polynomial(acc)
+    arrays = [f.coeffs for f in factors]
+    if not all(map(len, arrays)):
+        return Polynomial()
+    return Polynomial(reduce(np.convolve, arrays) if arrays else (1.0,))
 
 
 def linear_product(lead: complex, pairs) -> Polynomial:
-    """lead * prod (c0 + c1 lam) over the (c0, c1) pairs, multiplied left to right.
-
-    Equals product() of the Polynomials (lead,), (c0, c1), ... bit for bit,
-    without building one Polynomial per factor.
-    """
-    return Polynomial(_convolve([np.array([lead], dtype=complex),
-                                 *np.array(pairs, dtype=complex)]))
+    """lead * prod (c0 + c1 lam) over the (c0, c1) pairs, convolved left to
+    right and trimmed once, as product() does, with no Polynomial per factor."""
+    return Polynomial(reduce(np.convolve, np.array(pairs, dtype=complex),
+                             np.array([lead], dtype=complex)))
 
 
 def coeff_distance(p: Polynomial, q: Polynomial) -> float:

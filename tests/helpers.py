@@ -1,5 +1,6 @@
 """Shared generators for randomized sweeps."""
 
+import functools
 import sys
 
 import numpy as np
@@ -126,7 +127,8 @@ def compose_blaschke(x, zeros):
 
 def pairwise_product(first, factors):
     """Left-to-right product formed one pair at a time, each pair convolved and
-    trimmed into a Polynomial: the reference for polycx.product."""
+    trimmed into a Polynomial: chained *, which polycx.product equals bit for
+    bit unless a partial product's top coefficient falls to TRIM_TOL."""
     out = first
     for f in factors:
         if out.is_zero or f.is_zero:
@@ -134,6 +136,33 @@ def pairwise_product(first, factors):
         out = Polynomial(tuple(np.convolve(np.asarray(out.coeffs, dtype=complex),
                                            np.asarray(f.coeffs, dtype=complex))))
     return out
+
+
+def convolved_once(factors) -> Polynomial:
+    """The coefficient lists factors convolved left to right with no trim
+    between steps, trimmed once into a Polynomial: the reference for
+    polycx.product and linear_product.  The zero polynomial convolves as (0,)."""
+    return Polynomial(functools.reduce(np.convolve, [np.array(f if len(f) else (0,), dtype=complex)
+                                                     for f in factors]))
+
+
+def assert_exact_expansion(p: Polynomial, factors, rel: float = 1e-12):
+    """Each coefficient p keeps is within rel (relative) of the product of the
+    coefficient lists factors expanded in 300-bit mpmath, and each it trimmed
+    is at most TRIM_TOL there."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(300):
+        exact = [mpmath.mpc(1)]
+        for f in factors:
+            f = [mpmath.mpc(c) for c in np.asarray(f, dtype=complex).tolist()]
+            exact = [mpmath.fsum(exact[i] * f[j - i] for i in range(len(exact)) if 0 <= j - i < len(f))
+                     for j in range(len(exact) + len(f) - 1)]
+        assert len(p.coeffs) <= len(exact)
+        for j, c in enumerate(exact):
+            if j < len(p.coeffs):
+                assert abs(p.coeff(j) - c) <= rel * abs(c), (j, p.coeff(j), complex(c))
+            else:
+                assert abs(c) <= polycx.TRIM_TOL, (j, complex(c))
 
 
 def coeff_bits(p: Polynomial) -> bytes:

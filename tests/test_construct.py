@@ -4,8 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import (coeff_bits, count_disc_tests, count_solves, match_multiset, node_error,
-                     pairwise_product, random_construction_spec)
+from helpers import (assert_exact_expansion, coeff_bits, convolved_once, count_disc_tests,
+                     count_solves, match_multiset, node_error, random_construction_spec)
 from tetrainner import extremal, polycx, tetrafun
 from tetrainner.boundary import TetraRegion, classify_tetra
 from tetrainner.construct import (
@@ -359,7 +359,7 @@ def test_zeros2_are_the_reflected_zeros_of_x1():
     assert x.e1.degree == x.n - 1 and (0j, 1) in found
 
 
-# -- expansions against the pairwise product -------------------------------------
+# -- expansions against one convolution chain and the mpmath oracle ---------------
 
 def _random_points(rng, count):
     pts = [0.9 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
@@ -369,25 +369,28 @@ def _random_points(rng, count):
     return pts + [0.0, 3e-15 * np.exp(1j), 2e-10, -1e-10j]
 
 
-def test_expansions_match_pairwise_product():
+def test_expansions_match_one_convolution_chain_and_the_mpmath_oracle():
     rng = np.random.default_rng(83)
     for _ in range(20):
         sigma = _random_points(rng, int(rng.integers(0, 10)))
         rng.shuffle(sigma)
         t_plus = float(0.5 + rng.random())
-        expected = pairwise_product(Polynomial((t_plus,)), [
-            f for s in sigma for f in (Polynomial((-s, 1)), Polynomial((1, -np.conj(s))))])
-        assert coeff_bits(build_royal_target(sigma, t_plus)) == coeff_bits(expected)
+        factors = [(t_plus,)] + [f for s in sigma for f in ((-s, 1), (1, -np.conj(s)))]
+        got = build_royal_target(sigma, t_plus)
+        assert coeff_bits(got) == coeff_bits(convolved_once(factors))
+        assert_exact_expansion(got, factors)
 
         alpha1, alpha2 = (_random_points(rng, int(rng.integers(0, 6))) for _ in range(2))
         t = complex(rng.normal(), rng.normal())
-        expected = pairwise_product(
-            Polynomial((t,)), [Polynomial((-a, 1)) for a in alpha1]
-            + [Polynomial((1, -np.conj(a))) for a in alpha2])
-        assert coeff_bits(build_e1(alpha1, alpha2, t)) == coeff_bits(expected)
+        factors = [(t,)] + [(-a, 1) for a in alpha1] + [(1, -np.conj(a)) for a in alpha2]
+        got = build_e1(alpha1, alpha2, t)
+        assert coeff_bits(got) == coeff_bits(convolved_once(factors))
+        assert_exact_expansion(got, factors)
 
-        expected = pairwise_product(Polynomial((1.0,)), [Polynomial((-r, 1)) for r in sigma])
-        assert coeff_bits(from_roots(sigma)) == coeff_bits(expected)
+        factors = [(1.0,)] + [(-r, 1) for r in sigma]
+        got = from_roots(sigma)
+        assert coeff_bits(got) == coeff_bits(convolved_once(factors))
+        assert_exact_expansion(got, factors)
 
 
 # -- seeded nodes and zeros of constructed functions -------------------------------

@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (NAN_EIGENVALUE_D, SCHUR_COHN_OVERFLOW_D, coeff_bits, complex_list,
-                     count_disc_tests, count_ifft, count_solves, mp_circle_values,
-                     pairwise_product, random_construction_spec)
+from helpers import (NAN_EIGENVALUE_D, SCHUR_COHN_OVERFLOW_D, assert_exact_expansion, coeff_bits,
+                     complex_list, convolved_once, count_disc_tests, count_ifft, count_solves,
+                     mp_circle_values, pairwise_product, random_construction_spec)
 import tetrainner
 from tetrainner.construct import construct
 from tetrainner.errors import (
@@ -491,7 +491,7 @@ def test_roots_error_is_not_kept():
     assert not vars(zero).get("_roots")
 
 
-# -- product against the pairwise product ---------------------------------------
+# -- product against one convolution chain, the mpmath oracle and pairwise ------
 
 @pytest.mark.parametrize("factors", [
     [],
@@ -502,10 +502,11 @@ def test_roots_error_is_not_kept():
     # every coefficient drops below it: the product is zero
     [Polynomial((1e-8,)), Polynomial((1e-8,)), Polynomial((1.0, 1.0))],
 ])
-def test_product_edge_cases_match_pairwise(factors):
-    expected = pairwise_product(factors[0], factors[1:]) if factors else Polynomial((1.0,))
+def test_product_edge_cases_match_one_convolution_chain(factors):
+    expected = convolved_once([f.coeffs for f in factors]) if factors else Polynomial((1.0,))
     got = product(factors)
     assert coeff_bits(got) == coeff_bits(expected) and got.degree == expected.degree
+    assert_exact_expansion(got, [f.coeffs for f in factors])
 
 
 def test_product_matches_pairwise_on_random_factors():
