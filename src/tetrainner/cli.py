@@ -161,7 +161,7 @@ def cmd_trace(data, args):
 
     x = tetrafun.from_json_dict(data, args.strict)
     trace = tetrafun.circle_trace(x, args.samples)
-    thetas = [2.0 * np.pi * idx / args.samples for idx in range(args.samples)]
+    thetas = (2.0 * np.pi * np.arange(args.samples) / args.samples).tolist()
     if args.format == "json":
         return [{"theta": theta, "x1": encode_complex(pt.x1), "x2": encode_complex(pt.x2),
                  "x3": encode_complex(pt.x3), "defect": defect}

@@ -32,6 +32,7 @@ from .polycx import (AGREE_TOL, CIRCLE_SAMPLES, Polynomial, agree, from_roots, i
 from .tetrafun import (
     TetraRational,
     TypeNK,
+    circle_zeros,
     royal_nodes,
     royal_polynomial,
     type_nk,
@@ -82,23 +83,28 @@ def convex_combine(x: TetraRational, y: TetraRational, t: float) -> TetraRationa
     return validate(e1, e2, x.d, x.n, strict=x.strict and y.strict)
 
 
+def _ratio_on_circle(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den on the circle grid, NaN where den vanishes, which np.fmax
+    passes over.  There a factor common to the two (lenient mode) leaves no
+    value of the ratio, only 0/0 or rounding over 0."""
+    return np.divide(num, den, out=np.full(len(num), np.nan), where=den > 0)
+
+
 def scale_nonextreme(x: TetraRational) -> PerturbationResult:
     """Midpoint decomposition by scaling both numerators, for k = 0.
 
     eps = MARGIN * (1/s - 1) where s is the circle sup of max(|x1|, |x2|);
     with no circle royal nodes s < 1 and both scalings stay in the class.
     When e2 is_mirror of e1, |x2| = |x1| on the circle and s is read from x1.
-    A sample where d and both numerators vanish (a common circle zero,
-    lenient mode) is a 0/0 and does not count.
+    A sample where d vanishes (a common circle zero, lenient mode) does not
+    count; see _ratio_on_circle.
     """
     tk = TypeNK.from_nodes(royal_nodes(x))
     if tk.k > 0:
         raise CircleNodesPresent(
             f"{tk.k} circle royal nodes force the component sup to 1")
-    dv = x.d.abs_on_circle
-    with np.errstate(invalid="ignore"):   # fmax passes over the 0/0 samples
-        sup = max(float(np.fmax.reduce(e.abs_on_circle / dv))
-                  for e in ((x.e1,) if is_mirror(x.e1, x.e2, x.n) else (x.e1, x.e2)))
+    sup = max(float(np.fmax.reduce(_ratio_on_circle(e.abs_on_circle, x.d.abs_on_circle)))
+              for e in ((x.e1,) if is_mirror(x.e1, x.e2, x.n) else (x.e1, x.e2)))
     if sup == 0.0:
         return PerturbationResult(x, x, 1.0, Polynomial(),
                                   PerturbationMethod.EPSILON_SCALING,
@@ -150,6 +156,13 @@ def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
     Builds the parity-matched n-symmetric g from the circle nodes, bounds t
     by the positive slack r M of |d|^2 - |e1|^2 away from the circle nodes,
     and returns the validated pair (e1 +- t g, e2 +- t g, d).
+
+    A lenient function may share with d a factor f at d's circle zeros
+    (tetrafun.cancel_circle_zeros); its type (n, k) is that of the reduced
+    function x/f.  Then g is the reduced type's times f = prod c (lam - tau)^m
+    with c = exp(i (pi - arg tau)/2), which equals its own m-reflection, so g
+    sits at index x.n and is still its own reflection.  The bound is the
+    reduced function's: on the circle |d|^2 - |e1|^2 = |f|^2 (|d/f|^2 - |e1/f|^2).
     """
     nodes = royal_nodes(x)
     tk = TypeNK.from_nodes(nodes)
@@ -164,9 +177,17 @@ def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
     g = _perturbation_polynomial(taus, n, k)
 
     lam0, pivot, m_const = _node_extremes(interior, taus)
-    r = float(np.real(lam0 ** (-n) * royal_polynomial(x).eval(lam0)) / pivot)
-    e1_sup = float(np.max(x.e1.abs_on_circle))
+    r = float(np.real(lam0 ** (-x.n) * royal_polynomial(x).eval(lam0)) / pivot)
+    e1_abs = x.e1.abs_on_circle
     g_sup = float(np.max(g.abs_on_circle))
+    common = circle_zeros(x.d)
+    if common:
+        f = linear_product(1.0, [(-c * tau, c) for tau, m in common
+                                 for c in [np.exp(0.5j * (np.pi - np.angle(tau)))] * m])
+        r /= abs(f.eval(lam0)) ** 2
+        e1_abs = _ratio_on_circle(e1_abs, f.abs_on_circle)
+        g = g * f
+    e1_sup = float(np.fmax.reduce(e1_abs))
     divisor = 8.0 if n % 2 == 0 else 16.0
     if e1_sup == 0.0:
         t = SAFETY * np.sqrt(r * m_const / max(g_sup, 1e-300) / (1.0 if n % 2 == 0 else 2.0))

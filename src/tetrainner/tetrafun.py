@@ -71,14 +71,11 @@ class TetraRational:
         return self.d.reflect(self.n)
 
     @cached_property
-    def _royal(self) -> tuple[Polynomial, Polynomial, Polynomial]:
-        """reflect(d, n) * d - e1 * e2, then the two products it is formed from."""
+    def _royal(self) -> tuple[Polynomial, bool]:
+        """reflect(d, n) * d - e1 * e2, and whether the two products agree
+        (the royal variety)."""
         dd, ee = self.d_reflected * self.d, self.e1 * self.e2
-        return dd - ee, dd, ee
-
-    @cached_property
-    def _on_royal_variety(self) -> bool:
-        return agree(*self._royal[1:])
+        return dd - ee, agree(dd, ee)
 
     @cached_property
     def _on_rings(self) -> tuple:
@@ -91,9 +88,9 @@ class TetraRational:
     @cached_property
     def _royal_nodes(self) -> tuple:
         """The royal_nodes result, checked against construct's spec; a raised error is not kept."""
-        if self._on_royal_variety:
+        royal, on_variety = self._royal
+        if on_variety:
             raise RoyalVarietyFunction("royal polynomial is identically zero")
-        royal = self._royal[0]
         inside, circle = circle_split(royal)[:2]
         circle = cancel_circle_zeros(self, circle, 2, "circle royal node")
         nodes = [RoyalNode(loc, order, order, False) for loc, order in inside]
@@ -105,6 +102,16 @@ class TetraRational:
         return tuple(nodes)
 
 
+def circle_zeros(d: Polynomial) -> tuple:
+    """The (location, order) entries of d's circle zeros, the ones degree
+    cancels: those of roots_inside(d, 1 + CIRCLE_TOL) of modulus
+    1 - CIRCLE_TOL or more.  A strict d has none, read from the disc answer
+    validation kept.
+    """
+    return tuple(entry for entry in roots_inside(d, 1.0 + CIRCLE_TOL)
+                 if abs(entry[0]) >= 1.0 - CIRCLE_TOL)
+
+
 def cancel_circle_zeros(x: TetraRational, entries, weight: int, name: str) -> tuple:
     """The (location, order) entries less weight m at each circle zero tau of
     d of order m, taken from the entry within CIRCLE_TOL of tau; entries left
@@ -113,14 +120,10 @@ def cancel_circle_zeros(x: TetraRational, entries, weight: int, name: str) -> tu
     d(tau) = 0 with |tau| = 1 forces e1(tau) = e2(tau) = 0 (modulus
     domination), so lenient mode admits a factor c (lam - tau) common to e1,
     e2 and d: it cancels m from the zeros of e1 and e2 and 2m from the royal
-    polynomial.  The circle zeros are degree's: the entries of roots_inside(d,
-    1 + CIRCLE_TOL) of modulus 1 - CIRCLE_TOL or more; a strict d has none,
-    read from the disc answer validation kept.
+    polynomial.
     """
     entries = list(entries)
-    for tau, m in roots_inside(x.d, 1.0 + CIRCLE_TOL):
-        if abs(tau) < 1.0 - CIRCLE_TOL:
-            continue
+    for tau, m in circle_zeros(x.d):
         at = [i for i, (loc, order) in enumerate(entries)
               if abs(loc - tau) <= CIRCLE_TOL and order >= weight * m]
         if not at:
@@ -342,7 +345,7 @@ def royal_polynomial(x: TetraRational) -> Polynomial:
 
 
 def is_royal_variety(x: TetraRational) -> bool:
-    return x._on_royal_variety
+    return x._royal[1]
 
 
 def royal_nodes(x: TetraRational) -> tuple[RoyalNode, ...]:

@@ -469,6 +469,9 @@ def test_trace_json_format(tmp_path, capsys):
     rows = json.loads(out)
     assert len(rows) == 16
     assert rows[0]["theta"] == 0.0
+    # the angles are the loop 2 pi j / samples bit for bit
+    code, out = _run(capsys, ["trace", path, "--samples", "100", "--format", "json"])
+    assert [row["theta"] for row in json.loads(out)] == [2.0 * np.pi * j / 100 for j in range(100)]
 
 
 def test_csv_rejected_for_nested_commands(tmp_path, capsys):
