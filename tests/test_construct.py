@@ -542,42 +542,23 @@ def test_a_lenient_common_circle_factor_cancels_from_every_answer():
     assert extremal.perturb_nonextreme(xl).method is extremal.perturb_nonextreme(x).method
 
 
-def _lenient_with_common_factor(sigma, angle):
-    """x = construct(sigma), and x times f/f at index 3, f = c (lam - tau) at
-    tau = exp(i angle), which equals its own 1-reflection."""
-    x = construct(ConstructionSpec(alpha1=(0.3,), alpha2=(0.2j,), sigma=sigma))
+# at pi/2 the factor vanishes on a grid sample, where e1/f has no value
+@pytest.mark.parametrize("angle", [0.7, np.pi / 2])
+def test_a_lenient_common_circle_factor_perturbs_at_one_circle_node(angle):
+    # one circle royal node: g is built at the reduced index 2 and times f
+    x = construct(ConstructionSpec(alpha1=(0.3,), alpha2=(0.2j,), sigma=(np.exp(1.9j), 0.5)))
     tau, c = np.exp(1j * angle), np.exp(0.5j * (np.pi - angle))
     f = Polynomial((-c * tau, c))
-    return x, validate(x.e1 * f, x.e2 * f, x.d * f, 3, strict=False)
-
-
-def _assert_lenient_midpoint(result, xl):
-    """Both halves are lenient functions and their midpoint is xl within 1e-12 relative."""
+    xl = validate(x.e1 * f, x.e2 * f, x.d * f, 3, strict=False)
+    assert type_nk(xl) == type_nk(x) == TypeNK(2, 1)
+    result = extremal.perturb_nonextreme(xl)
+    assert result.method is extremal.PerturbationMethod.G_PERTURB_EVEN and result.t_used > 0
+    assert polycx.is_n_symmetric(result.g, xl.n)
     for half in (result.x_plus, result.x_minus):
         validate(half.e1, half.e2, half.d, half.n, strict=False)
     for mid, e in (((result.x_plus.e1 + result.x_minus.e1).scale(0.5), xl.e1),
                    ((result.x_plus.e2 + result.x_minus.e2).scale(0.5), xl.e2)):
         assert coeff_distance(mid, e) <= 1e-12 * e.max_coeff()
-
-
-# at pi/2 the factor vanishes on a grid sample, where e1/f has no value
-@pytest.mark.parametrize("angle", [0.7, np.pi / 2])
-def test_a_lenient_common_circle_factor_perturbs_at_one_circle_node(angle):
-    # one circle royal node: g is built at the reduced index 2 and times f
-    x, xl = _lenient_with_common_factor((np.exp(1.9j), 0.5), angle)
-    assert type_nk(xl) == type_nk(x) == TypeNK(2, 1)
-    result = extremal.perturb_nonextreme(xl)
-    assert result.method is extremal.PerturbationMethod.G_PERTURB_EVEN and result.t_used > 0
-    assert polycx.is_n_symmetric(result.g, xl.n)
-    _assert_lenient_midpoint(result, xl)
-
-
-def test_a_lenient_common_circle_factor_scales_at_no_circle_node():
-    x, xl = _lenient_with_common_factor((0.5, -0.4j), 0.7)
-    result = extremal.perturb_nonextreme(xl)
-    assert result.method is extremal.PerturbationMethod.EPSILON_SCALING
-    assert abs(result.t_used - extremal.perturb_nonextreme(x).t_used) <= 1e-9
-    _assert_lenient_midpoint(result, xl)
 
 
 def test_a_circle_zero_of_d_with_nothing_there_to_cancel_raises():
