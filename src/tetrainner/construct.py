@@ -32,8 +32,8 @@ from .errors import (
 from .fejriesz import factor, laurent_shift, modulus_squared_on_circle
 from .polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, SPEC_TOL, TRIM_TOL, Polynomial, RootMultiset,
                      coeff_distance, linear_product, reflected_roots, roots as poly_roots)
-from .tetrafun import (RoyalNode, TetraRational, cancel_circle_zeros, is_royal_variety,
-                       royal_nodes, royal_polynomial, validate)
+from .tetrafun import (RoyalNode, TetraRational, is_royal_variety, reduced, royal_nodes,
+                       royal_polynomial, validate)
 
 
 @dataclass(frozen=True)
@@ -161,17 +161,17 @@ def recover_data(x: TetraRational) -> RecoveredData:
 
     Only the roots of e1 are found (seeded or solved, see polycx.roots):
     validation makes e2 = e1~n within AGREE_TOL, so the zeros of x2 are the
-    reflections of the zeros of x1.  A circle zero of d (lenient mode)
-    cancels from both lists (see tetrafun.cancel_circle_zeros).  Identically zero
-    components carry no finite zero list and are rejected; royal-variety
-    functions have no node data, so royal_nodes raises.
+    reflections of the zeros of x1.  A lenient function with a factor
+    common to e1, e2 and d at circle zeros of d has the zeros of its reduced
+    function (see tetrafun.reduced).  Identically zero components, read off
+    the reduced function, carry no finite zero list and are rejected;
+    royal-variety functions have no node data, so royal_nodes raises.
     """
-    if x.e1.is_zero or x.e2.is_zero:
+    xr = reduced(x)[0]
+    if xr.e1.is_zero or xr.e2.is_zero:
         raise DegenerateZeroComponent(
             "a component of the function is identically zero; no zero list exists")
     zeros1, zeros2 = (
-        RootMultiset(cancel_circle_zeros(x, [(loc, order) for loc, order in found.entries
-                                             if abs(loc) <= 1.0 + CIRCLE_TOL], 1, name))
-        for found, name in ((poly_roots(x.e1), "zero of e1"),
-                            (reflected_roots(x.e1, x.n), "zero of e2")))
+        RootMultiset(tuple(entry for entry in found.entries if abs(entry[0]) <= 1.0 + CIRCLE_TOL))
+        for found in (poly_roots(xr.e1), reflected_roots(xr.e1, xr.n)))
     return RecoveredData(zeros1, zeros2, royal_nodes(x))

@@ -41,6 +41,7 @@ from .polycx import (
     TRACE_SAMPLES,
     Polynomial,
     _is_number,
+    _newton_limits,
     agree,
     circle_split,
     coeff_distance,
@@ -91,8 +92,9 @@ class TetraRational:
         royal, on_variety = self._royal
         if on_variety:
             raise RoyalVarietyFunction("royal polynomial is identically zero")
+        if self._reduced is not None:
+            return self._reduced[0]._royal_nodes
         inside, circle = circle_split(royal)[:2]
-        circle = cancel_circle_zeros(self, circle, 2, "circle royal node")
         nodes = [RoyalNode(loc, order, order, False) for loc, order in inside]
         nodes += [RoyalNode(loc, order, order // 2, True) for loc, order in circle]
         nodes.sort(key=lambda nd: (round(nd.location.real, 12), round(nd.location.imag, 12)))
@@ -101,37 +103,46 @@ class TetraRational:
                                             for _ in range(nd.multiplicity)])
         return tuple(nodes)
 
-
-def circle_zeros(d: Polynomial) -> tuple:
-    """The (location, order) entries of d's circle zeros, the ones degree
-    cancels: those of roots_inside(d, 1 + CIRCLE_TOL) of modulus
-    1 - CIRCLE_TOL or more.  A strict d has none, read from the disc answer
-    validation kept.
-    """
-    return tuple(entry for entry in roots_inside(d, 1.0 + CIRCLE_TOL)
-                 if abs(entry[0]) >= 1.0 - CIRCLE_TOL)
-
-
-def cancel_circle_zeros(x: TetraRational, entries, weight: int, name: str) -> tuple:
-    """The (location, order) entries less weight m at each circle zero tau of
-    d of order m, taken from the entry within CIRCLE_TOL of tau; entries left
-    of order 0 go.  DenominatorVanishes when no entry there has the order.
-
-    d(tau) = 0 with |tau| = 1 forces e1(tau) = e2(tau) = 0 (modulus
-    domination), so lenient mode admits a factor c (lam - tau) common to e1,
-    e2 and d: it cancels m from the zeros of e1 and e2 and 2m from the royal
-    polynomial.
-    """
-    entries = list(entries)
-    for tau, m in circle_zeros(x.d):
-        at = [i for i, (loc, order) in enumerate(entries)
-              if abs(loc - tau) <= CIRCLE_TOL and order >= weight * m]
-        if not at:
+    @cached_property
+    def _reduced(self) -> tuple[TetraRational, Polynomial] | None:
+        """reduced's answer, or None for (x, None): no kept value refers to x."""
+        common = [(tau, m) for tau, m in roots_inside(self.d, 1.0 + CIRCLE_TOL)
+                  if abs(tau) >= 1.0 - CIRCLE_TOL]
+        if not common:
+            return None
+        pairs = []
+        for tau, m in common:
+            # a zero of order m is a simple zero of d's (m - 1)-th derivative
+            tau = _newton_limits(np.polyder(self.d.coeffs[::-1], m - 1)[::-1], [tau])[0][0]
+            c = np.exp(0.5j * (np.pi - np.angle(tau)))
+            pairs += [(-c * tau, c)] * m
+        f = linear_product(1.0, pairs)
+        parts = (self.e1, self.e2, self.d)
+        quotients = [p if p.is_zero else
+                     Polynomial(np.polydiv(p.coeffs[::-1], f.coeffs[::-1])[0][::-1]) for p in parts]
+        if not all(agree(q * f, p) for q, p in zip(quotients, parts)):
+            zeros = ", ".join(f"order {m} at {complex(tau):.6g}" for tau, m in common)
             raise DenominatorVanishes(
-                f"d vanishes to order {m} at {complex(tau):.6g}, and no {name} there cancels it")
-        loc, order = entries[at[0]]
-        entries[at[0]] = (loc, order - weight * m)
-    return tuple(entry for entry in entries if entry[1])
+                f"d vanishes on the circle ({zeros}), and e1, e2 and d share no such factor")
+        return TetraRational(*quotients, self.n - f.degree, strict=self.strict), f
+
+
+def reduced(x: TetraRational) -> tuple[TetraRational, Polynomial | None]:
+    """(x/f, f) for the factor f common to e1, e2 and d at d's circle zeros.
+
+    d(tau) = 0 with |tau| = 1 forces e1(tau) = e2(tau) = 0, so lenient mode
+    admits such an f, which changes neither x nor its degree.  For each
+    zero tau of order m (roots_inside(d, 1 + CIRCLE_TOL) of modulus
+    1 - CIRCLE_TOL or more, as degree counts them), placed as the Newton
+    limit on d's (m - 1)-th derivative, f has c (lam - tau)^m with
+    c = exp(i (pi - arg tau)/2), so f is its own reflection at index deg f.
+    x/f is (e1/f, e2/f, d/f) at index n - deg f; DenominatorVanishes unless
+    each quotient times f agrees with its original.  (x, None) when d has
+    no circle zero, as every strict d says from the disc answer validation
+    kept.  The result is kept on x; a raised error is not kept.
+    """
+    kept = x._reduced
+    return (x, None) if kept is None else kept
 
 
 def _match_spec(sigma, found) -> None:
@@ -354,15 +365,15 @@ def royal_nodes(x: TetraRational) -> tuple[RoyalNode, ...]:
     lam^-n times the royal polynomial is |d|^2 - |e1|^2 on the circle, so
     polycx.circle_split applies.  Zeros outside the closed disc are the
     reflections of interior zeros and are discarded; circle zeros carry
-    half of their even raw order as multiplicity, less the factors common
-    to e1, e2 and d at circle zeros of d (lenient mode; see
-    cancel_circle_zeros).  A function that
-    construct returned takes the Newton limits from its spec's nodes where
-    they account for every root (see polycx.circle_split); any other
-    function solves.  Such a function's nodes, counted with multiplicity,
-    must then match its spec's one to one within CIRCLE_TOL, each spec node
-    in turn taking the nearest unused one, or ConstructionInconsistent is
-    raised.  The result is kept on x; a raised error is not kept.
+    half of their even raw order as multiplicity.  A lenient function with
+    a factor common to e1, e2 and d at circle zeros of d has the nodes of
+    its reduced function (see reduced).  A function that construct returned
+    takes the Newton limits from its spec's nodes where they account for
+    every root (see polycx.circle_split); any other function solves.  Such
+    a function's nodes, counted with multiplicity, must then match its
+    spec's one to one within CIRCLE_TOL, each spec node in turn taking the
+    nearest unused one, or ConstructionInconsistent is raised.  The result
+    is kept on x; a raised error is not kept.
     """
     return x._royal_nodes
 

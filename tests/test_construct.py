@@ -524,10 +524,12 @@ def test_the_node_match_is_the_greedy_loop_of_the_reference():
             tetrafun._match_spec(sigma, list(found))
 
 
-def test_a_lenient_common_circle_factor_cancels_from_every_answer():
+# at pi/2 and pi the factor vanishes on a sample of the circle grid
+@pytest.mark.parametrize("angle", [0.7, np.pi / 2, np.pi])
+def test_a_lenient_common_circle_factor_cancels_from_every_answer(angle):
     # f = c (lam - tau) equals its 1-reflection, so x times f/f is x
     x = construct(ConstructionSpec(alpha1=(0.3,), alpha2=(0.2j,), sigma=(0.5, -0.4j)))
-    tau, c = np.exp(0.7j), np.exp(0.5j * (np.pi - 0.7))
+    tau, c = np.exp(1j * angle), np.exp(0.5j * (np.pi - angle))
     f = Polynomial((-c * tau, c))
     xl = validate(x.e1 * f, x.e2 * f, x.d * f, 3, strict=False)
     assert degree(xl) == degree(x) == 2 and type_nk(xl) == type_nk(x)
@@ -539,7 +541,30 @@ def test_a_lenient_common_circle_factor_cancels_from_every_answer():
                             (recover_data(x).zeros1, recover_data(x).zeros2)):
         assert [order for _, order in found.entries] == [order for _, order in zeros.entries]
         match_multiset(zeros.expand(), found.expand(), 1e-9)
-    assert extremal.perturb_nonextreme(xl).method is extremal.perturb_nonextreme(x).method
+    result, expected = extremal.perturb_nonextreme(xl), extremal.perturb_nonextreme(x)
+    assert result.method is expected.method
+    assert abs(result.t_used - expected.t_used) <= 1e-12 * expected.t_used
+    for half in (result.x_plus, result.x_minus):
+        validate(half.e1, half.e2, half.d, half.n, strict=False)
+
+
+def test_a_squared_lenient_common_circle_factor_cancels_from_every_answer():
+    # d's double circle zero is placed on d', where it is simple
+    x = construct(ConstructionSpec(alpha1=(0.3,), alpha2=(0.2j,), sigma=(np.exp(1.9j), 0.5)))
+    tau, c = np.exp(-1.2j), np.exp(0.5j * (np.pi + 1.2))
+    f = Polynomial((-c * tau, c))
+    f2 = f * f
+    xl = validate(x.e1 * f2, x.e2 * f2, x.d * f2, 4, strict=False)
+    assert type_nk(xl) == type_nk(x) == TypeNK(2, 1)
+    match_multiset([nd.location for nd in royal_nodes(x)],
+                   [nd.location for nd in royal_nodes(xl)], 1e-9)
+    for found, zeros in zip((recover_data(xl).zeros1, recover_data(xl).zeros2),
+                            (recover_data(x).zeros1, recover_data(x).zeros2)):
+        match_multiset(zeros.expand(), found.expand(), 1e-9)
+    result = extremal.perturb_nonextreme(xl)
+    assert result.method is extremal.PerturbationMethod.G_PERTURB_EVEN
+    for half in (result.x_plus, result.x_minus):
+        validate(half.e1, half.e2, half.d, half.n, strict=False)
 
 
 # at pi/2 the factor vanishes on a grid sample, where e1/f has no value
@@ -565,16 +590,18 @@ def test_a_circle_zero_of_d_with_nothing_there_to_cancel_raises():
     # (0, 0, 1 + lam): the royal polynomial's double root at -1 is the common factor
     x = validate(Polynomial(()), Polynomial(()), Polynomial((1, 1)), 1, strict=False)
     assert royal_nodes(x) == () and degree(x) == 0
-    with pytest.raises(DenominatorVanishes, match="no circle royal node there cancels it"):
-        tetrafun.cancel_circle_zeros(x, ((1j, 2),), 2, "circle royal node")
-    with pytest.raises(DenominatorVanishes):   # an entry there of too low an order
-        tetrafun.cancel_circle_zeros(x, ((-1.0, 1),), 2, "circle royal node")
-    # e1 = 1e-10 passes modulus domination with d but has no zero at -1
+    # e1 = 1e-10 agrees with 0 times f: the reduced function (0, 0, 1) has no zero list
     x = validate(Polynomial((1e-10,)), Polynomial((0, 1e-10)), Polynomial((1, 1)), 1,
                  strict=False)
     assert royal_nodes(x) == ()
-    with pytest.raises(DenominatorVanishes, match="no zero of e1 there cancels it"):
+    with pytest.raises(DegenerateZeroComponent):
         recover_data(x)
+    # e1 = 1e-9 passes modulus domination with d but has no zero at -1
+    x = validate(Polynomial((1e-9,)), Polynomial((0, 1e-9)), Polynomial((1, 1)), 1,
+                 strict=False)
+    for answer in (royal_nodes, recover_data, extremal.perturb_nonextreme):
+        with pytest.raises(DenominatorVanishes, match=r"order 1 at -1\+0j\), and e1, e2 and d"):
+            answer(x)
     # a zero of d inside the circle (no validation admits it) is no circle zero
     x = tetrafun.TetraRational(Polynomial(()), Polynomial(()), Polynomial((0.0, -2.0, 1.0)), 3,
                                strict=False)

@@ -210,13 +210,6 @@ def test_scale_nonextreme_degenerate_zero_components():
     assert result.x_plus is x and result.x_minus is x
 
 
-def test_circle_sups_pass_over_samples_where_the_divisor_vanishes():
-    # 0/0 and rounding over an exact 0, as at a common circle zero on the grid
-    ratio = extremal._ratio_on_circle(np.array([0.5, 0.0, 1e-17, 2.0]),
-                                      np.array([1.0, 0.0, 0.0, 4.0]))
-    assert np.isnan(ratio[1:3]).all() and np.fmax.reduce(ratio) == 0.5
-
-
 def test_scale_nonextreme_rejects_a_component_sup_at_one():
     # modulus domination forgives |e1| - |d| up to MODULUS_SLACK (1 + max |d|)
     e1 = Polynomial((1 + 1e-10,))
