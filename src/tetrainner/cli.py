@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
+INSIDE_DISC_TOL = 1e-7   # verify's membership tolerance at the ring samples
 
 
 # verify's condition rows: validation_report code and printed label, in print order
@@ -131,7 +132,8 @@ def cmd_verify(data, args):
         royal = tetrafun.royal_polynomial(x)
         shifted = circle_power(-n) * royal.on_circle
         sym_dev = coeff_distance(royal, royal.reflect(2 * n))
-        inside_ok = all(boundary.classify_tetra(pt, 1e-7) is not boundary.TetraRegion.OUTSIDE
+        inside_ok = all(boundary.classify_tetra(pt, INSIDE_DISC_TOL)
+                        is not boundary.TetraRegion.OUTSIDE
                         for pt in tetrafun._points(*x._on_rings))
         # on the circle x1 - conj(x2) x3 = (e1 - lam^n conj(e2)) / d; a circle zero
         # of d (lenient mode) leaves it undefined at a sample, reported as None

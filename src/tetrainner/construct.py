@@ -35,6 +35,8 @@ from .polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, SPEC_TOL, TRIM_TOL, Polynomial,
 from .tetrafun import (RoyalNode, TetraRational, is_royal_variety, reduced, royal_nodes,
                        royal_polynomial, validate)
 
+ROYAL_DRIFT_TOL = 1e-8   # relative: a constructed royal polynomial against the built target
+
 
 @dataclass(frozen=True)
 class ConstructionSpec:
@@ -144,7 +146,7 @@ def construct(spec: ConstructionSpec) -> TetraRational:
         raise ConstructionInconsistent(f"constructed triple failed validation: {exc}") from exc
     royal = royal_polynomial(x)
     drift = coeff_distance(royal, target)
-    if drift > 1e-8 * (1.0 + target.max_coeff()):
+    if drift > ROYAL_DRIFT_TOL * (1.0 + target.max_coeff()):
         raise ConstructionInconsistent(
             f"royal polynomial drift {drift:.3e} exceeds tolerance")
     if is_royal_variety(x):

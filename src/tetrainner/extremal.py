@@ -41,6 +41,7 @@ from .tetrafun import (
 
 SAFETY = 0.9
 MARGIN = 0.5
+SUP_AT_ONE_TOL = 1e-12   # a sampled component sup this close to 1 is at 1
 
 
 class PerturbationMethod(enum.Enum):
@@ -103,7 +104,7 @@ def scale_nonextreme(x: TetraRational) -> PerturbationResult:
         return PerturbationResult(x, x, 1.0, Polynomial(),
                                   PerturbationMethod.EPSILON_SCALING,
                                   note="DegenerateZeroComponents")
-    if sup >= 1.0 - 1e-12:
+    if sup >= 1.0 - SUP_AT_ONE_TOL:
         raise NumericalSupAtOne(f"sampled component sup {sup} is at 1")
     eps = MARGIN * (1.0 / sup - 1.0)
     x_plus = validate(x.e1.scale(1.0 + eps), x.e2.scale(1.0 + eps), x.d, x.n, strict=x.strict)

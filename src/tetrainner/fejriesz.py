@@ -55,6 +55,7 @@ from .polycx import (
 NONNEG_GUARD = 1e-10
 NEWTON_TOL = 1e-13     # relative residual max |c - F(D)| the cepstral path must reach
 NEWTON_STEPS = 6
+END_STRIP_TOL = 5e-13  # relative: matching end coefficients stripped before factoring
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -124,7 +125,7 @@ def factor(p: TrigPolynomial) -> Polynomial:
     asc = np.concatenate((np.conj(c[:0:-1]), [c[0].real], c[1:]))
     # ord_0(P) equals the vanishing order at infinity; strip matching ends.
     mag = modulus(asc)
-    strip_tol = 5e-13 * mag.max()
+    strip_tol = END_STRIP_TOL * mag.max()
     while len(asc) > 1 and mag[0] <= strip_tol and mag[-1] <= strip_tol:
         asc, mag = asc[1:-1], mag[1:-1]
     big_p = Polynomial(asc)

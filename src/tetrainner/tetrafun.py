@@ -57,6 +57,7 @@ from .polycx import (
 MODULUS_SLACK = 1e-9
 DENOMINATOR_POLE_TOL = 1e-13   # |d| below this is a pole of the function
 RING_SAMPLES = 64              # points per ring of the superficial and Psi checks
+SUPERFICIAL_TOL = 1e-10        # |tetra_defect| below this is on the topological boundary
 
 
 @dataclass(frozen=True)
@@ -411,10 +412,10 @@ def is_superficial(x: TetraRational) -> bool:
 
     Evaluates on RING_SAMPLES uniform points of each circle of radius 0.1,
     0.5 and 0.9, as one array kept on x; every |tetra_defect| must stay
-    below 1e-10.
+    below SUPERFICIAL_TOL.
     """
     defect = boundary.tetra_defect(TetraPoint(*x._on_rings))
-    return not np.any(np.abs(defect) >= 1e-10)
+    return not np.any(np.abs(defect) >= SUPERFICIAL_TOL)
 
 
 def psi_omega_check(x: TetraRational, spec: SuperficialSpec) -> float:
