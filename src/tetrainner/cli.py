@@ -118,16 +118,15 @@ def cmd_construct(data, args):
 def cmd_verify(data, args):
     from . import boundary, tetrafun
 
-    e1, e2, d, n = tetrafun.decode_function_fields(data)
-    checks = tetrafun.validation_report(e1, e2, d, n, strict=args.strict)
+    checks, x = tetrafun._validated(*tetrafun.decode_function_fields(data), args.strict)
     by_code = {c.code: c for c in checks}
     conditions = [{"condition": label, "passed": by_code[code].passed,
                    "detail": by_code[code].detail} for code, label in _CONDITIONS]
-    valid = all(c.passed for c in checks)
-    report = {"valid": valid, "conditions": conditions}
-    if valid:
-        x = tetrafun.TetraRational(e1, e2, d, n, strict=args.strict)
-        # d and e1 as validation_report sampled them; e2 too, unless it was e1's exact mirror
+    report = {"valid": x is not None, "conditions": conditions}
+    if x is not None:
+        # validation's function: for strict input the given parts, d and e1 as validation
+        # sampled them (e2 too, unless it was e1's exact mirror)
+        e1, e2, d, n = x.e1, x.e2, x.d, x.n
         dv, e1v, e2v = d.abs_on_circle, e1.abs_on_circle, e2.abs_on_circle
         royal = tetrafun.royal_polynomial(x)
         shifted = circle_power(-n) * royal.on_circle
@@ -135,8 +134,7 @@ def cmd_verify(data, args):
         inside_ok = all(boundary.classify_tetra(pt, INSIDE_DISC_TOL)
                         is not boundary.TetraRegion.OUTSIDE
                         for pt in tetrafun._points(*x._on_rings))
-        # on the circle x1 - conj(x2) x3 = (e1 - lam^n conj(e2)) / d; a circle zero
-        # of d (lenient mode) leaves it undefined at a sample, reported as None
+        # on the circle x1 - conj(x2) x3 = (e1 - lam^n conj(e2)) / d
         defect = np.abs(e1.on_circle - circle_power(n) * e2.on_circle.conj())
         report["invariants"] = {
             "modulus_equality_max_dev": float(np.max(np.abs(e1v - e2v))),
@@ -145,8 +143,7 @@ def cmd_verify(data, args):
             "royal_min_on_circle": float(np.min(np.real(shifted))),
             "disc_image_in_closure": bool(inside_ok),
             "degree": tetrafun.degree(x),
-            "circle_defect_max": (None if np.min(dv) < tetrafun.DENOMINATOR_POLE_TOL
-                                  else float(np.max(defect / dv))),
+            "circle_defect_max": float(np.max(defect / dv)),
             "winding_number": tetrafun.winding_number(x),
         }
     return report

@@ -32,8 +32,8 @@ from .errors import (
 from .fejriesz import factor, laurent_shift, modulus_squared_on_circle
 from .polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, SPEC_TOL, TRIM_TOL, Polynomial, RootMultiset,
                      coeff_distance, linear_product, reflected_roots, roots as poly_roots)
-from .tetrafun import (RoyalNode, TetraRational, is_royal_variety, reduced, royal_nodes,
-                       royal_polynomial, validate)
+from .tetrafun import (RoyalNode, TetraRational, is_royal_variety, royal_nodes, royal_polynomial,
+                       validate)
 
 ROYAL_DRIFT_TOL = 1e-8   # relative: a constructed royal polynomial against the built target
 
@@ -141,7 +141,7 @@ def construct(spec: ConstructionSpec) -> TetraRational:
     d = d_outer.scale(np.conj(spec.omega))
     e2 = e1.reflect(n)
     try:
-        x = validate(e1, e2, d, n, strict=True)
+        x = validate(e1, e2, d, n)
     except ValidationError as exc:
         raise ConstructionInconsistent(f"constructed triple failed validation: {exc}") from exc
     royal = royal_polynomial(x)
@@ -163,17 +163,16 @@ def recover_data(x: TetraRational) -> RecoveredData:
 
     Only the roots of e1 are found (seeded or solved, see polycx.roots):
     validation makes e2 = e1~n within AGREE_TOL, so the zeros of x2 are the
-    reflections of the zeros of x1.  A lenient function with a factor
-    common to e1, e2 and d at circle zeros of d has the zeros of its reduced
-    function (see tetrafun.reduced).  Identically zero components, read off
-    the reduced function, carry no finite zero list and are rejected;
-    royal-variety functions have no node data, so royal_nodes raises.
+    reflections of the zeros of x1.  A factor common to e1, e2 and d at
+    circle zeros of d would add zeros; lenient validation divides it out
+    (see tetrafun.validate).  Identically zero components carry no finite
+    zero list and are rejected; royal-variety functions have no node data,
+    so royal_nodes raises.
     """
-    xr = reduced(x)[0]
-    if xr.e1.is_zero or xr.e2.is_zero:
+    if x.e1.is_zero or x.e2.is_zero:
         raise DegenerateZeroComponent(
             "a component of the function is identically zero; no zero list exists")
     zeros1, zeros2 = (
         RootMultiset(tuple(entry for entry in found.entries if abs(entry[0]) <= 1.0 + CIRCLE_TOL))
-        for found in (poly_roots(xr.e1), reflected_roots(xr.e1, xr.n)))
+        for found in (poly_roots(x.e1), reflected_roots(x.e1, x.n)))
     return RecoveredData(zeros1, zeros2, royal_nodes(x))

@@ -32,7 +32,6 @@ from .polycx import (AGREE_TOL, CIRCLE_SAMPLES, Polynomial, agree, from_roots, i
 from .tetrafun import (
     TetraRational,
     TypeNK,
-    reduced,
     royal_nodes,
     royal_polynomial,
     type_nk,
@@ -81,7 +80,7 @@ def convex_combine(x: TetraRational, y: TetraRational, t: float) -> TetraRationa
     ratio = ratio.real
     e1 = x.e1.scale(t) + y.e1.scale((1.0 - t) / ratio)
     e2 = x.e2.scale(t) + y.e2.scale((1.0 - t) / ratio)
-    return validate(e1, e2, x.d, x.n, strict=x.strict and y.strict)
+    return validate(e1, e2, x.d, x.n)
 
 
 def scale_nonextreme(x: TetraRational) -> PerturbationResult:
@@ -90,16 +89,15 @@ def scale_nonextreme(x: TetraRational) -> PerturbationResult:
     eps = MARGIN * (1/s - 1) where s is the circle sup of max(|x1|, |x2|);
     with no circle royal nodes s < 1 and both scalings stay in the class.
     When e2 is_mirror of e1, |x2| = |x1| on the circle and s is read from x1.
-    s is the reduced function's (see tetrafun.reduced), which has the same
-    x and no circle zero of d.
+    d has no circle zero: lenient validation divided out any factor common
+    to e1, e2 and d there (see tetrafun.validate).
     """
     tk = TypeNK.from_nodes(royal_nodes(x))
     if tk.k > 0:
         raise CircleNodesPresent(
             f"{tk.k} circle royal nodes force the component sup to 1")
-    xr = reduced(x)[0]
-    sup = max(float(np.max(e.abs_on_circle / xr.d.abs_on_circle))
-              for e in ((xr.e1,) if is_mirror(xr.e1, xr.e2, xr.n) else (xr.e1, xr.e2)))
+    sup = max(float(np.max(e.abs_on_circle / x.d.abs_on_circle))
+              for e in ((x.e1,) if is_mirror(x.e1, x.e2, x.n) else (x.e1, x.e2)))
     if sup == 0.0:
         return PerturbationResult(x, x, 1.0, Polynomial(),
                                   PerturbationMethod.EPSILON_SCALING,
@@ -107,8 +105,8 @@ def scale_nonextreme(x: TetraRational) -> PerturbationResult:
     if sup >= 1.0 - SUP_AT_ONE_TOL:
         raise NumericalSupAtOne(f"sampled component sup {sup} is at 1")
     eps = MARGIN * (1.0 / sup - 1.0)
-    x_plus = validate(x.e1.scale(1.0 + eps), x.e2.scale(1.0 + eps), x.d, x.n, strict=x.strict)
-    x_minus = validate(x.e1.scale(1.0 - eps), x.e2.scale(1.0 - eps), x.d, x.n, strict=x.strict)
+    x_plus = validate(x.e1.scale(1.0 + eps), x.e2.scale(1.0 + eps), x.d, x.n)
+    x_minus = validate(x.e1.scale(1.0 - eps), x.e2.scale(1.0 - eps), x.d, x.n)
     return PerturbationResult(x_plus, x_minus, eps, Polynomial(),
                               PerturbationMethod.EPSILON_SCALING)
 
@@ -150,14 +148,11 @@ def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
 
     Builds the parity-matched n-symmetric g from the circle nodes, bounds t
     by the positive slack r M of |d|^2 - |e1|^2 away from the circle nodes,
-    and returns the validated pair (e1 +- t g, e2 +- t g, d).
-
-    g and t are those of the reduced function x/f (see tetrafun.reduced),
-    and g is then multiplied by f, which equals its own reflection at index
-    deg f, so g sits at index x.n and is still its own reflection.
+    and returns the validated pair (e1 +- t g, e2 +- t g, d).  d has no
+    circle zero: lenient validation divided out any factor common to e1, e2
+    and d there (see tetrafun.validate), so g sits at index x.n.
     """
-    xr, f = reduced(x)
-    nodes = royal_nodes(xr)
+    nodes = royal_nodes(x)
     tk = TypeNK.from_nodes(nodes)
     if tk.k == 0:
         return scale_nonextreme(x)
@@ -170,19 +165,17 @@ def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
     g = _perturbation_polynomial(taus, n, k)
 
     lam0, pivot, m_const = _node_extremes(interior, taus)
-    r = float(np.real(lam0 ** (-xr.n) * royal_polynomial(xr).eval(lam0)) / pivot)
-    e1_sup = float(np.max(xr.e1.abs_on_circle))
+    r = float(np.real(lam0 ** (-x.n) * royal_polynomial(x).eval(lam0)) / pivot)
+    e1_sup = float(np.max(x.e1.abs_on_circle))
     g_sup = float(np.max(g.abs_on_circle))
     divisor = 8.0 if n % 2 == 0 else 16.0
     if e1_sup == 0.0:
-        t = SAFETY * np.sqrt(r * m_const / max(g_sup, 1e-300) / (1.0 if n % 2 == 0 else 2.0))
+        t = SAFETY * np.sqrt(r * m_const / g_sup / (1.0 if n % 2 == 0 else 2.0))
     else:
         t = SAFETY * min(2.0 * e1_sup / g_sup, r * m_const / (divisor * e1_sup))
-    if f is not None:
-        g = g * f
     tg = g.scale(t)
-    x_plus = validate(x.e1 + tg, x.e2 + tg, x.d, x.n, strict=x.strict)
-    x_minus = validate(x.e1 - tg, x.e2 - tg, x.d, x.n, strict=x.strict)
+    x_plus = validate(x.e1 + tg, x.e2 + tg, x.d, x.n)
+    x_minus = validate(x.e1 - tg, x.e2 - tg, x.d, x.n)
     method = (PerturbationMethod.G_PERTURB_EVEN if n % 2 == 0
               else PerturbationMethod.G_PERTURB_ODD)
     return PerturbationResult(x_plus, x_minus, t, g, method)

@@ -6,9 +6,9 @@ represents the map
     x(lam) = (e1(lam)/d(lam), e2(lam)/d(lam), d~n(lam)/d(lam)),
 
 where d~n is the n-reflection of d.  Validation enforces the degree
-bounds, nonvanishing of d on the disc (closed disc in strict mode),
-the reflection identity e1 = e2~n, and modulus domination of both
-numerators by d on the circle.
+bounds, nonvanishing of d on the closed disc once lenient mode divides
+out a factor e1, e2 and d share at circle zeros of d, the reflection
+identity e1 = e2~n, and modulus domination of both numerators by d.
 
 The royal polynomial reflect(d, n) * d - e1 * e2 vanishes exactly where
 the function meets the variety {x1 x2 = x3}; its disc-closure zeros are
@@ -52,6 +52,7 @@ from .polycx import (
     modulus,
     roots_inside,
     unit_circle,
+    zero_free_disc,
 )
 
 MODULUS_SLACK = 1e-9
@@ -66,7 +67,6 @@ class TetraRational:
     e2: Polynomial
     d: Polynomial
     n: int
-    strict: bool = True
 
     @cached_property
     def d_reflected(self) -> Polynomial:
@@ -93,8 +93,6 @@ class TetraRational:
         royal, on_variety = self._royal
         if on_variety:
             raise RoyalVarietyFunction("royal polynomial is identically zero")
-        if self._reduced is not None:
-            return self._reduced[0]._royal_nodes
         inside, circle = circle_split(royal)[:2]
         nodes = [RoyalNode(loc, order, order, False) for loc, order in inside]
         nodes += [RoyalNode(loc, order, order // 2, True) for loc, order in circle]
@@ -103,47 +101,6 @@ class TetraRational:
             _match_spec(royal._node_seeds, [nd.location for nd in nodes
                                             for _ in range(nd.multiplicity)])
         return tuple(nodes)
-
-    @cached_property
-    def _reduced(self) -> tuple[TetraRational, Polynomial] | None:
-        """reduced's answer, or None for (x, None): no kept value refers to x."""
-        common = [(tau, m) for tau, m in roots_inside(self.d, 1.0 + CIRCLE_TOL)
-                  if abs(tau) >= 1.0 - CIRCLE_TOL]
-        if not common:
-            return None
-        pairs = []
-        for tau, m in common:
-            # a zero of order m is a simple zero of d's (m - 1)-th derivative
-            tau = _newton_limits(np.polyder(self.d.coeffs[::-1], m - 1)[::-1], [tau])[0][0]
-            c = np.exp(0.5j * (np.pi - np.angle(tau)))
-            pairs += [(-c * tau, c)] * m
-        f = linear_product(1.0, pairs)
-        parts = (self.e1, self.e2, self.d)
-        quotients = [p if p.is_zero else
-                     Polynomial(np.polydiv(p.coeffs[::-1], f.coeffs[::-1])[0][::-1]) for p in parts]
-        if not all(agree(q * f, p) for q, p in zip(quotients, parts)):
-            zeros = ", ".join(f"order {m} at {complex(tau):.6g}" for tau, m in common)
-            raise DenominatorVanishes(
-                f"d vanishes on the circle ({zeros}), and e1, e2 and d share no such factor")
-        return TetraRational(*quotients, self.n - f.degree, strict=self.strict), f
-
-
-def reduced(x: TetraRational) -> tuple[TetraRational, Polynomial | None]:
-    """(x/f, f) for the factor f common to e1, e2 and d at d's circle zeros.
-
-    d(tau) = 0 with |tau| = 1 forces e1(tau) = e2(tau) = 0, so lenient mode
-    admits such an f, which changes neither x nor its degree.  For each
-    zero tau of order m (roots_inside(d, 1 + CIRCLE_TOL) of modulus
-    1 - CIRCLE_TOL or more, as degree counts them), placed as the Newton
-    limit on d's (m - 1)-th derivative, f has c (lam - tau)^m with
-    c = exp(i (pi - arg tau)/2), so f is its own reflection at index deg f.
-    x/f is (e1/f, e2/f, d/f) at index n - deg f; DenominatorVanishes unless
-    each quotient times f agrees with its original.  (x, None) when d has
-    no circle zero, as every strict d says from the disc answer validation
-    kept.  The result is kept on x; a raised error is not kept.
-    """
-    kept = x._reduced
-    return (x, None) if kept is None else kept
 
 
 def _match_spec(sigma, found) -> None:
@@ -233,8 +190,30 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
                       strict: bool = True) -> list[ConditionCheck]:
     """Per-condition report for the representation conditions; an e2 that is_mirror
     of e1 passes ReflectionMismatch with deviation 0, unreflected, and ModulusDomination
-    reads it as e1 (|e2| = |e1| on the circle), unsampled."""
-    checks = []
+    reads it as e1 (|e2| = |e1| on the circle), unsampled.  In lenient mode a d
+    with circle zeros passes DVanishesInDisc only where validate divides them out."""
+    return _validated(e1, e2, d, n, strict)[0]
+
+
+def validate(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
+             strict: bool = True) -> TetraRational:
+    """Return the validated function or raise ValidationError with every violated condition.
+
+    Strict mode asks d to be zero-free on the closed disc and returns (e1, e2, d)
+    at index n.  Lenient mode asks it of the open disc, divides out the factor f
+    that e1, e2 and d share at d's circle zeros (see _circle_quotient), which
+    changes neither x nor its degree, and returns x/f at index n - deg f.  So
+    every function returned has a d zero-free on the closed disc.
+    """
+    checks, x = _validated(e1, e2, d, n, strict)
+    if x is None:
+        raise ValidationError([(c.code, c.detail) for c in checks if not c.passed])
+    return x
+
+
+def _validated(e1, e2, d, n, strict) -> tuple[list[ConditionCheck], TetraRational | None]:
+    """validation_report's checks and validate's function, None unless every check passed."""
+    checks, parts = [], (e1, e2, d, n)
 
     # the circle grid cannot vouch for ModulusDomination above degree CIRCLE_SAMPLES
     capped = n <= CIRCLE_SAMPLES
@@ -254,9 +233,14 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
         limit = 1.0 + CIRCLE_TOL if strict else 1.0 - CIRCLE_TOL
         mode = "closed disc" if strict else "open disc"
         bad = list(roots_inside(d, limit))
-        checks.append(ConditionCheck(
-            "DVanishesInDisc", not bad,
-            f"roots of d inside the {mode}: {bad if bad else 'none'}"))
+        detail = f"roots of d inside the {mode}: {bad if bad else 'none'}"
+        circle = () if strict or bad else roots_inside(d, 1.0 + CIRCLE_TOL)
+        if circle:
+            parts = _circle_quotient(e1, e2, d, n, circle)
+            zeros = ", ".join(f"order {m} at {complex(tau):.6g}" for tau, m in circle)
+            detail = (f"d vanishes on the circle ({zeros}), and e1, e2 and d share no such factor"
+                      if parts is None else f"{detail}; common circle factor ({zeros}) divided out")
+        checks.append(ConditionCheck("DVanishesInDisc", not bad and parts is not None, detail))
 
     mirror = deg_ok and is_mirror(e1, e2, n)
     if not deg_ok:
@@ -277,17 +261,30 @@ def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
     checks.append(ConditionCheck(
         "ModulusDomination", worst <= slack,
         f"max(|e_i| - |d|) on the circle: {worst:.3e}"))
-    return checks
+    return checks, TetraRational(*parts) if all(c.passed for c in checks) else None
 
 
-def validate(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
-             strict: bool = True) -> TetraRational:
-    """Return the validated function or raise with every violated condition."""
-    checks = validation_report(e1, e2, d, n, strict=strict)
-    violations = [(c.code, c.detail) for c in checks if not c.passed]
-    if violations:
-        raise ValidationError(violations)
-    return TetraRational(e1, e2, d, n, strict=strict)
+def _circle_quotient(e1, e2, d, n, circle) -> tuple | None:
+    """(e1/f, e2/f, d/f, n - deg f), or None unless each quotient times f agrees with its
+    original at that polynomial's own scale and d/f is zero-free on the closed disc.
+
+    f has c (lam - tau)^m with c = exp(i (pi - arg tau)/2) for each zero tau of d of
+    order m in circle, so f is its own reflection at index deg f.
+    """
+    pairs = []
+    for tau, m in circle:
+        # a zero of order m is a simple zero of d's (m - 1)-th derivative
+        tau = _newton_limits(np.polyder(d.coeffs[::-1], m - 1)[::-1], [tau])[0][0]
+        c = np.exp(0.5j * (np.pi - np.angle(tau)))
+        pairs += [(-c * tau, c)] * m
+    f = linear_product(1.0, pairs)
+    parts = (e1, e2, d)
+    quotients = [p if p.is_zero else Polynomial(np.polydiv(p.coeffs[::-1], f.coeffs[::-1])[0][::-1])
+                 for p in parts]
+    if all(p.is_zero or agree((q * f).scale(1 / p.max_coeff()), p.scale(1 / p.max_coeff()))
+           for q, p in zip(quotients, parts)) and zero_free_disc(quotients[2], 1.0 + CIRCLE_TOL):
+        return (*quotients, n - f.degree)
+    return None
 
 
 def eval_function(x: TetraRational, lam: complex) -> TetraPoint:
@@ -332,9 +329,9 @@ def degree(x: TetraRational) -> int:
 
     Counts the open-disc zeros of the n-reflection of d: x.n less the orders
     in polycx.roots_inside(d, 1 + CIRCLE_TOL), so x.n with nothing solved
-    when d passes the strict disc test, which validation memoised.  Circle
-    zeros of d (lenient mode) cancel against the reflection and do not count.
-    Raises ZeroPolynomialHasAllRoots for d = 0.
+    for every function validate returns, whose d passed the closed-disc test
+    it memoised.  Circle zeros of an unvalidated d cancel against the
+    reflection and do not count.  Raises ZeroPolynomialHasAllRoots for d = 0.
     """
     return x.n - sum(order for _, order in roots_inside(x.d, 1.0 + CIRCLE_TOL))
 
@@ -366,9 +363,9 @@ def royal_nodes(x: TetraRational) -> tuple[RoyalNode, ...]:
     lam^-n times the royal polynomial is |d|^2 - |e1|^2 on the circle, so
     polycx.circle_split applies.  Zeros outside the closed disc are the
     reflections of interior zeros and are discarded; circle zeros carry
-    half of their even raw order as multiplicity.  A lenient function with
-    a factor common to e1, e2 and d at circle zeros of d has the nodes of
-    its reduced function (see reduced).  A function that construct returned
+    half of their even raw order as multiplicity.  A factor common to e1,
+    e2 and d at circle zeros of d would add circle roots; lenient validation
+    divides it out (see validate).  A function that construct returned
     takes the Newton limits from its spec's nodes where they account for
     every root (see polycx.circle_split); any other function solves.  Such
     a function's nodes, counted with multiplicity, must then match its

@@ -480,23 +480,30 @@ def test_csv_rejected_for_nested_commands(tmp_path, capsys):
     assert code == 2
 
 
-def test_trace_pole_exits_4(tmp_path, capsys):
-    # lenient function with a circle zero of D; the trace hits the pole
+def test_trace_lenient_circle_zero_exits_0(tmp_path, capsys):
+    # lenient (0, 0, lam - 1): validation divides out the common factor i (lam - 1),
+    # which leaves the constant function (0, 0, -1)
     func = {"n": 1, "E1": [], "E2": [], "D": [[-1.0, 0.0], [1.0, 0.0]]}
     path = _write(tmp_path, "func.json", func)
-    code, _ = _run(capsys, ["trace", path, "--lenient", "--samples", "256"])
-    assert code == 4
-
-
-def test_verify_lenient_circle_zero_reports_null_defect(tmp_path, capsys):
-    # the function of test_trace_pole_exits_4: verify reports the undefined
-    # boundary trace instead of failing
-    func = {"n": 1, "E1": [], "E2": [], "D": [[-1.0, 0.0], [1.0, 0.0]]}
-    path = _write(tmp_path, "func.json", func)
-    code, out = _run(capsys, ["verify", path, "--lenient"])
+    code, out = _run(capsys, ["trace", path, "--lenient", "--samples", "256"])
     assert code == 0
-    assert '"circle_defect_max": null' in out
-    assert json.loads(out)["valid"]
+    rows = [[float(v) for v in row.split(",")] for row in out.splitlines()[1:]]
+    assert len(rows) == 256
+    for row in rows:
+        assert row[1:5] == [0, 0, 0, 0] and row[7] == 0 and abs(complex(*row[5:7]) + 1) < 1e-15
+
+
+def test_verify_lenient_circle_zero_reports_the_divided_function(tmp_path, capsys):
+    # (0, 0, lam - 1) and (0, 0, 1 + lam): verify reads the constant function that
+    # validation returned, so the boundary defect is defined
+    for d in ([[-1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]):
+        path = _write(tmp_path, "func.json", {"n": 1, "E1": [], "E2": [], "D": d})
+        code, out = _run(capsys, ["verify", path, "--lenient"])
+        report = json.loads(out)
+        assert code == 0 and report["valid"]
+        invariants = report["invariants"]
+        assert invariants["circle_defect_max"] == 0.0
+        assert invariants["degree"] == invariants["winding_number"] == 0
 
 
 def test_verify_circle_defect_is_the_trace_defect_on_the_validation_grid(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import itertools
 
@@ -6,7 +7,7 @@ import pytest
 
 from helpers import (assert_exact_expansion, coeff_bits, convolved_once, count_disc_tests,
                      count_solves, match_multiset, node_error, random_construction_spec)
-from tetrainner import extremal, polycx, tetrafun
+from tetrainner import cli, extremal, polycx, tetrafun
 from tetrainner.boundary import TetraRegion, classify_tetra
 from tetrainner.construct import (
     ConstructionSpec,
@@ -18,13 +19,13 @@ from tetrainner.construct import (
 from tetrainner.errors import (
     ConstructionInconsistent,
     DegenerateZeroComponent,
-    DenominatorVanishes,
     InvalidConstructionSpec,
     NodeOutsideClosedDisc,
     NodeZeroCollision,
     NonFiniteCoefficient,
     RoyalVarietyFunction,
     TetraError,
+    ValidationError,
 )
 from tetrainner.polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, Polynomial, coeff_distance, from_roots,
                                roots, unit_circle)
@@ -590,21 +591,22 @@ def test_a_circle_zero_of_d_with_nothing_there_to_cancel_raises():
     # (0, 0, 1 + lam): the royal polynomial's double root at -1 is the common factor
     x = validate(Polynomial(()), Polynomial(()), Polynomial((1, 1)), 1, strict=False)
     assert royal_nodes(x) == () and degree(x) == 0
-    # e1 = 1e-10 agrees with 0 times f: the reduced function (0, 0, 1) has no zero list
-    x = validate(Polynomial((1e-10,)), Polynomial((0, 1e-10)), Polynomial((1, 1)), 1,
-                 strict=False)
-    assert royal_nodes(x) == ()
-    with pytest.raises(DegenerateZeroComponent):
-        recover_data(x)
-    # e1 = 1e-9 passes modulus domination with d but has no zero at -1
-    x = validate(Polynomial((1e-9,)), Polynomial((0, 1e-9)), Polynomial((1, 1)), 1,
-                 strict=False)
-    for answer in (royal_nodes, recover_data, extremal.perturb_nonextreme):
-        with pytest.raises(DenominatorVanishes, match=r"order 1 at -1\+0j\), and e1, e2 and d"):
-            answer(x)
+    # e1 = 1e-10 or 1e-9 passes modulus domination with d but has no zero at -1
+    for eps in (1e-10, 1e-9):
+        parts = (Polynomial((eps,)), Polynomial((0, eps)), Polynomial((1, 1)))
+        with pytest.raises(ValidationError) as err:
+            validate(*parts, 1, strict=False)
+        [(code, detail)] = err.value.violations
+        assert code == "DVanishesInDisc" and "order 1 at -1+0j" in detail
+        data = {"n": 1, **{key: [[c.real, c.imag] for c in p.coeffs.tolist()]
+                           for key, p in zip(("E1", "E2", "D"), parts)}}
+        report = cli.cmd_verify(data, argparse.Namespace(strict=False))
+        assert not report["valid"] and "invariants" not in report
+        assert {row["condition"]: row["passed"] for row in report["conditions"]} == {
+            "degree bounds": True, "denominator nonvanishing": False,
+            "modulus domination": True, "reflection identity": True}
     # a zero of d inside the circle (no validation admits it) is no circle zero
-    x = tetrafun.TetraRational(Polynomial(()), Polynomial(()), Polynomial((0.0, -2.0, 1.0)), 3,
-                               strict=False)
+    x = tetrafun.TetraRational(Polynomial(()), Polynomial(()), Polynomial((0.0, -2.0, 1.0)), 3)
     assert type_nk(x) == TypeNK(3, 0)
 
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -8,13 +9,27 @@ from pathlib import Path
 
 import tetrainner
 
-# Every defaulted parameter of a public function or method, as module.name(parameter).
-# Tolerances and sample counts are module constants; a new knob is added here on purpose.
+# Every defaulted parameter of a public function or method, as module.name(parameter),
+# and every defaulted field of a public dataclass, as module.Class(field).  Tolerances
+# and sample counts are module constants; a new knob is added here on purpose.
 DEFAULTED = {
     "boundary.classify_gamma(tol)",
     "boundary.classify_tetra(tol)",
     "cli.main(argv)",
+    "construct.ConstructionSpec(alpha1)",
+    "construct.ConstructionSpec(alpha2)",
+    "construct.ConstructionSpec(omega)",
+    "construct.ConstructionSpec(sigma)",
+    "construct.ConstructionSpec(t)",
+    "construct.ConstructionSpec(t_plus)",
+    "extremal.PerturbationResult(note)",
+    "fejriesz.TrigPolynomial(coeffs)",
+    "polycx.Polynomial(coeffs)",
+    "polycx.RootMultiset(entries)",
     "polycx.circle_split(circle_tol)",
+    "tetrafun.BlaschkeSpec(unimodular_constant)",
+    "tetrafun.BlaschkeSpec(zeros)",
+    "tetrafun.TypeNK(royal_variety_flag)",
     "tetrafun.circle_trace(samples)",
     "tetrafun.from_json_dict(strict)",
     "tetrafun.validate(strict)",
@@ -45,6 +60,12 @@ def test_library_defaulted_parameters_are_pinned():
             found |= {f"{info.name}.{name}({p.name})"
                       for p in inspect.signature(fn).parameters.values()
                       if p.default is not p.empty}
+        found |= {f"{info.name}.{name}({f.name})" for name, cls in vars(module).items()
+                  if not name.startswith("_") and inspect.isclass(cls)
+                  and cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
+                  for f in dataclasses.fields(cls)
+                  if f.default is not dataclasses.MISSING
+                  or f.default_factory is not dataclasses.MISSING}
     assert found == DEFAULTED
 
 

@@ -104,7 +104,6 @@ def test_validate_strict_rejects_circle_zero_lenient_allows():
     with pytest.raises(ValidationError):
         validate(ZERO, ZERO, d, 1, strict=True)
     x = validate(ZERO, ZERO, d, 1, strict=False)
-    assert not x.strict
 
 
 def _disc_check(d, strict):
@@ -151,10 +150,11 @@ def test_degree_and_winding_of_a_function_read_from_json_run_one_disc_test(monke
 
 
 def test_lenient_degree_solves_d_when_d_has_a_circle_zero(monkeypatch):
-    # d = (lam - 1)(lam - 3): the circle zero cancels against the reflection
-    x = validate(ZERO, ZERO, polycx.from_roots([1.0, 3.0]), 2, strict=False)
+    # d = (lam - 1)(lam - 3): validation solves d and divides the circle zero out
     calls = count_solves(monkeypatch)
-    assert degree(x) == 1 and calls == [2]
+    x = validate(ZERO, ZERO, polycx.from_roots([1.0, 3.0]), 2, strict=False)
+    assert x.n == 1 and calls == [2]
+    assert degree(x) == winding_number(x) == 1 and calls == [2]
 
 
 def test_degree_of_a_zero_denominator_raises():
@@ -219,7 +219,8 @@ def test_eval_function_circle_values_distinguished():
 def test_eval_function_rejects_far_point_and_pole():
     with pytest.raises(ValueError):
         eval_function(worked_example(), 2.0)
-    x = validate(ZERO, ZERO, Polynomial((-1, 1)), 1, strict=False)
+    # validation would divide d's circle zero out: the pole guard is for unvalidated triples
+    x = TetraRational(ZERO, ZERO, Polynomial((-1, 1)), 1)
     with pytest.raises(DenominatorVanishes):
         eval_function(x, 1.0)
 
@@ -571,13 +572,13 @@ def test_grid_paths_match_pointwise_oracle(case):
 
 
 def test_grid_path_raises_where_denominator_vanishes():
-    on_circle = validate(ZERO, ZERO, Polynomial((-1.0, 1.0)), 1, strict=False)
+    on_circle = TetraRational(ZERO, ZERO, Polynomial((-1, 1)), 1)
     with pytest.raises(DenominatorVanishes):
         eval_function(on_circle, 1.0)
     with pytest.raises(DenominatorVanishes):
         circle_trace(on_circle, 64)
     # d(0.5) = 0 exactly; 0.5 is a sample of the radius 0.5 ring
-    inside = TetraRational(ZERO, ZERO, Polynomial((-0.5, 1.0)), 1, strict=False)
+    inside = TetraRational(ZERO, ZERO, Polynomial((-0.5, 1.0)), 1)
     with pytest.raises(DenominatorVanishes):
         is_superficial(inside)
     with pytest.raises(DenominatorVanishes):
@@ -804,7 +805,7 @@ def test_composition_with_a_disc_automorphism_maps_type_nodes_and_zeros(spec, a,
 def test_degree_of_an_unvalidated_strict_triple_counts_the_reflection():
     # the disc test, not the strict flag, lets degree skip the roots of d
     x = TetraRational(ZERO, ZERO, Polynomial((0.0, -2.0, 1.0)), 3)
-    assert x.strict and degree(x) == _reflected_count(x) == 2
+    assert degree(x) == _reflected_count(x) == 2
 
 
 def test_degree_matches_roots_of_reflection_for_constructions():
@@ -835,8 +836,8 @@ def test_degree_matches_roots_of_reflection_for_superficial(spec):
     (third_component_spec(3), 3),
     (validate(ZERO, ZERO, Polynomial((-2.0, 1.0)), 4), 4),
     # d vanishing at 0 (unvalidated): that root has no reflection
-    (TetraRational(ZERO, ZERO, Polynomial((0.0, -2.0, 1.0)), 3, strict=False), 2),
-    (TetraRational(ZERO, ZERO, Polynomial((0.0, 0.0, 1.5j)), 2, strict=False), 0),
+    (TetraRational(ZERO, ZERO, Polynomial((0.0, -2.0, 1.0)), 3), 2),
+    (TetraRational(ZERO, ZERO, Polynomial((0.0, 0.0, 1.5j)), 2), 0),
 ])
 def test_degree_matches_roots_of_reflection_for_special_d(x, expected):
     assert degree(x) == _reflected_count(x) == expected
@@ -993,7 +994,7 @@ def test_winding_of_a_strict_function_transforms_and_solves_nothing(monkeypatch)
     (ONE, 4096, 4096),
 ], ids=["circle-zero", "n2048", "n4096"])
 def test_winding_is_a_count_at_any_n(d, n, expected):
-    assert winding_number(TetraRational(ZERO, ZERO, d, n, strict=False)) == expected
+    assert winding_number(TetraRational(ZERO, ZERO, d, n)) == expected
 
 
 def test_winding_just_below_the_sampling_limit():
@@ -1044,5 +1045,5 @@ def test_winding_matches_root_counts_and_the_argument_principle():
         circle = rng.choice([1, -1, 1j, -1j], int(rng.integers(0, 4)), replace=False)
         d = polycx.from_roots([*inside, *outside, *circle])
         n = d.degree + int(rng.integers(0, 4))
-        x = TetraRational(ZERO, ZERO, d, n, strict=False)
+        x = TetraRational(ZERO, ZERO, d, n)
         assert winding_number(x) == n - len(circle) - 2 * len(inside) == _argument_count(d, n)
