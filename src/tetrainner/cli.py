@@ -118,14 +118,15 @@ def cmd_construct(data, args):
 def cmd_verify(data, args):
     from . import boundary, tetrafun
 
-    checks, x = tetrafun._validated(*tetrafun.decode_function_fields(data), args.strict)
+    checks, x = tetrafun._validated(*tetrafun.decode_function_fields(data))
     by_code = {c.code: c for c in checks}
     conditions = [{"condition": label, "passed": by_code[code].passed,
                    "detail": by_code[code].detail} for code, label in _CONDITIONS]
     report = {"valid": x is not None, "conditions": conditions}
     if x is not None:
-        # validation's function: for strict input the given parts, d and e1 as validation
-        # sampled them (e2 too, unless it was e1's exact mirror)
+        # validation's function: x/f where a common circle factor f was divided out,
+        # else the given parts, d and e1 as validation sampled them (e2 too, unless it
+        # was e1's exact mirror)
         e1, e2, d, n = x.e1, x.e2, x.d, x.n
         dv, e1v, e2v = d.abs_on_circle, e1.abs_on_circle, e2.abs_on_circle
         royal = tetrafun.royal_polynomial(x)
@@ -152,13 +153,13 @@ def cmd_verify(data, args):
 def cmd_analyze(data, args):
     from . import tetrafun
 
-    return _analysis_block(tetrafun.from_json_dict(data, args.strict))
+    return _analysis_block(tetrafun.from_json_dict(data))
 
 
 def cmd_trace(data, args):
     from . import tetrafun
 
-    x = tetrafun.from_json_dict(data, args.strict)
+    x = tetrafun.from_json_dict(data)
     trace = tetrafun.circle_trace(x, args.samples)
     thetas = (2.0 * np.pi * np.arange(args.samples) / args.samples).tolist()
     if args.format == "json":
@@ -198,7 +199,6 @@ _FLAGS = {
     "--tol": dict(type=float, default=polycx.DEFAULT_MEMBERSHIP_TOL,
                   help="membership tolerance"),
     "--samples": dict(type=int, default=polycx.TRACE_SAMPLES),
-    "--lenient": dict(dest="strict", action="store_false"),
     "--format": dict(choices=("json", "csv")),
 }
 
@@ -206,9 +206,9 @@ _FLAGS = {
 _COMMANDS = {
     "classify": (cmd_classify, ("--tol", "--format"), "json"),
     "construct": (cmd_construct, (), None),
-    "verify": (cmd_verify, ("--lenient",), None),
-    "analyze": (cmd_analyze, ("--lenient",), None),
-    "trace": (cmd_trace, ("--lenient", "--samples", "--format"), "csv"),
+    "verify": (cmd_verify, (), None),
+    "analyze": (cmd_analyze, (), None),
+    "trace": (cmd_trace, ("--samples", "--format"), "csv"),
     "perturb": (cmd_perturb, (), None),
 }
 

@@ -128,7 +128,7 @@ def _nonzero(p: Polynomial, name: str) -> Polynomial:
 def construct(spec: ConstructionSpec) -> TetraRational:
     """Run the full pipeline and self-check the output.
 
-    The returned function passes strict validation, so its degree is n, and
+    The returned function's d is zero-free on the closed disc, so its degree is n, and
     its royal polynomial equals the built target and is off the royal variety;
     otherwise ConstructionInconsistent is raised.  Its royal nodes are matched
     to sigma when they are first read: royal_nodes raises it there.
@@ -164,8 +164,8 @@ def recover_data(x: TetraRational) -> RecoveredData:
     Only the roots of e1 are found (seeded or solved, see polycx.roots):
     validation makes e2 = e1~n within AGREE_TOL, so the zeros of x2 are the
     reflections of the zeros of x1.  A factor common to e1, e2 and d at
-    circle zeros of d would add zeros; lenient validation divides it out
-    (see tetrafun.validate).  Identically zero components carry no finite
+    circle zeros of d would add zeros; validation divides it out (see
+    tetrafun.validate).  Identically zero components carry no finite
     zero list and are rejected; royal-variety functions have no node data,
     so royal_nodes raises.
     """

@@ -89,8 +89,8 @@ def scale_nonextreme(x: TetraRational) -> PerturbationResult:
     eps = MARGIN * (1/s - 1) where s is the circle sup of max(|x1|, |x2|);
     with no circle royal nodes s < 1 and both scalings stay in the class.
     When e2 is_mirror of e1, |x2| = |x1| on the circle and s is read from x1.
-    d has no circle zero: lenient validation divided out any factor common
-    to e1, e2 and d there (see tetrafun.validate).
+    d has no circle zero: validation divided out any factor common to e1,
+    e2 and d there (see tetrafun.validate).
     """
     tk = TypeNK.from_nodes(royal_nodes(x))
     if tk.k > 0:
@@ -149,8 +149,8 @@ def perturb_nonextreme(x: TetraRational) -> PerturbationResult:
     Builds the parity-matched n-symmetric g from the circle nodes, bounds t
     by the positive slack r M of |d|^2 - |e1|^2 away from the circle nodes,
     and returns the validated pair (e1 +- t g, e2 +- t g, d).  d has no
-    circle zero: lenient validation divided out any factor common to e1, e2
-    and d there (see tetrafun.validate), so g sits at index x.n.
+    circle zero: validation divided out any factor common to e1, e2 and d
+    there (see tetrafun.validate), so g sits at index x.n.
     """
     nodes = royal_nodes(x)
     tk = TypeNK.from_nodes(nodes)

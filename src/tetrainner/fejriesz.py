@@ -15,8 +15,8 @@ one of two paths to D:
     1969; Sayed & Kailath 2001).  The result is kept when
     max |c - F(D)| <= NEWTON_TOL * max |c| and D is zero-free up to
     1 + CIRCLE_TOL (from a poor start Newton can reach a factor with a root
-    reflected into the disc).  That is the question strict validation asks
-    of d = conj(omega) D next, so a constructed d is tested once.  No roots
+    reflected into the disc).  That is the closed-disc question validation
+    asks of d = conj(omega) D next, so a constructed d is tested once.  No roots
     are solved.
   * the root path, in every other case (a sample of p is zero or negative
     within the guard, Newton fell short, or D has a root in the closed
@@ -105,7 +105,7 @@ def laurent_shift(r_poly: Polynomial, n: int) -> TrigPolynomial:
 
 
 def is_outer(p: Polynomial) -> bool:
-    """True iff p is nonzero and zero-free up to 1 - CIRCLE_TOL, lenient validation's test."""
+    """True iff p is nonzero and zero-free up to 1 - CIRCLE_TOL, validation's open-disc test."""
     return not p.is_zero and zero_free_disc(p, 1.0 - CIRCLE_TOL)
 
 

@@ -6,9 +6,9 @@ represents the map
     x(lam) = (e1(lam)/d(lam), e2(lam)/d(lam), d~n(lam)/d(lam)),
 
 where d~n is the n-reflection of d.  Validation enforces the degree
-bounds, nonvanishing of d on the closed disc once lenient mode divides
-out a factor e1, e2 and d share at circle zeros of d, the reflection
-identity e1 = e2~n, and modulus domination of both numerators by d.
+bounds, nonvanishing of d on the closed disc once a factor that e1, e2
+and d share at circle zeros of d is divided out, the reflection identity
+e1 = e2~n, and modulus domination of both numerators by d.
 
 The royal polynomial reflect(d, n) * d - e1 * e2 vanishes exactly where
 the function meets the variety {x1 x2 = x3}; its disc-closure zeros are
@@ -186,32 +186,32 @@ class ConditionCheck:
     detail: str
 
 
-def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
-                      strict: bool = True) -> list[ConditionCheck]:
+def validation_report(e1: Polynomial, e2: Polynomial, d: Polynomial,
+                      n: int) -> list[ConditionCheck]:
     """Per-condition report for the representation conditions; an e2 that is_mirror
     of e1 passes ReflectionMismatch with deviation 0, unreflected, and ModulusDomination
-    reads it as e1 (|e2| = |e1| on the circle), unsampled.  In lenient mode a d
-    with circle zeros passes DVanishesInDisc only where validate divides them out."""
-    return _validated(e1, e2, d, n, strict)[0]
+    reads it as e1 (|e2| = |e1| on the circle), unsampled.  A d with circle zeros
+    passes DVanishesInDisc only where validate divides them out."""
+    return _validated(e1, e2, d, n)[0]
 
 
-def validate(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int,
-             strict: bool = True) -> TetraRational:
+def validate(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int) -> TetraRational:
     """Return the validated function or raise ValidationError with every violated condition.
 
-    Strict mode asks d to be zero-free on the closed disc and returns (e1, e2, d)
-    at index n.  Lenient mode asks it of the open disc, divides out the factor f
-    that e1, e2 and d share at d's circle zeros (see _circle_quotient), which
-    changes neither x nor its degree, and returns x/f at index n - deg f.  So
-    every function returned has a d zero-free on the closed disc.
+    d must be zero-free on the closed disc, and then (e1, e2, d) at index n is
+    returned.  Where d's zeros in the closed disc all lie on the circle, the
+    factor f that e1, e2 and d share there (see _circle_quotient) is divided
+    out instead, which changes neither x nor its degree, and x/f at index
+    n - deg f is returned.  So every function returned has a d zero-free on
+    the closed disc.
     """
-    checks, x = _validated(e1, e2, d, n, strict)
+    checks, x = _validated(e1, e2, d, n)
     if x is None:
         raise ValidationError([(c.code, c.detail) for c in checks if not c.passed])
     return x
 
 
-def _validated(e1, e2, d, n, strict) -> tuple[list[ConditionCheck], TetraRational | None]:
+def _validated(e1, e2, d, n) -> tuple[list[ConditionCheck], TetraRational | None]:
     """validation_report's checks and validate's function, None unless every check passed."""
     checks, parts = [], (e1, e2, d, n)
 
@@ -230,17 +230,16 @@ def _validated(e1, e2, d, n, strict) -> tuple[list[ConditionCheck], TetraRationa
         checks.append(ConditionCheck("DVanishesInDisc", False,
                                      "degree bound failed, disc test skipped"))
     else:
-        limit = 1.0 + CIRCLE_TOL if strict else 1.0 - CIRCLE_TOL
-        mode = "closed disc" if strict else "open disc"
-        bad = list(roots_inside(d, limit))
-        detail = f"roots of d inside the {mode}: {bad if bad else 'none'}"
-        circle = () if strict or bad else roots_inside(d, 1.0 + CIRCLE_TOL)
-        if circle:
-            parts = _circle_quotient(e1, e2, d, n, circle)
-            zeros = ", ".join(f"order {m} at {complex(tau):.6g}" for tau, m in circle)
-            detail = (f"d vanishes on the circle ({zeros}), and e1, e2 and d share no such factor"
-                      if parts is None else f"{detail}; common circle factor ({zeros}) divided out")
-        checks.append(ConditionCheck("DVanishesInDisc", not bad and parts is not None, detail))
+        found = roots_inside(d, 1.0 + CIRCLE_TOL)
+        detail = f"roots of d inside the closed disc: {list(found) or 'none'}"
+        if found:
+            # zeros on the circle alone may be a factor e1, e2 and d share
+            open_disc = roots_inside(d, 1.0 - CIRCLE_TOL)
+            parts = None if open_disc else _circle_quotient(e1, e2, d, n, found)
+            if parts is not None:
+                zeros = ", ".join(f"order {m} at {complex(tau):.6g}" for tau, m in found)
+                detail += f"; common circle factor ({zeros}) divided out"
+        checks.append(ConditionCheck("DVanishesInDisc", parts is not None, detail))
 
     mirror = deg_ok and is_mirror(e1, e2, n)
     if not deg_ok:
@@ -268,8 +267,9 @@ def _circle_quotient(e1, e2, d, n, circle) -> tuple | None:
     """(e1/f, e2/f, d/f, n - deg f), or None unless each quotient times f agrees with its
     original at that polynomial's own scale and d/f is zero-free on the closed disc.
 
-    f has c (lam - tau)^m with c = exp(i (pi - arg tau)/2) for each zero tau of d of
-    order m in circle, so f is its own reflection at index deg f.
+    circle holds d's zeros in the closed disc, all on the circle.  f has
+    c (lam - tau)^m with c = exp(i (pi - arg tau)/2) for each zero tau of d of
+    order m there, so f is its own reflection at index deg f.
     """
     pairs = []
     for tau, m in circle:
@@ -364,8 +364,8 @@ def royal_nodes(x: TetraRational) -> tuple[RoyalNode, ...]:
     polycx.circle_split applies.  Zeros outside the closed disc are the
     reflections of interior zeros and are discarded; circle zeros carry
     half of their even raw order as multiplicity.  A factor common to e1,
-    e2 and d at circle zeros of d would add circle roots; lenient validation
-    divides it out (see validate).  A function that construct returned
+    e2 and d at circle zeros of d would add circle roots; validation divides
+    it out (see validate).  A function that construct returned
     takes the Newton limits from its spec's nodes where they account for
     every root (see polycx.circle_split); any other function solves.  Such
     a function's nodes, counted with multiplicity, must then match its
@@ -484,5 +484,5 @@ def to_json_dict(x: TetraRational) -> dict:
     return {"n": x.n, "E1": encode(x.e1), "E2": encode(x.e2), "D": encode(x.d)}
 
 
-def from_json_dict(data: dict, strict: bool = True) -> TetraRational:
-    return validate(*decode_function_fields(data), strict=strict)
+def from_json_dict(data: dict) -> TetraRational:
+    return validate(*decode_function_fields(data))

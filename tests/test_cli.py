@@ -480,12 +480,12 @@ def test_csv_rejected_for_nested_commands(tmp_path, capsys):
     assert code == 2
 
 
-def test_trace_lenient_circle_zero_exits_0(tmp_path, capsys):
-    # lenient (0, 0, lam - 1): validation divides out the common factor i (lam - 1),
+def test_trace_circle_zero_exits_0(tmp_path, capsys):
+    # (0, 0, lam - 1): validation divides out the common factor i (lam - 1),
     # which leaves the constant function (0, 0, -1)
     func = {"n": 1, "E1": [], "E2": [], "D": [[-1.0, 0.0], [1.0, 0.0]]}
     path = _write(tmp_path, "func.json", func)
-    code, out = _run(capsys, ["trace", path, "--lenient", "--samples", "256"])
+    code, out = _run(capsys, ["trace", path, "--samples", "256"])
     assert code == 0
     rows = [[float(v) for v in row.split(",")] for row in out.splitlines()[1:]]
     assert len(rows) == 256
@@ -493,12 +493,12 @@ def test_trace_lenient_circle_zero_exits_0(tmp_path, capsys):
         assert row[1:5] == [0, 0, 0, 0] and row[7] == 0 and abs(complex(*row[5:7]) + 1) < 1e-15
 
 
-def test_verify_lenient_circle_zero_reports_the_divided_function(tmp_path, capsys):
+def test_verify_circle_zero_reports_the_divided_function(tmp_path, capsys):
     # (0, 0, lam - 1) and (0, 0, 1 + lam): verify reads the constant function that
     # validation returned, so the boundary defect is defined
     for d in ([[-1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]):
         path = _write(tmp_path, "func.json", {"n": 1, "E1": [], "E2": [], "D": d})
-        code, out = _run(capsys, ["verify", path, "--lenient"])
+        code, out = _run(capsys, ["verify", path])
         report = json.loads(out)
         assert code == 0 and report["valid"]
         invariants = report["invariants"]
@@ -529,19 +529,19 @@ def test_verify_circle_defect_is_the_trace_defect_on_the_validation_grid(tmp_pat
     assert abs(report["invariants"]["circle_defect_max"] - expected) <= 1e-12
 
 
-def test_verify_lenient_circle_zero_counts_the_winding(tmp_path, capsys):
+def test_verify_circle_zero_counts_the_winding(tmp_path, capsys):
     # d = 1 - lam: its circle zero cancels against the reflection
     func = {"n": 1, "E1": [], "E2": [], "D": [[1.0, 0.0], [-1.0, 0.0]]}
-    code, out = _run(capsys, ["verify", _write(tmp_path, "func.json", func), "--lenient"])
+    code, out = _run(capsys, ["verify", _write(tmp_path, "func.json", func)])
     invariants = json.loads(out)["invariants"]
     assert code == 0 and invariants["winding_number"] == invariants["degree"] == 0
 
 
-def test_analyze_lenient_cancels_a_common_circle_factor(tmp_path, capsys):
+def test_analyze_cancels_a_common_circle_factor(tmp_path, capsys):
     # (0, 0, 1 + lam) is the constant (0, 0, 1): the double root -1 of its
     # royal polynomial is the factor 1 + lam common to the three components
     func = {"n": 1, "E1": [], "E2": [], "D": [1, 1]}
-    code, out = _run(capsys, ["analyze", _write(tmp_path, "func.json", func), "--lenient"])
+    code, out = _run(capsys, ["analyze", _write(tmp_path, "func.json", func)])
     assert code == 0
     assert json.loads(out) == {"degree": 0, "type": [0, 0], "royal_nodes": []}
 
@@ -607,16 +607,15 @@ def test_negative_n_exits_2_naming_the_field(tmp_path, capsys):
 
 def test_analyze_and_verify_solve_only_the_royal_polynomial(tmp_path, capsys, monkeypatch):
     # the disc check is a Schur-Cohn test and degree is n when d passes the
-    # strict one, so analyze solves the royal polynomial (degree 2n) and
-    # verify nothing, in either mode
+    # closed-disc one, so analyze solves the royal polynomial (degree 2n) and
+    # verify nothing
     spec = {"alpha1": [[0.3, 0.1]], "alpha2": [[-0.2, 0.4]], "sigma": [[0.5, 0.0], [0.0, 1.0]],
             "t_plus": 1.0, "t": [0.8, 0.0]}
     code, out = _run(capsys, ["construct", _write(tmp_path, "spec.json", spec)])
     assert code == 0
     func_path = _write(tmp_path, "func.json", json.loads(out)["function"])
     calls = count_solves(monkeypatch)
-    for argv, degrees in ((["analyze"], [4]), (["verify"], []),
-                          (["analyze", "--lenient"], [4]), (["verify", "--lenient"], [])):
+    for argv, degrees in ((["analyze"], [4]), (["verify"], [])):
         calls.clear()
         code, out = _run(capsys, argv + [func_path])
         assert code == 0 and calls == degrees, argv
@@ -774,7 +773,7 @@ def test_a_handler_that_raises_type_error_is_not_a_parse_error(tmp_path, monkeyp
     def handler(data, args):
         raise TypeError("a library fault")
 
-    monkeypatch.setitem(cli._COMMANDS, "analyze", (handler, ("--lenient",), None))
+    monkeypatch.setitem(cli._COMMANDS, "analyze", (handler, (), None))
     with pytest.raises(TypeError, match="a library fault"):
         main(["analyze", _write(tmp_path, "func.json", ROYAL_VARIETY_FUNCTION)])
 
@@ -784,9 +783,9 @@ def test_a_handler_that_raises_type_error_is_not_a_parse_error(tmp_path, monkeyp
 COMMAND_FLAGS = {
     "classify": {"--tol", "--format"},
     "construct": set(),
-    "verify": {"--lenient"},
-    "analyze": {"--lenient"},
-    "trace": {"--lenient", "--samples", "--format"},
+    "verify": set(),
+    "analyze": set(),
+    "trace": {"--samples", "--format"},
     "perturb": set(),
 }
 # a valid value for each tuning flag, or None for a switch

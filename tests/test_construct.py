@@ -308,7 +308,8 @@ def test_pipeline_solves_each_polynomial_once(monkeypatch, k_circle):
     # a constructed function finds its zeros and nodes by Newton from the
     # spec; a reloaded copy solves e1 and the royal polynomial (2n).  factor
     # takes its cepstral path, the Schur-Cohn test decides d, the zeros of e2
-    # are reflected from those of e1, and the degree of a strict function is n
+    # are reflected from those of e1, and the degree is n when d passed the
+    # closed-disc test
     for y, solved in ((x, []), (from_json_dict(to_json_dict(x)), [8, 16])):
         degrees.clear()
         recover_data(y)
@@ -321,7 +322,7 @@ def test_pipeline_solves_each_polynomial_once(monkeypatch, k_circle):
 @pytest.mark.parametrize("k_circle", [0, 4])
 def test_perturbation_halves_reuse_the_disc_test_of_d(monkeypatch, k_circle):
     # k_circle is k at n = 8; at n = 16 it stands for k = 0 and k = n/2.
-    # factor asks D the strict question, d = conj(omega) D carries the answer
+    # factor asks D the closed-disc question, d = conj(omega) D carries the answer
     # into validation, and the halves reuse d: one test in all
     for n in (8, 16):
         spec = random_construction_spec(np.random.default_rng(79), n, k_circle=k_circle * n // 8)
@@ -527,12 +528,12 @@ def test_the_node_match_is_the_greedy_loop_of_the_reference():
 
 # at pi/2 and pi the factor vanishes on a sample of the circle grid
 @pytest.mark.parametrize("angle", [0.7, np.pi / 2, np.pi])
-def test_a_lenient_common_circle_factor_cancels_from_every_answer(angle):
+def test_a_common_circle_factor_cancels_from_every_answer(angle):
     # f = c (lam - tau) equals its 1-reflection, so x times f/f is x
     x = construct(ConstructionSpec(alpha1=(0.3,), alpha2=(0.2j,), sigma=(0.5, -0.4j)))
     tau, c = np.exp(1j * angle), np.exp(0.5j * (np.pi - angle))
     f = Polynomial((-c * tau, c))
-    xl = validate(x.e1 * f, x.e2 * f, x.d * f, 3, strict=False)
+    xl = validate(x.e1 * f, x.e2 * f, x.d * f, 3)
     assert degree(xl) == degree(x) == 2 and type_nk(xl) == type_nk(x)
     nodes, expected = royal_nodes(xl), royal_nodes(x)
     assert [(nd.raw_order, nd.multiplicity, nd.on_circle) for nd in nodes] == \
@@ -546,16 +547,16 @@ def test_a_lenient_common_circle_factor_cancels_from_every_answer(angle):
     assert result.method is expected.method
     assert abs(result.t_used - expected.t_used) <= 1e-12 * expected.t_used
     for half in (result.x_plus, result.x_minus):
-        validate(half.e1, half.e2, half.d, half.n, strict=False)
+        validate(half.e1, half.e2, half.d, half.n)
 
 
-def test_a_squared_lenient_common_circle_factor_cancels_from_every_answer():
+def test_a_squared_common_circle_factor_cancels_from_every_answer():
     # d's double circle zero is placed on d', where it is simple
     x = construct(ConstructionSpec(alpha1=(0.3,), alpha2=(0.2j,), sigma=(np.exp(1.9j), 0.5)))
     tau, c = np.exp(-1.2j), np.exp(0.5j * (np.pi + 1.2))
     f = Polynomial((-c * tau, c))
     f2 = f * f
-    xl = validate(x.e1 * f2, x.e2 * f2, x.d * f2, 4, strict=False)
+    xl = validate(x.e1 * f2, x.e2 * f2, x.d * f2, 4)
     assert type_nk(xl) == type_nk(x) == TypeNK(2, 1)
     match_multiset([nd.location for nd in royal_nodes(x)],
                    [nd.location for nd in royal_nodes(xl)], 1e-9)
@@ -565,23 +566,23 @@ def test_a_squared_lenient_common_circle_factor_cancels_from_every_answer():
     result = extremal.perturb_nonextreme(xl)
     assert result.method is extremal.PerturbationMethod.G_PERTURB_EVEN
     for half in (result.x_plus, result.x_minus):
-        validate(half.e1, half.e2, half.d, half.n, strict=False)
+        validate(half.e1, half.e2, half.d, half.n)
 
 
 # at pi/2 the factor vanishes on a grid sample, where e1/f has no value
 @pytest.mark.parametrize("angle", [0.7, np.pi / 2])
-def test_a_lenient_common_circle_factor_perturbs_at_one_circle_node(angle):
+def test_a_common_circle_factor_perturbs_at_one_circle_node(angle):
     # one circle royal node: g is built at the reduced index 2 and times f
     x = construct(ConstructionSpec(alpha1=(0.3,), alpha2=(0.2j,), sigma=(np.exp(1.9j), 0.5)))
     tau, c = np.exp(1j * angle), np.exp(0.5j * (np.pi - angle))
     f = Polynomial((-c * tau, c))
-    xl = validate(x.e1 * f, x.e2 * f, x.d * f, 3, strict=False)
+    xl = validate(x.e1 * f, x.e2 * f, x.d * f, 3)
     assert type_nk(xl) == type_nk(x) == TypeNK(2, 1)
     result = extremal.perturb_nonextreme(xl)
     assert result.method is extremal.PerturbationMethod.G_PERTURB_EVEN and result.t_used > 0
     assert polycx.is_n_symmetric(result.g, xl.n)
     for half in (result.x_plus, result.x_minus):
-        validate(half.e1, half.e2, half.d, half.n, strict=False)
+        validate(half.e1, half.e2, half.d, half.n)
     for mid, e in (((result.x_plus.e1 + result.x_minus.e1).scale(0.5), xl.e1),
                    ((result.x_plus.e2 + result.x_minus.e2).scale(0.5), xl.e2)):
         assert coeff_distance(mid, e) <= 1e-12 * e.max_coeff()
@@ -589,18 +590,19 @@ def test_a_lenient_common_circle_factor_perturbs_at_one_circle_node(angle):
 
 def test_a_circle_zero_of_d_with_nothing_there_to_cancel_raises():
     # (0, 0, 1 + lam): the royal polynomial's double root at -1 is the common factor
-    x = validate(Polynomial(()), Polynomial(()), Polynomial((1, 1)), 1, strict=False)
+    x = validate(Polynomial(()), Polynomial(()), Polynomial((1, 1)), 1)
     assert royal_nodes(x) == () and degree(x) == 0
     # e1 = 1e-10 or 1e-9 passes modulus domination with d but has no zero at -1
     for eps in (1e-10, 1e-9):
         parts = (Polynomial((eps,)), Polynomial((0, eps)), Polynomial((1, 1)))
         with pytest.raises(ValidationError) as err:
-            validate(*parts, 1, strict=False)
+            validate(*parts, 1)
         [(code, detail)] = err.value.violations
-        assert code == "DVanishesInDisc" and "order 1 at -1+0j" in detail
+        assert code == "DVanishesInDisc"
+        assert detail == "roots of d inside the closed disc: [((-1+0j), 1)]"
         data = {"n": 1, **{key: [[c.real, c.imag] for c in p.coeffs.tolist()]
                            for key, p in zip(("E1", "E2", "D"), parts)}}
-        report = cli.cmd_verify(data, argparse.Namespace(strict=False))
+        report = cli.cmd_verify(data, argparse.Namespace())
         assert not report["valid"] and "invariants" not in report
         assert {row["condition"]: row["passed"] for row in report["conditions"]} == {
             "degree bounds": True, "denominator nonvanishing": False,

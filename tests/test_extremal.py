@@ -387,23 +387,23 @@ def test_perturbation_halves_carry_their_samples(monkeypatch, n, k):
     assert len(calls) == (3 if k else 0) + 2
 
 
-def test_perturbation_halves_keep_the_mode_their_function_was_validated_in():
-    # a constructed k = 1 function read in lenient mode takes the G path
+def test_perturbation_halves_of_a_divided_function_validate():
+    # a constructed k = 1 function validated again takes the G path
     x = _constructed_of_type(2, 1)
-    x = validate(x.e1, x.e2, x.d, x.n, strict=False)
+    x = validate(x.e1, x.e2, x.d, x.n)
     result = perturb_nonextreme(x)
     assert result.method is PerturbationMethod.G_PERTURB_EVEN
-    # d = 1 + lam vanishes at -1, which only lenient validation accepts; its
-    # factor common to (0, 0, d) cancels from the royal polynomial
+    # d = 1 + lam vanishes at -1, which validation accepts by dividing out its
+    # factor common to (0, 0, d); it cancels from the royal polynomial
     # lam (1 + lam)^2, leaving (0, 0, lam) of type (1, 0), and the grid sample
     # at -1 is a 0/0
-    x = validate(Polynomial(()), Polynomial(()), Polynomial((1, 1)), 2, strict=False)
+    x = validate(Polynomial(()), Polynomial(()), Polynomial((1, 1)), 2)
     assert type_nk(x) == TypeNK(1, 0)
     result = perturb_nonextreme(x)
     assert result.method is PerturbationMethod.EPSILON_SCALING
     assert result.note == "DegenerateZeroComponents"
-    # k = 0: scale_nonextreme keeps the mode too
-    x = validate(Polynomial((0.5,)), Polynomial((0, 0.5)), Polynomial((2,)), 1, strict=False)
+    # k = 0: scale_nonextreme's halves validate too
+    x = validate(Polynomial((0.5,)), Polynomial((0, 0.5)), Polynomial((2,)), 1)
     result = scale_nonextreme(x)
 
 

@@ -193,7 +193,7 @@ def test_factor_keeps_near_circle_root_off_the_circle():
 
 def test_factor_keeps_a_cepstral_d_only_if_it_is_zero_free_up_to_the_strict_radius(monkeypatch):
     # D has a root between 1 and 1 + CIRCLE_TOL: outer, but not zero-free up
-    # to 1 + CIRCLE_TOL, which strict validation asks of d next.  The cepstral
+    # to 1 + CIRCLE_TOL, which validation asks of d next.  The cepstral
     # start of so near a circle zero aliases, so the test hands Newton D itself;
     # D fails the disc test and the root path solves P = lam^2 p once
     d_ref = from_roots([1.0 + 5e-7, 3.0])
@@ -203,7 +203,7 @@ def test_factor_keeps_a_cepstral_d_only_if_it_is_zero_free_up_to_the_strict_radi
     assert solves == [4] and coeff_distance(d, d_ref) < 1e-8
 
 
-def test_is_outer_asks_the_open_disc_question_of_lenient_validation():
+def test_is_outer_asks_the_open_disc_question_of_validation():
     assert is_outer(from_roots([1.0 - 5e-7]))
     assert not is_outer(from_roots([1.0 - 2e-6]))
 

@@ -31,9 +31,6 @@ DEFAULTED = {
     "tetrafun.BlaschkeSpec(zeros)",
     "tetrafun.TypeNK(royal_variety_flag)",
     "tetrafun.circle_trace(samples)",
-    "tetrafun.from_json_dict(strict)",
-    "tetrafun.validate(strict)",
-    "tetrafun.validation_report(strict)",
 }
 
 

@@ -606,7 +606,7 @@ def test_the_empty_polynomial_needs_no_special_case():
 
 # -- Schur-Cohn disc test against mpmath roots ----------------------------------
 
-RADII = (1.0 + CIRCLE_TOL, 1.0 - CIRCLE_TOL)   # strict and lenient DVanishesInDisc
+RADII = (1.0 + CIRCLE_TOL, 1.0 - CIRCLE_TOL)   # validation's closed- and open-disc tests
 
 
 def mp_roots(coeffs, start=None):

@@ -99,46 +99,43 @@ def test_validate_rejects_disc_zero_of_d():
     assert {code for code, _ in err.value.violations} == {"DVanishesInDisc"}
 
 
-def test_validate_strict_rejects_circle_zero_lenient_allows():
-    d = Polynomial((-1, 1))
-    with pytest.raises(ValidationError):
-        validate(ZERO, ZERO, d, 1, strict=True)
-    x = validate(ZERO, ZERO, d, 1, strict=False)
+def test_validate_divides_out_a_circle_zero_common_to_all_three():
+    # (0, 0, lam - 1) is the constant (0, 0, -1) at n = 0
+    x = validate(ZERO, ZERO, Polynomial((-1, 1)), 1)
+    assert x.n == 0 and x.e1.is_zero and x.e2.is_zero and x.d.degree == 0
 
 
-def _disc_check(d, strict):
-    return next(c for c in validation_report(ZERO, ZERO, d, d.degree, strict=strict)
+def _disc_check(d):
+    return next(c for c in validation_report(ZERO, ZERO, d, d.degree)
                 if c.code == "DVanishesInDisc")
 
 
 def test_failing_disc_check_lists_the_offending_roots():
+    # the open-disc root 0.5j leaves no common circle factor to divide out
     d = polycx.from_roots([0.5j, 1.0, 2.0])
-    for strict, mode, offending in ((True, "closed", [0.5j, 1.0]), (False, "open", [0.5j])):
-        check = _disc_check(d, strict)
-        head, listed = check.detail.split(": ")
-        assert not check.passed and head == f"roots of d inside the {mode} disc"
-        listed = sorted(ast.literal_eval(listed), key=lambda entry: abs(entry[0]))
-        assert [order for _, order in listed] == [1] * len(offending)
-        assert all(abs(loc - r) < 1e-12 for (loc, _), r in zip(listed, offending))
-        # the entries of roots(d) as they are, in a list
-        radius = 1.0 + CIRCLE_TOL if strict else 1.0 - CIRCLE_TOL
-        assert check.detail.endswith(str([entry for entry in polycx.roots(d).entries
-                                          if abs(entry[0]) < radius]))
-    # a root exactly on the strict radius fails the closed-disc test and is listed
-    check = _disc_check(Polynomial((-(1.0 + CIRCLE_TOL), 1.0)), True)
-    assert not check.passed
-    assert check.detail == f"roots of d inside the closed disc: {[(1.0 + CIRCLE_TOL + 0j, 1)]}"
-    check = _disc_check(Polynomial((-(1.0 + 2 * CIRCLE_TOL), 1.0)), True)
+    check = _disc_check(d)
+    head, listed = check.detail.split(": ")
+    assert not check.passed and head == "roots of d inside the closed disc"
+    listed = sorted(ast.literal_eval(listed), key=lambda entry: abs(entry[0]))
+    assert [order for _, order in listed] == [1, 1]
+    assert all(abs(loc - r) < 1e-12 for (loc, _), r in zip(listed, [0.5j, 1.0]))
+    # the entries of roots(d) as they are, in a list
+    assert check.detail.endswith(str([entry for entry in polycx.roots(d).entries
+                                      if abs(entry[0]) < 1.0 + CIRCLE_TOL]))
+    # a root exactly on the closed-disc radius fails the closed-disc test and is
+    # listed; it is the only one, so the factor that (0, 0, d) share is divided out
+    check = _disc_check(Polynomial((-(1.0 + CIRCLE_TOL), 1.0)))
+    assert check.passed
+    assert check.detail == (f"roots of d inside the closed disc: {[(1.0 + CIRCLE_TOL + 0j, 1)]}"
+                            "; common circle factor (order 1 at 1+0j) divided out")
+    check = _disc_check(Polynomial((-(1.0 + 2 * CIRCLE_TOL), 1.0)))
     assert check.passed and check.detail == "roots of d inside the closed disc: none"
 
 
 def test_degree_of_a_strict_function_solves_nothing(monkeypatch):
     x = construct(random_construction_spec(np.random.default_rng(97), 6, k_circle=2))
     calls = count_solves(monkeypatch)
-    strict = from_json_dict(to_json_dict(x))
-    assert degree(strict) == 6 and calls == []
-    lenient = from_json_dict(to_json_dict(x), strict=False)
-    assert degree(lenient) == 6 and calls == []
+    assert degree(from_json_dict(to_json_dict(x))) == 6 and calls == []
 
 
 def test_degree_and_winding_of_a_function_read_from_json_run_one_disc_test(monkeypatch):
@@ -149,10 +146,10 @@ def test_degree_and_winding_of_a_function_read_from_json_run_one_disc_test(monke
     assert degree(y) == winding_number(y) == 6 and len(calls) == 1
 
 
-def test_lenient_degree_solves_d_when_d_has_a_circle_zero(monkeypatch):
+def test_degree_solves_d_when_d_has_a_circle_zero(monkeypatch):
     # d = (lam - 1)(lam - 3): validation solves d and divides the circle zero out
     calls = count_solves(monkeypatch)
-    x = validate(ZERO, ZERO, polycx.from_roots([1.0, 3.0]), 2, strict=False)
+    x = validate(ZERO, ZERO, polycx.from_roots([1.0, 3.0]), 2)
     assert x.n == 1 and calls == [2]
     assert degree(x) == winding_number(x) == 1 and calls == [2]
 
@@ -249,7 +246,7 @@ def test_degree_worked_example():
 
 
 def test_degree_is_n_on_the_strict_shell():
-    # a root of d just past 1 + CIRCLE_TOL passes strict validation, so it counts
+    # a root of d just past 1 + CIRCLE_TOL passes the closed-disc test, so it counts
     r = 1.0 + polycx.CIRCLE_TOL + 1e-13
     assert degree(validate(ZERO, ZERO, Polynomial((-r, 1.0)), 1)) == 1
 
@@ -748,7 +745,7 @@ def test_degree_multiplies_under_composition_with_a_blaschke_product(n, half):
     # with a Blaschke product of degree m multiplies by m.  The zeros are kept
     # 0.5 apart: three of modulus 0.65-0.76 within 0.31 of each other expand
     # d(B) den^n so badly that rounding its exact coefficients to double moves
-    # roots from 1.018 to 0.943, and strict validation rightly rejects it
+    # roots from 1.018 to 0.943, and validation rightly rejects it
     rng = np.random.default_rng([83, n, half])
     for _ in range(4):
         x = construct(random_construction_spec(rng, n, k_circle=n // 2 if half else 0))
@@ -803,7 +800,7 @@ def test_composition_with_a_disc_automorphism_maps_type_nodes_and_zeros(spec, a,
 
 
 def test_degree_of_an_unvalidated_strict_triple_counts_the_reflection():
-    # the disc test, not the strict flag, lets degree skip the roots of d
+    # the disc test, not validation, lets degree skip the roots of d
     x = TetraRational(ZERO, ZERO, Polynomial((0.0, -2.0, 1.0)), 3)
     assert degree(x) == _reflected_count(x) == 2
 
@@ -829,9 +826,9 @@ def test_degree_matches_roots_of_reflection_for_superficial(spec):
 
 
 @pytest.mark.parametrize("x, expected", [
-    # circle zero of d (lenient): it cancels and does not count
-    (validate(ZERO, ZERO, Polynomial((-1.0, 1.0)), 1, strict=False), 0),
-    (validate(ZERO, ZERO, Polynomial((2.0, -3.0, 1.0)), 3, strict=False), 2),
+    # circle zero of d, divided out: it cancels and does not count
+    (validate(ZERO, ZERO, Polynomial((-1.0, 1.0)), 1), 0),
+    (validate(ZERO, ZERO, Polynomial((2.0, -3.0, 1.0)), 3), 2),
     # deg d < n: the reflection has n - deg d zeros at 0
     (third_component_spec(3), 3),
     (validate(ZERO, ZERO, Polynomial((-2.0, 1.0)), 4), 4),
