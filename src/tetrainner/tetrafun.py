@@ -56,7 +56,6 @@ from .polycx import (
 )
 
 MODULUS_SLACK = 1e-9
-DENOMINATOR_POLE_TOL = 1e-13   # |d| below this is a pole of the function
 RING_SAMPLES = 64              # points per ring of the superficial and Psi checks
 SUPERFICIAL_TOL = 1e-10        # |tetra_defect| below this is on the topological boundary
 
@@ -292,7 +291,7 @@ def eval_function(x: TetraRational, lam: complex) -> TetraPoint:
     if not abs(lam) <= 1.0 + CIRCLE_TOL:   # NaN fails it
         raise ValueError(f"|lam| = {abs(lam)} is outside the closed disc")
     dv = x.d.eval(lam)
-    if abs(dv) < DENOMINATOR_POLE_TOL:
+    if dv == 0:
         raise DenominatorVanishes(f"d({lam}) = {dv}")
     return TetraPoint(x.e1.eval(lam) / dv, x.e2.eval(lam) / dv,
                       x.d_reflected.eval(lam) / dv)
@@ -304,7 +303,7 @@ def _eval_grid(x: TetraRational, lam: np.ndarray):
     Raises DenominatorVanishes at the first point where eval_function would.
     """
     dv = x.d.eval(lam)
-    pole = np.abs(dv) < DENOMINATOR_POLE_TOL
+    pole = dv == 0
     if pole.any():
         i = int(np.argmax(pole))
         raise DenominatorVanishes(f"d({lam[i]}) = {dv[i]}")

@@ -506,6 +506,17 @@ def test_verify_circle_zero_reports_the_divided_function(tmp_path, capsys):
         assert invariants["degree"] == invariants["winding_number"] == 0
 
 
+def test_a_small_constant_d_is_no_pole(tmp_path, capsys):
+    # (0, 0, 5e-14) at n = 0 is the constant (0, 0, 1): d is zero-free, however small
+    path = _write(tmp_path, "func.json", {"n": 0, "E1": [], "E2": [], "D": [5e-14]})
+    code, out = _run(capsys, ["verify", path])
+    assert code == 0 and json.loads(out)["valid"]
+    code, out = _run(capsys, ["trace", path])
+    rows = [[float(v) for v in row.split(",")] for row in out.splitlines()[1:]]
+    assert code == 0 and len(rows) == 256
+    assert all(row[1:8] == [0, 0, 0, 0, 1, 0, 0] for row in rows)
+
+
 def test_verify_circle_defect_is_the_trace_defect_on_the_validation_grid(tmp_path, capsys):
     # e2 is e1's reflection plus a perturbation just inside AGREE_TOL, so the
     # defect stands well above rounding noise
