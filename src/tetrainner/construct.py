@@ -128,9 +128,9 @@ def _nonzero(p: Polynomial, name: str) -> Polynomial:
 def construct(spec: ConstructionSpec) -> TetraRational:
     """Run the full pipeline and self-check the output.
 
-    The returned function's d is zero-free on the closed disc, so its degree is n, and
-    its royal polynomial equals the built target and is off the royal variety;
-    otherwise ConstructionInconsistent is raised.  Its royal nodes are matched
+    The returned function's d is zero-free on the closed disc, so its degree
+    is n, and its royal polynomial equals the built target and is off the
+    royal variety; otherwise ConstructionInconsistent is raised.  Its royal nodes are matched
     to sigma when they are first read: royal_nodes raises it there.
     """
     n = spec.n
