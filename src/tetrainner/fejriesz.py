@@ -118,7 +118,7 @@ def factor(p: TrigPolynomial) -> Polynomial:
     """
     vals = 2.0 * circle_values(p._half()).real
     low, high = float(vals.min()), float(vals.max())
-    if low < -NONNEG_GUARD * (1.0 + max(high, -low)):
+    if low < -NONNEG_GUARD * max(high, -low):
         raise NotNonnegativeOnCircle(f"min sampled value {low:.3e} below guard")
 
     c = p.coeffs
@@ -200,7 +200,7 @@ def _newton(d: np.ndarray, c: np.ndarray) -> tuple:
         jac[n + 1:, :n + 1], jac[n + 1:, n + 1:] = plus.imag[1:], minus.real[1:, 1:]
         try:
             x = np.linalg.solve(jac, np.concatenate((resid.real, resid.imag[1:])))
-        except np.linalg.LinAlgError:    # D = 0, from a negative constant within the guard
+        except np.linalg.LinAlgError:    # singular at a D with a circle zero
             break
         cand = d + x[:n + 1] + 1j * np.concatenate(([0.0], x[n + 1:]))
         cand_resid = c - _autocorrelation(cand)

@@ -261,8 +261,8 @@ def coeff_distance(p: Polynomial, q: Polynomial) -> float:
 
 
 def agree(p: Polynomial, q: Polynomial) -> bool:
-    """True iff p and q differ by at most AGREE_TOL (1 + their largest coefficient)."""
-    return coeff_distance(p, q) <= AGREE_TOL * (1.0 + max(p.max_coeff(), q.max_coeff()))
+    """True iff p and q differ by at most AGREE_TOL times their largest coefficient."""
+    return coeff_distance(p, q) <= AGREE_TOL * max(p.max_coeff(), q.max_coeff())
 
 
 def is_n_symmetric(p: Polynomial, n: int) -> bool:

@@ -254,7 +254,7 @@ def _validated(e1, e2, d, n) -> tuple[list[ConditionCheck], TetraRational | None
             f"max coefficient deviation of e1 from the n-reflection of e2: {dev:.3e}"))
 
     dv = d.abs_on_circle
-    slack = MODULUS_SLACK * (1.0 + float(np.max(dv)))
+    slack = MODULUS_SLACK * float(np.max(dv))
     worst = max(float(np.max(e.abs_on_circle - dv)) for e in ((e1,) if mirror else (e1, e2)))
     checks.append(ConditionCheck(
         "ModulusDomination", worst <= slack,
@@ -264,7 +264,7 @@ def _validated(e1, e2, d, n) -> tuple[list[ConditionCheck], TetraRational | None
 
 def _circle_quotient(e1, e2, d, n, circle) -> tuple | None:
     """(e1/f, e2/f, d/f, n - deg f), or None unless each quotient times f agrees with its
-    original at that polynomial's own scale and d/f is zero-free on the closed disc.
+    original (polycx.agree) and d/f is zero-free on the closed disc.
 
     circle holds d's zeros in the closed disc, all on the circle.  f has
     c (lam - tau)^m with c = exp(i (pi - arg tau)/2) for each zero tau of d of
@@ -280,7 +280,7 @@ def _circle_quotient(e1, e2, d, n, circle) -> tuple | None:
     parts = (e1, e2, d)
     quotients = [p if p.is_zero else Polynomial(np.polydiv(p.coeffs[::-1], f.coeffs[::-1])[0][::-1])
                  for p in parts]
-    if all(p.is_zero or agree((q * f).scale(1 / p.max_coeff()), p.scale(1 / p.max_coeff()))
+    if all(agree(q * f, p)
            for q, p in zip(quotients, parts)) and zero_free_disc(quotients[2], 1.0 + CIRCLE_TOL):
         return (*quotients, n - f.degree)
     return None

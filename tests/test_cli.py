@@ -527,7 +527,7 @@ def test_verify_circle_defect_is_the_trace_defect_on_the_validation_grid(tmp_pat
     x = construct(ConstructionSpec(alpha1=(0.3, 0.1 + 0.4j), alpha2=(-0.2j, 0.5),
                                    sigma=(np.exp(0.7j), np.exp(2.5j), 0.2, -0.4j),
                                    t_plus=1.0, t=0.8))
-    bound = AGREE_TOL * (1.0 + max(x.e1.max_coeff(), x.e2.max_coeff()))
+    bound = AGREE_TOL * max(x.e1.max_coeff(), x.e2.max_coeff())
     bump = 0.9 * bound * np.exp(1j * np.arange(x.n + 1))
     e2 = x.e2 + Polynomial(bump)
     func = dict(to_json_dict(x), E2=[[c.real, c.imag] for c in e2.coeffs.tolist()])

@@ -108,8 +108,9 @@ def test_construct_degenerate_constant():
 
 
 @pytest.mark.parametrize("scale, error, message", [
-    # the royal target is tiny but above the trim threshold: x lies on the royal variety
-    ({"t_plus": 1e-13}, ConstructionInconsistent, "royal variety"),
+    # the royal target is tiny but above the trim threshold: forming R = d~n d - e1 e2
+    # cancels it to rounding, far from the target at the target's own scale
+    ({"t_plus": 1e-13}, ConstructionInconsistent, "royal polynomial drift"),
     ({"t_plus": 1e-15}, InvalidConstructionSpec, "royal target trims to zero"),
     ({"t": 1e-15}, InvalidConstructionSpec, "e1 trims to zero"),
 ])

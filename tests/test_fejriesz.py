@@ -37,9 +37,10 @@ def test_factor_rejects_what_trims_to_the_zero_polynomial(coeffs):
         factor(TrigPolynomial(coeffs))
 
 
-def test_factor_of_a_negative_constant_within_the_guard_is_zero():
-    # passes the nonnegativity guard, and its largest sample is below 0
-    assert factor(TrigPolynomial((-1e-12,))).is_zero
+def test_factor_rejects_a_tiny_negative_constant():
+    # the guard is relative: -1e-12 everywhere is negative at its own scale
+    with pytest.raises(NotNonnegativeOnCircle):
+        factor(TrigPolynomial((-1e-12,)))
 
 
 def test_modulus_squared_constant():
