@@ -121,7 +121,7 @@ def test_construct_collision_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scale, exit_code", [
-    ({"t_plus": 1e-13}, EXIT_NUMERICAL),        # the function lies on the royal variety
+    ({"t_plus": 1e-13}, EXIT_NUMERICAL),        # the royal polynomial drifts from the target
     ({"t": [1e-15, 0.0]}, EXIT_PRECONDITION),   # e1 trims to zero
 ])
 def test_construct_tiny_scales_fail_loudly(tmp_path, capsys, scale, exit_code):
@@ -243,6 +243,16 @@ def test_verify_reports_a_negative_modulus_margin(tmp_path, capsys):
                  if c["condition"] == "modulus domination")
     assert code == 0 and check == {"condition": "modulus domination", "passed": True,
                                    "detail": "max(|e_i| - |d|) on the circle: -5.000e-01"}
+
+
+def test_verify_rejects_a_small_triple_outside_the_tetrablock(tmp_path, capsys):
+    # (1e-12, 1e-12, 1e-13) is x = (10, 10, 1): |e_i| exceeds |d| tenfold
+    path = _write(tmp_path, "small.json",
+                  {"n": 0, "E1": [[1e-12, 0.0]], "E2": [[1e-12, 0.0]], "D": [[1e-13, 0.0]]})
+    code, out = _run(capsys, ["verify", path])
+    report = json.loads(out)
+    check = next(c for c in report["conditions"] if c["condition"] == "modulus domination")
+    assert code == 0 and not report["valid"] and not check["passed"]
 
 
 def test_analyze_royal_variety(tmp_path, capsys):

@@ -8,7 +8,7 @@ from helpers import (compose_blaschke, count_disc_tests, count_ifft, count_pytho
                      separated_points)
 from tetrainner import polycx, tetrafun
 from tetrainner.boundary import TetraPoint, TetraRegion, classify_tetra, psi, tetra_defect
-from tetrainner.construct import construct, recover_data
+from tetrainner.construct import ConstructionSpec, construct, recover_data
 from tetrainner.errors import (
     ConstructionInconsistent,
     DenominatorVanishes,
@@ -103,6 +103,71 @@ def test_validate_divides_out_a_circle_zero_common_to_all_three():
     # (0, 0, lam - 1) is the constant (0, 0, -1) at n = 0
     x = validate(ZERO, ZERO, Polynomial((-1, 1)), 1)
     assert x.n == 0 and x.e1.is_zero and x.e2.is_zero and x.d.degree == 0
+
+
+def test_validate_rejects_a_small_triple_outside_the_tetrablock():
+    # (1e-12, 1e-12, 1e-13) is x = (10, 10, 1), outside the tetrablock at any scale
+    with pytest.raises(ValidationError) as err:
+        validate(Polynomial((1e-12,)), Polynomial((1e-12,)), Polynomial((1e-13,)), 0)
+    assert {code for code, _ in err.value.violations} == {"ModulusDomination"}
+
+
+def test_a_small_copy_has_the_type_and_node_of_its_unit_copy():
+    # (3e-7 lam, 3e-7, 1e-6 + 2e-7 lam) is 1e-6 times (0.3 lam, 0.3, 1 + 0.2 lam): one function
+    small = validate(Polynomial((0, 3e-7)), Polynomial((3e-7,)), Polynomial((1e-6, 2e-7)), 1)
+    unit = validate(Polynomial((0, 0.3)), Polynomial((0.3,)), Polynomial((1, 0.2)), 1)
+    assert type_nk(small) == type_nk(unit) == TypeNK(1, 0)
+    (node,), (unit_node,) = royal_nodes(small), royal_nodes(unit)
+    assert abs(node.location - unit_node.location) <= CIRCLE_TOL
+    assert abs(node.location + 0.2207890075) <= CIRCLE_TOL
+
+
+# (n, k, draw, c) of the scaled copies below that lose a coefficient of
+# d~n d, e1 e2 or the royal polynomial to the absolute TRIM_TOL, and with it
+# their answers
+SCALED_COPY_TRIMMED = {(3, 0, 1, 1e-6), (4, 0, 1, 1e-6)}
+
+
+def _scaled_copy_cases():
+    """Three constructed specs per (n, k), k circle nodes, from one generator, each
+    at every scale c."""
+    rng = np.random.default_rng(2024)
+    for n in (1, 2, 3, 4):
+        for k in sorted({0, n // 2}):
+            for draw in range(3):
+                sigma = ([np.exp(2j * np.pi * (i + rng.random()) / k) for i in range(k)]
+                         + [random_disc_point(rng, 0.8) for _ in range(n - k)])
+                alpha = [random_disc_point(rng, 0.8) for _ in range(n)]
+                spec = ConstructionSpec(alpha1=alpha[:n // 2], alpha2=alpha[n // 2:],
+                                        sigma=sigma, t_plus=1.0, t=0.7)
+                for c in (1e-6, 1e-5, 1e-4, 1e-3, 1e3, 1e6):
+                    trimmed = (n, k, draw, c) in SCALED_COPY_TRIMMED
+                    marks = [pytest.mark.xfail(strict=True, reason="TRIM_TOL is absolute")]
+                    yield pytest.param(spec, c, trimmed, id=f"n{n}-k{k}-draw{draw}-c{c:g}",
+                                       marks=marks * trimmed)
+
+
+def _answers(x):
+    """The validation verdicts, type, degree, winding and royal nodes of x."""
+    verdicts = [(c.code, c.passed) for c in validation_report(x.e1, x.e2, x.d, x.n)]
+    nodes = [nd.location for nd in royal_nodes(x) for _ in range(nd.multiplicity)]
+    return verdicts, type_nk(x), degree(x), winding_number(x), nodes
+
+
+@pytest.mark.parametrize("spec, c, trimmed", list(_scaled_copy_cases()))
+def test_a_scaled_copy_gets_the_same_answers(spec, c, trimmed):
+    # (c e1, c e2, c d) is the same function as (e1, e2, d)
+    x = construct(spec)
+    # premise: the copy keeps every coefficient of the products and their
+    # difference above TRIM_TOL, or the case is in SCALED_COPY_TRIMMED
+    smallest = min(np.min(np.abs(p.coeffs)) * c * c
+                   for p in (x.d_reflected * x.d, x.e1 * x.e2, royal_polynomial(x)))
+    assert (smallest <= polycx.TRIM_TOL) == trimmed
+    copy = validate(x.e1.scale(c), x.e2.scale(c), x.d.scale(c), x.n)
+    *expected, nodes = _answers(x)
+    *found, copy_nodes = _answers(copy)
+    assert found == expected
+    match_multiset(nodes, copy_nodes, CIRCLE_TOL)
 
 
 def _disc_check(d):
