@@ -128,10 +128,9 @@ def construct(spec: ConstructionSpec) -> TetraRational:
     """Run the full pipeline and self-check the output.
 
     The returned function's d is zero-free on the closed disc, so its degree
-    is n, and its royal polynomial is within ROYAL_DRIFT_TOL times the built
-    target's largest coefficient of that target; otherwise
-    ConstructionInconsistent is raised.  Its royal nodes are matched to
-    sigma when they are first read: royal_nodes raises it there.
+    is n, and its royal polynomial is within ROYAL_DRIFT_TOL (relative) of the
+    built target; otherwise ConstructionInconsistent is raised.  Its royal
+    nodes are matched to sigma when they are first read: royal_nodes raises it there.
     """
     n = spec.n
     target = build_royal_target(spec.sigma, spec.t_plus)

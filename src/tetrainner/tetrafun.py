@@ -280,8 +280,8 @@ def _circle_quotient(e1, e2, d, n, circle) -> tuple | None:
     parts = (e1, e2, d)
     quotients = [p if p.is_zero else Polynomial(np.polydiv(p.coeffs[::-1], f.coeffs[::-1])[0][::-1])
                  for p in parts]
-    if all(agree(q * f, p)
-           for q, p in zip(quotients, parts)) and zero_free_disc(quotients[2], 1.0 + CIRCLE_TOL):
+    if (all(agree(q * f, p) for q, p in zip(quotients, parts))
+            and zero_free_disc(quotients[2], 1.0 + CIRCLE_TOL)):
         return (*quotients, n - f.degree)
     return None
 
