@@ -22,14 +22,13 @@ _EXPORTS = {
     "construct": ("ConstructionSpec", "RecoveredData", "build_e1", "build_royal_target",
                   "construct", "recover_data"),
     "extremal": ("PerturbationMethod", "PerturbationResult", "certify_extreme_symmetric",
-                 "convex_combine", "gamma_royal", "perturb_nonextreme", "scale_nonextreme"),
-    "fejriesz": ("TrigPolynomial", "factor", "is_outer", "laurent_shift",
-                 "modulus_squared_on_circle"),
+                 "convex_combine", "perturb_nonextreme", "scale_nonextreme"),
+    "fejriesz": ("TrigPolynomial", "factor", "laurent_shift", "modulus_squared_on_circle"),
     "polycx": ("Polynomial", "RootMultiset", "coeff_distance", "is_n_symmetric", "roots"),
     "tetrafun": ("BlaschkeSpec", "RoyalNode", "SuperficialSpec", "TetraRational", "TypeNK",
-                 "circle_trace", "degree", "eval_function", "from_gamma_inner",
-                 "is_superficial", "psi_omega_check", "royal_nodes", "royal_polynomial",
-                 "superficial_build", "type_nk", "validate", "winding_number"),
+                 "circle_trace", "degree", "eval_function", "is_superficial", "psi_omega_check",
+                 "royal_nodes", "royal_polynomial", "superficial_build", "type_nk", "validate",
+                 "winding_number"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

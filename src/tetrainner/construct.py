@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .fejriesz import factor, laurent_shift, modulus_squared_on_circle
-from .polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, SPEC_TOL, TRIM_TOL, Polynomial, RootMultiset,
+from .polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, SPEC_TOL, Polynomial, RootMultiset,
                      coeff_distance, linear_product, reflected_roots, roots as poly_roots)
 from .tetrafun import RoyalNode, TetraRational, royal_nodes, royal_polynomial, validate
 
@@ -99,7 +99,7 @@ def build_royal_target(sigma, t_plus: float) -> Polynomial:
     """t_plus * prod (lam - sigma_j)(1 - conj(sigma_j) lam), expanded.
 
     The result is 2n-symmetric and lam^-n times it is nonnegative on the
-    circle; InvalidConstructionSpec if it trims to zero.
+    circle; InvalidConstructionSpec if it is zero (its product underflows).
     """
     if not t_plus > 0:
         raise InvalidConstructionSpec(f"t_plus = {t_plus} must be positive")
@@ -113,14 +113,14 @@ def build_royal_target(sigma, t_plus: float) -> Polynomial:
 
 
 def build_e1(alpha1, alpha2, t: complex) -> Polynomial:
-    """t * prod (lam - alpha1_j) * prod (1 - conj(alpha2_j) lam); nonzero after trimming."""
+    """t * prod (lam - alpha1_j) * prod (1 - conj(alpha2_j) lam), which must be nonzero."""
     return _nonzero(linear_product(complex(t), [(-complex(a), 1) for a in alpha1]
                                    + [(1, -np.conj(complex(a))) for a in alpha2]), "e1")
 
 
 def _nonzero(p: Polynomial, name: str) -> Polynomial:
     if p.is_zero:
-        raise InvalidConstructionSpec(f"{name} trims to zero: every |coefficient| <= {TRIM_TOL}")
+        raise InvalidConstructionSpec(f"{name} is zero")
     return p
 
 

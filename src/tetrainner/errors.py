@@ -119,7 +119,3 @@ class NumericalSupAtOne(TetraError):
 
 class ExtremalityNotDisproved(TetraError):
     pass
-
-
-class NotSymmetric(TetraError):
-    pass

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     CircleNodesPresent,
     ExtremalityNotDisproved,
-    NotSymmetric,
     NumericalSupAtOne,
     ThirdComponentMismatch,
 )
@@ -191,12 +190,3 @@ def certify_extreme_symmetric(x: TetraRational) -> bool:
     tk = type_nk(x)
     return 2 * tk.k > tk.n
 
-
-def gamma_royal(x: TetraRational) -> Polynomial:
-    """Royal polynomial of the symmetric embedding (2 x1, x3).
-
-    Equals 4 (reflect(d, n) d - e1 e2); symmetric input required.
-    """
-    if not agree(x.e1, x.e2):
-        raise NotSymmetric("components e1 and e2 differ beyond tolerance")
-    return royal_polynomial(x).scale(4.0)

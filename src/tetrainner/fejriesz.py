@@ -104,17 +104,12 @@ def laurent_shift(r_poly: Polynomial, n: int) -> TrigPolynomial:
     return TrigPolynomial(zero_pad(r_poly.coeffs[n:], n + 1))
 
 
-def is_outer(p: Polynomial) -> bool:
-    """True iff p is nonzero and zero-free up to 1 - CIRCLE_TOL, validation's open-disc test."""
-    return not p.is_zero and zero_free_disc(p, 1.0 - CIRCLE_TOL)
-
-
 def factor(p: TrigPolynomial) -> Polynomial:
     """Outer polynomial D with |D|^2 = p on the circle.
 
     Raises NotNonnegativeOnCircle when sampling finds p negative beyond
     the guard, OddCircleRootOrder (from circle_split) when a circle root
-    has odd order, and ValueError when lam^n p trims to zero.
+    has odd order, and ValueError when every coefficient of p is zero.
     """
     vals = 2.0 * circle_values(p._half()).real
     low, high = float(vals.min()), float(vals.max())
@@ -130,7 +125,7 @@ def factor(p: TrigPolynomial) -> Polynomial:
         asc, mag = asc[1:-1], mag[1:-1]
     big_p = Polynomial(asc)
     if big_p.is_zero:
-        raise ValueError("cannot factor: every coefficient is at most polycx.TRIM_TOL")
+        raise ValueError("cannot factor: every coefficient is zero")
     target = asc[len(asc) // 2:]
 
     if low > 0.0:

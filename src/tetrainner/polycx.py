@@ -1,10 +1,12 @@
 """Complex univariate polynomials, ascending coefficient order.
 
 Coefficients are one read-only complex128 array; the zero polynomial is the
-empty array.  Trailing coefficients of magnitude <= TRIM_TOL are dropped on
-construction so convolution noise cannot inflate the formal degree.  The
-JSON number codec, shared by the CLI and tetrafun's function payloads, is
-here too, so that reading a point loads no function layer.
+empty array.  Construction drops exactly zero trailing coefficients only: a
+product's top coefficient is the product of the factors' tops, input
+coefficients are data, and the one difference that cancels, the royal
+polynomial, is trimmed where tetrafun forms it.  The JSON number codec,
+shared by the CLI and tetrafun's function payloads, is here too, so that
+reading a point loads no function layer.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import (
     ZeroPolynomialHasAllRoots,
 )
 
-TRIM_TOL = 1e-14
 NEG_INF = float("-inf")
 EPS = float(np.finfo(float).eps)
 # Library-wide values; every module imports them from here.  Callers and the
@@ -224,22 +225,19 @@ def _horner(coeffs, z):
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
-    """c without its trailing coefficients of modulus TRIM_TOL or below."""
+    """c without its trailing zero coefficients."""
     k = len(c)
-    try:
-        while k and abs(c.item(k - 1)) <= TRIM_TOL:
-            k -= 1
-    except OverflowError:   # a modulus past the largest float is above TRIM_TOL
-        pass
+    while k and c.item(k - 1) == 0:
+        k -= 1
     return c if k == len(c) else c[:k]
 
 
 def product(factors) -> Polynomial:
     """Product of the polynomials in factors, convolved left to right; 1 if none.
 
-    The one Polynomial built at the end trims once: a product's top
-    coefficient is the product of the factors' tops, so a partial product
-    holds no rounding noise to trim, only true small coefficients.
+    A product's top coefficient is the product of the factors' tops, so a
+    partial product holds no rounding noise to trim, only true small
+    coefficients; the one Polynomial built at the end drops exact zeros.
     """
     arrays = [f.coeffs for f in factors]
     if not all(map(len, arrays)):
@@ -249,7 +247,7 @@ def product(factors) -> Polynomial:
 
 def linear_product(lead: complex, pairs) -> Polynomial:
     """lead * prod (c0 + c1 lam) over the (c0, c1) pairs, convolved left to
-    right and trimmed once, as product() does, with no Polynomial per factor."""
+    right as product() does, with no Polynomial per factor."""
     return Polynomial(reduce(np.convolve, np.array(pairs, dtype=complex),
                              np.array([lead], dtype=complex)))
 
@@ -271,7 +269,7 @@ def is_n_symmetric(p: Polynomial, n: int) -> bool:
 
 
 def is_mirror(p: Polynomial, q: Polynomial, n: int) -> bool:
-    """True iff q is p's n-reflection exactly, nothing trimmed: then |q| = |p| on the circle."""
+    """True iff q is p's n-reflection exactly: then |q| = |p| on the circle."""
     m = n + 1
     return (max(len(p.coeffs), len(q.coeffs)) <= m
             and np.array_equal(zero_pad(q.coeffs, m), np.conj(zero_pad(p.coeffs, m)[::-1])))

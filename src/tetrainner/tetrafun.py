@@ -37,6 +37,7 @@ from .errors import (
 from .polycx import (
     CIRCLE_SAMPLES,
     CIRCLE_TOL,
+    EPS,
     SPEC_TOL,
     TRACE_SAMPLES,
     Polynomial,
@@ -53,6 +54,7 @@ from .polycx import (
     roots_inside,
     unit_circle,
     zero_free_disc,
+    zero_pad,
 )
 
 MODULUS_SLACK = 1e-9
@@ -73,10 +75,20 @@ class TetraRational:
 
     @cached_property
     def _royal(self) -> tuple[Polynomial, bool]:
-        """reflect(d, n) * d - e1 * e2, and whether the two products agree
-        (the royal variety)."""
+        """reflect(d, n) * d - e1 * e2, and whether the two products agree (the
+        royal variety).  The difference cancels (a royal node at 0 leaves rounding
+        where its top coefficient is 0), so trailing coefficients R_j within the
+        bound of forming them, (n + 2) eps (|d~n| * |d| + |e1| * |e2|)_j with *
+        convolving moduli (Higham, Accuracy and Stability, ch. 3), are dropped."""
         dd, ee = self.d_reflected * self.d, self.e1 * self.e2
-        return dd - ee, agree(dd, ee)
+        royal = dd - ee
+        k = len(royal.coeffs)
+        # |d~n|, |d|, |e1|, |e2| padded to k: m[0][:k] @ m[1][k - 1::-1] is (|d~n| * |d|)_(k-1)
+        m = [zero_pad(np.abs(p.coeffs), k) for p in (self.d_reflected, self.d, self.e1, self.e2)]
+        while k and abs(royal.coeffs.item(k - 1)) <= (self.n + 2) * EPS * float(
+                m[0][:k] @ m[1][k - 1::-1] + m[2][:k] @ m[3][k - 1::-1]):
+            k -= 1
+        return (royal if k == len(royal.coeffs) else Polynomial(royal.coeffs[:k])), agree(dd, ee)
 
     @cached_property
     def _on_rings(self) -> tuple:
@@ -202,7 +214,8 @@ def validate(e1: Polynomial, e2: Polynomial, d: Polynomial, n: int) -> TetraRati
     factor f that e1, e2 and d share there (see _circle_quotient) is divided
     out instead, which changes neither x nor its degree, and x/f at index
     n - deg f is returned.  So every function returned has a d zero-free on
-    the closed disc.
+    the closed disc.  A rational Gamma-inner (s, p) = (s_num/d, d~n/d) of ALY15
+    embeds as (s/2, s/2, p): validate(s_num/2, s_num/2, d, n).
     """
     checks, x = _validated(e1, e2, d, n)
     if x is None:
@@ -429,17 +442,6 @@ def psi_omega_check(x: TetraRational, spec: SuperficialSpec) -> float:
     k_val = spec.beta1 / abs(spec.beta1)
     psi = boundary.psi(omega, TetraPoint(*x._on_rings))
     return float(np.max(np.abs(psi - k_val)))
-
-
-def from_gamma_inner(s_num: Polynomial, denom: Polynomial, n: int) -> TetraRational:
-    """Symmetric embedding (s/2, s/2, p) of a rational Gamma-inner pair.
-
-    s = s_num/denom must be n-symmetric with |s| <= 2|denom| on the circle
-    and denom nonvanishing on the closed disc: validate's conditions on
-    (s/2, s/2, denom), reported under validate's codes.
-    """
-    half = s_num.scale(0.5)
-    return validate(half, half, denom, n)
 
 
 def circle_trace(x: TetraRational,

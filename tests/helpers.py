@@ -126,9 +126,9 @@ def compose_blaschke(x, zeros):
 
 
 def pairwise_product(first, factors):
-    """Left-to-right product formed one pair at a time, each pair convolved and
-    trimmed into a Polynomial: chained *, which polycx.product equals bit for
-    bit unless a partial product's top coefficient falls to TRIM_TOL."""
+    """Left-to-right product formed one pair at a time, each pair convolved
+    into a Polynomial: chained *, which polycx.product equals bit for bit
+    unless a partial product's top coefficient underflows to 0."""
     out = first
     for f in factors:
         if out.is_zero or f.is_zero:
@@ -148,8 +148,8 @@ def convolved_once(factors) -> Polynomial:
 
 def assert_exact_expansion(p: Polynomial, factors, rel: float = 1e-12):
     """Each coefficient p keeps is within rel (relative) of the product of the
-    coefficient lists factors expanded in 300-bit mpmath, and each it trimmed
-    is at most TRIM_TOL there."""
+    coefficient lists factors expanded in 300-bit mpmath, and each it dropped
+    rounds to 0 there."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workprec(300):
         exact = [mpmath.mpc(1)]
@@ -162,7 +162,7 @@ def assert_exact_expansion(p: Polynomial, factors, rel: float = 1e-12):
             if j < len(p.coeffs):
                 assert abs(p.coeff(j) - c) <= rel * abs(c), (j, p.coeff(j), complex(c))
             else:
-                assert abs(c) <= polycx.TRIM_TOL, (j, complex(c))
+                assert complex(c) == 0, (j, complex(c))
 
 
 def coeff_bits(p: Polynomial) -> bytes:

@@ -17,6 +17,7 @@ from helpers import NAN_EIGENVALUE_D, SCHUR_COHN_OVERFLOW_D, count_solves, rando
 from tetrainner import cli, errors
 from tetrainner.cli import (EXIT_NUMERICAL, EXIT_PARSE, EXIT_PRECONDITION, _build_parser, main,
                             main_entry)
+from tetrainner.polycx import CIRCLE_TOL
 
 SQ2 = np.sqrt(2.0)
 
@@ -122,13 +123,20 @@ def test_construct_collision_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("scale, exit_code", [
     ({"t_plus": 1e-13}, EXIT_NUMERICAL),        # the royal polynomial drifts from the target
-    ({"t": [1e-15, 0.0]}, EXIT_PRECONDITION),   # e1 trims to zero
+    ({"t_plus": 1e-15}, EXIT_NUMERICAL),
+    ({"t": [1e-15, 0.0]}, 0),                   # a tiny e1 is kept: its nodes match sigma
 ])
-def test_construct_tiny_scales_fail_loudly(tmp_path, capsys, scale, exit_code):
+def test_construct_tiny_scales_are_right_or_loud(tmp_path, capsys, scale, exit_code):
     spec = {"alpha1": [[0.3, 0.0]], "alpha2": [], "sigma": [[0.5, 0.0]],
             "t_plus": 1.0, "t": [1.0, 0.0], **scale}
     code, out = _run(capsys, ["construct", _write(tmp_path, "spec.json", spec)])
-    assert code == exit_code and out == ""
+    assert code == exit_code and (out == "") == (code != 0)
+    if code == 0:
+        result = json.loads(out)
+        (node,) = result["analysis"]["royal_nodes"]
+        assert abs(complex(*node["location"]) - 0.5) <= CIRCLE_TOL
+        code, out = _run(capsys, ["verify", _write(tmp_path, "func.json", result["function"])])
+        assert code == 0 and json.loads(out)["valid"]
 
 
 def test_construct_with_royal_nodes_off_its_spec_exits_4(tmp_path, capsys):
@@ -516,11 +524,16 @@ def test_verify_circle_zero_reports_the_divided_function(tmp_path, capsys):
         assert invariants["degree"] == invariants["winding_number"] == 0
 
 
-def test_a_small_constant_d_is_no_pole(tmp_path, capsys):
-    # (0, 0, 5e-14) at n = 0 is the constant (0, 0, 1): d is zero-free, however small
-    path = _write(tmp_path, "func.json", {"n": 0, "E1": [], "E2": [], "D": [5e-14]})
+@pytest.mark.parametrize("d", [5e-14, 1e-15])
+def test_a_small_constant_d_is_no_pole(tmp_path, capsys, d):
+    # (0, 0, d) at n = 0 is the constant (0, 0, 1): d is zero-free, however small,
+    # and no coefficient is too small to keep
+    path = _write(tmp_path, "func.json", {"n": 0, "E1": [], "E2": [], "D": [d]})
     code, out = _run(capsys, ["verify", path])
     assert code == 0 and json.loads(out)["valid"]
+    code, out = _run(capsys, ["analyze", path])
+    report = json.loads(out)
+    assert code == 0 and report["degree"] == 0 and report["royal_nodes"] == []
     code, out = _run(capsys, ["trace", path])
     rows = [[float(v) for v in row.split(",")] for row in out.splitlines()[1:]]
     assert code == 0 and len(rows) == 256

@@ -17,7 +17,6 @@ from tetrainner.construct import construct, recover_data
 from tetrainner.errors import (
     CircleNodesPresent,
     ExtremalityNotDisproved,
-    NotSymmetric,
     NumericalSupAtOne,
     RoyalVarietyFunction,
     ThirdComponentMismatch,
@@ -28,7 +27,6 @@ from tetrainner.extremal import (
     _perturbation_polynomial,
     certify_extreme_symmetric,
     convex_combine,
-    gamma_royal,
     perturb_nonextreme,
     scale_nonextreme,
 )
@@ -37,7 +35,6 @@ from tetrainner.polycx import (CIRCLE_SAMPLES, EPS, Polynomial, agree, coeff_dis
 from tetrainner.tetrafun import (
     TetraRational,
     TypeNK,
-    from_gamma_inner,
     is_royal_variety,
     royal_nodes,
     royal_polynomial,
@@ -438,7 +435,8 @@ def test_perturb_preserves_circle_node_locations_and_values():
 
 
 def test_certify_symmetric_circle_heavy_function():
-    x = from_gamma_inner(Polynomial((1, 1)), ONE, 1)
+    half = Polynomial((1, 1)).scale(0.5)    # the Gamma pair (1 + lam, lam) embedded
+    x = validate(half, half, ONE, 1)
     assert certify_extreme_symmetric(x)
 
 
@@ -486,26 +484,26 @@ def test_royal_variety_function(tmp_path, capsys, call, outcome):
         assert f"{info.type.__name__}: {info.value}" == outcome
 
 
+# the royal polynomial of a Gamma pair (s, p) = (s_num/denom, denom~n/denom),
+# embedded as (s_num/2, s_num/2, denom), is 4 times the embedding's:
+# 4 denom~n denom - s_num^2
+
 def test_gamma_royal_monomial():
     x = validate(ZERO, ZERO, ONE, 1)
-    assert coeff_distance(gamma_royal(x), Polynomial((0, 4))) < 1e-15
+    assert coeff_distance(royal_polynomial(x).scale(4.0), Polynomial((0, 4))) < 1e-15
 
 
 def test_gamma_royal_superficial_pair():
-    x = from_gamma_inner(Polynomial((1, 1)), ONE, 1)
-    assert coeff_distance(gamma_royal(x), Polynomial((-1, 2, -1))) < 1e-14
+    half = Polynomial((1, 1)).scale(0.5)
+    x = validate(half, half, ONE, 1)
+    assert coeff_distance(royal_polynomial(x).scale(4.0), Polynomial((-1, 2, -1))) < 1e-14
 
 
-def test_gamma_royal_matches_royal_polynomial():
-    x = from_gamma_inner(Polynomial((0.5, 1.2, 0.5)), Polynomial((2.0, 0.3, 0.1)), 2)
-    assert coeff_distance(gamma_royal(x), royal_polynomial(x).scale(4.0)) == 0.0
-
-
-def test_gamma_royal_rejects_asymmetric():
-    rng = np.random.default_rng(83)
-    x = construct(random_construction_spec(rng, 1))
-    with pytest.raises(NotSymmetric):
-        gamma_royal(x)
+def test_gamma_royal_is_four_denominator_products_less_the_square():
+    s_num, denom = Polynomial((0.5, 1.2, 0.5)), Polynomial((2.0, 0.3, 0.1))
+    x = validate(s_num.scale(0.5), s_num.scale(0.5), denom, 2)
+    expected = (denom.reflect(2) * denom).scale(4.0) - s_num * s_num
+    assert coeff_distance(royal_polynomial(x).scale(4.0), expected) < 1e-14
 
 
 def test_superficial_functions_resist_decomposition():

@@ -13,12 +13,11 @@ from tetrainner.errors import (
 from tetrainner.fejriesz import (
     TrigPolynomial,
     factor,
-    is_outer,
     laurent_shift,
     modulus_squared_on_circle,
 )
 from tetrainner.polycx import (CIRCLE_SAMPLES, CIRCLE_TOL, Polynomial, coeff_distance, from_roots,
-                               roots, unit_circle, zero_pad)
+                               roots, unit_circle, zero_free_disc, zero_pad)
 
 SQ2 = np.sqrt(2.0)
 
@@ -30,11 +29,18 @@ def _align_phase(p: Polynomial) -> Polynomial:
     return p
 
 
-@pytest.mark.parametrize("coeffs", [(1e-30,), (1e-29, 1e-30), (0.0,)])
-def test_factor_rejects_what_trims_to_the_zero_polynomial(coeffs):
-    # a tiny positive constant used to reach circle_split as the zero polynomial
-    with pytest.raises(ValueError, match="TRIM_TOL"):
-        factor(TrigPolynomial(coeffs))
+def test_factor_rejects_the_zero_polynomial():
+    with pytest.raises(ValueError, match="every coefficient is zero"):
+        factor(TrigPolynomial((0.0,)))
+
+
+@pytest.mark.parametrize("coeffs", [(1e-30,), (1e-29, 1e-30)])
+def test_factor_keeps_a_tiny_trig_polynomial(coeffs):
+    # no coefficient is too small to keep: |D|^2 = p on the circle at p's own scale
+    p = TrigPolynomial(coeffs)
+    d, grid = factor(p), unit_circle(CIRCLE_SAMPLES)
+    assert d.degree == len(coeffs) - 1
+    assert np.max(np.abs(np.abs(d.eval(grid)) ** 2 - p.value(grid))) <= 1e-12 * coeffs[0]
 
 
 def test_factor_rejects_a_tiny_negative_constant():
@@ -158,7 +164,7 @@ def test_factor_round_trip_random_outer():
         d_ref = _align_phase(random_outer_polynomial(rng))
         recovered = factor(modulus_squared_on_circle(d_ref))
         assert coeff_distance(recovered, d_ref) < 1e-8
-        assert is_outer(recovered)
+        assert zero_free_disc(recovered, 1.0 - CIRCLE_TOL)
 
 
 def test_factor_reconstruction_bound():
@@ -204,21 +210,16 @@ def test_factor_keeps_a_cepstral_d_only_if_it_is_zero_free_up_to_the_strict_radi
     assert solves == [4] and coeff_distance(d, d_ref) < 1e-8
 
 
-def test_is_outer_asks_the_open_disc_question_of_validation():
-    assert is_outer(from_roots([1.0 - 5e-7]))
-    assert not is_outer(from_roots([1.0 - 2e-6]))
-
-
-def test_is_outer_circle_zero_allowed():
-    assert is_outer(Polynomial((1, 1)))
-
-
-def test_is_outer_rejects_origin_zero():
-    assert not is_outer(Polynomial((0, 1)))
-
-
-def test_is_outer_worked_denominator():
-    assert is_outer(Polynomial((-2, 0.5)))
+@pytest.mark.parametrize("p, outer", [
+    (from_roots([1.0 - 5e-7]), True),
+    (from_roots([1.0 - 2e-6]), False),
+    (Polynomial((1, 1)), True),        # a circle zero is allowed
+    (Polynomial((0, 1)), False),       # a zero at the origin is not
+    (Polynomial((-2, 0.5)), True),     # the worked denominator
+], ids=["near-circle", "inside", "circle-zero", "origin-zero", "worked-denominator"])
+def test_outer_is_zero_free_up_to_the_open_disc_radius(p, outer):
+    # the open-disc question validation asks of d
+    assert zero_free_disc(p, 1.0 - CIRCLE_TOL) == outer
 
 
 # -- the two paths of factor ------------------------------------------------------
@@ -245,7 +246,7 @@ def test_cepstral_factor_against_a_30_digit_residual(monkeypatch, n, half):
     p = _construction_trig(n, n // 2 if half else 0)
     d, degrees, runs = _factor_counting(p, monkeypatch)
     assert degrees == [] and runs == 1       # no root solve, no fallback
-    assert d.degree == n and is_outer(d)
+    assert d.degree == n and zero_free_disc(d, 1.0 - CIRCLE_TOL)
     assert d.coeffs[0].imag == 0 and d.coeffs[0].real > 0
     assert _residual_30_digits(d, p) <= 1e-13
     # the root path reaches the same factor; the largest gap seen on 36
@@ -282,7 +283,7 @@ def test_cepstral_factor_close_to_zero_needs_no_root_solve(monkeypatch, n, k, se
     assert 1e-13 <= _min_over_max(p) <= 1e-8
     d, degrees, runs = _factor_counting(p, monkeypatch)
     assert degrees == [] and runs == 1
-    assert d.degree == n and is_outer(d)
+    assert d.degree == n and zero_free_disc(d, 1.0 - CIRCLE_TOL)
     assert d.coeffs[0].imag == 0 and d.coeffs[0].real > 0
     assert _residual_30_digits(d, p) <= 1e-13
 
@@ -305,7 +306,7 @@ def test_factor_falls_back_to_the_root_path(monkeypatch, eps, extra, newton_runs
     d, degrees, runs = _factor_counting(p, monkeypatch)
     assert degrees == [2 * d_ref.degree]
     assert runs == newton_runs    # the root path is polished too
-    assert coeff_distance(d, d_ref) < 1e-8 and is_outer(d)
+    assert coeff_distance(d, d_ref) < 1e-8 and zero_free_disc(d, 1.0 - CIRCLE_TOL)
     assert d.coeffs[0].imag == 0 and d.coeffs[0].real > 0
 
 
@@ -314,5 +315,5 @@ def test_factor_near_a_circle_root_takes_the_cepstral_path(monkeypatch):
     assert _min_over_max(p) < 1e-8    # 1.7e-9
     d, degrees, runs = _factor_counting(p, monkeypatch)
     assert degrees == [] and runs == 1
-    assert coeff_distance(d, d_ref) < 1e-8 and is_outer(d)
+    assert coeff_distance(d, d_ref) < 1e-8 and zero_free_disc(d, 1.0 - CIRCLE_TOL)
     assert d.coeffs[0].imag == 0 and d.coeffs[0].real > 0

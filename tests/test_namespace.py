@@ -15,12 +15,12 @@ PUBLIC = [
     "TrigPolynomial", "TypeNK", "boundary", "build_e1", "build_royal_target",
     "certify_extreme_symmetric", "circle_trace", "classify_gamma", "classify_tetra",
     "coeff_distance", "construct", "convex_combine", "degree", "errors", "eval_function",
-    "extremal", "factor", "fejriesz", "from_gamma_inner", "gamma_royal", "gamma_to_tetra",
-    "is_n_symmetric", "is_outer", "is_superficial", "laurent_shift",
-    "modulus_squared_on_circle", "mu_diag_le_one", "mu_diag_value", "perturb_nonextreme",
-    "pi_map", "polycx", "psi", "psi_omega_check", "recover_data", "roots", "royal_nodes",
-    "royal_polynomial", "scale_nonextreme", "superficial_build", "tetra_to_gamma_diff",
-    "tetra_to_gamma_sum", "tetrafun", "type_nk", "validate", "winding_number",
+    "extremal", "factor", "fejriesz", "gamma_to_tetra", "is_n_symmetric", "is_superficial",
+    "laurent_shift", "modulus_squared_on_circle", "mu_diag_le_one", "mu_diag_value",
+    "perturb_nonextreme", "pi_map", "polycx", "psi", "psi_omega_check", "recover_data", "roots",
+    "royal_nodes", "royal_polynomial", "scale_nonextreme", "superficial_build",
+    "tetra_to_gamma_diff", "tetra_to_gamma_sum", "tetrafun", "type_nk", "validate",
+    "winding_number",
 ]
 SUBMODULES = {"boundary", "errors", "extremal", "fejriesz", "polycx", "tetrafun"}
 

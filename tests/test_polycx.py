@@ -22,7 +22,6 @@ from tetrainner import polycx
 from tetrainner.polycx import (
     CIRCLE_SAMPLES,
     CIRCLE_TOL,
-    TRIM_TOL,
     Polynomial,
     circle_split,
     coeff_distance,
@@ -33,6 +32,7 @@ from tetrainner.polycx import (
     roots,
     unit_circle,
     zero_free_disc,
+    zero_pad,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -362,8 +362,9 @@ def test_worked_royal_polynomial_expansion():
 
 
 def test_trailing_trim_after_convolution():
-    p = Polynomial((1.0, 1e-16))
-    assert p.degree == 0
+    # exact zeros go, of either sign; a tiny coefficient is data
+    assert Polynomial((1.0, 0.0, -0.0j)).degree == 0
+    assert Polynomial((1.0, 1e-16)).degree == Polynomial((1.0, 5e-324)).degree == 1
     ms = from_roots(roots(Polynomial((1, 2, 1))).expand())
     assert ms.degree == 2
 
@@ -441,8 +442,8 @@ def test_linear_maps_carry_the_samples_of_sampled_operands(monkeypatch, op, scal
     lambda p, q: Polynomial(q.coeffs) - p,
     lambda p, q: -Polynomial(p.coeffs),
     lambda p, q: Polynomial(p.coeffs).scale(3.0),
-    lambda p, q: p - p.scale(1.0 + 1e-15),          # every coefficient trims
-    lambda p, q: p.scale(1e-14),                    # the top coefficient drops below TRIM_TOL
+    lambda p, q: p - p,                             # every coefficient cancels exactly
+    lambda p, q: p.scale(5e-324),                   # the top coefficient underflows to 0
 ], ids=["add-unsampled", "sub-unsampled", "neg-unsampled", "scale-unsampled", "sub-trims",
         "scale-trims"])
 def test_no_carry_from_an_unsampled_operand_or_a_trimmed_result(op):
@@ -525,7 +526,7 @@ def test_product_matches_pairwise_on_random_factors():
 
 def _ref_trim(cs):
     cs = [complex(c) for c in cs]
-    while cs and abs(cs[-1]) <= TRIM_TOL:
+    while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
 
@@ -539,8 +540,8 @@ def _ref_add(a, b):
 
 
 def _random_coeffs(rng):
-    """Mixed magnitudes with exact and signed zeros and values at the trim threshold."""
-    pool = [0.0, -0.0, 1.0, -2.5, TRIM_TOL, -TRIM_TOL, 3e-15, 1e-300]
+    """Mixed magnitudes with exact and signed zeros, tiny and subnormal values."""
+    pool = [0.0, -0.0, 1.0, -2.5, 1e-14, -1e-14, 3e-15, 1e-300, 5e-324]
     parts = [rng.normal() * 10.0 ** rng.integers(-16, 4) if rng.random() < 0.7
              else pool[rng.integers(len(pool))] for _ in range(2 * int(rng.integers(0, 9)))]
     return tuple(complex(re, im) for re, im in zip(parts[::2], parts[1::2]))
@@ -584,7 +585,8 @@ def test_coeffs_is_a_read_only_complex128_array(coeffs):
 
 def test_equality_compares_values_and_repr_keeps_full_precision():
     p = Polynomial((1 / 3, 0.1 + 2j / 3))
-    assert p == Polynomial([1 / 3 + 0j, 0.1 + 2j / 3, 1e-15])
+    assert p == Polynomial([1 / 3 + 0j, 0.1 + 2j / 3, 0.0])
+    assert p != Polynomial([1 / 3 + 0j, 0.1 + 2j / 3, 1e-15])
     assert p != Polynomial((1 / 3, 0.1 + 2j / 3 + 1e-12)) and p != TrigPolynomial(p.coeffs)
     assert repr(p) == f"Polynomial(coeffs={(1 / 3 + 0j, 0.1 + 2j / 3)!r})"
     assert eval(repr(p), {"Polynomial": Polynomial}) == p
@@ -727,9 +729,9 @@ def test_scale_carries_disc_answers_unless_it_trims(monkeypatch):
     # a copy: what q learns later is not written back onto p
     assert zero_free_disc(q, 1.25) and len(calls) == 1
     assert zero_free_disc(p, 1.25) and len(calls) == 2
-    # c = 0 leaves the zero polynomial; a trimmed top coefficient moves a root
+    # c = 0 leaves the zero polynomial; a top coefficient that underflows moves a root
     assert "_zero_free" not in p.scale(0.0).__dict__
-    tiny_top = Polynomial((1.0, -0.5, 2e-14))
+    tiny_top = Polynomial((1.0, -0.5, 5e-324))
     assert not zero_free_disc(tiny_top, 2.5)
     trimmed = tiny_top.scale(0.4)
     assert trimmed.degree == 1 and "_zero_free" not in trimmed.__dict__
@@ -917,11 +919,23 @@ def test_is_mirror_is_the_exact_reflection(p, q, n, expected):
     assert is_mirror(p, q, n) == expected
 
 
-def test_is_mirror_rejects_a_reflection_that_trims():
-    # q.reflect(1) drops q's coefficient 1e-15 and equals p, but |q| != |p| on the circle
-    p, q = Polynomial((2j,)), Polynomial((1e-15, -2j))
-    assert q.reflect(1) == p and not is_mirror(p, q, 1)
-    assert not np.array_equal(np.abs(p.on_circle), np.abs(q.on_circle))
+def test_is_mirror_is_a_reflection_that_equals():
+    # no reflection drops a nonzero coefficient, so is_mirror is q.reflect(n) == p
+    rng = np.random.default_rng(920)
+    pool = [0.0, -0.0, 1e-15, -1e-15, 5e-324, 1.0, -2.5]
+
+    def draw(size):
+        return [complex(pool[rng.integers(len(pool))], pool[rng.integers(len(pool))])
+                for _ in range(size)]
+
+    for _ in range(2000):
+        n = int(rng.integers(0, 4))
+        q = Polynomial(draw(int(rng.integers(0, n + 3))))
+        # p is q's reflection with some entries redrawn, or an unrelated draw
+        p = (Polynomial([c if rng.random() < 0.8 else draw(1)[0]
+                         for c in zero_pad(q.coeffs, n + 1)[::-1].conj()])
+             if rng.random() < 0.7 else Polynomial(draw(int(rng.integers(0, n + 3)))))
+        assert is_mirror(p, q, n) == (q.degree <= n and q.reflect(n) == p)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 32, 4095, 4096, 10000])

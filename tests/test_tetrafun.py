@@ -32,7 +32,6 @@ from tetrainner.tetrafun import (
     circle_trace,
     degree,
     eval_function,
-    from_gamma_inner,
     from_json_dict,
     is_royal_variety,
     is_superficial,
@@ -122,17 +121,18 @@ def test_a_small_copy_has_the_type_and_node_of_its_unit_copy():
     assert abs(node.location + 0.2207890075) <= CIRCLE_TOL
 
 
-# (n, k, draw, c) of the scaled copies below that lose a coefficient of
-# d~n d, e1 e2 or the royal polynomial to the absolute TRIM_TOL, and with it
-# their answers
-SCALED_COPY_TRIMMED = {(3, 0, 1, 1e-6), (4, 0, 1, 1e-6)}
+def test_a_tiny_constant_d_is_the_constant_function():
+    # (0, 0, 1e-15) at n = 0 is x = (0, 0, 1): no coefficient is too small to keep
+    x = validate(ZERO, ZERO, Polynomial((1e-15,)), 0)
+    assert x.d.degree == 0 and degree(x) == 0 and type_nk(x) == TypeNK(0, 0)
+    assert eval_function(x, 0.5) == TetraPoint(0, 0, 1)
 
 
 def _scaled_copy_cases():
     """Three constructed specs per (n, k), k circle nodes, from one generator, each
     at every scale c."""
     rng = np.random.default_rng(2024)
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 6, 8):
         for k in sorted({0, n // 2}):
             for draw in range(3):
                 sigma = ([np.exp(2j * np.pi * (i + rng.random()) / k) for i in range(k)]
@@ -141,10 +141,7 @@ def _scaled_copy_cases():
                 spec = ConstructionSpec(alpha1=alpha[:n // 2], alpha2=alpha[n // 2:],
                                         sigma=sigma, t_plus=1.0, t=0.7)
                 for c in (1e-6, 1e-5, 1e-4, 1e-3, 1e3, 1e6):
-                    trimmed = (n, k, draw, c) in SCALED_COPY_TRIMMED
-                    marks = [pytest.mark.xfail(strict=True, reason="TRIM_TOL is absolute")]
-                    yield pytest.param(spec, c, trimmed, id=f"n{n}-k{k}-draw{draw}-c{c:g}",
-                                       marks=marks * trimmed)
+                    yield pytest.param(spec, c, id=f"n{n}-k{k}-draw{draw}-c{c:g}")
 
 
 def _answers(x):
@@ -154,15 +151,10 @@ def _answers(x):
     return verdicts, type_nk(x), degree(x), winding_number(x), nodes
 
 
-@pytest.mark.parametrize("spec, c, trimmed", list(_scaled_copy_cases()))
-def test_a_scaled_copy_gets_the_same_answers(spec, c, trimmed):
+@pytest.mark.parametrize("spec, c", list(_scaled_copy_cases()))
+def test_a_scaled_copy_gets_the_same_answers(spec, c):
     # (c e1, c e2, c d) is the same function as (e1, e2, d)
     x = construct(spec)
-    # premise: the copy keeps every coefficient of the products and their
-    # difference above TRIM_TOL, or the case is in SCALED_COPY_TRIMMED
-    smallest = min(np.min(np.abs(p.coeffs)) * c * c
-                   for p in (x.d_reflected * x.d, x.e1 * x.e2, royal_polynomial(x)))
-    assert (smallest <= polycx.TRIM_TOL) == trimmed
     copy = validate(x.e1.scale(c), x.e2.scale(c), x.d.scale(c), x.n)
     *expected, nodes = _answers(x)
     *found, copy_nodes = _answers(copy)
@@ -529,27 +521,24 @@ def test_psi_omega_rejects_zero_weight():
         psi_omega_check(superficial_build(spec, 1), spec)
 
 
-def test_from_gamma_inner_zero_sum():
-    x = from_gamma_inner(ZERO, ONE, 1)
-    assert x.e1.is_zero and coeff_distance(x.d, ONE) < 1e-15
-
-
-def test_from_gamma_inner_superficial_pair():
-    x = from_gamma_inner(Polynomial((1, 1)), ONE, 1)
-    assert coeff_distance(x.e1, Polynomial((0.5, 0.5))) < 1e-15
-    assert coeff_distance(x.e1, x.e2) == 0
-
-
-def test_from_gamma_inner_rejects_bad_input():
-    # each failure is reported under validate's code for (s/2, s/2, denom)
-    for s_num, denom, codes in (
-            (Polynomial((1, 2)), ONE, ["ReflectionMismatch", "ModulusDomination"]),
-            (Polynomial((3, 3)), ONE, ["ModulusDomination"]),
-            (Polynomial((1, 1)), Polynomial((-0.5, 1)), ["DVanishesInDisc",
-                                                         "ModulusDomination"])):
-        with pytest.raises(ValidationError) as exc:
-            from_gamma_inner(s_num, denom, 1)
-        assert [code for code, _ in exc.value.violations] == codes
+@pytest.mark.parametrize("s_num, denom, codes", [
+    (ZERO, ONE, []),
+    (Polynomial((1, 1)), ONE, []),
+    (Polynomial((1, 2)), ONE, ["ReflectionMismatch", "ModulusDomination"]),
+    (Polynomial((3, 3)), ONE, ["ModulusDomination"]),
+    (Polynomial((1, 1)), Polynomial((-0.5, 1)), ["DVanishesInDisc", "ModulusDomination"]),
+], ids=["zero-sum", "superficial-pair", "not-symmetric", "not-dominated", "pole"])
+def test_gamma_inner_embedding(s_num, denom, codes):
+    # the Gamma pair s = s_num/denom embeds as (s/2, s/2, denom); a bad pair fails
+    # under validate's codes
+    half = s_num.scale(0.5)
+    if not codes:
+        x = validate(half, half, denom, 1)
+        assert x.e1 == x.e2 == half and x.d == denom
+        return
+    with pytest.raises(ValidationError) as exc:
+        validate(half, half, denom, 1)
+    assert [code for code, _ in exc.value.violations] == codes
 
 
 def test_circle_trace_royal_variety():
